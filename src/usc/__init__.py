@@ -11,13 +11,14 @@ a deterministic synthetic-scenario generator.
 from . import errors
 from .constraints import (RepresentativePoints, UscBreakdown, adr, azimuth,
                           bev_constraint, distance_ratio_geomean, iogt_pv,
-                          pv_constraint, representative_points, usc_score,
-                          usc_verdict)
+                          pv_constraint, representative_points, usc_batch,
+                          usc_score, usc_verdict)
 from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
                          Detection, MatchedPair, MatchSet, MetricsReport,
                          ProtocolConfig, UscAggregate, aggregate_usc,
                          average_precision, bev_center_distance, evaluate,
-                         match_frame, nds, pearson, tp_error_means, usc_nds)
+                         match_frame, matched_pairs, nds, pearson,
+                         tp_error_means, usc_nds)
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
                        Point3, Rect2D, Segment2D, box_corners, box_volume,
                        convex_intersection_area, intersection_volume, iogt3d,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from . import io as uio
 from .errors import UscError, ZeroVariance
-from .evaluation import ProtocolConfig, evaluate, pearson, _protocol_match
+from .evaluation import ProtocolConfig, evaluate, matched_pairs, pearson
 from .loss import LossConfig, iogt_loss, safety_loss, smooth_l1
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def cmd_loss(args) -> int:
     protocol, loss_config = _load_configs(args.config)
     frames = _load_frames(args)
     pairs_by_class: Dict[str, list] = {}
-    pairs, _, _ = _protocol_match(frames, protocol)
+    pairs, _, _ = matched_pairs(frames, protocol)
     for (class_name, _bucket), class_pairs in pairs.items():
         pairs_by_class.setdefault(class_name, []).extend(class_pairs)
     if not pairs_by_class:
@@ -109,7 +109,7 @@ def cmd_synth(args) -> int:
     spec_kwargs = {}
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            spec_kwargs.update(json.load(handle))
+            spec_kwargs.update(uio.spec_kwargs_from_dict(json.load(handle)))
     for key in ("seed", "frames", "objects_min", "objects_max", "depth_bias",
                 "lateral_noise", "size_noise", "yaw_noise", "miss_rate",
                 "fp_rate"):

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
-from .errors import (BehindVehicle, DegenerateGroundTruth,
-                     GroundTruthAtOrigin, OriginInside)
-from .geometry import (EPS_GEOM, BevPolygon, Box3D, Point2, Rect2D,
+import numpy as np
+
+from .errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
+                     GroundTruthAtOrigin, OriginInside, UscError)
+from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, Rect2D,
                        Segment2D, project_bev, project_pv_rect,
                        segments_intersect)
 
@@ -152,9 +155,14 @@ def adr(p: BevPolygon, g: BevPolygon) -> float:
 def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
     """Full constraint breakdown for a prediction / ground-truth pair.
 
-    Propagates BehindCamera / BehindVehicle / OriginInside /
-    GroundTruthAtOrigin from the underlying projections when the pair is
-    outside the domain where the constraints are defined.
+    Raises BehindCamera (prediction checked first) when a box corner is
+    less than EPS_DEPTH ahead of the camera, and DegenerateGroundTruth when
+    the ground truth's PV rectangle has no area; the constraints are
+    undefined for such a pair. No other UscError is reachable: every BEV
+    footprint vertex is a box corner, so a footprint past the BehindCamera
+    check lies wholly ahead of the vehicle. Raises ValueError when a box
+    projects to a non-finite PV bound or to a footprint with repeated
+    vertices (a side no longer than EPS_GEOM).
     """
     p_pv = project_pv_rect(p, focal)
     g_pv = project_pv_rect(g, focal)
@@ -177,3 +185,156 @@ def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
 def usc_verdict(p: Box3D, g: Box3D, focal: float = 1.0) -> bool:
     """Conjunction of the PV and BEV constraints for a box pair."""
     return usc_score(p, g, focal).verdict
+
+
+# --- batch kernel ------------------------------------------------------------
+
+#: Exclusion reasons reported by ``usc_batch``: reason code ``i + 1`` stands
+#: for ``EXCLUSION_REASONS[i]``, and code 0 for a scored pair.
+EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
+
+#: Most pairs ``usc_batch`` holds in its working arrays at once, which bounds
+#: its memory whatever the batch length.
+_BATCH_CAP = 256
+
+# Local corner sides in ``box_corners`` order (bit 0: x, bit 1: y, bit 2: z).
+_SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+_SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+
+#: The corners ``project_bev`` uses, in its counter-clockwise order.
+_FOOTPRINT = [5, 4, 0, 1]
+
+#: Every pair of footprint vertices, sides and diagonals.
+_VERTEX_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+
+
+def _map_math(fn, *arrays) -> np.ndarray:
+    """Apply a scalar ``math`` function elementwise. numpy's own hypot,
+    arctan2 and power differ from ``math`` in the last bit on some inputs,
+    and the kernel must match the scalar path bit for bit."""
+    shape = arrays[0].shape
+    flat = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
+
+
+def _corners(boxes: Sequence[Box3D]):
+    """(n, 8) corner coordinates, the same floats as ``box_corners``."""
+    cx, cy, cz, length, height, width, yaw = np.array(
+        [b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 7).T
+    c = _map_math(math.cos, yaw)[:, None]
+    s = _map_math(math.sin, yaw)[:, None]
+    dx = (length / 2.0)[:, None] * _SIDE_X
+    dy = (height / 2.0)[:, None] * _SIDE_Y
+    dz = (width / 2.0)[:, None] * _SIDE_Z
+    x = cx[:, None] + dx * c + dz * s
+    y = cy[:, None] + dy
+    z = cz[:, None] - dx * s + dz * c
+    return x, y, z
+
+
+def _pv_bounds(x, y, z, focal: float):
+    """Behind-camera mask and (min_u, min_v, max_u, max_v), as
+    ``project_pv_rect`` computes them."""
+    u = focal * x / z
+    v = focal * y / z
+    return ((z < EPS_DEPTH).any(axis=1),
+            (u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)))
+
+
+def _first_min(key, fx, fz) -> np.ndarray:
+    """Index of the first lexicographic minimum of (key, x, z) over the four
+    footprint vertices, as Python's ``min`` picks it (lexsort is stable)."""
+    return np.lexsort((fz, fx, key), axis=1)[:, 0]
+
+
+def _footprint_terms(x, z):
+    """Distances of the closest / rightmost / leftmost footprint vertices, as
+    ``representative_points`` picks them, and a mask of the footprints on
+    which ``usc_score`` cannot raise ValueError: finite, every two vertices
+    more than EPS_GEOM apart (BevPolygon rejects a shorter side) and not all
+    four on one bearing (then no facing side is left for
+    ``segments_intersect``)."""
+    fx, fz = x[:, _FOOTPRINT], z[:, _FOOTPRINT]
+    norm = _map_math(math.hypot, fx, fz)
+    bearing = _map_math(math.atan2, fx, fz)
+    picks = np.stack([_first_min(norm, fx, fz), _first_min(-bearing, fx, fz),
+                      _first_min(bearing, fx, fz)], axis=1)
+    i, j = _VERTEX_PAIRS
+    apart = np.maximum(abs(fx[:, i] - fx[:, j]), abs(fz[:, i] - fz[:, j]))
+    well_formed = (np.isfinite(fx).all(axis=1) & np.isfinite(fz).all(axis=1)
+                   & (apart > EPS_GEOM).all(axis=1)
+                   & (bearing.max(axis=1) != bearing.min(axis=1)))
+    return np.take_along_axis(norm, picks, axis=1), well_formed
+
+
+def _usc_chunk(pred_boxes, gt_boxes, focal: float):
+    p_x, p_y, p_z = _corners(pred_boxes)
+    g_x, g_y, g_z = _corners(gt_boxes)
+    p_behind, p_rect = _pv_bounds(p_x, p_y, p_z, focal)
+    g_behind, g_rect = _pv_bounds(g_x, g_y, g_z, focal)
+    p_dist, p_well_formed = _footprint_terms(p_x, p_z)
+    g_dist, g_well_formed = _footprint_terms(g_x, g_z)
+
+    # iogt_pv
+    p_min_u, p_min_v, p_max_u, p_max_v = p_rect
+    g_min_u, g_min_v, g_max_u, g_max_v = g_rect
+    g_area = (g_max_u - g_min_u) * (g_max_v - g_min_v)
+    du = np.minimum(p_max_u, g_max_u) - np.maximum(p_min_u, g_min_u)
+    dv = np.minimum(p_max_v, g_max_v) - np.maximum(p_min_v, g_min_v)
+    iogt = np.where((du <= 0.0) | (dv <= 0.0), 0.0, (du * dv) / g_area)
+
+    # distance_ratio_geomean over (closest, rightmost, leftmost)
+    ratio = g_dist / np.maximum(p_dist, g_dist)
+    product = ratio[:, 0] * ratio[:, 1] * ratio[:, 2]
+    adr_value = _map_math(pow, product, np.full(len(product), 1.0 / 3))
+
+    usc = iogt * adr_value
+    reason = np.zeros(len(usc), dtype=np.int8)
+    reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
+        DegenerateGroundTruth)
+    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+
+    p_finite = np.isfinite(p_rect).all(axis=0)
+    g_finite = np.isfinite(g_rect).all(axis=0)
+    # Pairs on which usc_score may raise ValueError go through it, so that it
+    # does; it checks the prediction's PV bounds before the ground truth's
+    # corners, and the rest after them.
+    scalar = ~p_behind & (~p_finite | (~g_behind & (
+        ~g_finite | ~p_well_formed | ~g_well_formed)))
+    for row in np.flatnonzero(scalar):
+        try:
+            usc[row] = usc_score(pred_boxes[row], gt_boxes[row], focal).usc
+            reason[row] = 0
+        except UscError as exc:
+            reason[row] = 1 + EXCLUSION_REASONS.index(type(exc))
+    usc[reason != 0] = np.nan
+    return usc, reason
+
+
+def usc_batch(pred_boxes: Sequence[Box3D], gt_boxes: Sequence[Box3D],
+              focal: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """USC of many prediction / ground-truth pairs at once.
+
+    Returns a float64 array of USC values and an int8 array of exclusion
+    reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
+    ``usc_score`` raises it). Excluded pairs read NaN. Every value and
+    reason equals, bit for bit, what ``usc_score`` gives for that pair: the
+    kernel repeats its arithmetic in the same order, with ``math`` for the
+    transcendental functions. Pairs whose footprints leave the domain the
+    kernel handles are scored by ``usc_score`` itself, so its ValueErrors
+    propagate, from the first such pair.
+    """
+    if len(pred_boxes) != len(gt_boxes):
+        raise ValueError(f"{len(pred_boxes)} predictions but "
+                         f"{len(gt_boxes)} ground truths")
+    if len(pred_boxes) and focal <= 0:
+        raise ValueError(f"focal length must be positive, got {focal}")
+    usc = np.empty(len(pred_boxes), dtype=np.float64)
+    reason = np.empty(len(pred_boxes), dtype=np.int8)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(pred_boxes), _BATCH_CAP):
+            stop = start + _BATCH_CAP
+            usc[start:stop], reason[start:stop] = _usc_chunk(
+                pred_boxes[start:stop], gt_boxes[start:stop], focal)
+    return usc, reason

@@ -23,8 +23,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constraints import usc_score
-from .errors import MissingAnnotationField, UscError, ZeroVariance
+from .constraints import usc_batch
+from .errors import MissingAnnotationField, ZeroVariance
 from .geometry import Box3D, wrap_angle
 
 #: Recognized true-positive error measures, in canonical report order.
@@ -356,24 +356,19 @@ def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]],
                   focal: float = 1.0) -> UscAggregate:
     """Average the USC score over matched pairs, class by class.
 
-    Pairs whose constraint evaluation is undefined (object behind the
-    vehicle, origin inside a footprint, ...) are excluded and counted
-    rather than scored zero; classes with no scoreable pair get a None
-    AUSC. mAUSC averages the defined per-class values.
+    Pairs whose constraint evaluation is undefined (a box corner behind the
+    camera plane, or a ground truth with no PV area) are excluded and
+    counted rather than scored zero; classes with no scoreable pair get a
+    None AUSC. mAUSC averages the defined per-class values.
     """
     ausc: Dict[str, Optional[float]] = {}
     excluded: Dict[str, int] = {}
     for class_name, pairs in pairs_per_class.items():
-        scores = []
-        failures = 0
-        for pair in pairs:
-            try:
-                scores.append(usc_score(pair.detection.box, pair.annotation.box,
-                                        focal).usc)
-            except UscError:
-                failures += 1
+        usc, reason = usc_batch([pair.detection.box for pair in pairs],
+                                [pair.annotation.box for pair in pairs], focal)
+        scores = usc[reason == 0].tolist()
         ausc[class_name] = math.fsum(scores) / len(scores) if scores else None
-        excluded[class_name] = failures
+        excluded[class_name] = len(pairs) - len(scores)
     defined = [value for value in ausc.values() if value is not None]
     mausc = math.fsum(defined) / len(defined) if defined else None
     return UscAggregate(ausc, mausc, excluded)
@@ -404,7 +399,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 # --- full protocol -----------------------------------------------------------
 
 
-def _protocol_match(frames, config: ProtocolConfig):
+def matched_pairs(frames, config: ProtocolConfig):
     """Match every frame at the per-bucket thresholds.
 
     Annotations outside all buckets are dropped; each remaining annotation
@@ -483,7 +478,7 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     frames = list(frames)
     classes = sorted({a.class_name for f in frames for a in f.ground_truths
                       if config.bucket_index(_center_range(a.box)) is not None})
-    pairs, fps, fns = _protocol_match(frames, config)
+    pairs, fps, fns = matched_pairs(frames, config)
     ap_tables = {d: _ap_inputs(frames, config, d)
                  for d in config.ap_distance_thresholds}
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, SchemaError
@@ -203,6 +203,8 @@ def config_from_dict(obj: dict) -> Tuple[ProtocolConfig, LossConfig]:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
     protocol_kwargs = {}
     if "range_buckets" in obj:
+        if not isinstance(obj["range_buckets"], list):
+            raise SchemaError("expected a list of [near, far] pairs", "range_buckets")
         protocol_kwargs["range_buckets"] = tuple(
             tuple(_vector(b, 2, f"range_buckets[{i}]"))
             for i, b in enumerate(obj["range_buckets"]))
@@ -439,6 +441,35 @@ class SyntheticSpec:
         if not (0.0 < self.range_min < self.range_max):
             raise ValueError("need 0 < range_min < range_max")
         object.__setattr__(self, "classes", tuple(self.classes))
+
+
+#: Integer fields of SyntheticSpec; ``classes`` is a list of names and every
+#: other field is a number.
+_SPEC_INTEGERS = ("seed", "frames", "objects_min", "objects_max")
+
+
+def spec_kwargs_from_dict(obj) -> dict:
+    """Check a parsed SyntheticSpec JSON document and return its fields as
+    keyword arguments for SyntheticSpec."""
+    if not isinstance(obj, dict):
+        raise SchemaError("spec must be a JSON object")
+    names = {f.name for f in fields(SyntheticSpec)}
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in names:
+            raise SchemaError("unknown spec key", key)
+        if key == "classes":
+            if (not isinstance(value, list)
+                    or not all(isinstance(c, str) and c for c in value)):
+                raise SchemaError("expected a list of class names", key)
+            kwargs[key] = tuple(value)
+        elif key in _SPEC_INTEGERS:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchemaError("expected an integer", key)
+            kwargs[key] = value
+        else:
+            kwargs[key] = _number(value, key)
+    return kwargs
 
 
 def _sample_ground_truth(rng: random.Random, spec: SyntheticSpec,

@@ -78,6 +78,15 @@ class TestEval:
         code = main(["eval", "--data", "x", "--gt", "y", "--pred", "z"])
         assert code == 1
 
+    def test_non_list_range_buckets_is_schema_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"range_buckets": 5}))
+        code = main(["eval", "--data", str(data), "--config", str(config)])
+        assert code == 1
+        assert "range_buckets" in capsys.readouterr().err
+
 
 class TestLoss:
     def test_perfect_dataset_zero_means(self, tmp_path, capsys):
@@ -139,6 +148,24 @@ class TestSynth:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("document, named", [
+        ({"nope": 1}, "nope"),
+        ([1, 2], "JSON object"),
+        ({"frames": "5"}, "frames"),
+        ({"seed": 1.5}, "seed"),
+        ({"depth_bias": None}, "depth_bias"),
+        ({"classes": "car"}, "classes"),
+    ])
+    def test_malformed_spec_is_schema_error(self, tmp_path, capsys,
+                                            document, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(document))
+        code = main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 def build_detector_family(tmp_path, biases, miss_rates):

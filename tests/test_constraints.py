@@ -1,16 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from strategies import finite, frontal_boxes, frontal_pairs
-from usc import (BevPolygon, Box3D, Point2, Rect2D, adr, azimuth,
-                 bev_constraint, distance_ratio_geomean, iogt_pv,
-                 project_bev, pv_constraint, representative_points,
+from strategies import boxes, finite, frontal_boxes, frontal_pairs
+from usc import (EPS_DEPTH, BevPolygon, Box3D, Point2, ProtocolConfig,
+                 Rect2D, SyntheticSpec, adr, azimuth, bev_constraint,
+                 box_corners, distance_ratio_geomean, generate_synthetic,
+                 iogt_pv, project_bev, pv_constraint, representative_points,
                  usc_score, usc_verdict)
-from usc.errors import (BehindVehicle, DegenerateGroundTruth,
-                        GroundTruthAtOrigin, OriginInside)
+from usc import constraints
+from usc.constraints import EXCLUSION_REASONS, usc_batch
+from usc.errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
+                        GroundTruthAtOrigin, OriginInside, UscError)
+from usc.evaluation import matched_pairs
 
 
 def rect(min_u, min_v, max_u, max_v):
@@ -307,3 +312,160 @@ class TestViewCoverageOracle:
         assert view_coverage_fraction(covering, g, rays) == 1.0
         assert usc_verdict(exposing, g) is False
         assert view_coverage_fraction(exposing, g, rays) < 1.0
+
+
+def scalar_outcome(p, g, focal=1.0):
+    """(usc, reason code) of one pair through the scalar reference path."""
+    try:
+        return usc_score(p, g, focal).usc, 0
+    except UscError as exc:
+        return None, 1 + EXCLUSION_REASONS.index(type(exc))
+
+
+def assert_batch_matches_scalar(pairs, focal=1.0):
+    preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
+    usc, reason = usc_batch(preds, gts, focal)
+    assert usc.dtype == np.float64 and reason.dtype == np.int8
+    assert len(usc) == len(reason) == len(pairs)
+    for i, (p, g) in enumerate(pairs):
+        value, code = scalar_outcome(p, g, focal)
+        assert reason[i] == code, i
+        if code == 0:
+            assert usc[i] == value, i
+        else:
+            assert math.isnan(usc[i]), i
+    return usc, reason
+
+
+BEHIND_CAMERA = 1 + EXCLUSION_REASONS.index(BehindCamera)
+DEGENERATE = 1 + EXCLUSION_REASONS.index(DegenerateGroundTruth)
+AHEAD = Box3D(0.0, 0.0, 10.0, 4.5, 1.7, 1.9, 0.0)
+
+
+class TestUscScoreExclusions:
+    @given(boxes(), boxes())
+    @settings(max_examples=500)
+    def test_only_behind_camera_or_degenerate_around_vehicle(self, p, g):
+        try:
+            usc_score(p, g)
+        except (BehindCamera, DegenerateGroundTruth):
+            pass
+
+    @given(boxes(center=3.0, dim_min=1e-3), boxes(center=3.0, dim_min=1e-3))
+    @settings(max_examples=500)
+    def test_only_behind_camera_or_degenerate_near_camera_plane(self, p, g):
+        try:
+            usc_score(p, g)
+        except (BehindCamera, DegenerateGroundTruth):
+            pass
+
+
+class TestUscBatch:
+    """The kernel against ``usc_score``, pair by pair: equal values, equal
+    reasons."""
+
+    @given(st.lists(st.tuples(boxes(), boxes()), max_size=40))
+    @settings(max_examples=150)
+    def test_pairs_around_vehicle(self, pairs):
+        assert_batch_matches_scalar(pairs)
+
+    @given(st.lists(frontal_pairs(), min_size=1, max_size=40),
+           finite(0.2, 5.0))
+    @settings(max_examples=150)
+    def test_frontal_pairs(self, pairs, focal):
+        assert_batch_matches_scalar(pairs, focal)
+
+    def test_behind_camera_on_either_side(self):
+        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
+        _, reason = assert_batch_matches_scalar(
+            [(behind, AHEAD), (AHEAD, behind), (behind, behind), (AHEAD, AHEAD)])
+        assert reason.tolist() == [BEHIND_CAMERA] * 3 + [0]
+
+    def test_corner_at_depth_limit(self):
+        at_limit = Box3D(0.0, 0.0, 2 * EPS_DEPTH, 1.0, 1.0, 2 * EPS_DEPTH, 0.0)
+        below = Box3D(0.0, 0.0, math.nextafter(2 * EPS_DEPTH, 0.0), 1.0, 1.0,
+                      2 * EPS_DEPTH, 0.0)
+        assert min(c.z for c in box_corners(at_limit)) == EPS_DEPTH
+        assert min(c.z for c in box_corners(below)) < EPS_DEPTH
+        _, reason = assert_batch_matches_scalar(
+            [(at_limit, at_limit), (below, at_limit), (AHEAD, below)])
+        assert reason.tolist() == [0, BEHIND_CAMERA, BEHIND_CAMERA]
+
+    def test_degenerate_ground_truth(self):
+        flat = Box3D(0.0, 0.0, 10.0, 4.5, 1e-20, 1.9, 0.0)
+        _, reason = assert_batch_matches_scalar([(AHEAD, flat), (flat, AHEAD)])
+        assert reason.tolist() == [DEGENERATE, 0]
+
+    def test_closest_distance_tie(self):
+        # yaw 0 on the z axis: the two near corners are equally close
+        g = Box3D(0.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0)
+        p = Box3D(0.0, 0.0, 9.5, 2.2, 1.5, 4.0, 0.0)
+        assert_batch_matches_scalar([(p, g), (g, p), (g, g)])
+
+    @pytest.mark.parametrize("g", [
+        # left side on x = 0
+        Box3D(1.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0),
+        # right side on x = 0
+        Box3D(-1.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0),
+        # right side on a ray at negative x: farther vertex has smaller x
+        Box3D(-4.857748172469975, 0.0, 11.410966857241545, 4.0, 1.5, 2.0,
+              -1.892546881191539),
+    ])
+    def test_footprint_edge_along_a_ray(self, g):
+        bearings = sorted(azimuth(v) for v in project_bev(g).vertices)
+        assert bearings[0] == bearings[1] or bearings[2] == bearings[3]
+        nearer = Box3D(g.center_x * 0.95, 0.0, g.center_z * 0.95, g.length,
+                       g.height, g.width, g.yaw)
+        farther = Box3D(g.center_x, 0.0, g.center_z + 0.4, g.length,
+                        g.height, g.width, g.yaw)
+        assert_batch_matches_scalar([(g, nearer), (nearer, g), (g, farther),
+                                     (farther, g), (g, g)])
+
+    def test_value_error_parity(self):
+        tiny = Box3D(0.0, 0.0, 10.0, 1e-10, 1e-10, 1e-10, 0.0)
+        huge = Box3D(1e308, 0.0, 0.6, 1.0, 1.0, 1.0, 0.0)
+        # so far off that all four footprint vertices share one bearing
+        far = Box3D(8881733906860.004, 0.0, 4065451049573.2236,
+                    1.4485064961420586, 808.5728874333704,
+                    0.0018175574008870465, 2.7123276880465355)
+        # one footprint vertex overflows, the PV bounds stay finite
+        overflow = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
+        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
+        for p, g in ((tiny, AHEAD), (huge, AHEAD), (AHEAD, far),
+                     (overflow, AHEAD)):
+            with pytest.raises(ValueError) as scalar:
+                usc_score(p, g)
+            with pytest.raises(ValueError) as batch:
+                usc_batch([AHEAD, behind, p, tiny], [AHEAD, AHEAD, g, AHEAD])
+            assert str(batch.value) == str(scalar.value)
+        with pytest.raises(ValueError) as scalar:
+            usc_score(AHEAD, AHEAD, focal=0.0)
+        with pytest.raises(ValueError) as batch:
+            usc_batch([AHEAD], [AHEAD], focal=0.0)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_empty_batch(self):
+        usc, reason = usc_batch([], [], focal=0.0)
+        assert usc.shape == reason.shape == (0,)
+        assert usc.dtype == np.float64 and reason.dtype == np.int8
+
+    def test_batch_longer_than_cap(self, monkeypatch):
+        frames = generate_synthetic(SyntheticSpec(
+            seed=7, frames=120, objects_min=2, objects_max=8, depth_bias=0.2,
+            lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
+        matched, _, _ = matched_pairs(frames, ProtocolConfig())
+        pairs = [(m.detection.box, m.annotation.box)
+                 for key in sorted(matched) for m in matched[key]]
+        assert len(pairs) > 2 * constraints._BATCH_CAP
+        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
+        pairs.insert(constraints._BATCH_CAP + 1, (behind, AHEAD))
+
+        def no_scalar_fallback(*args):
+            raise AssertionError("well-formed pairs must not reach usc_score")
+
+        expected = [scalar_outcome(p, g) for p, g in pairs]
+        monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
+        usc, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert reason.tolist() == [code for _, code in expected]
+        assert all(usc[i] == value for i, (value, code) in enumerate(expected)
+                   if code == 0)
