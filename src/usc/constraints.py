@@ -160,9 +160,10 @@ def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
     the ground truth's PV rectangle has no area; the constraints are
     undefined for such a pair. No other UscError is reachable: every BEV
     footprint vertex is a box corner, so a footprint past the BehindCamera
-    check lies wholly ahead of the vehicle. Raises ValueError when a box
-    projects to a non-finite PV bound or to a footprint with repeated
-    vertices (a side no longer than EPS_GEOM).
+    check lies wholly ahead of the vehicle. Raises ValueError on boxes whose
+    projections degenerate in floating point: a non-finite PV bound or
+    footprint vertex, a footprint side no longer than EPS_GEOM, or all four
+    footprint vertices on one bearing.
     """
     p_pv = project_pv_rect(p, focal)
     g_pv = project_pv_rect(g, focal)
@@ -321,9 +322,9 @@ def usc_batch(pred_boxes: Sequence[Box3D], gt_boxes: Sequence[Box3D],
     ``usc_score`` raises it). Excluded pairs read NaN. Every value and
     reason equals, bit for bit, what ``usc_score`` gives for that pair: the
     kernel repeats its arithmetic in the same order, with ``math`` for the
-    transcendental functions. Pairs whose footprints leave the domain the
-    kernel handles are scored by ``usc_score`` itself, so its ValueErrors
-    propagate, from the first such pair.
+    transcendental functions. Pairs on which ``usc_score`` could raise
+    ValueError are passed to it, so the first such pair raises the same
+    error here.
     """
     if len(pred_boxes) != len(gt_boxes):
         raise ValueError(f"{len(pred_boxes)} predictions but "

@@ -340,6 +340,7 @@ def assert_batch_matches_scalar(pairs, focal=1.0):
 BEHIND_CAMERA = 1 + EXCLUSION_REASONS.index(BehindCamera)
 DEGENERATE = 1 + EXCLUSION_REASONS.index(DegenerateGroundTruth)
 AHEAD = Box3D(0.0, 0.0, 10.0, 4.5, 1.7, 1.9, 0.0)
+BEHIND = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
 
 
 class TestUscScoreExclusions:
@@ -376,9 +377,8 @@ class TestUscBatch:
         assert_batch_matches_scalar(pairs, focal)
 
     def test_behind_camera_on_either_side(self):
-        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
         _, reason = assert_batch_matches_scalar(
-            [(behind, AHEAD), (AHEAD, behind), (behind, behind), (AHEAD, AHEAD)])
+            [(BEHIND, AHEAD), (AHEAD, BEHIND), (BEHIND, BEHIND), (AHEAD, AHEAD)])
         assert reason.tolist() == [BEHIND_CAMERA] * 3 + [0]
 
     def test_corner_at_depth_limit(self):
@@ -430,13 +430,12 @@ class TestUscBatch:
                     0.0018175574008870465, 2.7123276880465355)
         # one footprint vertex overflows, the PV bounds stay finite
         overflow = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
-        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
         for p, g in ((tiny, AHEAD), (huge, AHEAD), (AHEAD, far),
                      (overflow, AHEAD)):
             with pytest.raises(ValueError) as scalar:
                 usc_score(p, g)
             with pytest.raises(ValueError) as batch:
-                usc_batch([AHEAD, behind, p, tiny], [AHEAD, AHEAD, g, AHEAD])
+                usc_batch([AHEAD, BEHIND, p, tiny], [AHEAD, AHEAD, g, AHEAD])
             assert str(batch.value) == str(scalar.value)
         with pytest.raises(ValueError) as scalar:
             usc_score(AHEAD, AHEAD, focal=0.0)
@@ -457,8 +456,7 @@ class TestUscBatch:
         pairs = [(m.detection.box, m.annotation.box)
                  for key in sorted(matched) for m in matched[key]]
         assert len(pairs) > 2 * constraints._BATCH_CAP
-        behind = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
-        pairs.insert(constraints._BATCH_CAP + 1, (behind, AHEAD))
+        pairs.insert(constraints._BATCH_CAP + 1, (BEHIND, AHEAD))
 
         def no_scalar_fallback(*args):
             raise AssertionError("well-formed pairs must not reach usc_score")
