@@ -5,6 +5,8 @@ configuration (e.g. an object behind the vehicle), not that the input is
 malformed; callers may catch ``UscError`` to treat them uniformly.
 """
 
+from typing import Optional
+
 
 class UscError(Exception):
     """Base class for all package-specific errors."""
@@ -39,10 +41,11 @@ class ZeroVariance(UscError):
 
 
 class ParseError(UscError):
-    """A dataset line is not valid JSON."""
+    """A dataset line or a JSON document cannot be decoded; ``line`` is None
+    when the decoder gives no line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
 
 

@@ -1,13 +1,16 @@
 """Dataset-level evaluation protocol.
 
-Pipeline: per frame and class, predictions are greedily matched to ground
-truths on BEV center distance (score order, nearest available annotation).
-Objects are grouped into range buckets by the ground-truth center distance;
-matched detections inherit their annotation's bucket, unmatched detections
-fall into the bucket of their own center distance. Per class and bucket the
-report carries average precision (one value per distance threshold), mean
-true-positive errors, and the average spatial-constraint score (AUSC);
-per bucket these consolidate into mAP, NDS, mAUSC and USC-NDS.
+Pipeline: one walk over frames and their classes. Per (frame, class), one
+candidate table of BEV center distances serves the protocol match (each
+annotation limited by its bucket's threshold) and one match per AP distance
+threshold; in each, detections by descending score take the nearest
+untaken annotation within the limit. Objects are grouped into range buckets
+by the ground-truth center distance; matched detections inherit their
+annotation's bucket, unmatched detections fall into the bucket of their own
+center distance. Per class and bucket the report carries average precision
+(one value per distance threshold), mean true-positive errors, and the
+average spatial-constraint score (AUSC); per bucket these consolidate into
+mAP, NDS, mAUSC and USC-NDS.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -120,8 +123,9 @@ class ProtocolConfig:
         if any(t <= 0 for t in thresholds):
             raise ValueError("match thresholds must be positive")
         ap_thresholds = tuple(float(t) for t in self.ap_distance_thresholds)
-        if not ap_thresholds or any(t <= 0 for t in ap_thresholds):
-            raise ValueError("AP distance thresholds must be positive")
+        if (not ap_thresholds or any(t <= 0 for t in ap_thresholds)
+                or len(set(ap_thresholds)) != len(ap_thresholds)):
+            raise ValueError("AP distance thresholds must be positive and distinct")
         measures = tuple(str(m).upper() for m in self.tp_measures)
         unknown = set(measures) - set(TP_MEASURES)
         if unknown:
@@ -199,28 +203,28 @@ def _center_range(box: Box3D) -> float:
     return math.hypot(box.center_x, box.center_z)
 
 
-def _greedy_match(dets: Sequence[Detection], anns: Sequence[Annotation],
-                  threshold_of) -> MatchSet:
-    """Greedy score-descending matching; threshold_of(ann) bounds each pair."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = [False] * len(anns)
-    pairs: List[MatchedPair] = []
-    matched_det = [False] * len(dets)
+def _candidates(dets: Sequence[Detection], anns: Sequence[Annotation], reach: float):
+    """Per detection, (distance, annotation index) for each annotation within
+    reach, nearest first, lower index on ties."""
+    boxes = [ann.box for ann in anns]
+    return [sorted([(d, j) for j, box in enumerate(boxes)
+                    if (d := bev_center_distance(det.box, box)) <= reach])
+            for det in dets]
+
+
+def _greedy(order: Sequence[int], table, limits: Sequence[float]):
+    """Each detection index in ``order`` takes the first untaken entry (d, j)
+    of its table row with ``d <= limits[j]``. Returns per detection its
+    (annotation index, distance) or None, and the annotations' taken flags."""
+    taken = [False] * len(limits)
+    match = [None] * len(table)
     for i in order:
-        best_j, best_d = -1, math.inf
-        for j, ann in enumerate(anns):
-            if taken[j]:
-                continue
-            d = bev_center_distance(dets[i].box, ann.box)
-            if d <= threshold_of(ann) and d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0:
-            taken[best_j] = True
-            matched_det[i] = True
-            pairs.append(MatchedPair(dets[i], anns[best_j], best_d))
-    fps = [d for i, d in enumerate(dets) if not matched_det[i]]
-    fns = [a for j, a in enumerate(anns) if not taken[j]]
-    return MatchSet(pairs, fps, fns)
+        for d, j in table[i]:
+            if d <= limits[j] and not taken[j]:
+                taken[j] = True
+                match[i] = (j, d)
+                break
+    return match, taken
 
 
 def match_frame(dets: Sequence[Detection], anns: Sequence[Annotation],
@@ -233,7 +237,13 @@ def match_frame(dets: Sequence[Detection], anns: Sequence[Annotation],
     """
     dets = [d for d in dets if d.class_name == class_name]
     anns = [a for a in anns if a.class_name == class_name]
-    return _greedy_match(dets, anns, lambda _ann: threshold)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    table = _candidates(dets, anns, threshold)
+    match, taken = _greedy(order, table, [threshold] * len(anns))
+    return MatchSet([MatchedPair(dets[i], anns[match[i][0]], match[i][1])
+                     for i in order if match[i] is not None],
+                    [det for det, m in zip(dets, match) if m is None],
+                    [ann for ann, t in zip(anns, taken) if not t])
 
 
 def average_precision(scored_matches: Sequence[Tuple[float, bool]],
@@ -399,69 +409,63 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 # --- full protocol -----------------------------------------------------------
 
 
+def _bucketed(order, match, ann_keys, det_keys):
+    """(key, detection index, match or None): matches in score order under the
+    annotation's (class, bucket), then unmatched detections in input order
+    under their own, if they have one."""
+    return ([(ann_keys[m[0]], i, m) for i in order if (m := match[i]) is not None]
+            + [(k, i, None) for i, k in enumerate(det_keys) if k and match[i] is None])
+
+
+def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
+    """The frame -> class walk: per (frame, class), one candidate table serves
+    the protocol match and a match per AP threshold. Returns, per (class,
+    bucket), the protocol pairs, false positives and false negatives, the
+    (score, is TP) labels per AP threshold, and the in-range GT counts."""
+    pairs, fps, fns, gt_counts = {}, {}, {}, {}
+    labeled = {t: {} for t in ap_thresholds}
+    reach = max(config.match_thresholds + ap_thresholds)
+    for frame in frames:
+        groups: Dict[str, Tuple[list, list, list, list]] = {}
+        for ann in frame.ground_truths:
+            bucket = config.bucket_index(_center_range(ann.box))
+            if bucket is not None:
+                key = (ann.class_name, bucket)
+                gt_counts[key] = gt_counts.get(key, 0) + 1
+                group = groups.setdefault(ann.class_name, ([], [], [], []))
+                group[0].append(ann)
+                group[1].append(key)
+        for det in frame.predictions:
+            bucket = config.bucket_index(_center_range(det.box))
+            group = groups.setdefault(det.class_name, ([], [], [], []))
+            group[2].append(det)
+            group[3].append(None if bucket is None else (det.class_name, bucket))
+        for class_name in sorted(groups):
+            anns, ann_keys, dets, det_keys = groups[class_name]
+            order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+            table = _candidates(dets, anns, reach)
+            limits = [config.match_thresholds[b] for _, b in ann_keys]
+            match, taken = _greedy(order, table, limits)
+            for key, i, m in _bucketed(order, match, ann_keys, det_keys):
+                if m is None:
+                    fps.setdefault(key, []).append(dets[i])
+                else:
+                    pairs.setdefault(key, []).append(MatchedPair(dets[i], anns[m[0]], m[1]))
+            for ann, key, t in zip(anns, ann_keys, taken):
+                if not t:
+                    fns.setdefault(key, []).append(ann)
+            for t in ap_thresholds:
+                match, _ = _greedy(order, table, [t] * len(anns))
+                for key, i, m in _bucketed(order, match, ann_keys, det_keys):
+                    labeled[t].setdefault(key, []).append((dets[i].score, m is not None))
+    return pairs, fps, fns, labeled, gt_counts
+
+
 def matched_pairs(frames, config: ProtocolConfig):
-    """Match every frame at the per-bucket thresholds.
-
-    Annotations outside all buckets are dropped; each remaining annotation
-    carries the threshold of its own bucket. Returns per (class, bucket):
-    matched pairs, false positives, false negatives.
-    """
-    pairs: Dict[Tuple[str, int], List[MatchedPair]] = {}
-    fps: Dict[Tuple[str, int], List[Detection]] = {}
-    fns: Dict[Tuple[str, int], List[Annotation]] = {}
-
-    def threshold_of(ann: Annotation) -> float:
-        index = config.bucket_index(_center_range(ann.box))
-        return config.match_thresholds[index]
-
-    for frame in frames:
-        anns_in_range = [a for a in frame.ground_truths
-                         if config.bucket_index(_center_range(a.box)) is not None]
-        classes = {a.class_name for a in anns_in_range}
-        classes |= {d.class_name for d in frame.predictions}
-        for class_name in sorted(classes):
-            dets = [d for d in frame.predictions if d.class_name == class_name]
-            anns = [a for a in anns_in_range if a.class_name == class_name]
-            matched = _greedy_match(dets, anns, threshold_of)
-            for pair in matched.pairs:
-                bucket = config.bucket_index(_center_range(pair.annotation.box))
-                pairs.setdefault((class_name, bucket), []).append(pair)
-            for det in matched.false_positives:
-                bucket = config.bucket_index(_center_range(det.box))
-                if bucket is not None:
-                    fps.setdefault((class_name, bucket), []).append(det)
-            for ann in matched.false_negatives:
-                bucket = config.bucket_index(_center_range(ann.box))
-                fns.setdefault((class_name, bucket), []).append(ann)
-    return pairs, fps, fns
-
-
-def _ap_inputs(frames, config: ProtocolConfig, distance_threshold: float):
-    """Scored TP/FP labels per (class, bucket) at one uniform threshold."""
-    labeled: Dict[Tuple[str, int], List[Tuple[float, bool]]] = {}
-    gt_counts: Dict[Tuple[str, int], int] = {}
-    for frame in frames:
-        anns_in_range = [a for a in frame.ground_truths
-                         if config.bucket_index(_center_range(a.box)) is not None]
-        for ann in anns_in_range:
-            key = (ann.class_name, config.bucket_index(_center_range(ann.box)))
-            gt_counts[key] = gt_counts.get(key, 0) + 1
-        classes = {a.class_name for a in anns_in_range}
-        classes |= {d.class_name for d in frame.predictions}
-        for class_name in sorted(classes):
-            dets = [d for d in frame.predictions if d.class_name == class_name]
-            anns = [a for a in anns_in_range if a.class_name == class_name]
-            matched = _greedy_match(dets, anns, lambda _a: distance_threshold)
-            for pair in matched.pairs:
-                bucket = config.bucket_index(_center_range(pair.annotation.box))
-                labeled.setdefault((class_name, bucket), []).append(
-                    (pair.detection.score, True))
-            for det in matched.false_positives:
-                bucket = config.bucket_index(_center_range(det.box))
-                if bucket is not None:
-                    labeled.setdefault((class_name, bucket), []).append(
-                        (det.score, False))
-    return labeled, gt_counts
+    """Match every frame, each annotation at its own bucket's threshold;
+    annotations outside all buckets are dropped. Returns per (class, bucket):
+    matched pairs, false positives, false negatives."""
+    return _walk(frames, config, ())[:3]
 
 
 def _mean_or_none(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -476,11 +480,9 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     Undefined metrics stay None; they are never silently zeroed.
     """
     frames = list(frames)
-    classes = sorted({a.class_name for f in frames for a in f.ground_truths
-                      if config.bucket_index(_center_range(a.box)) is not None})
-    pairs, fps, fns = matched_pairs(frames, config)
-    ap_tables = {d: _ap_inputs(frames, config, d)
-                 for d in config.ap_distance_thresholds}
+    pairs, fps, fns, labeled, gt_counts = _walk(
+        frames, config, config.ap_distance_thresholds)
+    classes = sorted({class_name for class_name, _ in gt_counts})
 
     report = MetricsReport(
         range_buckets=list(config.range_buckets),
@@ -491,7 +493,6 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     )
 
     n_buckets = len(config.range_buckets)
-    gt_counts = ap_tables[config.ap_distance_thresholds[0]][1]
 
     for class_name in classes:
         report.per_class[class_name] = {}
@@ -499,9 +500,8 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
             key = (class_name, b)
             class_pairs = pairs.get(key, [])
             n_gt = gt_counts.get(key, 0)
-            ap: Dict[float, Optional[float]] = {}
-            for d, (labeled, counts) in ap_tables.items():
-                ap[d] = average_precision(labeled.get(key, []), counts.get(key, 0))
+            ap = {d: average_precision(labeled[d].get(key, []), n_gt)
+                  for d in config.ap_distance_thresholds}
             if class_pairs:
                 errors = dict(tp_error_means(class_pairs, config.tp_measures))
                 agg = aggregate_usc({class_name: class_pairs}, config.focal)

@@ -41,18 +41,39 @@ class FrameRecord:
 # --- dataset parsing ---------------------------------------------------------
 
 
+def _decode(text: str, line: Optional[int] = None):
+    """Decode one JSON document; ParseError, at ``line`` if given and else at
+    the decoder's line, on malformed JSON or nesting too deep to decode."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(exc), exc.lineno if line is None else line) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", line) from None
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"missing required field '{key}'", path)
     return obj[key]
 
 
-def _number(value, path: str) -> float:
+def _float(value, path: str) -> float:
+    """A JSON number as a float; SchemaError for any other type and for an
+    integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {type(value).__name__}", path)
-    if not math.isfinite(value):
-        raise SchemaError(f"expected a finite number, got {value}", path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("integer beyond the float range", path) from None
+
+
+def _number(value, path: str) -> float:
+    number = _float(value, path)
+    if not math.isfinite(number):
+        raise SchemaError(f"expected a finite number, got {number}", path)
+    return number
 
 
 def _vector(value, length: int, path: str) -> Tuple[float, ...]:
@@ -124,11 +145,7 @@ def load_dataset(path) -> List[FrameRecord]:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            frame = _parse_frame(obj, f"line {lineno}")
+            frame = _parse_frame(_decode(line, lineno), f"line {lineno}")
             if frame.frame_id in seen:
                 raise SchemaError(f"duplicate frame_id '{frame.frame_id}'",
                                   f"line {lineno}.frame_id")
@@ -244,10 +261,7 @@ def config_from_dict(obj: dict) -> Tuple[ProtocolConfig, LossConfig]:
 def load_config(path) -> Tuple[ProtocolConfig, LossConfig]:
     """Load a config file; missing fields fall back to protocol defaults."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), exc.lineno) from exc
+        obj = _decode(handle.read())
     return config_from_dict(obj)
 
 
@@ -288,37 +302,64 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def _summary_from_dict(obj: dict) -> BucketSummary:
-    return BucketSummary(
-        mean_ap=obj["mean_ap"], nds=obj["nds"], mausc=obj["mausc"],
-        usc_nds=obj["usc_nds"], tp_errors=dict(obj["tp_errors"]),
-        tp=obj["tp"], fp=obj["fp"], fn=obj["fn"],
-        usc_excluded=obj["usc_excluded"],
-    )
+def _count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"expected an integer, got {type(value).__name__}", path)
+    return value
+
+
+def _metric(value, path: str) -> Optional[float]:
+    return None if value is None else _float(value, path)
+
+
+def _slice_fields(obj: dict, path: str, metrics: Sequence[str]) -> dict:
+    """Type-checked metric, TP-error and count fields of a report slice."""
+    fields = {key: _metric(obj[key], f"{path}.{key}") for key in metrics}
+    fields["tp_errors"] = {m: _metric(v, f"{path}.tp_errors.{m}")
+                           for m, v in obj["tp_errors"].items()}
+    for key in ("tp", "fp", "fn", "usc_excluded"):
+        fields[key] = _count(obj[key], f"{path}.{key}")
+    return fields
+
+
+def _class_bucket_from_dict(obj: dict, path: str) -> ClassBucketMetrics:
+    ap = {}
+    for key, value in obj["ap"].items():
+        try:
+            threshold = float(key)
+        except ValueError:
+            raise SchemaError("expected a number as AP key", f"{path}.ap.{key}") from None
+        ap[threshold] = _metric(value, f"{path}.ap.{key}")
+    return ClassBucketMetrics(ap=ap, **_slice_fields(obj, path, ("ausc",)))
+
+
+def _summary_from_dict(obj: dict, path: str) -> BucketSummary:
+    return BucketSummary(**_slice_fields(obj, path,
+                                         ("mean_ap", "nds", "mausc", "usc_nds")))
 
 
 def report_from_dict(obj: dict) -> MetricsReport:
+    """Rebuild a report from its JSON form; SchemaError names a missing or
+    mistyped field."""
     try:
         report = MetricsReport(
             range_buckets=[tuple(b) for b in obj["range_buckets"]],
             classes=list(obj["classes"]),
-            ap_distance_thresholds=list(obj["ap_distance_thresholds"]),
+            ap_distance_thresholds=[
+                _float(t, f"ap_distance_thresholds[{i}]")
+                for i, t in enumerate(obj["ap_distance_thresholds"])],
             tp_measures=list(obj["tp_measures"]),
-            frames=obj["frames"],
+            frames=_count(obj["frames"], "frames"),
             per_class={
-                c: {label: ClassBucketMetrics(
-                        ap={float(k): v for k, v in m["ap"].items()},
-                        tp_errors=dict(m["tp_errors"]),
-                        ausc=m["ausc"],
-                        tp=m["tp"], fp=m["fp"], fn=m["fn"],
-                        usc_excluded=m["usc_excluded"])
+                c: {label: _class_bucket_from_dict(m, f"per_class.{c}.{label}")
                     for label, m in buckets.items()}
                 for c, buckets in obj["per_class"].items()},
-            per_bucket={label: _summary_from_dict(s)
+            per_bucket={label: _summary_from_dict(s, f"per_bucket.{label}")
                         for label, s in obj["per_bucket"].items()},
-            overall=_summary_from_dict(obj["overall"]) if obj["overall"] else None,
+            overall=(_summary_from_dict(obj["overall"], "overall")
+                     if obj["overall"] else None),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed report: {exc}") from exc
     return report
 
@@ -378,10 +419,7 @@ def write_report(report: MetricsReport, path, fmt: str = "json") -> None:
 
 def load_report(path) -> MetricsReport:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), exc.lineno) from exc
+        obj = _decode(handle.read())
     return report_from_dict(obj)
 
 

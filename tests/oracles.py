@@ -4,7 +4,9 @@ Each oracle deliberately recomputes its quantity through a different route
 than the implementation under test: volumes by Monte Carlo sampling,
 segment predicates by orientation tests, matching by exhaustive assignment
 enumeration, average precision by a hand-rolled staircase walk, and view
-coverage by ray casting.
+coverage by ray casting. The greedy matcher is also kept here in its
+original per-pair form, as the reference for the library's shared
+candidate table.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from usc import Box3D, box_corners
+from usc import Box3D, MatchSet, MatchedPair, bev_center_distance, box_corners
 
 
 # --- Monte Carlo volume oracle ------------------------------------------------
@@ -205,6 +207,66 @@ def optimal_assignment(distances, threshold: float):
 
     recurse(0, [False] * n_ann, 0, 0.0)
     return best
+
+
+# --- reference greedy matcher ---------------------------------------------------
+
+
+def greedy_match(dets, anns, threshold_of) -> MatchSet:
+    """Greedy score-descending matching; threshold_of(ann) bounds each pair.
+
+    The library's original matcher, kept as the reference for the shared
+    candidate table: every detection scans every untaken annotation.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    taken = [False] * len(anns)
+    pairs = []
+    matched_det = [False] * len(dets)
+    for i in order:
+        best_j, best_d = -1, math.inf
+        for j, ann in enumerate(anns):
+            if taken[j]:
+                continue
+            d = bev_center_distance(dets[i].box, ann.box)
+            if d <= threshold_of(ann) and d < best_d:
+                best_j, best_d = j, d
+        if best_j >= 0:
+            taken[best_j] = True
+            matched_det[i] = True
+            pairs.append(MatchedPair(dets[i], anns[best_j], best_d))
+    fps = [d for i, d in enumerate(dets) if not matched_det[i]]
+    fns = [a for j, a in enumerate(anns) if not taken[j]]
+    return MatchSet(pairs, fps, fns)
+
+
+def reference_walk(frames, config, threshold_of):
+    """Per (class, bucket): pairs, false positives and false negatives of
+    greedy_match run frame by frame and class by class, every bucket looked
+    up afresh from the object's own center range (the original protocol
+    loop). Annotations outside all buckets are dropped, as are unmatched
+    detections outside all buckets."""
+    def bucket_of(box):
+        return config.bucket_index(math.hypot(box.center_x, box.center_z))
+
+    pairs, fps, fns = {}, {}, {}
+    for frame in frames:
+        anns_in_range = [a for a in frame.ground_truths
+                         if bucket_of(a.box) is not None]
+        classes = {a.class_name for a in anns_in_range}
+        classes |= {d.class_name for d in frame.predictions}
+        for class_name in sorted(classes):
+            dets = [d for d in frame.predictions if d.class_name == class_name]
+            anns = [a for a in anns_in_range if a.class_name == class_name]
+            matched = greedy_match(dets, anns, threshold_of)
+            for pair in matched.pairs:
+                key = (class_name, bucket_of(pair.annotation.box))
+                pairs.setdefault(key, []).append(pair)
+            for det in matched.false_positives:
+                if bucket_of(det.box) is not None:
+                    fps.setdefault((class_name, bucket_of(det.box)), []).append(det)
+            for ann in matched.false_negatives:
+                fns.setdefault((class_name, bucket_of(ann.box)), []).append(ann)
+    return pairs, fps, fns
 
 
 # --- average precision staircase oracle -----------------------------------------

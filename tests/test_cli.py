@@ -88,6 +88,34 @@ class TestEval:
         assert "range_buckets" in capsys.readouterr().err
 
 
+    def test_huge_integer_in_config_is_schema_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text('{"focal": 1' + "0" * 400 + "}")
+        code = main(["eval", "--data", str(data), "--config", str(config)])
+        assert code == 1
+        assert "focal" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        code = main(["eval", "--data", str(data), "--config", str(config)])
+        assert code == 1
+        assert "nested" in capsys.readouterr().err
+
+    def test_deeply_nested_data_line_is_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        with open(data, "a", encoding="utf-8") as handle:
+            handle.write("[" * 100_000 + "\n")
+        code = main(["eval", "--data", str(data)])
+        assert code == 1
+        assert "line 4" in capsys.readouterr().err
+
+
 class TestLoss:
     def test_perfect_dataset_zero_means(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -225,6 +253,34 @@ class TestCorr:
         outcomes.write_text(json.dumps({"other.json": 0.1}))
         code = main(["corr", "--reports", str(a), "--outcomes", str(outcomes)])
         assert code == 1
+
+    @pytest.mark.parametrize("section, field, named", [
+        ("per_class", "tp", ".tp"),
+        ("overall", "mean_ap", "overall.mean_ap"),
+        ("per_class", "ap", ".ap.x"),
+    ])
+    def test_mistyped_report_field_is_schema_error(self, tmp_path, capsys,
+                                                   section, field, named):
+        frames = generate_synthetic(SyntheticSpec(seed=2, frames=20))
+        paths = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            write_report(evaluate(frames, ProtocolConfig()), path, "json")
+            paths.append(path)
+        document = json.loads(paths[1].read_text())
+        target = (document["overall"] if section == "overall"
+                  else document["per_class"]["car"]["[0,10)"])
+        if field == "ap":
+            target["ap"] = {"x": 0.5}
+        else:
+            target[field] = "x"
+        paths[1].write_text(json.dumps(document))
+        outcomes = tmp_path / "o.json"
+        outcomes.write_text(json.dumps({"a.json": 0.1, "b.json": 0.5}))
+        code = main(["corr", "--reports", *map(str, paths),
+                     "--outcomes", str(outcomes)])
+        assert code == 1
+        assert named in capsys.readouterr().err
 
     def test_bias_family_mausc_beats_bias_insensitive_map(self, tmp_path, capsys):
         # biases stay below the matching threshold so mAP only reacts to the

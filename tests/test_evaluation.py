@@ -2,14 +2,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import ap_oracle, optimal_assignment
+from oracles import ap_oracle, greedy_match, optimal_assignment, reference_walk
 from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
-                 evaluate, generate_synthetic, match_frame, nds, pearson,
-                 tp_error_means, usc_nds, usc_score, SyntheticSpec,
-                 FrameRecord)
+                 evaluate, generate_synthetic, match_frame, matched_pairs,
+                 nds, pearson, tp_error_means, usc_nds, usc_score,
+                 SyntheticSpec, FrameRecord)
 from usc.errors import MissingAnnotationField, ZeroVariance
 
 
@@ -88,6 +88,131 @@ class TestMatchFrame:
         assert len(result.pairs) <= best_count
         # greedy bound: every matched distance is below the threshold
         assert greedy_total <= best_total + threshold * len(result.pairs) + 1e-9
+
+
+#: A frame with every tie and boundary the greedy matcher must break the
+#: way the reference does, under the default protocol (buckets [0,10) and
+#: [10,20), match thresholds 1 and 2, AP thresholds 1 and 2).
+EDGE_FRAME = FrameRecord(
+    "edge",
+    [ann(-0.5, 5.0), ann(0.5, 5.0),       # equidistant from det(0, 5)
+     ann(0.0, 9.999), ann(0.0, 10.0),     # either side of the bucket edge
+     ann(0.0, 15.0, cls="truck")],        # never detected
+    [det(0.0, 5.0, score=0.9),
+     det(1.5, 5.0, score=0.9),            # equal score; 1.0 m, the limit
+     det(0.0, 8.5, score=0.7),            # 1.499 m over a 1 m limit, 1.5 m under 2 m
+     det(1.5, 19.5, score=0.6),           # no candidate
+     det(0.0, 12.0, score=0.8, cls="bus")])  # class only in predictions
+
+GRID_X = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+GRID_Z = (4.0, 4.5, 5.0, 9.0, 9.5, 9.999, 10.0, 10.5, 11.0, 19.5, 20.0)
+
+
+@st.composite
+def tie_scenes(draw):
+    """Small frames on a coarse grid, so equal distances, equal scores and
+    distances exactly at a threshold are common."""
+    frames = []
+    for index in range(draw(st.integers(1, 3))):
+        anns = draw(st.lists(st.builds(
+            ann, st.sampled_from(GRID_X), st.sampled_from(GRID_Z),
+            cls=st.sampled_from(("car", "truck"))), max_size=6))
+        dets = draw(st.lists(st.builds(
+            det, st.sampled_from(GRID_X), st.sampled_from(GRID_Z),
+            score=st.sampled_from((0.5, 0.7, 0.9)),
+            cls=st.sampled_from(("car", "truck", "bus"))), max_size=6))
+        frames.append(FrameRecord(f"f{index}", anns, dets))
+    return frames
+
+
+REFERENCE_CONFIGS = (
+    ProtocolConfig(),
+    ProtocolConfig(range_buckets=((0, 5), (5, 10), (10, 20)),
+                   match_thresholds=(0.5, 1, 2),
+                   ap_distance_thresholds=(0.5, 1, 1.5, 2)),
+)
+
+
+def identities(pairs):
+    return [(id(p.detection), id(p.annotation), p.center_distance) for p in pairs]
+
+
+def ids(objects):
+    return [id(o) for o in objects]
+
+
+class TestMatcherAgainstReference:
+    """The candidate-table matcher against the original per-pair loop
+    (``oracles.greedy_match``): the same objects, the same distances."""
+
+    @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
+    @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
+    @settings(max_examples=200, deadline=None)
+    def test_matched_pairs_equal_reference(self, frames, config):
+        def threshold_of(a):
+            return config.match_thresholds[
+                config.bucket_index(math.hypot(a.box.center_x, a.box.center_z))]
+
+        pairs, fps, fns = matched_pairs(frames, config)
+        ref_pairs, ref_fps, ref_fns = reference_walk(frames, config, threshold_of)
+        assert {k: identities(v) for k, v in pairs.items()} == \
+            {k: identities(v) for k, v in ref_pairs.items()}
+        assert {k: ids(v) for k, v in fps.items()} == \
+            {k: ids(v) for k, v in ref_fps.items()}
+        assert {k: ids(v) for k, v in fns.items()} == \
+            {k: ids(v) for k, v in ref_fns.items()}
+
+    @given(tie_scenes(), st.sampled_from((0.5, 1.0, 1.5, 2.0)))
+    @example([EDGE_FRAME], 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_match_frame_equals_reference(self, frames, threshold):
+        for frame in frames:
+            for class_name in ("car", "truck", "bus"):
+                result = match_frame(frame.predictions, frame.ground_truths,
+                                     class_name, threshold)
+                ref = greedy_match(
+                    [d for d in frame.predictions if d.class_name == class_name],
+                    [a for a in frame.ground_truths if a.class_name == class_name],
+                    lambda _a: threshold)
+                assert identities(result.pairs) == identities(ref.pairs)
+                assert ids(result.false_positives) == ids(ref.false_positives)
+                assert ids(result.false_negatives) == ids(ref.false_negatives)
+
+    @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
+    @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
+    @settings(max_examples=200, deadline=None)
+    def test_report_ap_equals_reference_labels(self, frames, config):
+        report = evaluate(frames, config)
+        gt_counts = {}
+        for frame in frames:
+            for a in frame.ground_truths:
+                b = config.bucket_index(math.hypot(a.box.center_x, a.box.center_z))
+                if b is not None:
+                    gt_counts[(a.class_name, b)] = gt_counts.get((a.class_name, b), 0) + 1
+        assert report.classes == sorted({c for c, _ in gt_counts})
+        for t in config.ap_distance_thresholds:
+            pairs, fps, _ = reference_walk(frames, config, lambda _a: t)
+            for c in report.classes:
+                for b in range(len(config.range_buckets)):
+                    labels = ([(p.detection.score, True) for p in pairs.get((c, b), [])]
+                              + [(d.score, False) for d in fps.get((c, b), [])])
+                    expected = average_precision(labels, gt_counts.get((c, b), 0))
+                    assert report.per_class[c][config.bucket_label(b)].ap[t] == expected
+
+    def test_edge_frame_outcome(self):
+        # the hand-made frame, spelled out: ties go to the lower index, the
+        # limit is inclusive, and each annotation keeps its own bucket's limit
+        pairs, fps, fns = matched_pairs([EDGE_FRAME], ProtocolConfig())
+        dets, anns = EDGE_FRAME.predictions, EDGE_FRAME.ground_truths
+        assert identities(pairs[("car", 0)]) == [
+            (id(dets[0]), id(anns[0]), 0.5), (id(dets[1]), id(anns[1]), 1.0)]
+        assert identities(pairs[("car", 1)]) == [(id(dets[2]), id(anns[3]), 1.5)]
+        assert ids(fps[("car", 1)]) == [id(dets[3])]
+        assert ids(fps[("bus", 1)]) == [id(dets[4])]
+        assert ids(fns[("car", 0)]) == [id(anns[2])]
+        assert ids(fns[("truck", 1)]) == [id(anns[4])]
+        report = evaluate([EDGE_FRAME], ProtocolConfig())
+        assert report.classes == ["car", "truck"]
 
 
 class TestAveragePrecision:
@@ -396,6 +521,12 @@ class TestProtocolConfigValidation:
     def test_rejects_threshold_count_mismatch(self):
         with pytest.raises(ValueError):
             ProtocolConfig(match_thresholds=(1.0,))
+
+    def test_rejects_duplicate_ap_thresholds(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ProtocolConfig(ap_distance_thresholds=(1.0, 1.0))
+        with pytest.raises(ValueError, match="distinct"):
+            ProtocolConfig(ap_distance_thresholds=(2, 1, 2.0))
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,16 @@ class TestDatasetValidation:
         assert "yaw" in str(err.value)
         assert "ground_truths[0]" in str(err.value)
 
+    def test_integer_beyond_float_range_names_the_field(self, tmp_path):
+        record = {"frame_id": "f0", "ground_truths": [
+            {"class": "car", "center": [0, 0, 10 ** 400], "size": [1, 1, 1],
+             "yaw": 0}], "predictions": []}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert "ground_truths[0].center[2]" in str(err.value)
+
     def test_missing_frame_id(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"ground_truths": [], "predictions": []}) + "\n")
@@ -178,6 +188,23 @@ class TestConfig:
             load_config(path)
 
 
+#: (path into the report's JSON form, mistyped value)
+MISTYPED_FIELDS = [
+    (("frames",), "3"),
+    (("per_class", "car", "[0,10)", "tp"), "x"),
+    (("per_class", "car", "[0,10)", "fp"), True),
+    (("per_class", "car", "[0,10)", "fn"), 1.5),
+    (("per_class", "car", "[0,10)", "usc_excluded"), None),
+    (("per_class", "car", "[0,10)", "ausc"), "x"),
+    (("per_class", "car", "[0,10)", "ap", "1.0"), "x"),
+    (("per_class", "car", "[0,10)", "tp_errors", "ATE"), [0.1]),
+    (("per_bucket", "[10,20)", "nds"), False),
+    (("overall", "mean_ap"), "x"),
+    (("overall", "mausc"), 10 ** 400),
+    (("ap_distance_thresholds", 0), "1.0"),
+]
+
+
 class TestReports:
     def report(self):
         frames = generate_synthetic(SyntheticSpec(seed=8, frames=25,
@@ -224,6 +251,25 @@ class TestReports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report(self.report(), tmp_path / "r.bin", "yaml")
+
+    @pytest.mark.parametrize("path, value", MISTYPED_FIELDS,
+                             ids=[".".join(map(str, p)) for p, _ in MISTYPED_FIELDS])
+    def test_mistyped_field_named(self, path, value):
+        obj = report_to_dict(self.report())
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError) as err:
+            report_from_dict(obj)
+        named = ".".join(str(k) for k in path if k != 0)
+        assert named in str(err.value)
+
+    def test_deeply_nested_report_is_parse_error(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ParseError):
+            load_report(path)
 
 
 class TestSyntheticGenerator:
