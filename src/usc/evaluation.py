@@ -451,8 +451,8 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
                     fps.setdefault(key, []).append(dets[i])
                 else:
                     pairs.setdefault(key, []).append(MatchedPair(dets[i], anns[m[0]], m[1]))
-            for ann, key, t in zip(anns, ann_keys, taken):
-                if not t:
+            for ann, key, matched in zip(anns, ann_keys, taken):
+                if not matched:
                     fns.setdefault(key, []).append(ann)
             for t in ap_thresholds:
                 match, _ = _greedy(order, table, [t] * len(anns))

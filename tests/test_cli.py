@@ -87,7 +87,6 @@ class TestEval:
         assert code == 1
         assert "range_buckets" in capsys.readouterr().err
 
-
     def test_huge_integer_in_config_is_schema_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         make_dataset(data, frames=3)
@@ -262,22 +261,19 @@ class TestCorr:
     def test_mistyped_report_field_is_schema_error(self, tmp_path, capsys,
                                                    section, field, named):
         frames = generate_synthetic(SyntheticSpec(seed=2, frames=20))
-        paths = []
-        for name in ("a.json", "b.json"):
-            path = tmp_path / name
-            write_report(evaluate(frames, ProtocolConfig()), path, "json")
-            paths.append(path)
-        document = json.loads(paths[1].read_text())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(evaluate(frames, ProtocolConfig()), a, "json")
+        document = json.loads(a.read_text())
         target = (document["overall"] if section == "overall"
                   else document["per_class"]["car"]["[0,10)"])
         if field == "ap":
             target["ap"] = {"x": 0.5}
         else:
             target[field] = "x"
-        paths[1].write_text(json.dumps(document))
+        b.write_text(json.dumps(document))
         outcomes = tmp_path / "o.json"
         outcomes.write_text(json.dumps({"a.json": 0.1, "b.json": 0.5}))
-        code = main(["corr", "--reports", *map(str, paths),
+        code = main(["corr", "--reports", str(a), str(b),
                      "--outcomes", str(outcomes)])
         assert code == 1
         assert named in capsys.readouterr().err
