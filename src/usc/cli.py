@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Optional
@@ -106,10 +105,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec_kwargs = {}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec_kwargs.update(uio.spec_kwargs_from_dict(json.load(handle)))
+    spec_kwargs = uio.load_spec(args.spec) if args.spec else {}
     for key in ("seed", "frames", "objects_min", "objects_max", "depth_bias",
                 "lateral_noise", "size_noise", "yaw_noise", "miss_rate",
                 "fp_rate"):
@@ -126,11 +122,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    with open(args.outcomes, "r", encoding="utf-8") as handle:
-        outcomes_map = json.load(handle)
-    if not isinstance(outcomes_map, dict):
-        print("error: outcomes file must map report names to rates", file=sys.stderr)
-        return EXIT_VALIDATION
+    outcomes_map = uio.load_outcomes(args.outcomes)
     series: Dict[str, List[float]] = {"mAP": [], "NDS": [], "mAUSC": [], "USC-NDS": []}
     outcomes: List[float] = []
     for path in args.reports:
@@ -149,7 +141,7 @@ def cmd_corr(args) -> int:
         series["NDS"].append(overall.nds)
         series["mAUSC"].append(overall.mausc)
         series["USC-NDS"].append(overall.usc_nds)
-        outcomes.append(float(outcomes_map[key]))
+        outcomes.append(outcomes_map[key])
     if len(outcomes) < 2:
         print("error: need at least two reports", file=sys.stderr)
         return EXIT_VALIDATION

@@ -139,10 +139,6 @@ class ProtocolConfig:
         object.__setattr__(self, "ap_distance_thresholds", ap_thresholds)
         object.__setattr__(self, "tp_measures", measures)
 
-    @property
-    def max_range(self) -> float:
-        return self.range_buckets[-1][1]
-
     def bucket_index(self, distance: float) -> Optional[int]:
         for i, (near, far) in enumerate(self.range_buckets):
             if near <= distance < far:

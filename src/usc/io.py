@@ -8,23 +8,31 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
                         "velocity"?: [vx, vz], "attribute"?: str}, ...],
      "predictions":   [same fields plus "score": float]}
 
-Configs and reports are single JSON documents. Floats are written in
-Python's shortest round-trip form (up to 17 significant digits), so
-load(save(x)) is lossless and re-saving is byte-identical. Undefined
-metrics serialize as null, never as 0.
+Configs, synthetic specs and reports are single JSON documents, each checked
+against the type hints of its dataclasses (``ProtocolConfig`` with
+``LossConfig``, ``SyntheticSpec``, ``MetricsReport``) by one codec. A
+mistyped value, an unknown key or a missing report field is a SchemaError at
+its field path, e.g. ``per_class.car.[0,10).tp`` or ``range_buckets[0][1]``.
+Every number must be finite, so a report carrying NaN or infinity is
+rejected; so is ``"overall": {}`` (it is null or a whole summary), and so
+are two AP keys naming one threshold (``"1"`` and ``"1.0"``).
+Floats are written in Python's shortest round-trip form (up to 17
+significant digits), so load(save(x)) is lossless and re-saving is
+byte-identical. Undefined metrics serialize as null, never as 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .errors import ParseError, SchemaError
-from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
-                         Detection, MetricsReport, ProtocolConfig)
+from .evaluation import Annotation, Detection, MetricsReport, ProtocolConfig
 from .geometry import Box3D, wrap_angle
 from .loss import LossConfig
 
@@ -58,19 +66,15 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _float(value, path: str) -> float:
-    """A JSON number as a float; SchemaError for any other type and for an
-    integer beyond the float range."""
+def _number(value, path: str) -> float:
+    """A JSON number as a finite float; SchemaError for any other type, for
+    an integer beyond the float range and for NaN or infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {type(value).__name__}", path)
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SchemaError("integer beyond the float range", path) from None
-
-
-def _number(value, path: str) -> float:
-    number = _float(value, path)
     if not math.isfinite(number):
         raise SchemaError(f"expected a finite number, got {number}", path)
     return number
@@ -202,166 +206,152 @@ def merge_datasets(gt_frames: Sequence[FrameRecord],
     return merged
 
 
-# --- configuration -----------------------------------------------------------
+# --- typed JSON codec --------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "range_buckets", "match_thresholds", "ap_distance_thresholds",
-    "tp_measures", "skip_missing_classes", "focal",
-    "lambda", "smooth_l1_beta", "yaw_wrapping",
-}
+
+def _load_json(path):
+    """The one JSON document of a file; ParseError if it cannot be decoded."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _decode(handle.read())
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> Dict[str, object]:
+    """Field name -> resolved type hint of a dataclass, resolved once per
+    class; the dict is shared, so callers do not mutate it."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _to_json(value):
+    """``value`` as JSON-native data: a dataclass becomes an object keyed by
+    its field names, a dict an object with each non-string key written by
+    ``repr``, a list or tuple an array."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key if isinstance(key, str) else repr(key): _to_json(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _typed(hint, value, path: str):
+    """Parsed JSON ``value`` checked against the type ``hint`` and converted
+    to it; SchemaError at ``path`` on any mismatch.
+
+    Floats must be finite, ints are not bools, strings are non-empty, dict
+    keys are converted by the key type and must stay distinct (``"1"`` and
+    ``"1.0"`` name one AP threshold), and every field of a dataclass is
+    required.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        inner, = (arg for arg in args if arg is not type(None))
+        return None if value is None else _typed(inner, value, path)
+    if hint is float:
+        return _number(value, path)
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise SchemaError("expected a boolean", path)
+        return value
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"expected an integer, got {type(value).__name__}", path)
+        return value
+    if hint is str:
+        if not isinstance(value, str) or not value:
+            raise SchemaError("expected a non-empty string", path)
+        return value
+    if origin in (list, tuple):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            raise SchemaError(f"expected a list of {len(args)} items" if fixed
+                              else "expected a list", path)
+        items = [_typed(args[i] if fixed else args[0], item, f"{path}[{i}]")
+                 for i, item in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise SchemaError("expected a JSON object", path)
+        key_hint, value_hint = args
+        out = {}
+        for key, item in value.items():
+            at = _join(path, key)
+            if key_hint is float:
+                try:
+                    key = float(key)
+                except ValueError:
+                    raise SchemaError("expected a number as key", at) from None
+            key = _typed(key_hint, key, at)
+            if key in out:
+                raise SchemaError("duplicate key", at)
+            out[key] = _typed(value_hint, item, at)
+        return out
+    if is_dataclass(hint):
+        kwargs = _typed_keys(_hints(hint), value, path)
+        missing = [name for name in _hints(hint) if name not in kwargs]
+        if missing:
+            raise SchemaError(f"missing required field '{missing[0]}'", path)
+        return hint(**kwargs)
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+def _typed_keys(hints: Dict[str, object], obj, path: str = "") -> dict:
+    """The keys of the JSON object ``obj``, each typed by its entry in
+    ``hints`` (JSON name -> type hint); SchemaError for any other key."""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected a JSON object", path)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown}", path)
+    return {key: _typed(hints[key], value, _join(path, key))
+            for key, value in obj.items()}
+
+
+# --- configuration -----------------------------------------------------------
 
 
 def config_from_dict(obj: dict) -> Tuple[ProtocolConfig, LossConfig]:
-    """Build configs from a parsed JSON object, filling defaults."""
-    if not isinstance(obj, dict):
-        raise SchemaError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-    protocol_kwargs = {}
-    if "range_buckets" in obj:
-        if not isinstance(obj["range_buckets"], list):
-            raise SchemaError("expected a list of [near, far] pairs", "range_buckets")
-        protocol_kwargs["range_buckets"] = tuple(
-            tuple(_vector(b, 2, f"range_buckets[{i}]"))
-            for i, b in enumerate(obj["range_buckets"]))
-    for key, name in (("match_thresholds", "match_thresholds"),
-                      ("ap_distance_thresholds", "ap_distance_thresholds")):
-        if key in obj:
-            if not isinstance(obj[key], list):
-                raise SchemaError("expected a list of numbers", key)
-            protocol_kwargs[name] = tuple(_number(v, f"{key}[{i}]")
-                                          for i, v in enumerate(obj[key]))
-    if "tp_measures" in obj:
-        if (not isinstance(obj["tp_measures"], list)
-                or not all(isinstance(m, str) for m in obj["tp_measures"])):
-            raise SchemaError("expected a list of measure names", "tp_measures")
-        protocol_kwargs["tp_measures"] = tuple(obj["tp_measures"])
-    if "skip_missing_classes" in obj:
-        if not isinstance(obj["skip_missing_classes"], bool):
-            raise SchemaError("expected a boolean", "skip_missing_classes")
-        protocol_kwargs["skip_missing_classes"] = obj["skip_missing_classes"]
-    if "focal" in obj:
-        protocol_kwargs["focal"] = _number(obj["focal"], "focal")
-    loss_kwargs = {}
-    if "lambda" in obj:
-        loss_kwargs["blend_lambda"] = _number(obj["lambda"], "lambda")
-    if "smooth_l1_beta" in obj:
-        loss_kwargs["smooth_l1_beta"] = _number(obj["smooth_l1_beta"], "smooth_l1_beta")
-    if "yaw_wrapping" in obj:
-        if not isinstance(obj["yaw_wrapping"], bool):
-            raise SchemaError("expected a boolean", "yaw_wrapping")
-        loss_kwargs["yaw_wrapping"] = obj["yaw_wrapping"]
+    """Build configs from a parsed JSON object, filling defaults. Its keys
+    are the fields of ProtocolConfig and LossConfig, with ``lambda`` naming
+    ``blend_lambda``."""
+    loss_names = {"lambda" if name == "blend_lambda" else name: name
+                  for name in _hints(LossConfig)}
+    hints = dict(_hints(ProtocolConfig))
+    hints.update((key, _hints(LossConfig)[name]) for key, name in loss_names.items())
+    values = _typed_keys(hints, obj)
+    protocol = {key: v for key, v in values.items() if key not in loss_names}
+    loss = {loss_names[key]: v for key, v in values.items() if key in loss_names}
     try:
-        return ProtocolConfig(**protocol_kwargs), LossConfig(**loss_kwargs)
+        return ProtocolConfig(**protocol), LossConfig(**loss)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def load_config(path) -> Tuple[ProtocolConfig, LossConfig]:
     """Load a config file; missing fields fall back to protocol defaults."""
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = _decode(handle.read())
-    return config_from_dict(obj)
+    return config_from_dict(_load_json(path))
 
 
 # --- reports -----------------------------------------------------------------
 
 
-def _class_bucket_to_dict(m: ClassBucketMetrics) -> dict:
-    return {
-        "ap": {repr(k): v for k, v in m.ap.items()},
-        "tp_errors": dict(m.tp_errors),
-        "ausc": m.ausc,
-        "tp": m.tp, "fp": m.fp, "fn": m.fn,
-        "usc_excluded": m.usc_excluded,
-    }
-
-
-def _summary_to_dict(s: BucketSummary) -> dict:
-    return {
-        "mean_ap": s.mean_ap, "nds": s.nds, "mausc": s.mausc,
-        "usc_nds": s.usc_nds, "tp_errors": dict(s.tp_errors),
-        "tp": s.tp, "fp": s.fp, "fn": s.fn, "usc_excluded": s.usc_excluded,
-    }
-
-
 def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "range_buckets": [list(b) for b in report.range_buckets],
-        "classes": list(report.classes),
-        "ap_distance_thresholds": list(report.ap_distance_thresholds),
-        "tp_measures": list(report.tp_measures),
-        "frames": report.frames,
-        "per_class": {c: {label: _class_bucket_to_dict(m)
-                          for label, m in buckets.items()}
-                      for c, buckets in report.per_class.items()},
-        "per_bucket": {label: _summary_to_dict(s)
-                       for label, s in report.per_bucket.items()},
-        "overall": _summary_to_dict(report.overall) if report.overall else None,
-    }
-
-
-def _count(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {type(value).__name__}", path)
-    return value
-
-
-def _metric(value, path: str) -> Optional[float]:
-    return None if value is None else _float(value, path)
-
-
-def _slice_fields(obj: dict, path: str, metrics: Sequence[str]) -> dict:
-    """Type-checked metric, TP-error and count fields of a report slice."""
-    fields = {key: _metric(obj[key], f"{path}.{key}") for key in metrics}
-    fields["tp_errors"] = {m: _metric(v, f"{path}.tp_errors.{m}")
-                           for m, v in obj["tp_errors"].items()}
-    for key in ("tp", "fp", "fn", "usc_excluded"):
-        fields[key] = _count(obj[key], f"{path}.{key}")
-    return fields
-
-
-def _class_bucket_from_dict(obj: dict, path: str) -> ClassBucketMetrics:
-    ap = {}
-    for key, value in obj["ap"].items():
-        try:
-            threshold = float(key)
-        except ValueError:
-            raise SchemaError("expected a number as AP key", f"{path}.ap.{key}") from None
-        ap[threshold] = _metric(value, f"{path}.ap.{key}")
-    return ClassBucketMetrics(ap=ap, **_slice_fields(obj, path, ("ausc",)))
-
-
-def _summary_from_dict(obj: dict, path: str) -> BucketSummary:
-    return BucketSummary(**_slice_fields(obj, path,
-                                         ("mean_ap", "nds", "mausc", "usc_nds")))
+    """The JSON form of a report: objects with string keys, lists, numbers,
+    strings and nulls only."""
+    return _to_json(report)
 
 
 def report_from_dict(obj: dict) -> MetricsReport:
     """Rebuild a report from its JSON form; SchemaError names a missing or
     mistyped field."""
-    try:
-        report = MetricsReport(
-            range_buckets=[tuple(b) for b in obj["range_buckets"]],
-            classes=list(obj["classes"]),
-            ap_distance_thresholds=[
-                _float(t, f"ap_distance_thresholds[{i}]")
-                for i, t in enumerate(obj["ap_distance_thresholds"])],
-            tp_measures=list(obj["tp_measures"]),
-            frames=_count(obj["frames"], "frames"),
-            per_class={
-                c: {label: _class_bucket_from_dict(m, f"per_class.{c}.{label}")
-                    for label, m in buckets.items()}
-                for c, buckets in obj["per_class"].items()},
-            per_bucket={label: _summary_from_dict(s, f"per_bucket.{label}")
-                        for label, s in obj["per_bucket"].items()},
-            overall=(_summary_from_dict(obj["overall"], "overall")
-                     if obj["overall"] else None),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed report: {exc}") from exc
-    return report
+    return _typed(MetricsReport, obj, "")
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -418,9 +408,12 @@ def write_report(report: MetricsReport, path, fmt: str = "json") -> None:
 
 
 def load_report(path) -> MetricsReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = _decode(handle.read())
-    return report_from_dict(obj)
+    return report_from_dict(_load_json(path))
+
+
+def load_outcomes(path) -> Dict[str, float]:
+    """Load a ``usc corr`` outcomes file: report file name -> outcome rate."""
+    return _typed(Dict[str, float], _load_json(path), "")
 
 
 # --- synthetic scenarios -----------------------------------------------------
@@ -481,33 +474,15 @@ class SyntheticSpec:
         object.__setattr__(self, "classes", tuple(self.classes))
 
 
-#: Integer fields of SyntheticSpec; ``classes`` is a list of names and every
-#: other field is a number.
-_SPEC_INTEGERS = ("seed", "frames", "objects_min", "objects_max")
-
-
 def spec_kwargs_from_dict(obj) -> dict:
     """Check a parsed SyntheticSpec JSON document and return its fields as
     keyword arguments for SyntheticSpec."""
-    if not isinstance(obj, dict):
-        raise SchemaError("spec must be a JSON object")
-    names = {f.name for f in fields(SyntheticSpec)}
-    kwargs = {}
-    for key, value in obj.items():
-        if key not in names:
-            raise SchemaError("unknown spec key", key)
-        if key == "classes":
-            if (not isinstance(value, list)
-                    or not all(isinstance(c, str) and c for c in value)):
-                raise SchemaError("expected a list of class names", key)
-            kwargs[key] = tuple(value)
-        elif key in _SPEC_INTEGERS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError("expected an integer", key)
-            kwargs[key] = value
-        else:
-            kwargs[key] = _number(value, key)
-    return kwargs
+    return _typed_keys(_hints(SyntheticSpec), obj)
+
+
+def load_spec(path) -> dict:
+    """Load a SyntheticSpec JSON file as keyword arguments for SyntheticSpec."""
+    return spec_kwargs_from_dict(_load_json(path))
 
 
 def _sample_ground_truth(rng: random.Random, spec: SyntheticSpec,

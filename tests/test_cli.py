@@ -183,6 +183,7 @@ class TestSynth:
         ({"seed": 1.5}, "seed"),
         ({"depth_bias": None}, "depth_bias"),
         ({"classes": "car"}, "classes"),
+        ({"classes": ["car", ""]}, "classes[1]"),
     ])
     def test_malformed_spec_is_schema_error(self, tmp_path, capsys,
                                             document, named):
@@ -192,6 +193,15 @@ class TestSynth:
                      "--out", str(tmp_path / "d.jsonl")])
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_deeply_nested_spec_is_parse_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[" * 100_000)
+        code = main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        assert "nested" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -273,6 +283,26 @@ class TestCorr:
         b.write_text(json.dumps(document))
         outcomes = tmp_path / "o.json"
         outcomes.write_text(json.dumps({"a.json": 0.1, "b.json": 0.5}))
+        code = main(["corr", "--reports", str(a), str(b),
+                     "--outcomes", str(outcomes)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[" * 100_000, "nested"),
+        (json.dumps({"a.json": [1], "b.json": 0.5}), "a.json"),
+        (json.dumps({"a.json": "0.5", "b.json": 0.5}), "a.json"),
+        (json.dumps([0.1, 0.5]), "JSON object"),
+    ], ids=["nested", "list-rate", "string-rate", "not-an-object"])
+    def test_malformed_outcomes_is_validation_error(self, tmp_path, capsys,
+                                                    text, named):
+        report = evaluate(generate_synthetic(SyntheticSpec(seed=2, frames=5)),
+                          ProtocolConfig())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(report, a, "json")
+        write_report(report, b, "json")
+        outcomes = tmp_path / "o.json"
+        outcomes.write_text(text)
         code = main(["corr", "--reports", str(a), str(b),
                      "--outcomes", str(outcomes)])
         assert code == 1

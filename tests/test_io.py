@@ -1,14 +1,18 @@
+import copy
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  SyntheticSpec, evaluate, generate_synthetic, load_config,
                  load_dataset, load_report, merge_datasets, report_from_dict,
                  report_to_dict, save_dataset, write_report,
                  format_report_table)
-from usc.errors import ParseError, SchemaError
+from usc.errors import ParseError, SchemaError, UscError
+from usc.io import config_from_dict, spec_kwargs_from_dict
 
 
 def sample_frames():
@@ -202,7 +206,26 @@ MISTYPED_FIELDS = [
     (("overall", "mean_ap"), "x"),
     (("overall", "mausc"), 10 ** 400),
     (("ap_distance_thresholds", 0), "1.0"),
+    (("range_buckets", 1, 1), "20"),
+    (("range_buckets", 0), [0.0]),
+    (("classes", 0), 7),
+    (("tp_measures", 0), None),
+    (("per_bucket", "[0,10)", "mausc"), float("nan")),
+    (("overall",), {}),
+    (("per_class", "car", "[0,10)", "ap", "1"), 0.5),
 ]
+
+
+def replaced(document, path, value):
+    """A copy of a parsed JSON document with the node at ``path`` replaced."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
 
 
 class TestReports:
@@ -255,21 +278,80 @@ class TestReports:
     @pytest.mark.parametrize("path, value", MISTYPED_FIELDS,
                              ids=[".".join(map(str, p)) for p, _ in MISTYPED_FIELDS])
     def test_mistyped_field_named(self, path, value):
-        obj = report_to_dict(self.report())
-        target = obj
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        obj = replaced(report_to_dict(self.report()), path, value)
         with pytest.raises(SchemaError) as err:
             report_from_dict(obj)
-        named = ".".join(str(k) for k in path if k != 0)
+        named = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                        for k in path).lstrip(".")
         assert named in str(err.value)
+
+    def test_dict_is_json_native(self):
+        obj = report_to_dict(self.report())
+        assert obj == json.loads(json.dumps(obj))
 
     def test_deeply_nested_report_is_parse_error(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text("[" * 100_000)
         with pytest.raises(ParseError):
             load_report(path)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+               | st.floats() | st.text(max_size=4))
+
+
+def json_values():
+    """Arbitrary parsed JSON, huge integers, NaN and infinity included."""
+    return JSON_LEAVES | st.recursive(
+        JSON_LEAVES,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=6)
+
+
+CONFIG_KEYS = ["range_buckets", "match_thresholds", "ap_distance_thresholds",
+               "tp_measures", "skip_missing_classes", "focal", "lambda",
+               "smooth_l1_beta", "yaw_wrapping"]
+SPEC_KEYS = [f.name for f in fields(SyntheticSpec)]
+REPORT = report_to_dict(evaluate(
+    generate_synthetic(SyntheticSpec(seed=8, frames=4, miss_rate=0.2,
+                                     fp_rate=0.2)), ProtocolConfig()))
+
+
+def node_paths(node, prefix=()):
+    """Every path into a parsed JSON document, the root's included."""
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+class TestInputBoundaryFuzz:
+    """Whatever the parsed JSON, the decoders raise only UscError."""
+
+    @pytest.mark.parametrize("decode, keys", [
+        (config_from_dict, CONFIG_KEYS),
+        (spec_kwargs_from_dict, SPEC_KEYS),
+        (report_from_dict, list(REPORT)),
+    ], ids=["config", "spec", "report"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_json(self, decode, keys, data):
+        obj = data.draw(json_values() | st.dictionaries(
+            st.sampled_from(keys), json_values(), max_size=3))
+        try:
+            decode(obj)
+        except UscError:
+            pass
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(node_paths(REPORT))), json_values())
+    def test_report_with_one_node_replaced(self, path, value):
+        try:
+            report_from_dict(replaced(REPORT, path, value))
+        except UscError:
+            pass
 
 
 class TestSyntheticGenerator:
