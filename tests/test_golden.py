@@ -1,5 +1,6 @@
-"""Golden report bytes: the SHA-256 of the JSON report that ``evaluate`` and
-``write_report`` produce on three fixed synthetic datasets.
+"""Golden report bytes: the SHA-256 of the JSON report and of the table that
+``evaluate``, ``write_report`` and ``format_report_table`` produce on four
+fixed synthetic datasets.
 
 A change to the evaluation code that must not change any number (a
 refactor, or a faster kernel for the same arithmetic) keeps these digests.
@@ -13,8 +14,8 @@ import hashlib
 
 import pytest
 
-from usc import (ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
-                 write_report)
+from usc import (ProtocolConfig, SyntheticSpec, evaluate, format_report_table,
+                 generate_synthetic, write_report)
 
 #: name -> (dataset spec, protocol config)
 CASES = {
@@ -39,25 +40,54 @@ CASES = {
         ProtocolConfig(range_buckets=((0, 10), (10, 20), (20, 40), (40, 60)),
                        match_thresholds=(1, 2, 2, 4),
                        ap_distance_thresholds=(0.5, 1, 2, 4))),
+    # a class with no in-range ground truth in one bucket, scored rather
+    # than skipped
+    "absent_class": (
+        SyntheticSpec(seed=3, frames=12, objects_min=1, objects_max=3,
+                      classes=("car", "pedestrian", "truck", "bicycle"),
+                      depth_bias=0.2, lateral_noise=0.1, size_noise=0.05,
+                      yaw_noise=0.05, miss_rate=0.2, fp_rate=0.3),
+        ProtocolConfig(skip_missing_classes=False)),
 }
 
+#: name -> (SHA-256 of the JSON report, SHA-256 of the table)
 GOLDEN_SHA256 = {
-    "criterion_10": "7642f76e4fbc5710e619d447b373ac9bb5377b96cdce4ce4ea0bcf4edcfa574f",
-    "near": "9044ccbe4ad1ac3559b8180052989a5baaf2fdf5626b3afa2e5057b562c2cfb6",
-    "crowded": "9c9967baff12ac3584501c575d13c4d881823b3079bca3ce5cb656a9357d1b46",
+    "absent_class": (
+        "413dc961b57e4abcb41142c5847a90bdbed97d40384bd77602e125684a270c35",
+        "ede04acd75757a7b6ca07420eebd9d70b2c82d78e4fdf8282e2b1cc28ed255d5"),
+    "criterion_10": (
+        "7642f76e4fbc5710e619d447b373ac9bb5377b96cdce4ce4ea0bcf4edcfa574f",
+        "cd5d2dbc9ab390afe1c2d23ccea0385b2799a551dd39dc5c35da2f7b8f2ed86a"),
+    "crowded": (
+        "9c9967baff12ac3584501c575d13c4d881823b3079bca3ce5cb656a9357d1b46",
+        "bbfe20753f0dc6a4a44940db8a50ccd9f4d1d9c9da547de20388d5d06c2caf56"),
+    "near": (
+        "9044ccbe4ad1ac3559b8180052989a5baaf2fdf5626b3afa2e5057b562c2cfb6",
+        "99474518a059dfd8a92544043ed5a7b1472c0e73a7e2571057e139838a486e00"),
 }
 
 
-def report_digest(name, tmp_dir) -> str:
+def digests(name, tmp_dir):
+    """SHA-256 of the written JSON report and of its table."""
     spec, config = CASES[name]
     path = tmp_dir / f"{name}.json"
-    write_report(evaluate(generate_synthetic(spec), config), path, "json")
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    report = evaluate(generate_synthetic(spec), config)
+    write_report(report, path, "json")
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(format_report_table(report).encode()).hexdigest())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden_digest(name, tmp_path):
-    assert report_digest(name, tmp_path) == GOLDEN_SHA256[name]
+    assert digests(name, tmp_path) == GOLDEN_SHA256[name]
+
+
+def test_absent_class_case_scores_a_slice_without_ground_truth():
+    spec, config = CASES["absent_class"]
+    report = evaluate(generate_synthetic(spec), config)
+    assert not config.skip_missing_classes
+    assert any(m.tp + m.fn == 0 for buckets in report.per_class.values()
+               for m in buckets.values())
 
 
 if __name__ == "__main__":
@@ -66,4 +96,5 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            print(f'    "{case}": "{report_digest(case, pathlib.Path(tmp))}",')
+            report, table = digests(case, pathlib.Path(tmp))
+            print(f'    "{case}": (\n        "{report}",\n        "{table}"),')
