@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 from . import io as uio
@@ -106,14 +107,9 @@ def cmd_loss(args) -> int:
 
 def cmd_synth(args) -> int:
     spec_kwargs = uio.load_spec(args.spec) if args.spec else {}
-    for key in ("seed", "frames", "objects_min", "objects_max", "depth_bias",
-                "lateral_noise", "size_noise", "yaw_noise", "miss_rate",
-                "fp_rate"):
-        value = getattr(args, key)
-        if value is not None:
-            spec_kwargs[key] = value
-    if args.classes is not None:
-        spec_kwargs["classes"] = tuple(args.classes.split(","))
+    names = {f.name for f in fields(uio.SyntheticSpec)}
+    spec_kwargs.update((key, value) for key, value in vars(args).items()
+                       if key in names and value is not None)
     spec = uio.SyntheticSpec(**spec_kwargs)
     frames = uio.generate_synthetic(spec)
     uio.save_dataset(frames, args.out)
@@ -185,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--frames", type=int)
     p_synth.add_argument("--objects-min", dest="objects_min", type=int)
     p_synth.add_argument("--objects-max", dest="objects_max", type=int)
-    p_synth.add_argument("--classes", help="comma-separated class names")
+    p_synth.add_argument("--classes", type=lambda text: tuple(text.split(",")),
+                         help="comma-separated class names")
     p_synth.add_argument("--depth-bias", dest="depth_bias", type=float)
     p_synth.add_argument("--lateral-noise", dest="lateral_noise", type=float)
     p_synth.add_argument("--size-noise", dest="size_noise", type=float)

@@ -7,10 +7,12 @@ threshold; in each, detections by descending score take the nearest
 untaken annotation within the limit. Objects are grouped into range buckets
 by the ground-truth center distance; matched detections inherit their
 annotation's bucket, unmatched detections fall into the bucket of their own
-center distance. Per class and bucket the report carries average precision
-(one value per distance threshold), mean true-positive errors, and the
-average spatial-constraint score (AUSC); per bucket these consolidate into
-mAP, NDS, mAUSC and USC-NDS.
+center distance. The report is then assembled bucket by bucket, class by
+class within a bucket: one ``aggregate_usc`` call scores the bucket's pairs
+of every class; each class gets its slice (AP per distance threshold, mean
+true-positive errors, average spatial-constraint score AUSC, and TP/FP/FN,
+TP + FN being its in-range ground truths); the bucket's mAP, NDS, mAUSC,
+USC-NDS and counts come from its slices, the overall ones from the buckets'.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -117,6 +119,8 @@ class ProtocolConfig:
         for (_, far), (near, _) in zip(buckets, buckets[1:]):
             if near < far:
                 raise ValueError("range buckets must be disjoint and ordered")
+        if len({bucket_label(near, far) for near, far in buckets}) != len(buckets):
+            raise ValueError("range buckets must have distinct labels")
         thresholds = tuple(float(t) for t in self.match_thresholds)
         if len(thresholds) != len(buckets):
             raise ValueError("need one match threshold per bucket")
@@ -146,8 +150,12 @@ class ProtocolConfig:
         return None
 
     def bucket_label(self, index: int) -> str:
-        near, far = self.range_buckets[index]
-        return f"[{near:g},{far:g})"
+        return bucket_label(*self.range_buckets[index])
+
+
+def bucket_label(near: float, far: float) -> str:
+    """The report's key for the range bucket [near, far), e.g. ``[0,10)``."""
+    return f"[{near:g},{far:g})"
 
 
 @dataclass
@@ -416,9 +424,10 @@ def _bucketed(order, match, ann_keys, det_keys):
 def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
     """The frame -> class walk: per (frame, class), one candidate table serves
     the protocol match and a match per AP threshold. Returns, per (class,
-    bucket), the protocol pairs, false positives and false negatives, the
-    (score, is TP) labels per AP threshold, and the in-range GT counts."""
-    pairs, fps, fns, gt_counts = {}, {}, {}, {}
+    bucket), the protocol pairs, false positives and false negatives, and the
+    (score, is TP) labels per AP threshold. Every in-range annotation ends up
+    in a pair or as a false negative."""
+    pairs, fps, fns = {}, {}, {}
     labeled = {t: {} for t in ap_thresholds}
     reach = max(config.match_thresholds + ap_thresholds)
     for frame in frames:
@@ -426,11 +435,9 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
         for ann in frame.ground_truths:
             bucket = config.bucket_index(_center_range(ann.box))
             if bucket is not None:
-                key = (ann.class_name, bucket)
-                gt_counts[key] = gt_counts.get(key, 0) + 1
                 group = groups.setdefault(ann.class_name, ([], [], [], []))
                 group[0].append(ann)
-                group[1].append(key)
+                group[1].append((ann.class_name, bucket))
         for det in frame.predictions:
             bucket = config.bucket_index(_center_range(det.box))
             group = groups.setdefault(det.class_name, ([], [], [], []))
@@ -454,7 +461,7 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
                 match, _ = _greedy(order, table, [t] * len(anns))
                 for key, i, m in _bucketed(order, match, ann_keys, det_keys):
                     labeled[t].setdefault(key, []).append((dets[i].score, m is not None))
-    return pairs, fps, fns, labeled, gt_counts
+    return pairs, fps, fns, labeled
 
 
 def matched_pairs(frames, config: ProtocolConfig):
@@ -469,6 +476,37 @@ def _mean_or_none(values: Sequence[Optional[float]]) -> Optional[float]:
     return math.fsum(present) / len(present) if present else None
 
 
+def _counts(parts) -> Dict[str, int]:
+    """The tp, fp, fn and usc_excluded counts summed over slices or summaries."""
+    return {name: sum(getattr(part, name) for part in parts)
+            for name in ("tp", "fp", "fn", "usc_excluded")}
+
+
+def _bucket_summary(slices: Sequence[ClassBucketMetrics],
+                    config: ProtocolConfig) -> BucketSummary:
+    """One bucket's summary from its slices, one per class of the report.
+    The counts cover every slice; the metrics average over the classes with
+    in-range ground truth, or over all when classes are not skipped. An
+    absent class scores worst case (AP 0, errors 1, AUSC 0); a present class
+    whose every pair was excluded from USC stays out of mAUSC."""
+    counted = [m for m in slices
+               if m.tp + m.fn > 0 or not config.skip_missing_classes]
+    mean_ap = _mean_or_none([0.0 if v is None else v
+                             for m in counted for v in m.ap.values()])
+    errors = {t: _mean_or_none([1.0 if m.tp_errors[t] is None else m.tp_errors[t]
+                                for m in counted])
+              for t in config.tp_measures}
+    mausc = _mean_or_none([m.ausc if m.tp + m.fn > 0 else 0.0 for m in counted])
+    nds_value = None
+    if mean_ap is not None and None not in errors.values():
+        nds_value = nds(mean_ap, errors)
+    blended = None
+    if nds_value is not None and mausc is not None:
+        blended = usc_nds(nds_value, mausc)
+    return BucketSummary(mean_ap=mean_ap, nds=nds_value, mausc=mausc,
+                         usc_nds=blended, tp_errors=errors, **_counts(slices))
+
+
 def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport:
     """Run the full range-bucketed protocol over a dataset.
 
@@ -476,98 +514,44 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     Undefined metrics stay None; they are never silently zeroed.
     """
     frames = list(frames)
-    pairs, fps, fns, labeled, gt_counts = _walk(
-        frames, config, config.ap_distance_thresholds)
-    classes = sorted({class_name for class_name, _ in gt_counts})
-
+    pairs, fps, fns, labeled = _walk(frames, config, config.ap_distance_thresholds)
+    classes = sorted({class_name for class_name, _ in [*pairs, *fns]})
     report = MetricsReport(
         range_buckets=list(config.range_buckets),
         classes=classes,
         ap_distance_thresholds=list(config.ap_distance_thresholds),
         tp_measures=list(config.tp_measures),
         frames=len(frames),
+        per_class={class_name: {} for class_name in classes},
     )
-
-    n_buckets = len(config.range_buckets)
-
-    for class_name in classes:
-        report.per_class[class_name] = {}
-        for b in range(n_buckets):
+    for b, (near, far) in enumerate(config.range_buckets):
+        label = bucket_label(near, far)
+        bucket_pairs = {c: pairs[c, b] for c in classes if (c, b) in pairs}
+        usc = aggregate_usc(bucket_pairs, config.focal)
+        slices = []
+        for class_name in classes:
             key = (class_name, b)
-            class_pairs = pairs.get(key, [])
-            n_gt = gt_counts.get(key, 0)
-            ap = {d: average_precision(labeled[d].get(key, []), n_gt)
-                  for d in config.ap_distance_thresholds}
+            class_pairs = bucket_pairs.get(class_name, [])
+            n_fn = len(fns.get(key, []))
+            n_gt = len(class_pairs) + n_fn
             if class_pairs:
-                errors = dict(tp_error_means(class_pairs, config.tp_measures))
-                agg = aggregate_usc({class_name: class_pairs}, config.focal)
-                ausc = agg.ausc[class_name]
-                excluded = agg.excluded[class_name]
-            elif n_gt > 0:
-                # present class with nothing matched: worst-case error scores
-                errors = {m: 1.0 for m in config.tp_measures}
-                ausc = 0.0
-                excluded = 0
+                errors = tp_error_means(class_pairs, config.tp_measures)
+                ausc = usc.ausc[class_name]
             else:
-                errors = {m: None for m in config.tp_measures}
-                ausc = None
-                excluded = 0
-            report.per_class[class_name][config.bucket_label(b)] = ClassBucketMetrics(
-                ap=ap,
-                tp_errors=errors,
-                ausc=ausc,
-                tp=len(class_pairs),
-                fp=len(fps.get(key, [])),
-                fn=len(fns.get(key, [])),
-                usc_excluded=excluded,
-            )
+                # a present class with nothing matched scores worst case
+                errors = {m: 1.0 if n_gt else None for m in config.tp_measures}
+                ausc = 0.0 if n_gt else None
+            metrics = ClassBucketMetrics(
+                ap={d: average_precision(labeled[d].get(key, []), n_gt)
+                    for d in config.ap_distance_thresholds},
+                tp_errors=errors, ausc=ausc, tp=len(class_pairs),
+                fp=len(fps.get(key, [])), fn=n_fn,
+                usc_excluded=usc.excluded.get(class_name, 0))
+            report.per_class[class_name][label] = metrics
+            slices.append(metrics)
+        report.per_bucket[label] = _bucket_summary(slices, config)
 
-    for b in range(n_buckets):
-        label = config.bucket_label(b)
-        if config.skip_missing_classes:
-            bucket_classes = [c for c in classes if gt_counts.get((c, b), 0) > 0]
-        else:
-            bucket_classes = list(classes)
-        ap_values: List[Optional[float]] = []
-        error_lists: Dict[str, List[Optional[float]]] = {m: [] for m in config.tp_measures}
-        ausc_values: List[Optional[float]] = []
-        for class_name in bucket_classes:
-            metrics = report.per_class[class_name][label]
-            for d in config.ap_distance_thresholds:
-                value = metrics.ap[d]
-                ap_values.append(value if value is not None else 0.0)
-            for m in config.tp_measures:
-                value = metrics.tp_errors[m]
-                error_lists[m].append(value if value is not None else 1.0)
-            if metrics.ausc is not None:
-                ausc_values.append(metrics.ausc)
-            elif gt_counts.get((class_name, b), 0) == 0 and not config.skip_missing_classes:
-                ausc_values.append(0.0)
-            # classes whose every pair was excluded stay out of mAUSC
-
-        mean_ap = _mean_or_none(ap_values) if bucket_classes else None
-        tp_error_summary = {m: _mean_or_none(error_lists[m]) for m in config.tp_measures}
-        mausc = _mean_or_none(ausc_values)
-        nds_value = None
-        if mean_ap is not None and all(v is not None for v in tp_error_summary.values()):
-            nds_value = nds(mean_ap, tp_error_summary)
-        blended = None
-        if nds_value is not None and mausc is not None:
-            blended = usc_nds(nds_value, mausc)
-        bucket_keys = [(c, b) for c in classes]
-        report.per_bucket[label] = BucketSummary(
-            mean_ap=mean_ap,
-            nds=nds_value,
-            mausc=mausc,
-            usc_nds=blended,
-            tp_errors=tp_error_summary,
-            tp=sum(len(pairs.get(k, [])) for k in bucket_keys),
-            fp=sum(len(fps.get(k, [])) for k in bucket_keys),
-            fn=sum(len(fns.get(k, [])) for k in bucket_keys),
-            usc_excluded=sum(report.per_class[c][label].usc_excluded for c in classes),
-        )
-
-    summaries = [report.per_bucket[config.bucket_label(b)] for b in range(n_buckets)]
+    summaries = list(report.per_bucket.values())
     report.overall = BucketSummary(
         mean_ap=_mean_or_none([s.mean_ap for s in summaries]),
         nds=_mean_or_none([s.nds for s in summaries]),
@@ -575,9 +559,6 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
         usc_nds=_mean_or_none([s.usc_nds for s in summaries]),
         tp_errors={m: _mean_or_none([s.tp_errors[m] for s in summaries])
                    for m in config.tp_measures},
-        tp=sum(s.tp for s in summaries),
-        fp=sum(s.fp for s in summaries),
-        fn=sum(s.fn for s in summaries),
-        usc_excluded=sum(s.usc_excluded for s in summaries),
+        **_counts(summaries),
     )
     return report

@@ -15,7 +15,9 @@ mistyped value, an unknown key or a missing report field is a SchemaError at
 its field path, e.g. ``per_class.car.[0,10).tp`` or ``range_buckets[0][1]``.
 Every number must be finite, so a report carrying NaN or infinity is
 rejected; so is ``"overall": {}`` (it is null or a whole summary), and so
-are two AP keys naming one threshold (``"1"`` and ``"1.0"``).
+are two AP keys naming one threshold (``"1"`` and ``"1.0"``). A report's
+tables must be keyed by exactly the classes, bucket labels, AP thresholds
+and TP measures it lists.
 Floats are written in Python's shortest round-trip form (up to 17
 significant digits), so load(save(x)) is lossless and re-saving is
 byte-identical. Undefined metrics serialize as null, never as 0.
@@ -32,7 +34,8 @@ from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
 from .errors import ParseError, SchemaError
-from .evaluation import Annotation, Detection, MetricsReport, ProtocolConfig
+from .evaluation import (Annotation, Detection, MetricsReport, ProtocolConfig,
+                         bucket_label)
 from .geometry import Box3D, wrap_angle
 from .loss import LossConfig
 
@@ -349,23 +352,50 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def report_from_dict(obj: dict) -> MetricsReport:
-    """Rebuild a report from its JSON form; SchemaError names a missing or
-    mistyped field."""
-    return _typed(MetricsReport, obj, "")
+    """Rebuild a report from its JSON form; SchemaError names a missing,
+    mistyped or inconsistent field."""
+    report = _typed(MetricsReport, obj, "")
+    labels = [bucket_label(near, far) for near, far in report.range_buckets]
+    # field path -> (table, the keys it must have, each once)
+    tables = {"per_class": (report.per_class, report.classes),
+              "per_bucket": (report.per_bucket, labels)}
+    # field path -> slice or summary, each with a tp_errors table
+    measured = {f"per_bucket.{label}": s for label, s in report.per_bucket.items()}
+    measured["overall"] = report.overall
+    for class_name, buckets in report.per_class.items():
+        tables[f"per_class.{class_name}"] = (buckets, labels)
+        for label, metrics in buckets.items():
+            path = f"per_class.{class_name}.{label}"
+            tables[f"{path}.ap"] = (metrics.ap, report.ap_distance_thresholds)
+            measured[path] = metrics
+    tables.update((f"{path}.tp_errors", (s.tp_errors, report.tp_measures))
+                  for path, s in measured.items() if s is not None)
+    for path, (table, expected) in tables.items():
+        if set(table) != set(expected) or len(table) != len(expected):
+            raise SchemaError(f"keys {sorted(table, key=str)} do not match "
+                              f"{list(expected)}", path)
+    return report
 
 
 def _fmt(value: Optional[float]) -> str:
     return f"{value:.3f}" if value is not None else "  -  "
 
 
+def _aligned(rows: List[List[str]], left: int) -> List[str]:
+    """Rows of cells as lines of columns two spaces apart, the first ``left``
+    columns left-aligned and the rest right-aligned."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) if i < left else cell.rjust(w)
+                      for i, (cell, w) in enumerate(zip(row, widths)))
+            for row in rows]
+
+
 def format_report_table(report: MetricsReport) -> str:
     """Aligned human-readable summary of a report."""
-    lines = []
-    ap_cols = [f"AP@{d:g}m" for d in report.ap_distance_thresholds]
-    header = (["bucket", "class"] + ap_cols + list(report.tp_measures)
-              + ["AUSC", "TP", "FP", "FN"])
-    rows = [header]
-    labels = [f"[{near:g},{far:g})" for near, far in report.range_buckets]
+    labels = [bucket_label(near, far) for near, far in report.range_buckets]
+    rows = [["bucket", "class"]
+            + [f"AP@{d:g}m" for d in report.ap_distance_thresholds]
+            + list(report.tp_measures) + ["AUSC", "TP", "FP", "FN"]]
     for label in labels:
         for class_name in report.classes:
             m = report.per_class[class_name][label]
@@ -373,25 +403,14 @@ def format_report_table(report: MetricsReport) -> str:
                         + [_fmt(m.ap[d]) for d in report.ap_distance_thresholds]
                         + [_fmt(m.tp_errors[t]) for t in report.tp_measures]
                         + [_fmt(m.ausc), str(m.tp), str(m.fp), str(m.fn)])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) if i >= 2 else cell.ljust(w)
-                               for i, (cell, w) in enumerate(zip(row, widths))))
-    lines.append("")
-    summary_rows = [["bucket", "mAP", "NDS", "mAUSC", "USC-NDS", "TP", "FP", "FN"]]
-    for label in labels:
-        s = report.per_bucket[label]
-        summary_rows.append([label, _fmt(s.mean_ap), _fmt(s.nds), _fmt(s.mausc),
-                             _fmt(s.usc_nds), str(s.tp), str(s.fp), str(s.fn)])
+    summaries = [(label, report.per_bucket[label]) for label in labels]
     if report.overall is not None:
-        s = report.overall
-        summary_rows.append(["overall", _fmt(s.mean_ap), _fmt(s.nds), _fmt(s.mausc),
-                             _fmt(s.usc_nds), str(s.tp), str(s.fp), str(s.fn)])
-    widths = [max(len(r[i]) for r in summary_rows) for i in range(len(summary_rows[0]))]
-    for row in summary_rows:
-        lines.append("  ".join(cell.rjust(w) if i >= 1 else cell.ljust(w)
-                               for i, (cell, w) in enumerate(zip(row, widths))))
-    return "\n".join(lines) + "\n"
+        summaries.append(("overall", report.overall))
+    summary_rows = [["bucket", "mAP", "NDS", "mAUSC", "USC-NDS", "TP", "FP", "FN"]]
+    summary_rows += [[name, _fmt(s.mean_ap), _fmt(s.nds), _fmt(s.mausc),
+                      _fmt(s.usc_nds), str(s.tp), str(s.fp), str(s.fn)]
+                     for name, s in summaries]
+    return "\n".join(_aligned(rows, 2) + [""] + _aligned(summary_rows, 1)) + "\n"
 
 
 def write_report(report: MetricsReport, path, fmt: str = "json") -> None:

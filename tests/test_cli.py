@@ -5,7 +5,7 @@ import subprocess
 import pytest
 
 from usc import (ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
-                 load_report, save_dataset, write_report)
+                 load_dataset, load_report, save_dataset, write_report)
 from usc.cli import main
 
 
@@ -175,6 +175,17 @@ class TestSynth:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
+
+    def test_classes_flag_is_split_on_commas(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"classes": ["truck"]}))
+        out = tmp_path / "d.jsonl"
+        code = main(["synth", "--spec", str(spec_path), "--seed", "3",
+                     "--frames", "20", "--classes", "car,bus", "--out", str(out)])
+        assert code == 0
+        names = {obj.class_name for frame in load_dataset(out)
+                 for obj in frame.ground_truths + frame.predictions}
+        assert names == {"car", "bus"}
 
     @pytest.mark.parametrize("document, named", [
         ({"nope": 1}, "nope"),

@@ -528,6 +528,13 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError, match="distinct"):
             ProtocolConfig(ap_distance_thresholds=(2, 1, 2.0))
 
+    def test_rejects_buckets_with_one_label(self):
+        # both print as [1e+06,1e+06), so their report entries would collide
+        with pytest.raises(ValueError, match="distinct labels"):
+            ProtocolConfig(range_buckets=((1000000.2, 1000000.3),
+                                          (1000000.4, 1000000.5)),
+                           match_thresholds=(1, 1))
+
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
             ProtocolConfig(tp_measures=("ATE", "XYZ"))

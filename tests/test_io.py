@@ -4,7 +4,7 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  SyntheticSpec, evaluate, generate_synthetic, load_config,
@@ -216,6 +216,16 @@ MISTYPED_FIELDS = [
 ]
 
 
+#: (report list, edit of it, field path named) that leaves the report's
+#: tables keyed by something other than its lists
+INCONSISTENT_LISTS = [
+    ("classes", lambda classes: classes + ["bus"], "per_class"),
+    ("range_buckets", lambda buckets: [[0, 5]], "per_bucket"),
+    ("ap_distance_thresholds", lambda ds: ds + [3.0], "per_class.car.[0,10).ap"),
+    ("tp_measures", lambda ms: ms + ["AVE"], "per_bucket.[0,10).tp_errors"),
+]
+
+
 def replaced(document, path, value):
     """A copy of a parsed JSON document with the node at ``path`` replaced."""
     if not path:
@@ -285,6 +295,15 @@ class TestReports:
                         for k in path).lstrip(".")
         assert named in str(err.value)
 
+    @pytest.mark.parametrize("key, edit, named", INCONSISTENT_LISTS,
+                             ids=[key for key, _, _ in INCONSISTENT_LISTS])
+    def test_tables_disagreeing_with_lists_named(self, key, edit, named):
+        obj = report_to_dict(self.report())
+        obj[key] = edit(obj[key])
+        with pytest.raises(SchemaError) as err:
+            report_from_dict(obj)
+        assert named in str(err.value)
+
     def test_dict_is_json_native(self):
         obj = report_to_dict(self.report())
         assert obj == json.loads(json.dumps(obj))
@@ -313,6 +332,14 @@ CONFIG_KEYS = ["range_buckets", "match_thresholds", "ap_distance_thresholds",
                "tp_measures", "skip_missing_classes", "focal", "lambda",
                "smooth_l1_beta", "yaw_wrapping"]
 SPEC_KEYS = [f.name for f in fields(SyntheticSpec)]
+FRAME = {
+    "frame_id": "f-1",
+    "ground_truths": [{"class": "car", "center": [0.5, 0.0, 9.0],
+                       "size": [4.2, 1.6, 1.9], "yaw": 0.31,
+                       "velocity": [1.25, -0.5], "attribute": "moving"}],
+    "predictions": [{"class": "car", "center": [0.52, 0.0, 9.1],
+                     "size": [4.1, 1.6, 1.8], "yaw": 0.3, "score": 0.87}],
+}
 REPORT = report_to_dict(evaluate(
     generate_synthetic(SyntheticSpec(seed=8, frames=4, miss_rate=0.2,
                                      fp_rate=0.2)), ProtocolConfig()))
@@ -328,7 +355,8 @@ def node_paths(node, prefix=()):
 
 
 class TestInputBoundaryFuzz:
-    """Whatever the parsed JSON, the decoders raise only UscError."""
+    """Whatever the parsed JSON, the decoders raise only UscError, and a
+    report that loads can be rendered."""
 
     @pytest.mark.parametrize("decode, keys", [
         (config_from_dict, CONFIG_KEYS),
@@ -349,7 +377,20 @@ class TestInputBoundaryFuzz:
     @given(st.sampled_from(list(node_paths(REPORT))), json_values())
     def test_report_with_one_node_replaced(self, path, value):
         try:
-            report_from_dict(replaced(REPORT, path, value))
+            report = report_from_dict(replaced(REPORT, path, value))
+        except UscError:
+            return
+        format_report_table(report)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(list(node_paths(FRAME))), value=json_values())
+    def test_dataset_line_with_one_node_replaced(self, tmp_path, path, value):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps(replaced(FRAME, path, value)) + "\n",
+                        encoding="utf-8")
+        try:
+            load_dataset(data)
         except UscError:
             pass
 
