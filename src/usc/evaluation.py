@@ -538,7 +538,8 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
                 errors = tp_error_means(class_pairs, config.tp_measures)
                 ausc = usc.ausc[class_name]
             else:
-                # a present class with nothing matched scores worst case
+                # worst case for a present class with nothing matched;
+                # undefined for a class absent from the bucket
                 errors = {m: 1.0 if n_gt else None for m in config.tp_measures}
                 ausc = 0.0 if n_gt else None
             metrics = ClassBucketMetrics(
