@@ -1,6 +1,6 @@
-"""Golden report bytes: the SHA-256 of the JSON report and of the table that
+"""Golden output bytes: the SHA-256 of the JSON report and of the table that
 ``evaluate``, ``write_report`` and ``format_report_table`` produce on four
-fixed synthetic datasets.
+fixed synthetic datasets, and of the ``usc loss`` output on two of them.
 
 A change to the evaluation code that must not change any number (a
 refactor, or a faster kernel for the same arithmetic) keeps these digests.
@@ -10,12 +10,17 @@ new report by hand. Regenerate the digests with::
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
+import json
 
 import pytest
 
 from usc import (ProtocolConfig, SyntheticSpec, evaluate, format_report_table,
-                 generate_synthetic, write_report)
+                 generate_synthetic, save_dataset, write_report)
+from usc.cli import main
 
 #: name -> (dataset spec, protocol config)
 CASES = {
@@ -66,6 +71,24 @@ GOLDEN_SHA256 = {
         "99474518a059dfd8a92544043ed5a7b1472c0e73a7e2571057e139838a486e00"),
 }
 
+#: name -> (dataset case, loss keys of the config file)
+LOSS_CASES = {
+    "near": ("near", {}),
+    "crowded": ("crowded", {}),
+    "near_tuned": ("near", {"lambda": 0.3, "smooth_l1_beta": 0.5,
+                            "yaw_wrapping": False}),
+}
+
+#: name -> SHA-256 of the ``usc loss`` standard output
+LOSS_SHA256 = {
+    "crowded":
+        "4e4f31dc8cc439c1ac31a47db833e651d9839a4512e76cc164a13adf05098304",
+    "near":
+        "ad218cf780a883236981d4af3760672b5acb6f858bec8c82c68173b5a2830d3a",
+    "near_tuned":
+        "236906316558ec22c165564cbd1acb512298cfcd1fa7d739e492bd4e18bbd27e",
+}
+
 
 def digests(name, tmp_dir):
     """SHA-256 of the written JSON report and of its table."""
@@ -77,9 +100,27 @@ def digests(name, tmp_dir):
             hashlib.sha256(format_report_table(report).encode()).hexdigest())
 
 
+def loss_digest(name, tmp_dir):
+    """SHA-256 of what ``usc loss`` prints for a loss case."""
+    case, loss_keys = LOSS_CASES[name]
+    spec, protocol = CASES[case]
+    data, config = tmp_dir / f"{name}.jsonl", tmp_dir / f"{name}.config.json"
+    save_dataset(generate_synthetic(spec), data)
+    config.write_text(json.dumps({**dataclasses.asdict(protocol), **loss_keys}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["loss", "--data", str(data), "--config", str(config)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden_digest(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_CASES))
+def test_loss_output_matches_golden_digest(name, tmp_path):
+    assert loss_digest(name, tmp_path) == LOSS_SHA256[name]
 
 
 def test_absent_class_case_scores_a_slice_without_ground_truth():
@@ -98,3 +139,5 @@ if __name__ == "__main__":
         for case in sorted(CASES):
             report, table = digests(case, pathlib.Path(tmp))
             print(f'    "{case}": (\n        "{report}",\n        "{table}"),')
+        for case in sorted(LOSS_CASES):
+            print(f'    "{case}":\n        "{loss_digest(case, pathlib.Path(tmp))}",')
