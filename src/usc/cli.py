@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from . import io as uio
 from .errors import UscError, ZeroVariance
 from .evaluation import ProtocolConfig, evaluate, matched_pairs, pearson
-from .loss import LossConfig, iogt_loss, safety_loss, smooth_l1
+from .loss import LossConfig, iogt_loss, smooth_l1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,28 +88,34 @@ def cmd_loss(args) -> int:
     if not pairs_by_class:
         print("error: no matched pairs", file=sys.stderr)
         return EXIT_VALIDATION
-    print(f"lambda={loss_config.blend_lambda:g} "
-          f"beta={loss_config.smooth_l1_beta:g}")
-    header = f"{'class':<16}{'smooth_l1':>12}{'iogt_loss':>12}{'safety_loss':>13}"
-    print(header)
+    rows = []
     for class_name in sorted(pairs_by_class):
         class_pairs = pairs_by_class[class_name]
-        l1 = sum(smooth_l1(p.detection.box, p.annotation.box,
-                           loss_config.smooth_l1_beta, loss_config.yaw_wrapping)
-                 for p in class_pairs) / len(class_pairs)
-        enclosure = sum(iogt_loss(p.detection.box, p.annotation.box)
-                        for p in class_pairs) / len(class_pairs)
-        blended = sum(safety_loss(p.detection.box, p.annotation.box, loss_config)
-                      for p in class_pairs) / len(class_pairs)
-        print(f"{class_name:<16}{l1:>12.6f}{enclosure:>12.6f}{blended:>13.6f}")
+        l1 = enclosure = blended = 0.0
+        for pair in class_pairs:
+            p, g = pair.detection.box, pair.annotation.box
+            pair_l1 = smooth_l1(p, g, loss_config.smooth_l1_beta,
+                                loss_config.yaw_wrapping)
+            pair_enclosure = iogt_loss(p, g)
+            l1 += pair_l1
+            enclosure += pair_enclosure
+            blended += loss_config.blend(pair_l1, pair_enclosure)
+        n = len(class_pairs)
+        rows.append(f"{class_name:<16}{l1 / n:>12.6f}{enclosure / n:>12.6f}"
+                    f"{blended / n:>13.6f}")
+    print(f"lambda={loss_config.blend_lambda:g} "
+          f"beta={loss_config.smooth_l1_beta:g}")
+    print(f"{'class':<16}{'smooth_l1':>12}{'iogt_loss':>12}{'safety_loss':>13}")
+    print("\n".join(rows))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     spec_kwargs = uio.load_spec(args.spec) if args.spec else {}
     names = {f.name for f in fields(uio.SyntheticSpec)}
-    spec_kwargs.update((key, value) for key, value in vars(args).items()
-                       if key in names and value is not None)
+    flags = {key: value for key, value in vars(args).items()
+             if key in names and value is not None}
+    spec_kwargs.update(uio.spec_kwargs_from_dict(flags))
     spec = uio.SyntheticSpec(**spec_kwargs)
     frames = uio.generate_synthetic(spec)
     uio.save_dataset(frames, args.out)
@@ -181,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--frames", type=int)
     p_synth.add_argument("--objects-min", dest="objects_min", type=int)
     p_synth.add_argument("--objects-max", dest="objects_max", type=int)
-    p_synth.add_argument("--classes", type=lambda text: tuple(text.split(",")),
+    p_synth.add_argument("--classes", type=lambda text: text.split(","),
                          help="comma-separated class names")
     p_synth.add_argument("--depth-bias", dest="depth_bias", type=float)
     p_synth.add_argument("--lateral-noise", dest="lateral_noise", type=float)

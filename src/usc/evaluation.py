@@ -100,7 +100,7 @@ class MatchSet:
 class ProtocolConfig:
     """Evaluation protocol parameters; defaults implement the near-field
     safety adaptation (20 m cut-off, per-bucket thresholds, skip missing
-    classes)."""
+    classes). Every number must be finite."""
 
     range_buckets: Tuple[Tuple[float, float], ...] = ((0.0, 10.0), (10.0, 20.0))
     match_thresholds: Tuple[float, ...] = (1.0, 2.0)
@@ -114,7 +114,7 @@ class ProtocolConfig:
         if not buckets:
             raise ValueError("at least one range bucket is required")
         for near, far in buckets:
-            if not (0.0 <= near < far):
+            if not (0.0 <= near < far < math.inf):
                 raise ValueError(f"invalid bucket [{near}, {far})")
         for (_, far), (near, _) in zip(buckets, buckets[1:]):
             if near < far:
@@ -124,20 +124,20 @@ class ProtocolConfig:
         thresholds = tuple(float(t) for t in self.match_thresholds)
         if len(thresholds) != len(buckets):
             raise ValueError("need one match threshold per bucket")
-        if any(t <= 0 for t in thresholds):
-            raise ValueError("match thresholds must be positive")
+        if any(not 0.0 < t < math.inf for t in thresholds):
+            raise ValueError("match thresholds must be positive and finite")
         ap_thresholds = tuple(float(t) for t in self.ap_distance_thresholds)
-        if (not ap_thresholds or any(t <= 0 for t in ap_thresholds)
+        if (not ap_thresholds or any(not 0.0 < t < math.inf for t in ap_thresholds)
                 or len(set(ap_thresholds)) != len(ap_thresholds)):
-            raise ValueError("AP distance thresholds must be positive and distinct")
+            raise ValueError("AP distance thresholds must be positive, finite and distinct")
         measures = tuple(str(m).upper() for m in self.tp_measures)
         unknown = set(measures) - set(TP_MEASURES)
         if unknown:
             raise ValueError(f"unknown TP measures: {sorted(unknown)}")
         if not measures:
             raise ValueError("at least one TP measure is required")
-        if self.focal <= 0:
-            raise ValueError(f"focal length must be positive, got {self.focal}")
+        if not 0.0 < self.focal < math.inf:
+            raise ValueError(f"focal length must be positive and finite, got {self.focal}")
         object.__setattr__(self, "range_buckets", buckets)
         object.__setattr__(self, "match_thresholds", thresholds)
         object.__setattr__(self, "ap_distance_thresholds", ap_thresholds)

@@ -360,25 +360,41 @@ def _vertical_interval(box: Box3D) -> tuple:
     return box.center_y - half, box.center_y + half
 
 
+def _vertical_overlap(p: Box3D, g: Box3D) -> float:
+    p_lo, p_hi = _vertical_interval(p)
+    g_lo, g_hi = _vertical_interval(g)
+    return min(p_hi, g_hi) - max(p_lo, g_lo)
+
+
+def _volume(box: Box3D, footprint: BevPolygon) -> float:
+    lo, hi = _vertical_interval(box)
+    return footprint.area * (hi - lo)
+
+
+def _overlap_volume(subject: BevPolygon, clip: BevPolygon, vertical: float) -> float:
+    """Overlap volume of two boxes from their BEV footprints and the overlap
+    of their vertical intervals; ``subject`` is clipped by ``clip``."""
+    if vertical <= 0.0:
+        return 0.0
+    return convex_intersection_area(subject, clip) * vertical
+
+
 def box_volume(box: Box3D) -> float:
     """Box volume as BEV footprint area times vertical extent.
 
     Both factors are computed through the same code paths as the
     intersection volume so that containment yields exact volume ratios.
     """
-    lo, hi = _vertical_interval(box)
-    return project_bev(box).area * (hi - lo)
+    return _volume(box, project_bev(box))
 
 
-def _overlap_parts(p: Box3D, g: Box3D, subject_first: bool) -> float:
-    p_lo, p_hi = _vertical_interval(p)
-    g_lo, g_hi = _vertical_interval(g)
-    vertical = min(p_hi, g_hi) - max(p_lo, g_lo)
-    if vertical <= 0.0:
-        return 0.0
-    first, second = (p, g) if subject_first else (g, p)
-    area = convex_intersection_area(project_bev(first), project_bev(second))
-    return area * vertical
+def _canonical_overlap(p: Box3D, g: Box3D, fp_p: BevPolygon, fp_g: BevPolygon) -> float:
+    # the footprint with the smaller vertex tuple is the clipping subject, so
+    # the result does not depend on the argument order
+    vertical = _vertical_overlap(p, g)
+    if fp_p.vertices <= fp_g.vertices:
+        return _overlap_volume(fp_p, fp_g, vertical)
+    return _overlap_volume(fp_g, fp_p, vertical)
 
 
 def intersection_volume(p: Box3D, g: Box3D) -> float:
@@ -387,14 +403,14 @@ def intersection_volume(p: Box3D, g: Box3D) -> float:
     The clipping order is fixed canonically so the result is bit-identical
     under argument swap.
     """
-    fp_p, fp_g = project_bev(p), project_bev(g)
-    return _overlap_parts(p, g, subject_first=fp_p.vertices <= fp_g.vertices)
+    return _canonical_overlap(p, g, project_bev(p), project_bev(g))
 
 
 def iou3d(p: Box3D, g: Box3D) -> float:
     """Intersection-over-union of overlap volume against the union volume."""
-    inter = intersection_volume(p, g)
-    union = box_volume(p) + box_volume(g) - inter
+    fp_p, fp_g = project_bev(p), project_bev(g)
+    inter = _canonical_overlap(p, g, fp_p, fp_g)
+    union = _volume(p, fp_p) + _volume(g, fp_g) - inter
     return min(1.0, inter / union)
 
 
@@ -403,6 +419,10 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
 
     Saturates at 1 exactly when p contains g; unlike IoU it measures
     enclosure, not alignment. The ground-truth footprint is used as the
-    clipping subject so full containment gives a ratio of exactly 1.
+    clipping subject so full containment gives a ratio of exactly 1. The
+    prediction is projected only when the vertical intervals overlap.
     """
-    return min(1.0, _overlap_parts(p, g, subject_first=False) / box_volume(g))
+    fp_g = project_bev(g)
+    vertical = _vertical_overlap(p, g)
+    inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
+    return min(1.0, inter / _volume(g, fp_g))

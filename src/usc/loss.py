@@ -7,6 +7,7 @@ IoGT, and their convex blend. No gradients are provided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Box3D, iogt3d, wrap_angle
@@ -20,7 +21,8 @@ class LossConfig:
     """Blend weight and kernel settings.
 
     blend_lambda weighs the accuracy term against the enclosure term and
-    must lie strictly inside (0, 1).
+    must lie strictly inside (0, 1); smooth_l1_beta must be finite and
+    positive.
     """
 
     blend_lambda: float = 0.8
@@ -30,8 +32,14 @@ class LossConfig:
     def __post_init__(self):
         if not (0.0 < self.blend_lambda < 1.0):
             raise ValueError(f"lambda must be in (0, 1), got {self.blend_lambda}")
-        if self.smooth_l1_beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.smooth_l1_beta}")
+        if not 0.0 < self.smooth_l1_beta < math.inf:
+            raise ValueError("smooth_l1_beta must be positive and finite, "
+                             f"got {self.smooth_l1_beta}")
+
+    def blend(self, accuracy: float, enclosure: float) -> float:
+        """Convex blend of an accuracy term and an enclosure term."""
+        lam = self.blend_lambda
+        return lam * accuracy + (1.0 - lam) * enclosure
 
 
 def _huber(residual: float, beta: float) -> float:
@@ -68,6 +76,5 @@ def iogt_loss(p: Box3D, g: Box3D) -> float:
 
 def safety_loss(p: Box3D, g: Box3D, config: LossConfig = LossConfig()) -> float:
     """Convex blend of the accuracy and enclosure terms."""
-    lam = config.blend_lambda
     accuracy = smooth_l1(p, g, config.smooth_l1_beta, config.yaw_wrapping)
-    return lam * accuracy + (1.0 - lam) * iogt_loss(p, g)
+    return config.blend(accuracy, iogt_loss(p, g))

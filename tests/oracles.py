@@ -6,7 +6,9 @@ segment predicates by orientation tests, matching by exhaustive assignment
 enumeration, average precision by a hand-rolled staircase walk, and view
 coverage by ray casting. The greedy matcher is also kept here in its
 original per-pair form, as the reference for the library's shared
-candidate table.
+candidate table, and the overlap measures in their original form, which
+project a box afresh for every factor, as the reference for the library's
+one projection per box.
 """
 
 import itertools
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from usc import Box3D, MatchSet, MatchedPair, bev_center_distance, box_corners
+from usc import (Box3D, MatchSet, MatchedPair, bev_center_distance, box_corners,
+                 convex_intersection_area, project_bev)
 
 
 # --- Monte Carlo volume oracle ------------------------------------------------
@@ -112,6 +115,48 @@ def mc_overlap(p: Box3D, g: Box3D, base_samples: np.ndarray):
     iou = n_pg / union if union else 0.0
     iogt = n_pg / n_g if n_g else 0.0
     return iou, iogt
+
+
+# --- multi-projection overlap reference ---------------------------------------
+
+
+def _vertical_interval(box: Box3D) -> tuple:
+    half = box.height / 2.0
+    return box.center_y - half, box.center_y + half
+
+
+def box_volume_reference(box: Box3D) -> float:
+    """Footprint area times vertical extent."""
+    lo, hi = _vertical_interval(box)
+    return project_bev(box).area * (hi - lo)
+
+
+def _overlap_parts(p: Box3D, g: Box3D, subject_first: bool) -> float:
+    p_lo, p_hi = _vertical_interval(p)
+    g_lo, g_hi = _vertical_interval(g)
+    vertical = min(p_hi, g_hi) - max(p_lo, g_lo)
+    if vertical <= 0.0:
+        return 0.0
+    first, second = (p, g) if subject_first else (g, p)
+    area = convex_intersection_area(project_bev(first), project_bev(second))
+    return area * vertical
+
+
+def intersection_volume_reference(p: Box3D, g: Box3D) -> float:
+    """Overlap volume, clipping the footprint with the smaller vertex tuple."""
+    fp_p, fp_g = project_bev(p), project_bev(g)
+    return _overlap_parts(p, g, subject_first=fp_p.vertices <= fp_g.vertices)
+
+
+def iou3d_reference(p: Box3D, g: Box3D) -> float:
+    inter = intersection_volume_reference(p, g)
+    union = box_volume_reference(p) + box_volume_reference(g) - inter
+    return min(1.0, inter / union)
+
+
+def iogt3d_reference(p: Box3D, g: Box3D) -> float:
+    """Overlap volume over Vol(g), the ground-truth footprint clipped."""
+    return min(1.0, _overlap_parts(p, g, subject_first=False) / box_volume_reference(g))
 
 
 # --- segment intersection oracle ----------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 
@@ -145,6 +146,20 @@ class TestLoss:
         assert code == 1
         assert "no matched pairs" in captured.err
 
+    def test_failing_pair_prints_no_partial_table(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data)
+        lines = data.read_text().splitlines()
+        frame = json.loads(lines[-1])
+        frame["ground_truths"][-1]["size"] = [1e-10, 1, 1]
+        lines[-1] = json.dumps(frame)
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: repeated polygon vertices at index 0" in captured.err
+
 
 class TestSynth:
     def test_same_seed_identical_files(self, tmp_path, capsys):
@@ -204,6 +219,25 @@ class TestSynth:
                      "--out", str(tmp_path / "d.jsonl")])
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("flags, document, named", [
+        (["--classes", "car,,bus"], {"classes": ["car", "", "bus"]}, "classes[1]"),
+        (["--depth-bias", "nan"], {"depth_bias": math.nan}, "depth_bias"),
+        (["--lateral-noise", "inf"], {"lateral_noise": math.inf}, "lateral_noise"),
+    ])
+    def test_flag_gives_the_error_of_its_spec_key(self, tmp_path, capsys,
+                                                  flags, document, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(document))
+        errors = []
+        for source in (flags, ["--spec", str(spec_path)]):
+            code = main(["synth", "--frames", "0", *source,
+                         "--out", str(tmp_path / "d.jsonl")])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {named}: ")
         assert not (tmp_path / "d.jsonl").exists()
 
     def test_deeply_nested_spec_is_parse_error(self, tmp_path, capsys):

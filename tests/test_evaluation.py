@@ -539,6 +539,17 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(tp_measures=("ATE", "XYZ"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, value, message", [
+        ("focal", lambda bad: bad, "focal length"),
+        ("match_thresholds", lambda bad: (1.0, bad), "match thresholds"),
+        ("ap_distance_thresholds", lambda bad: (bad,), "AP distance thresholds"),
+        ("range_buckets", lambda bad: ((0.0, 10.0), (10.0, bad)), "invalid bucket"),
+    ])
+    def test_rejects_non_finite_values(self, field, value, message, bad):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ProtocolConfig(**{field: value(bad)})
+
     def test_bucket_lookup(self):
         config = ProtocolConfig()
         assert config.bucket_index(0.0) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import MonteCarloOracle, segments_intersect_oracle
+from oracles import (MonteCarloOracle, box_volume_reference,
+                     intersection_volume_reference, iogt3d_reference,
+                     iou3d_reference, segments_intersect_oracle)
 from strategies import boxes, finite
-from usc import (BevPolygon, Box3D, Point2, Rect2D, Segment2D, box_corners,
+from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, Rect2D, Segment2D, box_corners,
                  box_volume, convex_intersection_area, intersection_volume,
                  iogt3d, iou3d, project_bev, project_pv_rect,
                  segments_intersect, shoelace_area, wrap_angle)
@@ -336,6 +339,82 @@ class TestIogt3d:
         value = iogt3d(p, g)
         contained = abs(intersection_volume(p, g) - box_volume(g)) <= 1e-9 * box_volume(g)
         assert (abs(value - 1.0) <= 1e-9) == contained
+
+
+def _outcome(measure, *boxes_):
+    """The measure's value, or the type and text of its ValueError."""
+    try:
+        return measure(*boxes_)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _thin(box, sides):
+    """The box with each named side shrunk to at most EPS_GEOM."""
+    return dataclasses.replace(box, **{side: EPS_GEOM / 3 for side in sides})
+
+
+@st.composite
+def overlap_pairs(draw):
+    """(prediction, ground truth): arbitrary, nearby or enclosing
+    predictions; the ground truth, the prediction, both or neither with a
+    side at most EPS_GEOM; vertical intervals overlapping or disjoint."""
+    g = draw(boxes())
+    kind = draw(st.sampled_from(("arbitrary", "nearby", "enclosing")))
+    if kind == "arbitrary":
+        p = draw(boxes())
+    elif kind == "nearby":
+        p = Box3D(g.center_x + draw(finite(-1, 1)), g.center_y + draw(finite(-0.5, 0.5)),
+                  g.center_z + draw(finite(-1, 1)), g.length * draw(finite(0.6, 1.6)),
+                  g.height * draw(finite(0.6, 1.6)), g.width * draw(finite(0.6, 1.6)),
+                  g.yaw + draw(finite(-0.6, 0.6)))
+    else:
+        p = dataclasses.replace(g, length=g.length * draw(finite(1, 2)),
+                                height=g.height * draw(finite(1, 2)),
+                                width=g.width * draw(finite(1, 2)))
+    if draw(st.booleans()):
+        gap = (g.height + p.height) / 2 + draw(finite(0, 2))
+        p = dataclasses.replace(p, center_y=g.center_y + draw(st.sampled_from((-gap, gap))))
+    thin_sides = st.sampled_from(((),) * 4 + (("length",), ("width",), ("length", "width")))
+    return _thin(p, draw(thin_sides)), _thin(g, draw(thin_sides))
+
+
+class TestOverlapAgainstReference:
+    """Each measure projects a box once; the reference projects it for every
+    factor. Values are bit-identical, and the same ValueError is raised in
+    the same order, including when the prediction is never projected."""
+
+    MEASURES = ((iogt3d, iogt3d_reference), (iou3d, iou3d_reference),
+                (intersection_volume, intersection_volume_reference))
+
+    def check(self, p, g):
+        for measure, reference in self.MEASURES:
+            assert _outcome(measure, p, g) == _outcome(reference, p, g)
+            assert _outcome(measure, g, p) == _outcome(reference, g, p)
+        for box in (p, g):
+            assert _outcome(box_volume, box) == _outcome(box_volume_reference, box)
+        for measure in (iou3d, intersection_volume):
+            forward, backward = _outcome(measure, p, g), _outcome(measure, g, p)
+            if isinstance(forward, float) and isinstance(backward, float):
+                assert forward == backward
+
+    @given(overlap_pairs())
+    @settings(max_examples=400)
+    def test_matches_reference(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("p_sides, g_sides", [
+        ((), ("length",)), (("width",), ()), (("width",), ("length",)),
+        (("length", "width"), ("width",))])
+    @pytest.mark.parametrize("center_y", [0.3, 5.0])
+    def test_thin_boxes_raise_as_reference(self, p_sides, g_sides, center_y):
+        g = _thin(Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4), g_sides)
+        p = _thin(Box3D(0.5, center_y, 9.3, 2.0, 1.6, 4.5, 0.5), p_sides)
+        self.check(p, g)
+        expected = (0.0 if center_y == 5.0 and not g_sides
+                    else (ValueError, "repeated polygon vertices at index "
+                          f"{0 if g_sides == ('length',) else 1}"))
+        assert _outcome(iogt3d, p, g) == expected
 
 
 class TestRigidInvariance:

@@ -86,6 +86,15 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(smooth_l1_beta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, bad):
+        with pytest.raises(ValueError, match="^smooth_l1_beta must be positive and finite"):
+            LossConfig(smooth_l1_beta=bad)
+
+    def test_rejects_nan_lambda(self):
+        with pytest.raises(ValueError, match="^lambda must be in"):
+            LossConfig(blend_lambda=math.nan)
+
 
 class TestSafetyLoss:
     def test_zero_at_identity(self):
