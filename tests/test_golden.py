@@ -1,6 +1,7 @@
 """Golden output bytes: the SHA-256 of the JSON report and of the table that
 ``evaluate``, ``write_report`` and ``format_report_table`` produce on four
-fixed synthetic datasets, and of the ``usc loss`` output on two of them.
+fixed synthetic datasets and one hand-built one, and of the ``usc loss``
+output on two of the synthetic ones.
 
 A change to the evaluation code that must not change any number (a
 refactor, or a faster kernel for the same arithmetic) keeps these digests.
@@ -18,11 +19,45 @@ import json
 
 import pytest
 
-from usc import (ProtocolConfig, SyntheticSpec, evaluate, format_report_table,
-                 generate_synthetic, save_dataset, write_report)
+from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
+                 SyntheticSpec, evaluate, format_report_table,
+                 generate_synthetic, save_dataset, usc_batch, write_report)
 from usc.cli import main
+from usc.constraints import EXCLUSION_REASONS
+from usc.errors import BehindCamera, DegenerateGroundTruth
 
-#: name -> (dataset spec, protocol config)
+
+def _ann(class_name, *box):
+    return Annotation(class_name, Box3D(*box))
+
+
+def _det(class_name, score, *box):
+    return Detection(class_name, Box3D(*box), score)
+
+
+#: Matched pairs excluded from USC in both default buckets: in [0,10) a car
+#: beside the vehicle that straddles the camera plane (BehindCamera), in
+#: [10,20) a car whose height of 1e-20 m leaves no PV area
+#: (DegenerateGroundTruth). The synthetic generator never excludes a pair.
+EXCLUDED_FRAMES = [
+    FrameRecord("f0",
+                [_ann("car", 5.0, 0.0, 0.5, 4.2, 1.6, 1.9, 0.0),
+                 _ann("car", 0.5, 0.1, 7.0, 4.0, 1.5, 1.8, 0.2),
+                 _ann("pedestrian", -1.5, 0.0, 6.0, 0.6, 1.8, 0.6, 0.0)],
+                [_det("car", 0.9, 5.2, 0.0, 0.6, 4.0, 1.6, 1.9, 0.05),
+                 _det("car", 0.8, 0.6, 0.1, 7.4, 4.3, 1.6, 1.9, 0.25),
+                 _det("pedestrian", 0.7, -1.4, 0.0, 6.3, 0.7, 1.8, 0.7, 0.1),
+                 _det("car", 0.3, -4.0, 0.0, 9.0, 4.0, 1.5, 1.8, 0.0)]),
+    FrameRecord("f1",
+                [_ann("car", 1.0, 0.0, 15.0, 4.2, 1e-20, 1.9, 0.1),
+                 _ann("car", -3.0, 0.0, 13.0, 4.0, 1.5, 1.8, -0.3),
+                 _ann("pedestrian", 2.0, 0.0, 16.0, 0.6, 1.7, 0.6, 0.0)],
+                [_det("car", 0.85, 1.3, 0.0, 15.6, 4.2, 1.5, 1.9, 0.1),
+                 _det("car", 0.6, -3.2, 0.0, 12.5, 4.1, 1.5, 1.8, -0.25),
+                 _det("pedestrian", 0.5, 2.1, 0.0, 16.4, 0.6, 1.7, 0.6, 0.0)]),
+]
+
+#: name -> (dataset spec or hand-built frames, protocol config)
 CASES = {
     # the dataset of acceptance criterion 10
     "criterion_10": (
@@ -53,6 +88,7 @@ CASES = {
                       depth_bias=0.2, lateral_noise=0.1, size_noise=0.05,
                       yaw_noise=0.05, miss_rate=0.2, fp_rate=0.3),
         ProtocolConfig(skip_missing_classes=False)),
+    "excluded": (EXCLUDED_FRAMES, ProtocolConfig()),
 }
 
 #: name -> (SHA-256 of the JSON report, SHA-256 of the table)
@@ -66,6 +102,9 @@ GOLDEN_SHA256 = {
     "crowded": (
         "9c9967baff12ac3584501c575d13c4d881823b3079bca3ce5cb656a9357d1b46",
         "bbfe20753f0dc6a4a44940db8a50ccd9f4d1d9c9da547de20388d5d06c2caf56"),
+    "excluded": (
+        "9d33af93ba94d4d31bc7d8781700caf8341c7f88f6244f94d903a2b4210e7828",
+        "9597d4f468c72ae04528a6e6309715de109957cafba84765794d750b6a66e6f9"),
     "near": (
         "9044ccbe4ad1ac3559b8180052989a5baaf2fdf5626b3afa2e5057b562c2cfb6",
         "99474518a059dfd8a92544043ed5a7b1472c0e73a7e2571057e139838a486e00"),
@@ -90,11 +129,17 @@ LOSS_SHA256 = {
 }
 
 
+def case_frames(name):
+    source, _ = CASES[name]
+    if isinstance(source, SyntheticSpec):
+        return generate_synthetic(source)
+    return source
+
+
 def digests(name, tmp_dir):
     """SHA-256 of the written JSON report and of its table."""
-    spec, config = CASES[name]
     path = tmp_dir / f"{name}.json"
-    report = evaluate(generate_synthetic(spec), config)
+    report = evaluate(case_frames(name), CASES[name][1])
     write_report(report, path, "json")
     return (hashlib.sha256(path.read_bytes()).hexdigest(),
             hashlib.sha256(format_report_table(report).encode()).hexdigest())
@@ -103,9 +148,9 @@ def digests(name, tmp_dir):
 def loss_digest(name, tmp_dir):
     """SHA-256 of what ``usc loss`` prints for a loss case."""
     case, loss_keys = LOSS_CASES[name]
-    spec, protocol = CASES[case]
+    protocol = CASES[case][1]
     data, config = tmp_dir / f"{name}.jsonl", tmp_dir / f"{name}.config.json"
-    save_dataset(generate_synthetic(spec), data)
+    save_dataset(case_frames(case), data)
     config.write_text(json.dumps({**dataclasses.asdict(protocol), **loss_keys}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -121,6 +166,16 @@ def test_report_bytes_match_golden_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(LOSS_CASES))
 def test_loss_output_matches_golden_digest(name, tmp_path):
     assert loss_digest(name, tmp_path) == LOSS_SHA256[name]
+
+
+def test_excluded_case_excludes_a_pair_in_every_bucket():
+    _, reasons = usc_batch([f.predictions[0].box for f in EXCLUDED_FRAMES],
+                           [f.ground_truths[0].box for f in EXCLUDED_FRAMES])
+    assert [EXCLUSION_REASONS[code - 1] for code in reasons] == [
+        BehindCamera, DegenerateGroundTruth]
+    report = evaluate(*CASES["excluded"])
+    for bucket in report.per_bucket:
+        assert report.per_class["car"][bucket].usc_excluded == 1
 
 
 def test_absent_class_case_scores_a_slice_without_ground_truth():
