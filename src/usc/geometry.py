@@ -407,10 +407,16 @@ def intersection_volume(p: Box3D, g: Box3D) -> float:
 
 
 def iou3d(p: Box3D, g: Box3D) -> float:
-    """Intersection-over-union of overlap volume against the union volume."""
+    """Intersection-over-union of overlap volume against the union volume.
+
+    Raises ValueError when the union volume is 0.0, which needs both
+    volumes to be 0.0.
+    """
     fp_p, fp_g = project_bev(p), project_bev(g)
     inter = _canonical_overlap(p, g, fp_p, fp_g)
     union = _volume(p, fp_p) + _volume(g, fp_g) - inter
+    if union == 0.0:
+        raise ValueError("union volume of the two boxes is 0.0")
     return min(1.0, inter / union)
 
 
@@ -421,8 +427,14 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
     enclosure, not alignment. The ground-truth footprint is used as the
     clipping subject so full containment gives a ratio of exactly 1. The
     prediction is projected only when the vertical intervals overlap.
+    Raises ValueError when the ground truth's volume is 0.0, as when its
+    height vanishes against a huge ``center_y``.
     """
     fp_g = project_bev(g)
+    volume = _volume(g, fp_g)
+    if volume == 0.0:
+        raise ValueError(f"ground-truth volume is 0.0 (height {g.height!r} "
+                         f"at center_y {g.center_y!r})")
     vertical = _vertical_overlap(p, g)
     inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
-    return min(1.0, inter / _volume(g, fp_g))
+    return min(1.0, inter / volume)

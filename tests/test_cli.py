@@ -160,6 +160,22 @@ class TestLoss:
         assert captured.out == ""
         assert "error: repeated polygon vertices at index 0" in captured.err
 
+    def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
+        # the height vanishes against center_y: (1e17 + 0.75) - (1e17 - 0.75)
+        box = {"center": [0.0, 1e17, 10.0], "size": [4.0, 1.5, 1.8], "yaw": 0.0}
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({
+            "frame_id": "f0", "ground_truths": [{"class": "car", **box}],
+            "predictions": [{"class": "car", **box, "score": 0.9}]}) + "\n")
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 2  # the config warning, then the error
+        assert captured.err.splitlines()[-1].startswith(
+            "error: ground-truth volume is 0.0")
+        assert main(["eval", "--data", str(data)]) == 0
+
 
 class TestSynth:
     def test_same_seed_identical_files(self, tmp_path, capsys):

@@ -309,6 +309,13 @@ class TestIou3d:
         assert 0.0 <= value <= 1.0
         assert value == iou3d(b, a)
 
+    def test_zero_union_volume_raises(self):
+        flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        assert box_volume(flat) == 0.0
+        with pytest.raises(ValueError, match="^union volume of the two boxes is 0.0$"):
+            iou3d(flat, flat)
+        assert iou3d(Box3D(0, 0, 10, 2, 1.5, 2, 0.0), flat) == 0.0
+
     @given(boxes())
     def test_self_iou_is_one(self, box):
         assert abs(iou3d(box, box) - 1.0) < 1e-9
@@ -327,6 +334,15 @@ class TestIogt3d:
 
     def test_disjoint(self):
         assert iogt3d(Box3D(0, 0, 5, 1, 1, 1, 0), Box3D(4, 0, 5, 1, 1, 1, 0)) == 0.0
+
+    def test_zero_ground_truth_volume_raises(self):
+        # (1e17 + 0.75) - (1e17 - 0.75) == 0.0 in float64
+        g = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        for p in (g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)):
+            with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
+                               r"\(height 1\.5 at center_y 1e\+17\)$"):
+                iogt3d(p, g)
+        assert iogt3d(g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)) == 0.0
 
     @given(boxes(), boxes())
     @settings(max_examples=300)
