@@ -1,10 +1,14 @@
-"""Shared hypothesis strategies for box and rectangle generation."""
+"""Shared hypothesis strategies: boxes and rectangles, and arbitrary JSON
+for the input files."""
 
+import copy
 import math
+from dataclasses import fields
 
 from hypothesis import assume, strategies as st
 
-from usc import Box3D, Rect2D
+from usc import (Box3D, ProtocolConfig, Rect2D, SyntheticSpec, evaluate,
+                 generate_synthetic, report_to_dict)
 
 
 def finite(lo, hi):
@@ -69,3 +73,58 @@ def rects(draw, span=50.0, min_side=1e-6):
     du = draw(finite(min_side, span))
     dv = draw(finite(min_side, span))
     return Rect2D(u0, v0, u0 + du, v0 + dv)
+
+
+# --- input documents ----------------------------------------------------------
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+               | st.floats() | st.text(max_size=4))
+
+
+def json_values():
+    """Arbitrary parsed JSON, huge integers, NaN and infinity included."""
+    return JSON_LEAVES | st.recursive(
+        JSON_LEAVES,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=6)
+
+
+CONFIG_KEYS = ["range_buckets", "match_thresholds", "ap_distance_thresholds",
+               "tp_measures", "skip_missing_classes", "focal", "lambda",
+               "smooth_l1_beta", "yaw_wrapping"]
+SPEC_KEYS = [f.name for f in fields(SyntheticSpec)]
+#: one valid dataset line, whose prediction matches its ground truth
+FRAME = {
+    "frame_id": "f-1",
+    "ground_truths": [{"class": "car", "center": [0.5, 0.0, 9.0],
+                       "size": [4.2, 1.6, 1.9], "yaw": 0.31,
+                       "velocity": [1.25, -0.5], "attribute": "moving"}],
+    "predictions": [{"class": "car", "center": [0.52, 0.0, 9.1],
+                     "size": [4.1, 1.6, 1.8], "yaw": 0.3, "score": 0.87}],
+}
+#: one valid report document
+REPORT = report_to_dict(evaluate(
+    generate_synthetic(SyntheticSpec(seed=8, frames=4, miss_rate=0.2,
+                                     fp_rate=0.2)), ProtocolConfig()))
+
+
+def node_paths(node, prefix=()):
+    """Every path into a parsed JSON document, the root's included."""
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+def replaced(document, path, value):
+    """A copy of a parsed JSON document with the node at ``path`` replaced."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document

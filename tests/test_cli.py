@@ -1,13 +1,19 @@
 import json
 import math
+import pathlib
 import shutil
 import subprocess
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usc import (ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
                  load_dataset, load_report, save_dataset, write_report)
 from usc.cli import main
+
+from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
+                        node_paths, replaced)
 
 
 def make_dataset(path, seed=11, frames=25, **spec_kwargs):
@@ -386,6 +392,135 @@ class TestCorr:
         lines = {line.split()[0]: line.split()[1]
                  for line in captured.out.splitlines()[1:]}
         assert float(lines["mAUSC"]) >= float(lines["mAP"])
+
+
+#: the input files of a fuzz example
+INPUT_FILES = ("a.jsonl", "b.jsonl", "a.json", "b.json", "config.json",
+               "spec.json", "outcomes.json")
+
+
+def path(*names):
+    """A path under the example's directory: mostly one of ``names``, else
+    any input file, the directory itself or a missing file."""
+    return (st.sampled_from(names)
+            | st.sampled_from(INPUT_FILES + ("", "missing/x.json"))
+            ).map(pathlib.PurePath)
+
+
+DATA = path("a.jsonl", "b.jsonl")
+#: the data flags a command line of ``eval`` or ``loss`` gives: mostly a
+#: valid choice, else any subset
+DATA_FLAGS = (st.sampled_from((("--data",), ("--gt", "--pred")))
+              | st.sets(st.sampled_from(("--data", "--gt", "--pred"))))
+TEXT = st.text(max_size=4)
+NUMBER = st.integers(-2, 4).map(str) | st.floats().map(repr)
+#: the flags of each subcommand, and what a flag's value is drawn from
+FLAGS = {
+    "eval": {"--data": DATA, "--gt": DATA, "--pred": DATA,
+             "--config": path("config.json"), "--out": path("out.json"),
+             "--format": st.sampled_from(("json", "table")) | TEXT},
+    "loss": {"--data": DATA, "--gt": DATA, "--pred": DATA,
+             "--config": path("config.json")},
+    "synth": {"--spec": path("spec.json"), "--seed": NUMBER,
+              "--frames": NUMBER, "--objects-min": NUMBER,
+              "--objects-max": NUMBER, "--classes": TEXT,
+              "--depth-bias": NUMBER, "--lateral-noise": NUMBER,
+              "--size-noise": NUMBER, "--yaw-noise": NUMBER,
+              "--miss-rate": NUMBER, "--fp-rate": NUMBER,
+              "--out": path("out.jsonl")},
+    "corr": {"--reports": st.lists(path("a.json", "b.json"), min_size=1,
+                                   max_size=3),
+             "--outcomes": path("outcomes.json")},
+}
+#: the largest value a drawn spec or flag may give these keys; a valid spec
+#: such as {"frames": 10**9} would run for hours
+SIZE_LIMITS = {"frames": 3, "objects_min": 4, "objects_max": 4}
+
+
+def clamped_key(key, value):
+    """A spec value, an integer above the limit of its key lowered to it."""
+    limit = SIZE_LIMITS.get(key)
+    if limit is not None and type(value) is int and value > limit:
+        return limit
+    return value
+
+
+def clamped_flag(flag, text):
+    """A flag's text, an integer above the limit of its key lowered to it."""
+    limit = SIZE_LIMITS.get(flag[2:].replace("-", "_"))
+    try:
+        return str(limit) if limit is not None and int(text) > limit else text
+    except ValueError:
+        return text
+
+
+def one_node_replaced(document):
+    return st.builds(replaced, st.just(document),
+                     st.sampled_from(list(node_paths(document))), json_values())
+
+
+def keyed_json(keys):
+    return json_values() | st.dictionaries(st.sampled_from(keys), json_values(),
+                                           max_size=3)
+
+
+DATASETS = st.just(FRAME) | one_node_replaced(FRAME)
+REPORTS = st.just(REPORT) | one_node_replaced(REPORT)
+CONFIGS = keyed_json(CONFIG_KEYS)
+SPECS = keyed_json(SPEC_KEYS).map(lambda spec: (
+    {key: clamped_key(key, value) for key, value in spec.items()}
+    if isinstance(spec, dict) else spec))
+OUTCOMES = keyed_json(["a.json", "b.json"]) | st.dictionaries(
+    st.sampled_from(["a.json", "b.json"]), st.floats(0, 1), max_size=2)
+
+
+@st.composite
+def input_files(draw):
+    """File name -> text: one-line datasets and reports, each valid or with
+    one node replaced, and arbitrary configs, specs and outcomes."""
+    documents = (("a.jsonl", DATASETS), ("b.jsonl", DATASETS),
+                 ("a.json", REPORTS), ("b.json", REPORTS),
+                 ("config.json", CONFIGS), ("spec.json", SPECS),
+                 ("outcomes.json", OUTCOMES))
+    return {name: json.dumps(draw(strategy)) for name, strategy in documents}
+
+
+@st.composite
+def argvs(draw, command, directory):
+    """A command line of a random subset of ``command``'s own flags, in a
+    random order."""
+    data_flags = draw(DATA_FLAGS) if "--data" in FLAGS[command] else ()
+    argv = [command]
+    for flag in draw(st.permutations(list(FLAGS[command]))):
+        if (flag in data_flags if flag in ("--data", "--gt", "--pred")
+                else draw(st.booleans())):
+            value = draw(FLAGS[command][flag])
+            texts = [str(directory / text) if isinstance(text, pathlib.PurePath)
+                     else clamped_flag(flag, text)
+                     for text in (value if isinstance(value, list) else [value])]
+            argv += [flag, *texts]
+    return argv
+
+
+class TestCommandLineFuzz:
+    """Whatever the flags and file contents, ``main`` returns 0, 1 or 2, or
+    argparse exits with 2; no other exception escapes."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_exit_code(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = pathlib.Path(tmp)
+            for name, text in data.draw(input_files()).items():
+                (directory / name).write_text(text, encoding="utf-8")
+            argv = data.draw(argvs(command, directory))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                assert code in (0, 1, 2)
 
 
 class TestEntryPoint:

@@ -1,7 +1,5 @@
-import copy
 import json
 import math
-from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,6 +11,9 @@ from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  format_report_table)
 from usc.errors import ParseError, SchemaError, UscError
 from usc.io import config_from_dict, spec_kwargs_from_dict
+
+from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
+                        node_paths, replaced)
 
 
 def sample_frames():
@@ -226,18 +227,6 @@ INCONSISTENT_LISTS = [
 ]
 
 
-def replaced(document, path, value):
-    """A copy of a parsed JSON document with the node at ``path`` replaced."""
-    if not path:
-        return value
-    document = copy.deepcopy(document)
-    target = document
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return document
-
-
 class TestReports:
     def report(self):
         frames = generate_synthetic(SyntheticSpec(seed=8, frames=25,
@@ -313,45 +302,6 @@ class TestReports:
         path.write_text("[" * 100_000)
         with pytest.raises(ParseError):
             load_report(path)
-
-
-JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
-               | st.floats() | st.text(max_size=4))
-
-
-def json_values():
-    """Arbitrary parsed JSON, huge integers, NaN and infinity included."""
-    return JSON_LEAVES | st.recursive(
-        JSON_LEAVES,
-        lambda inner: (st.lists(inner, max_size=3)
-                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
-        max_leaves=6)
-
-
-CONFIG_KEYS = ["range_buckets", "match_thresholds", "ap_distance_thresholds",
-               "tp_measures", "skip_missing_classes", "focal", "lambda",
-               "smooth_l1_beta", "yaw_wrapping"]
-SPEC_KEYS = [f.name for f in fields(SyntheticSpec)]
-FRAME = {
-    "frame_id": "f-1",
-    "ground_truths": [{"class": "car", "center": [0.5, 0.0, 9.0],
-                       "size": [4.2, 1.6, 1.9], "yaw": 0.31,
-                       "velocity": [1.25, -0.5], "attribute": "moving"}],
-    "predictions": [{"class": "car", "center": [0.52, 0.0, 9.1],
-                     "size": [4.1, 1.6, 1.8], "yaw": 0.3, "score": 0.87}],
-}
-REPORT = report_to_dict(evaluate(
-    generate_synthetic(SyntheticSpec(seed=8, frames=4, miss_rate=0.2,
-                                     fp_rate=0.2)), ProtocolConfig()))
-
-
-def node_paths(node, prefix=()):
-    """Every path into a parsed JSON document, the root's included."""
-    yield prefix
-    children = (node.items() if isinstance(node, dict)
-                else enumerate(node) if isinstance(node, list) else ())
-    for key, child in children:
-        yield from node_paths(child, prefix + (key,))
 
 
 class TestInputBoundaryFuzz:
