@@ -296,13 +296,10 @@ def _usc_chunk(pred_boxes, gt_boxes, focal: float):
         DegenerateGroundTruth)
     reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
 
-    p_finite = np.isfinite(p_rect).all(axis=0)
-    g_finite = np.isfinite(g_rect).all(axis=0)
     # Pairs on which usc_score may raise ValueError go through it, so that it
-    # does; it checks the prediction's PV bounds before the ground truth's
-    # corners, and the rest after them.
-    scalar = ~p_behind & (~p_finite | (~g_behind & (
-        ~g_finite | ~p_well_formed | ~g_well_formed)))
+    # decides them.
+    scalar = ~(np.isfinite(p_rect).all(axis=0) & np.isfinite(g_rect).all(axis=0)
+               & p_well_formed & g_well_formed)
     for row in np.flatnonzero(scalar):
         try:
             usc[row] = usc_score(pred_boxes[row], gt_boxes[row], focal).usc
