@@ -1,0 +1,84 @@
+"""No module of the ``usc`` package uses another module's private names:
+neither ``from .x import _name`` nor ``x._name`` on a package module ``x``."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "usc"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _package_module(node: ast.ImportFrom):
+    """The package module an import reads from, '' for the package itself,
+    None for anything outside the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module is not None:
+        head, _, rest = node.module.partition(".")
+        if head == "usc":
+            return rest
+    return None
+
+
+def private_uses(source: str):
+    """(line, name) of each private name of another package module that
+    ``source`` imports or reads as an attribute of that module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> package module it is bound to
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _package_module(node)
+            if module is None:
+                continue
+            for alias in node.names:
+                if module == "" and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    uses.append((node.lineno, f"{module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == "usc" and module in MODULES and alias.asname:
+                    modules[alias.asname] = module
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            uses.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_uses_no_private_name_of_another(path):
+    assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, named", [
+    ("from .io import _decode", "io._decode"),
+    ("from .geometry import Box3D, _volume as volume", "geometry._volume"),
+    ("from usc.io import _decode", "io._decode"),
+    ("from . import io as uio\nuio._decode('')", "io._decode"),
+    ("from usc import geometry\ngeometry._volume", "geometry._volume"),
+    ("import usc.io as uio\nuio._decode", "io._decode"),
+])
+def test_private_use_is_found(source, named):
+    assert [name for _, name in private_uses(source)] == [named]
+
+
+@pytest.mark.parametrize("source", [
+    "from .io import load_dataset",
+    "from . import io\nio.__name__",
+    "from dataclasses import _MISSING_TYPE",
+    "self._cache",
+    "import os\nos._exit",
+])
+def test_public_or_outside_use_is_allowed(source):
+    assert private_uses(source) == []
