@@ -4,7 +4,13 @@ Subcommands: ``eval`` (run the protocol and write a report), ``loss``
 (per-class loss means over matched pairs), ``synth`` (generate a synthetic
 dataset), ``corr`` (correlate report metrics against outcome rates).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+``eval`` and ``loss`` read the same inputs: ``--data`` (a combined
+dataset), or ``--gt`` together with ``--pred``, and a ``--config``. A
+missing ``--config`` prints a warning and falls back to the defaults.
+
+Every failure prints one ``error:`` line to stderr and exits 1 (validation
+error) or 2 (I/O error); 0 is success. Malformed flags are argparse's
+usage errors, which also exit 2.
 """
 
 from __future__ import annotations
@@ -24,25 +30,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-
-def _load_configs(path: Optional[str]):
-    if path is None:
-        print("warning: no config given, using protocol defaults", file=sys.stderr)
-        return ProtocolConfig(), LossConfig()
-    try:
-        return uio.load_config(path)
-    except FileNotFoundError:
-        print(f"warning: config {path} not found, using protocol defaults",
-              file=sys.stderr)
-        return ProtocolConfig(), LossConfig()
-
-
-def _load_frames(args) -> List[uio.FrameRecord]:
-    if args.data:
-        return uio.load_dataset(args.data)
-    gts = uio.load_dataset(args.gt)
-    preds = uio.load_dataset(args.pred)
-    return uio.merge_datasets(gts, preds)
+#: (printed name, overall field) of each metric ``corr`` correlates
+CORR_METRICS = (("mAP", "mean_ap"), ("NDS", "nds"), ("mAUSC", "mausc"),
+                ("USC-NDS", "usc_nds"))
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
@@ -52,21 +42,32 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="protocol config (JSON)")
 
 
-def _check_data_arguments(args) -> Optional[str]:
+def _inputs(args):
+    """The protocol config, loss config and frames that ``eval`` and
+    ``loss`` read from their data arguments."""
     if args.data and (args.gt or args.pred):
-        return "--data excludes --gt/--pred"
+        raise UscError("--data excludes --gt/--pred")
     if not args.data and not (args.gt and args.pred):
-        return "need --data or both --gt and --pred"
-    return None
+        raise UscError("need --data or both --gt and --pred")
+    protocol, loss_config = ProtocolConfig(), LossConfig()
+    if args.config is None:
+        print("warning: no config given, using protocol defaults", file=sys.stderr)
+    else:
+        try:
+            protocol, loss_config = uio.load_config(args.config)
+        except FileNotFoundError:
+            print(f"warning: config {args.config} not found, using protocol "
+                  "defaults", file=sys.stderr)
+    if args.data:
+        frames = uio.load_dataset(args.data)
+    else:
+        frames = uio.merge_datasets(uio.load_dataset(args.gt),
+                                    uio.load_dataset(args.pred))
+    return protocol, loss_config, frames
 
 
 def cmd_eval(args) -> int:
-    problem = _check_data_arguments(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    protocol, _ = _load_configs(args.config)
-    frames = _load_frames(args)
+    protocol, _, frames = _inputs(args)
     report = evaluate(frames, protocol)
     print(uio.format_report_table(report), end="")
     if args.out:
@@ -75,12 +76,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    problem = _check_data_arguments(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    protocol, loss_config = _load_configs(args.config)
-    frames = _load_frames(args)
+    protocol, loss_config, frames = _inputs(args)
     pairs_by_class: Dict[str, list] = {}
     pairs, _, _ = matched_pairs(frames, protocol)
     for (class_name, _bucket), class_pairs in pairs.items():
@@ -125,7 +121,7 @@ def cmd_synth(args) -> int:
 
 def cmd_corr(args) -> int:
     outcomes_map = uio.load_outcomes(args.outcomes)
-    series: Dict[str, List[float]] = {"mAP": [], "NDS": [], "mAUSC": [], "USC-NDS": []}
+    series: Dict[str, List[float]] = {name: [] for name, _ in CORR_METRICS}
     outcomes: List[float] = []
     for path in args.reports:
         report = uio.load_report(path)
@@ -134,15 +130,14 @@ def cmd_corr(args) -> int:
             print(f"error: no outcome for report {path}", file=sys.stderr)
             return EXIT_VALIDATION
         overall = report.overall
-        if overall is None or None in (overall.mean_ap, overall.nds,
-                                       overall.mausc, overall.usc_nds):
+        values = [None if overall is None else getattr(overall, field)
+                  for _, field in CORR_METRICS]
+        if None in values:
             print(f"error: report {path} has undefined overall metrics",
                   file=sys.stderr)
             return EXIT_VALIDATION
-        series["mAP"].append(overall.mean_ap)
-        series["NDS"].append(overall.nds)
-        series["mAUSC"].append(overall.mausc)
-        series["USC-NDS"].append(overall.usc_nds)
+        for (name, _), value in zip(CORR_METRICS, values):
+            series[name].append(value)
         outcomes.append(outcomes_map[key])
     if len(outcomes) < 2:
         print("error: need at least two reports", file=sys.stderr)
@@ -157,8 +152,7 @@ def cmd_corr(args) -> int:
         print("error: zero variance in every metric series", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"{'metric':<10}{'|r|':>10}")
-    for name in ("mAP", "NDS", "mAUSC", "USC-NDS"):
-        value = results[name]
+    for name, value in results.items():
         print(f"{name:<10}{value:>10.6f}" if value is not None
               else f"{name:<10}{'undefined':>10}")
     return EXIT_OK
@@ -185,16 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--spec", help="SyntheticSpec JSON file")
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--frames", type=int)
-    p_synth.add_argument("--objects-min", dest="objects_min", type=int)
-    p_synth.add_argument("--objects-max", dest="objects_max", type=int)
+    p_synth.add_argument("--objects-min", type=int)
+    p_synth.add_argument("--objects-max", type=int)
     p_synth.add_argument("--classes", type=lambda text: text.split(","),
                          help="comma-separated class names")
-    p_synth.add_argument("--depth-bias", dest="depth_bias", type=float)
-    p_synth.add_argument("--lateral-noise", dest="lateral_noise", type=float)
-    p_synth.add_argument("--size-noise", dest="size_noise", type=float)
-    p_synth.add_argument("--yaw-noise", dest="yaw_noise", type=float)
-    p_synth.add_argument("--miss-rate", dest="miss_rate", type=float)
-    p_synth.add_argument("--fp-rate", dest="fp_rate", type=float)
+    p_synth.add_argument("--depth-bias", type=float)
+    p_synth.add_argument("--lateral-noise", type=float)
+    p_synth.add_argument("--size-noise", type=float)
+    p_synth.add_argument("--yaw-noise", type=float)
+    p_synth.add_argument("--miss-rate", type=float)
+    p_synth.add_argument("--fp-rate", type=float)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -211,10 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (UscError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
