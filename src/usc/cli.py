@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import io as uio
 from .errors import UscError, ZeroVariance
@@ -42,7 +42,7 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="protocol config (JSON)")
 
 
-def _inputs(args):
+def _inputs(args) -> Tuple[ProtocolConfig, LossConfig, List[uio.FrameRecord]]:
     """The protocol config, loss config and frames that ``eval`` and
     ``loss`` read from their data arguments."""
     if args.data and (args.gt or args.pred):

@@ -374,6 +374,12 @@ def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]],
     camera plane, or a ground truth with no PV area) are excluded and
     counted rather than scored zero; classes with no scoreable pair get a
     None AUSC. mAUSC averages the defined per-class values.
+
+    This ``mausc`` sees only the given classes, and only those with a
+    defined AUSC. It is not the report's per-bucket mAUSC: that one also
+    counts, as 0, a class that has ground truth in the bucket but no match,
+    and, when classes are not skipped, a class absent from the bucket (see
+    ``_bucket_summary``).
     """
     ausc: Dict[str, Optional[float]] = {}
     excluded: Dict[str, int] = {}
