@@ -8,16 +8,20 @@ coverage by ray casting. The greedy matcher is also kept here in its
 original per-pair form, as the reference for the library's shared
 candidate table, and the overlap measures in their original form, which
 project a box afresh for every factor, as the reference for the library's
-one projection per box.
+one projection per box, and the dataset loader in its field-by-field form,
+as the reference for the library's whole-object check.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
-from usc import (Box3D, MatchSet, MatchedPair, bev_center_distance, box_corners,
+from usc import (Annotation, Box3D, Detection, FrameRecord, MatchSet,
+                 MatchedPair, bev_center_distance, box_corners,
                  convex_intersection_area, project_bev)
+from usc.errors import ParseError, SchemaError
 
 
 # --- Monte Carlo volume oracle ------------------------------------------------
@@ -395,3 +399,106 @@ def view_coverage_fraction(p: Box3D, g: Box3D, rng: np.ndarray) -> float:
         if ray_hits_box((x, y, z), p):
             hits += 1
     return hits / len(world_x)
+
+
+# --- reference dataset loader ---------------------------------------------------
+
+
+def _ref_require(obj, key, path):
+    if key not in obj:
+        raise SchemaError(f"missing required field '{key}'", path)
+    return obj[key]
+
+
+def _ref_number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"expected a number, got {type(value).__name__}", path)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError("integer beyond the float range", path) from None
+    if not math.isfinite(number):
+        raise SchemaError(f"expected a finite number, got {number}", path)
+    return number
+
+
+def _ref_vector(value, length, path):
+    if not isinstance(value, list) or len(value) != length:
+        raise SchemaError(f"expected a list of {length} numbers", path)
+    return tuple(_ref_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _ref_box(obj, path):
+    center = _ref_vector(_ref_require(obj, "center", path), 3, f"{path}.center")
+    size = _ref_vector(_ref_require(obj, "size", path), 3, f"{path}.size")
+    yaw = _ref_number(_ref_require(obj, "yaw", f"{path}.yaw"), f"{path}.yaw")
+    try:
+        return Box3D(center[0], center[1], center[2],
+                     size[0], size[1], size[2], yaw)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
+
+
+def _ref_object(obj, path, with_score):
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", path)
+    class_name = _ref_require(obj, "class", path)
+    if not isinstance(class_name, str) or not class_name:
+        raise SchemaError("'class' must be a non-empty string", f"{path}.class")
+    box = _ref_box(obj, path)
+    velocity = None
+    if obj.get("velocity") is not None:
+        velocity = _ref_vector(obj["velocity"], 2, f"{path}.velocity")
+    attribute = obj.get("attribute")
+    if attribute is not None and not isinstance(attribute, str):
+        raise SchemaError("'attribute' must be a string", f"{path}.attribute")
+    if with_score:
+        score = _ref_number(_ref_require(obj, "score", path), f"{path}.score")
+        if not (0.0 <= score <= 1.0):
+            raise SchemaError(f"score must be in [0, 1], got {score}", f"{path}.score")
+        return Detection(class_name, box, score, velocity, attribute)
+    return Annotation(class_name, box, velocity, attribute)
+
+
+def _ref_frame(obj, path):
+    if not isinstance(obj, dict):
+        raise SchemaError("expected a JSON object", path)
+    frame_id = _ref_require(obj, "frame_id", path)
+    if not isinstance(frame_id, str) or not frame_id:
+        raise SchemaError("'frame_id' must be a non-empty string", f"{path}.frame_id")
+    gts_raw = obj.get("ground_truths", [])
+    preds_raw = obj.get("predictions", [])
+    if not isinstance(gts_raw, list):
+        raise SchemaError("'ground_truths' must be a list", f"{path}.ground_truths")
+    if not isinstance(preds_raw, list):
+        raise SchemaError("'predictions' must be a list", f"{path}.predictions")
+    gts = [_ref_object(g, f"{path}.ground_truths[{i}]", with_score=False)
+           for i, g in enumerate(gts_raw)]
+    preds = [_ref_object(p, f"{path}.predictions[{i}]", with_score=True)
+             for i, p in enumerate(preds_raw)]
+    return FrameRecord(frame_id, gts, preds)
+
+
+def reference_load_dataset(path):
+    """The dataset loader in its original form, which checks every number
+    field by field, building its field path as it goes: the reference for
+    the library's one whole-object check per box. Reads strict UTF-8."""
+    frames = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            except RecursionError:
+                raise ParseError("JSON nested too deeply to decode", lineno) from None
+            frame = _ref_frame(obj, f"line {lineno}")
+            if frame.frame_id in seen:
+                raise SchemaError(f"duplicate frame_id '{frame.frame_id}'",
+                                  f"line {lineno}.frame_id")
+            seen.add(frame.frame_id)
+            frames.append(frame)
+    return frames

@@ -12,6 +12,7 @@ from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
 from usc.errors import ParseError, SchemaError, UscError
 from usc.io import config_from_dict, spec_kwargs_from_dict
 
+from oracles import reference_load_dataset
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
                         node_paths, replaced)
 
@@ -139,6 +140,63 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError) as err:
             load_dataset(path)
         assert field in str(err.value)
+
+
+def _leaf(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+#: paths to the number leaves of FRAME
+NUMBER_PATHS = [path for path in node_paths(FRAME)
+                if type(_leaf(FRAME, path)) in (int, float)]
+#: replacements for one number leaf that a loader must treat exactly
+NUMBER_EDGES = (st.integers() | st.sampled_from(
+    [True, False, -0.0, 0, float("nan"), float("inf"), -float("inf"),
+     10 ** 400, -10 ** 400, 1e308, -1e308]))
+
+
+def _outcome(load, path):
+    """repr of what ``load`` returns, or the type and text of the UscError
+    it raises; repr tells an int from a float, which == would not."""
+    try:
+        return repr(load(path))
+    except UscError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderAgainstReference:
+    """load_dataset gives the same records, or the same error with the same
+    text, as the field-by-field reference loader in tests/oracles.py. Each
+    file has a valid first line, so line numbers and duplicate frame ids
+    are compared too."""
+
+    def check(self, tmp_path, document):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps(dict(FRAME, frame_id="f-0")) + "\n\n"
+                        + json.dumps(document) + "\n", encoding="utf-8")
+        assert _outcome(load_dataset, data) == _outcome(reference_load_dataset, data)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(list(node_paths(FRAME))), value=json_values())
+    def test_one_node_replaced(self, tmp_path, path, value):
+        self.check(tmp_path, replaced(FRAME, path, value))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(NUMBER_PATHS), value=NUMBER_EDGES)
+    def test_one_number_replaced(self, tmp_path, path, value):
+        self.check(tmp_path, replaced(FRAME, path, value))
+
+    @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
+    def test_center_whose_sum_overflows_loads(self, tmp_path, side):
+        document = replaced(FRAME, (side, 0, "center"), [1e308, 1e308, 0])
+        self.check(tmp_path, document)
+        data = tmp_path / "d.jsonl"
+        box = getattr(load_dataset(data)[1], side)[0].box
+        assert (box.center_x, box.center_y, box.center_z) == (1e308, 1e308, 0.0)
 
 
 class TestMergeDatasets:
