@@ -82,7 +82,8 @@ class Box3D:
     def __post_init__(self):
         values = (self.center_x, self.center_y, self.center_z,
                   self.length, self.height, self.width, self.yaw)
-        if not all(math.isfinite(v) for v in values):
+        # a finite sum has only finite terms; otherwise check term by term
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
             raise ValueError(f"box parameters must be finite, got {values}")
         if self.length <= 0 or self.height <= 0 or self.width <= 0:
             raise ValueError(

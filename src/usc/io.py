@@ -8,6 +8,13 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
                         "velocity"?: [vx, vz], "attribute"?: str}, ...],
      "predictions":   [same fields plus "score": float]}
 
+A fast pass checks each object of a line at once: the exact JSON types and
+list lengths, the types of all its numbers together, and their finiteness
+from one sum. It builds no field paths. A line it does not vouch for is
+checked again field by field, so every error keeps the type, message, field
+path and line number of that check. Bytes that are not UTF-8 are a
+ParseError at their line.
+
 Configs, synthetic specs and reports are single JSON documents, each checked
 against the type hints of its dataclasses (``ProtocolConfig`` with
 ``LossConfig``, ``SyntheticSpec``, ``MetricsReport``) by one codec. A
@@ -140,19 +147,86 @@ def _parse_frame(obj, path: str) -> FrameRecord:
     return FrameRecord(frame_id, gts, preds)
 
 
+class _Slow(Exception):
+    """The fast parse does not vouch for a line; ``_parse_frame`` decides."""
+
+
+#: the types of a JSON number; bool is an int subclass, so it is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _fast_object(obj, with_score: bool):
+    """One dataset object as ``_parse_object`` builds it, from one whole-object
+    check that builds no field path; _Slow, ValueError or OverflowError when
+    the check fails."""
+    if type(obj) is not dict:
+        raise _Slow
+    class_name = obj.get("class")
+    center, size = obj.get("center"), obj.get("size")
+    velocity, attribute = obj.get("velocity"), obj.get("attribute")
+    if (type(class_name) is not str or not class_name
+            or type(center) is not list or len(center) != 3
+            or type(size) is not list or len(size) != 3
+            or (attribute is not None and type(attribute) is not str)):
+        raise _Slow
+    numbers = [*center, *size, obj.get("yaw")]
+    if velocity is not None:
+        if type(velocity) is not list or len(velocity) != 2:
+            raise _Slow
+        numbers += velocity
+    if with_score:
+        numbers.append(obj.get("score"))
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
+        raise _Slow
+    values = tuple(map(float, numbers))
+    if not math.isfinite(sum(values)):
+        raise _Slow
+    box = Box3D(*values[:7])
+    if velocity is not None:
+        velocity = values[7:9]
+    if with_score:
+        return Detection(class_name, box, values[-1], velocity, attribute)
+    return Annotation(class_name, box, velocity, attribute)
+
+
+def _fast_frame(obj) -> FrameRecord:
+    """One dataset line as ``_parse_frame`` builds it; _Slow, ValueError or
+    OverflowError when a whole-object check fails."""
+    if type(obj) is not dict:
+        raise _Slow
+    frame_id = obj.get("frame_id")
+    gts_raw = obj.get("ground_truths", [])
+    preds_raw = obj.get("predictions", [])
+    if (type(frame_id) is not str or not frame_id
+            or type(gts_raw) is not list or type(preds_raw) is not list):
+        raise _Slow
+    return FrameRecord(frame_id, [_fast_object(g, False) for g in gts_raw],
+                       [_fast_object(p, True) for p in preds_raw])
+
+
 def load_dataset(path) -> List[FrameRecord]:
     """Load a line-delimited dataset; blank lines are ignored.
 
-    Raises ParseError (with the 1-based line number) on malformed JSON and
-    SchemaError (with the offending field path) on structural problems.
+    Raises ParseError (with the 1-based line number) on invalid UTF-8 and
+    malformed JSON, and SchemaError (with the offending field path) on
+    structural problems.
     """
     frames: List[FrameRecord] = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("invalid UTF-8", lineno) from None
             if not line.strip():
                 continue
-            frame = _parse_frame(_decode(line, lineno), f"line {lineno}")
+            obj = _decode(line, lineno)
+            try:
+                frame = _fast_frame(obj)
+            except (_Slow, ValueError, OverflowError):
+                frame = _parse_frame(obj, f"line {lineno}")
             if frame.frame_id in seen:
                 raise SchemaError(f"duplicate frame_id '{frame.frame_id}'",
                                   f"line {lineno}.frame_id")
@@ -446,6 +520,11 @@ _CLASS_SIZES = {
 }
 _DEFAULT_SIZE = (2.0, 1.5, 1.5)
 
+#: Largest magnitude of a SyntheticSpec perturbation (``depth_bias`` and the
+#: lateral, size and yaw noise scales): far beyond any detector's error, yet
+#: small enough that no perturbed box or angle leaves the float range.
+MAX_PERTURBATION = 1e6
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -457,6 +536,8 @@ class SyntheticSpec:
     center radially (positive = away from the vehicle), lateral_noise jitters
     it sideways, size_noise scales dimensions relatively, yaw_noise turns
     the heading. miss_rate drops predictions; fp_rate spawns spurious ones.
+    max_azimuth is in [0, pi], and depth_bias and the noise scales are at
+    most MAX_PERTURBATION in magnitude.
     """
 
     seed: int = 0
@@ -481,15 +562,24 @@ class SyntheticSpec:
             raise ValueError("need 0 <= objects_min <= objects_max")
         if not self.classes:
             raise ValueError("at least one class is required")
+        if not all(isinstance(name, str) and name for name in self.classes):
+            raise ValueError("classes must be non-empty strings")
         for name in ("miss_rate", "fp_rate"):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if not (-MAX_PERTURBATION <= self.depth_bias <= MAX_PERTURBATION):
+            raise ValueError(f"depth_bias must be in [-{MAX_PERTURBATION:g}, "
+                             f"{MAX_PERTURBATION:g}], got {self.depth_bias}")
         for name in ("lateral_noise", "size_noise", "yaw_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            scale = getattr(self, name)
+            if not (0.0 <= scale <= MAX_PERTURBATION):
+                raise ValueError(f"{name} must be in [0, {MAX_PERTURBATION:g}], "
+                                 f"got {scale}")
         if not (0.0 < self.range_min < self.range_max):
             raise ValueError("need 0 < range_min < range_max")
+        if not (0.0 <= self.max_azimuth <= math.pi):
+            raise ValueError(f"max_azimuth must be in [0, pi], got {self.max_azimuth}")
         object.__setattr__(self, "classes", tuple(self.classes))
 
 

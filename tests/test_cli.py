@@ -55,6 +55,17 @@ class TestEval:
         assert code == 1
         assert "line 17" in captured.err
 
+    def test_invalid_utf8_line_cited(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=60)
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[49] = lines[49].replace(b'"frame-', b'"\xffframe-', 1)
+        data.write_bytes(b"".join(lines))
+        code = main(["eval", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[-1] == "error: line 50: invalid UTF-8"
+
     def test_missing_config_warns_and_defaults(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         make_dataset(data)
@@ -260,6 +271,21 @@ class TestSynth:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"error: {named}: ")
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("document, named", [
+        ({"max_azimuth": 1e308, "frames": 3}, "max_azimuth"),
+        ({"max_azimuth": -5}, "max_azimuth"),
+        ({"yaw_noise": 1e308, "frames": 3}, "yaw_noise"),
+    ])
+    def test_spec_the_generator_cannot_run_names_its_field(
+            self, tmp_path, capsys, document, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(document))
+        code = main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {named} must be")
         assert not (tmp_path / "d.jsonl").exists()
 
     def test_deeply_nested_spec_is_parse_error(self, tmp_path, capsys):

@@ -75,6 +75,26 @@ class TestBox3DValidation:
         with pytest.raises(ValueError):
             Box3D(math.nan, 0, 0, 1, 1, 1, 0)
 
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        box = Box3D(1e308, 1e308, 0, 1e308, 1, 1, 0)
+        assert box.center_x == box.center_y == box.length == 1e308
+
+    @pytest.mark.parametrize("infinities", [(math.inf, -math.inf), (math.inf, 1.0)])
+    def test_rejects_infinities_whatever_their_sum(self, infinities):
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(*infinities, 0, 1, 1, 1, 0)
+
+    @given(st.lists(st.floats() | st.sampled_from([1e308, -1e308, math.inf]),
+                    min_size=7, max_size=7))
+    def test_accepts_exactly_finite_positive_sizes(self, values):
+        valid = all(map(math.isfinite, values)) and min(values[3:6]) > 0
+        try:
+            Box3D(*values)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+
     def test_yaw_normalized(self):
         assert Box3D(0, 0, 0, 1, 1, 1, 3 * math.pi).yaw == pytest.approx(math.pi)
         assert Box3D(0, 0, 0, 1, 1, 1, -math.pi).yaw == pytest.approx(math.pi)

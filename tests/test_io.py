@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,11 +12,11 @@ from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  report_to_dict, save_dataset, write_report,
                  format_report_table)
 from usc.errors import ParseError, SchemaError, UscError
-from usc.io import config_from_dict, spec_kwargs_from_dict
+from usc.io import MAX_PERTURBATION, config_from_dict, spec_kwargs_from_dict
 
 from oracles import reference_load_dataset
-from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
-                        node_paths, replaced)
+from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, finite,
+                        json_values, node_paths, replaced)
 
 
 def sample_frames():
@@ -66,6 +68,29 @@ class TestDatasetValidation:
             load_dataset(path)
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+
+    def test_invalid_utf8_cites_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        save_dataset(generate_synthetic(SyntheticSpec(seed=2, frames=60)), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[40] = lines[40].replace(b'"car"', b'"c\xffr"', 1)
+        assert b"\xff" in lines[40]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert err.value.line == 41
+        assert str(err.value) == "line 41: invalid UTF-8"
+
+    def test_non_ascii_text_and_crlf_load(self, tmp_path):
+        frames = [FrameRecord("f-\u00e9", [Annotation(
+            "v\u00e9lo", Box3D(0, 0, 9, 1, 1, 1, 0), attribute="\u00fc\U0001f697")], [])]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(json.dumps({
+            "frame_id": "f-\u00e9", "ground_truths": [{
+                "class": "v\u00e9lo", "center": [0, 0, 9], "size": [1, 1, 1],
+                "yaw": 0, "attribute": "\u00fc\U0001f697"}]},
+            ensure_ascii=False).encode("utf-8") + b"\r\n\r\n")
+        assert load_dataset(path) == frames
 
     def test_missing_yaw_names_the_field(self, tmp_path):
         record = {"frame_id": "f0", "ground_truths": [
@@ -197,6 +222,46 @@ class TestLoaderAgainstReference:
         data = tmp_path / "d.jsonl"
         box = getattr(load_dataset(data)[1], side)[0].box
         assert (box.center_x, box.center_y, box.center_z) == (1e308, 1e308, 0.0)
+
+
+class TestValidDataTakesTheFastPath:
+    """Valid lines never reach the field-by-field parser; a fast path that
+    stopped vouching for them would still load them, only slower."""
+
+    def refuse_slow_path(self, monkeypatch):
+        def refuse(obj, path):
+            raise AssertionError(f"{path} took the field-by-field parser")
+        monkeypatch.setattr("usc.io._parse_frame", refuse)
+
+    def test_saved_synthetic_dataset(self, tmp_path, monkeypatch):
+        frames = generate_synthetic(SyntheticSpec(seed=5, frames=12,
+                                                  lateral_noise=0.2,
+                                                  fp_rate=0.3))
+        for index, frame in enumerate(frames[::2]):
+            frame.ground_truths[0] = dataclasses.replace(
+                frame.ground_truths[0], velocity=(index, -0.5),
+                attribute="moving")
+            if frame.predictions:
+                frame.predictions[0] = dataclasses.replace(
+                    frame.predictions[0], velocity=(0.25, 1e-3))
+        path = tmp_path / "d.jsonl"
+        save_dataset(frames, path)
+        expected = load_dataset(path)
+        assert expected == frames
+        self.refuse_slow_path(monkeypatch)
+        assert load_dataset(path) == expected
+
+    def test_integer_coordinates_without_velocity(self, tmp_path, monkeypatch):
+        record = {"frame_id": "f0", "ground_truths": [
+            {"class": "car", "center": [0, 0, 9], "size": [4, 2, 2], "yaw": 0}],
+            "predictions": [{"class": "car", "center": [1, 0, 9],
+                             "size": [4, 2, 2], "yaw": 1, "score": 1}]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        expected = load_dataset(path)
+        self.refuse_slow_path(monkeypatch)
+        loaded = load_dataset(path)
+        assert loaded == expected and repr(loaded) == repr(expected)
 
 
 class TestMergeDatasets:
@@ -403,6 +468,28 @@ class TestInputBoundaryFuzz:
             pass
 
 
+@st.composite
+def spec_kwargs(draw):
+    """SyntheticSpec fields from the whole range it accepts, with at most 2
+    frames of at most 3 objects."""
+    objects_min = draw(st.integers(0, 3))
+    range_min = draw(finite(0.0, sys.float_info.max).filter(bool))
+    return dict(
+        seed=draw(st.integers()), frames=draw(st.integers(0, 2)),
+        objects_min=objects_min, objects_max=draw(st.integers(objects_min, 3)),
+        classes=draw(st.lists(st.text(min_size=1, max_size=3), min_size=1,
+                              max_size=3)),
+        depth_bias=draw(finite(-MAX_PERTURBATION, MAX_PERTURBATION)),
+        lateral_noise=draw(finite(0.0, MAX_PERTURBATION)),
+        size_noise=draw(finite(0.0, MAX_PERTURBATION)),
+        yaw_noise=draw(finite(0.0, MAX_PERTURBATION)),
+        miss_rate=draw(finite(0.0, 1.0)), fp_rate=draw(finite(0.0, 1.0)),
+        range_min=range_min,
+        range_max=draw(st.floats(range_min, sys.float_info.max,
+                                 exclude_min=True)),
+        max_azimuth=draw(finite(0.0, math.pi)))
+
+
 class TestSyntheticGenerator:
     def test_zero_noise_predictions_equal_ground_truths(self):
         frames = generate_synthetic(SyntheticSpec(seed=1, frames=10))
@@ -456,6 +543,34 @@ class TestSyntheticGenerator:
         n_gt = sum(len(f.ground_truths) for f in frames)
         n_pred = sum(len(f.predictions) for f in frames)
         assert n_pred > n_gt
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_azimuth", 1e308), ("max_azimuth", -5.0), ("max_azimuth", 3.2),
+        ("yaw_noise", 1e308), ("lateral_noise", 1e308), ("size_noise", 1e308),
+        ("lateral_noise", MAX_PERTURBATION * 1.5), ("depth_bias", 1e308),
+        ("depth_bias", -1e308), ("classes", ("car", "")),
+    ])
+    def test_spec_the_generator_cannot_run_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SyntheticSpec(**{field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(kwargs=spec_kwargs(),
+           free=st.sampled_from(["depth_bias", "lateral_noise", "size_noise",
+                                 "yaw_noise", "range_min", "range_max",
+                                 "max_azimuth"]),
+           value=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_accepted_spec_generates(self, kwargs, free, value):
+        """Fields are drawn over the whole accepted range, extremes included,
+        except that one of them may take any finite value; a draw that
+        SyntheticSpec rejects is skipped."""
+        if value is not None:
+            kwargs[free] = value
+        try:
+            spec = SyntheticSpec(**kwargs)
+        except ValueError:
+            return
+        generate_synthetic(spec)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
