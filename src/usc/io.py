@@ -61,11 +61,16 @@ class FrameRecord:
 
 def _decode(text: str, line: Optional[int] = None):
     """Decode one JSON document; ParseError, at ``line`` if given and else at
-    the decoder's line, on malformed JSON or nesting too deep to decode."""
+    the decoder's line, on malformed JSON, an integer with more digits than
+    ``int`` converts (``sys.get_int_max_str_digits``), or nesting too deep
+    to decode."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno if line is None else line) from exc
+    except ValueError:
+        raise ParseError("integer literal has too many digits to decode",
+                         line) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply to decode", line) from None
 

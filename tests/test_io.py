@@ -81,6 +81,18 @@ class TestDatasetValidation:
         assert err.value.line == 41
         assert str(err.value) == "line 41: invalid UTF-8"
 
+    def test_integer_too_long_to_decode_cites_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(FRAME) + "\n" + json.dumps(
+            replaced(FRAME, ("frame_id",), "f-2")).replace("9.1", "9" * 5000))
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == "line 2: integer literal has too many digits to decode"
+        config = tmp_path / "c.json"
+        config.write_text('{"focal": ' + "1" * 5000 + "}")
+        with pytest.raises(ParseError, match="^integer literal has too many"):
+            load_config(config)
+
     def test_non_ascii_text_and_crlf_load(self, tmp_path):
         frames = [FrameRecord("f-\u00e9", [Annotation(
             "v\u00e9lo", Box3D(0, 0, 9, 1, 1, 1, 0), attribute="\u00fc\U0001f697")], [])]
