@@ -156,7 +156,7 @@ class _Slow(Exception):
     """The fast parse does not vouch for a line; ``_parse_frame`` decides."""
 
 
-#: the types of a JSON number; bool is an int subclass, so it is not one
+#: the exact types of a JSON number; bool, an int subclass, is not one
 _NUMBER_TYPES = frozenset((int, float))
 
 

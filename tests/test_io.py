@@ -482,12 +482,13 @@ class TestInputBoundaryFuzz:
 
 @st.composite
 def spec_kwargs(draw):
-    """SyntheticSpec fields from the whole range it accepts, with at most 2
-    frames of at most 3 objects."""
-    objects_min = draw(st.integers(0, 3))
-    range_min = draw(finite(0.0, sys.float_info.max).filter(bool))
+    """SyntheticSpec fields from the whole range it accepts, with 1 or 2
+    frames of 1 to 3 objects."""
+    objects_min = draw(st.integers(1, 3))
+    range_min = draw(st.floats(0.0, sys.float_info.max, exclude_min=True,
+                               exclude_max=True))
     return dict(
-        seed=draw(st.integers()), frames=draw(st.integers(0, 2)),
+        seed=draw(st.integers()), frames=draw(st.integers(1, 2)),
         objects_min=objects_min, objects_max=draw(st.integers(objects_min, 3)),
         classes=draw(st.lists(st.text(min_size=1, max_size=3), min_size=1,
                               max_size=3)),
@@ -571,7 +572,8 @@ class TestSyntheticGenerator:
            free=st.sampled_from(["depth_bias", "lateral_noise", "size_noise",
                                  "yaw_noise", "range_min", "range_max",
                                  "max_azimuth"]),
-           value=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+           value=st.none() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-sys.float_info.max, sys.float_info.max]))
     def test_every_accepted_spec_generates(self, kwargs, free, value):
         """Fields are drawn over the whole accepted range, extremes included,
         except that one of them may take any finite value; a draw that
