@@ -152,8 +152,9 @@ def adr(p: BevPolygon, g: BevPolygon) -> float:
     return distance_ratio_geomean(g_dists, p_dists)
 
 
-def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
-    """Full constraint breakdown for a prediction / ground-truth pair.
+def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
+    """Full constraint breakdown for a prediction / ground-truth pair, with
+    the PV rectangles on the normalized image plane (``project_pv_rect``).
 
     Raises BehindCamera (prediction checked first) when a box corner is
     less than EPS_DEPTH ahead of the camera, and DegenerateGroundTruth when
@@ -165,8 +166,8 @@ def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
     footprint vertex, a footprint side no longer than EPS_GEOM, or all four
     footprint vertices on one bearing.
     """
-    p_pv = project_pv_rect(p, focal)
-    g_pv = project_pv_rect(g, focal)
+    p_pv = project_pv_rect(p)
+    g_pv = project_pv_rect(g)
     p_bev = project_bev(p)
     g_bev = project_bev(g)
     pv_ok = pv_constraint(p_pv, g_pv)
@@ -183,9 +184,9 @@ def usc_score(p: Box3D, g: Box3D, focal: float = 1.0) -> UscBreakdown:
     )
 
 
-def usc_verdict(p: Box3D, g: Box3D, focal: float = 1.0) -> bool:
+def usc_verdict(p: Box3D, g: Box3D) -> bool:
     """Conjunction of the PV and BEV constraints for a box pair."""
-    return usc_score(p, g, focal).verdict
+    return usc_score(p, g).verdict
 
 
 # --- batch kernel ------------------------------------------------------------
@@ -234,11 +235,11 @@ def _corners(boxes: Sequence[Box3D]):
     return x, y, z
 
 
-def _pv_bounds(x, y, z, focal: float):
+def _pv_bounds(x, y, z):
     """Behind-camera mask and (min_u, min_v, max_u, max_v), as
     ``project_pv_rect`` computes them."""
-    u = focal * x / z
-    v = focal * y / z
+    u = x / z
+    v = y / z
     return ((z < EPS_DEPTH).any(axis=1),
             (u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)))
 
@@ -269,11 +270,11 @@ def _footprint_terms(x, z):
     return np.take_along_axis(norm, picks, axis=1), well_formed
 
 
-def _usc_chunk(pred_boxes, gt_boxes, focal: float):
+def _usc_chunk(pred_boxes, gt_boxes):
     p_x, p_y, p_z = _corners(pred_boxes)
     g_x, g_y, g_z = _corners(gt_boxes)
-    p_behind, p_rect = _pv_bounds(p_x, p_y, p_z, focal)
-    g_behind, g_rect = _pv_bounds(g_x, g_y, g_z, focal)
+    p_behind, p_rect = _pv_bounds(p_x, p_y, p_z)
+    g_behind, g_rect = _pv_bounds(g_x, g_y, g_z)
     p_dist, p_well_formed = _footprint_terms(p_x, p_z)
     g_dist, g_well_formed = _footprint_terms(g_x, g_z)
 
@@ -302,7 +303,7 @@ def _usc_chunk(pred_boxes, gt_boxes, focal: float):
                & p_well_formed & g_well_formed)
     for row in np.flatnonzero(scalar):
         try:
-            usc[row] = usc_score(pred_boxes[row], gt_boxes[row], focal).usc
+            usc[row] = usc_score(pred_boxes[row], gt_boxes[row]).usc
             reason[row] = 0
         except UscError as exc:
             reason[row] = 1 + EXCLUSION_REASONS.index(type(exc))
@@ -310,9 +311,10 @@ def _usc_chunk(pred_boxes, gt_boxes, focal: float):
     return usc, reason
 
 
-def usc_batch(pred_boxes: Sequence[Box3D], gt_boxes: Sequence[Box3D],
-              focal: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    """USC of many prediction / ground-truth pairs at once.
+def usc_batch(pred_boxes: Sequence[Box3D],
+              gt_boxes: Sequence[Box3D]) -> Tuple[np.ndarray, np.ndarray]:
+    """USC of many prediction / ground-truth pairs at once, with the PV
+    rectangles on the normalized image plane, as ``usc_score`` takes them.
 
     Returns a float64 array of USC values and an int8 array of exclusion
     reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
@@ -326,13 +328,11 @@ def usc_batch(pred_boxes: Sequence[Box3D], gt_boxes: Sequence[Box3D],
     if len(pred_boxes) != len(gt_boxes):
         raise ValueError(f"{len(pred_boxes)} predictions but "
                          f"{len(gt_boxes)} ground truths")
-    if len(pred_boxes) and focal <= 0:
-        raise ValueError(f"focal length must be positive, got {focal}")
     usc = np.empty(len(pred_boxes), dtype=np.float64)
     reason = np.empty(len(pred_boxes), dtype=np.int8)
     with np.errstate(all="ignore"):
         for start in range(0, len(pred_boxes), _BATCH_CAP):
             stop = start + _BATCH_CAP
             usc[start:stop], reason[start:stop] = _usc_chunk(
-                pred_boxes[start:stop], gt_boxes[start:stop], focal)
+                pred_boxes[start:stop], gt_boxes[start:stop])
     return usc, reason

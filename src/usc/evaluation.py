@@ -107,7 +107,6 @@ class ProtocolConfig:
     ap_distance_thresholds: Tuple[float, ...] = (1.0, 2.0)
     tp_measures: Tuple[str, ...] = ("ATE", "ASE", "AOE")
     skip_missing_classes: bool = True
-    focal: float = 1.0
 
     def __post_init__(self):
         buckets = tuple((float(a), float(b)) for a, b in self.range_buckets)
@@ -136,8 +135,6 @@ class ProtocolConfig:
             raise ValueError(f"unknown TP measures: {sorted(unknown)}")
         if not measures:
             raise ValueError("at least one TP measure is required")
-        if not 0.0 < self.focal < math.inf:
-            raise ValueError(f"focal length must be positive and finite, got {self.focal}")
         object.__setattr__(self, "range_buckets", buckets)
         object.__setattr__(self, "match_thresholds", thresholds)
         object.__setattr__(self, "ap_distance_thresholds", ap_thresholds)
@@ -148,9 +145,6 @@ class ProtocolConfig:
             if near <= distance < far:
                 return i
         return None
-
-    def bucket_label(self, index: int) -> str:
-        return bucket_label(*self.range_buckets[index])
 
 
 def bucket_label(near: float, far: float) -> str:
@@ -362,36 +356,27 @@ class UscAggregate:
     """Per-class average USC plus the exclusion diagnostics."""
 
     ausc: Dict[str, Optional[float]]
-    mausc: Optional[float]
     excluded: Dict[str, int]
 
 
-def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]],
-                  focal: float = 1.0) -> UscAggregate:
-    """Average the USC score over matched pairs, class by class.
+def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]]) -> UscAggregate:
+    """Average the USC score (``usc_batch``) over matched pairs, class by
+    class.
 
     Pairs whose constraint evaluation is undefined (a box corner behind the
     camera plane, or a ground truth with no PV area) are excluded and
     counted rather than scored zero; classes with no scoreable pair get a
-    None AUSC. mAUSC averages the defined per-class values.
-
-    This ``mausc`` sees only the given classes, and only those with a
-    defined AUSC. It is not the report's per-bucket mAUSC: that one also
-    counts, as 0, a class that has ground truth in the bucket but no match,
-    and, when classes are not skipped, a class absent from the bucket (see
-    ``_bucket_summary``).
+    None AUSC. The report's mAUSC is built from these in ``_bucket_summary``.
     """
     ausc: Dict[str, Optional[float]] = {}
     excluded: Dict[str, int] = {}
     for class_name, pairs in pairs_per_class.items():
         usc, reason = usc_batch([pair.detection.box for pair in pairs],
-                                [pair.annotation.box for pair in pairs], focal)
+                                [pair.annotation.box for pair in pairs])
         scores = usc[reason == 0].tolist()
         ausc[class_name] = math.fsum(scores) / len(scores) if scores else None
         excluded[class_name] = len(pairs) - len(scores)
-    defined = [value for value in ausc.values() if value is not None]
-    mausc = math.fsum(defined) / len(defined) if defined else None
-    return UscAggregate(ausc, mausc, excluded)
+    return UscAggregate(ausc, excluded)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -533,7 +518,7 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     for b, (near, far) in enumerate(config.range_buckets):
         label = bucket_label(near, far)
         bucket_pairs = {c: pairs[c, b] for c in classes if (c, b) in pairs}
-        usc = aggregate_usc(bucket_pairs, config.focal)
+        usc = aggregate_usc(bucket_pairs)
         slices = []
         for class_name in classes:
             key = (class_name, b)

@@ -10,9 +10,11 @@ yaw as rotation about the ``y`` axis.
 
 Two projections are used throughout:
 
-* PV (perspective view): pinhole mapping ``(a, b) = (f*x/z, f*y/z)`` onto a
+* PV (perspective view): pinhole mapping ``(u, v) = (x/z, y/z)`` onto the
   normalized image plane; boxes become axis-aligned rectangles bounding the
-  eight projected corners.
+  eight projected corners. Scaling every rectangle by one common positive
+  factor leaves PV containment and IoGT unchanged, so no camera scale is
+  taken.
 * BEV (bird's-eye view): orthographic drop of ``y`` onto the ``(x, z)``
   ground plane; boxes become counter-clockwise rectangles.
 
@@ -28,7 +30,9 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BehindCamera
 
-#: Point-coincidence / degeneracy tolerance, meters.
+#: Point-coincidence / degeneracy tolerance, meters. Its square is also the
+#: smallest ground-truth PV rectangle area ``iogt_pv`` accepts, in
+#: normalized-image-plane units.
 EPS_GEOM = 1e-9
 
 #: Minimum depth ahead of the camera for a PV projection to be defined, meters.
@@ -111,10 +115,6 @@ class Rect2D:
             raise ValueError(f"rectangle bounds must be finite, got {values}")
         if self.min_u > self.max_u or self.min_v > self.max_v:
             raise ValueError(f"rectangle bounds out of order: {values}")
-
-    @property
-    def area(self) -> float:
-        return (self.max_u - self.min_u) * (self.max_v - self.min_v)
 
 
 @dataclass(frozen=True)
@@ -200,21 +200,20 @@ def box_corners(box: Box3D) -> tuple:
     return tuple(corners)
 
 
-def project_pv_rect(box: Box3D, focal: float = 1.0) -> Rect2D:
-    """Axis-aligned PV bounding rectangle of the eight projected corners.
+def project_pv_rect(box: Box3D) -> Rect2D:
+    """Axis-aligned bounding rectangle of the eight corners projected to
+    ``(x/z, y/z)`` on the normalized image plane.
 
     Raises BehindCamera if any corner has depth below EPS_DEPTH, in which
     case the PV constraint is undefined for this box.
     """
-    if focal <= 0:
-        raise ValueError(f"focal length must be positive, got {focal}")
     corners = box_corners(box)
     for p in corners:
         if p.z < EPS_DEPTH:
             raise BehindCamera(
                 f"box corner at z={p.z:.6g} m is behind the camera plane")
-    us = [focal * p.x / p.z for p in corners]
-    vs = [focal * p.y / p.z for p in corners]
+    us = [p.x / p.z for p in corners]
+    vs = [p.y / p.z for p in corners]
     return Rect2D(min(us), min(vs), max(us), max(vs))
 
 
@@ -228,15 +227,12 @@ def project_bev(box: Box3D) -> BevPolygon:
         for dx, dz in local))
 
 
-PolygonLike = Union[BevPolygon, Rect2D, Sequence]
+PolygonLike = Union[BevPolygon, Sequence]
 
 
 def _as_ccw_vertices(poly: PolygonLike) -> tuple:
     if isinstance(poly, BevPolygon):
         return poly.vertices
-    if isinstance(poly, Rect2D):
-        return (Point2(poly.min_u, poly.min_v), Point2(poly.max_u, poly.min_v),
-                Point2(poly.max_u, poly.max_v), Point2(poly.min_u, poly.max_v))
     return tuple(Point2(float(p[0]), float(p[1])) for p in poly)
 
 

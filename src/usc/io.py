@@ -75,6 +75,17 @@ def _decode(text: str, line: Optional[int] = None):
         raise ParseError("JSON nested too deeply to decode", line) from None
 
 
+def _check_utf8(text: str, line: int) -> None:
+    """ParseError at the line of ``text``'s first byte that is not UTF-8;
+    ``text`` was read with ``errors="surrogateescape"`` and starts at
+    ``line``."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError("invalid UTF-8",
+                         line + text.count("\n", 0, exc.start)) from None
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"missing required field '{key}'", path)
@@ -221,10 +232,7 @@ def load_dataset(path) -> List[FrameRecord]:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError("invalid UTF-8", lineno) from None
+                _check_utf8(line, lineno)
             if not line.strip():
                 continue
             obj = _decode(line, lineno)
@@ -292,9 +300,12 @@ def merge_datasets(gt_frames: Sequence[FrameRecord],
 
 
 def _load_json(path):
-    """The one JSON document of a file; ParseError if it cannot be decoded."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _decode(handle.read())
+    """The one JSON document of a file; ParseError, at its line, on bytes
+    that are not UTF-8 and on anything ``_decode`` rejects."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    _check_utf8(text, 1)
+    return _decode(text)
 
 
 def _join(path: str, key) -> str:
@@ -541,8 +552,8 @@ class SyntheticSpec:
     center radially (positive = away from the vehicle), lateral_noise jitters
     it sideways, size_noise scales dimensions relatively, yaw_noise turns
     the heading. miss_rate drops predictions; fp_rate spawns spurious ones.
-    max_azimuth is in [0, pi], and depth_bias and the noise scales are at
-    most MAX_PERTURBATION in magnitude.
+    max_azimuth is in [0, pi], range_max is finite, and depth_bias and the
+    noise scales are at most MAX_PERTURBATION in magnitude.
     """
 
     seed: int = 0
@@ -583,6 +594,8 @@ class SyntheticSpec:
                                  f"got {scale}")
         if not (0.0 < self.range_min < self.range_max):
             raise ValueError("need 0 < range_min < range_max")
+        if not math.isfinite(self.range_max):
+            raise ValueError(f"range_max must be finite, got {self.range_max}")
         if not (0.0 <= self.max_azimuth <= math.pi):
             raise ValueError(f"max_azimuth must be in [0, pi], got {self.max_azimuth}")
         object.__setattr__(self, "classes", tuple(self.classes))

@@ -1,5 +1,5 @@
-"""Shared hypothesis strategies: boxes and rectangles, and arbitrary JSON
-for the input files."""
+"""Shared hypothesis strategies: boxes, and arbitrary JSON for the input
+files."""
 
 import copy
 import math
@@ -7,7 +7,7 @@ from dataclasses import fields
 
 from hypothesis import assume, strategies as st
 
-from usc import (Box3D, ProtocolConfig, Rect2D, SyntheticSpec, evaluate,
+from usc import (Box3D, LossConfig, ProtocolConfig, SyntheticSpec, evaluate,
                  generate_synthetic, report_to_dict)
 
 
@@ -65,16 +65,6 @@ def frontal_pairs(draw):
     return p, g
 
 
-@st.composite
-def rects(draw, span=50.0, min_side=1e-6):
-    """PV rectangles with sane coordinates and non-degenerate sides."""
-    u0 = draw(finite(-span, span))
-    v0 = draw(finite(-span, span))
-    du = draw(finite(min_side, span))
-    dv = draw(finite(min_side, span))
-    return Rect2D(u0, v0, u0 + du, v0 + dv)
-
-
 # --- input documents ----------------------------------------------------------
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
@@ -90,9 +80,9 @@ def json_values():
         max_leaves=6)
 
 
-CONFIG_KEYS = ["range_buckets", "match_thresholds", "ap_distance_thresholds",
-               "tp_measures", "skip_missing_classes", "focal", "lambda",
-               "smooth_l1_beta", "yaw_wrapping"]
+#: a config's keys: the fields of both configs, ``lambda`` naming ``blend_lambda``
+CONFIG_KEYS = [f.name for f in fields(ProtocolConfig)] + [
+    "lambda" if f.name == "blend_lambda" else f.name for f in fields(LossConfig)]
 SPEC_KEYS = [f.name for f in fields(SyntheticSpec)]
 #: one valid dataset line, whose prediction matches its ground truth
 FRAME = {

@@ -109,10 +109,21 @@ class TestEval:
         data = tmp_path / "d.jsonl"
         make_dataset(data, frames=3)
         config = tmp_path / "config.json"
-        config.write_text('{"focal": 1' + "0" * 400 + "}")
+        config.write_text('{"smooth_l1_beta": 1' + "0" * 400 + "}")
         code = main(["eval", "--data", str(data), "--config", str(config)])
         assert code == 1
-        assert "focal" in capsys.readouterr().err
+        assert "smooth_l1_beta" in capsys.readouterr().err
+
+    def test_focal_key_is_unknown(self, tmp_path, capsys):
+        # PV rectangles live on the normalized image plane; a focal length
+        # would change no measure, so the config takes none
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"focal": 1266.4}))
+        code = main(["eval", "--data", str(data), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown keys ['focal']\n"
 
     def test_deeply_nested_config_is_parse_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -296,6 +307,42 @@ class TestSynth:
         assert code == 1
         assert "nested" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
+
+
+def with_invalid_byte(document, token):
+    """``document`` as indented JSON with a 0xff byte inside the string
+    ``token``, and the 1-based line of that byte."""
+    text = json.dumps(document, indent=1).encode()
+    at = text.index(json.dumps(token).encode()) + 1
+    return text[:at] + b"\xff" + text[at:], text.count(b"\n", 0, at) + 1
+
+
+@pytest.mark.parametrize("flag, document, token", [
+    ("--config", {"tp_measures": ["ATE", "ASE"]}, "ASE"),
+    ("--spec", {"frames": 1, "classes": ["car", "bus"]}, "bus"),
+    ("--outcomes", {"a.json": 0.25, "r.json": 0.5}, "r.json"),
+    ("--reports", REPORT, "car"),
+])
+def test_invalid_utf8_in_json_document_cites_line(tmp_path, capsys, flag,
+                                                  document, token):
+    data = tmp_path / "d.jsonl"
+    make_dataset(data, frames=3)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(REPORT))
+    outcomes = tmp_path / "o.json"
+    outcomes.write_text(json.dumps({"r.json": 0.5, "bad.json": 0.25}))
+    argv = {"--config": ["eval", "--data", str(data)],
+            "--spec": ["synth", "--out", str(tmp_path / "out.jsonl")],
+            "--outcomes": ["corr", "--reports", str(report), str(report)],
+            "--reports": ["corr", "--outcomes", str(outcomes)]}[flag]
+    content, line = with_invalid_byte(document, token)
+    assert line > 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(argv + [flag, str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: line {line}: invalid UTF-8")
 
 
 def build_detector_family(tmp_path, biases, miss_rates):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  nds, pearson, tp_error_means, usc_nds, usc_score,
                  SyntheticSpec, FrameRecord)
 from usc.errors import MissingAnnotationField, ZeroVariance
+from usc.evaluation import bucket_label
 
 
 def box(x=0.0, z=10.0, l=1.0, h=1.0, w=1.0, yaw=0.0, y=0.0):
@@ -197,7 +199,8 @@ class TestMatcherAgainstReference:
                     labels = ([(p.detection.score, True) for p in pairs.get((c, b), [])]
                               + [(d.score, False) for d in fps.get((c, b), [])])
                     expected = average_precision(labels, gt_counts.get((c, b), 0))
-                    assert report.per_class[c][config.bucket_label(b)].ap[t] == expected
+                    label = bucket_label(*config.range_buckets[b])
+                    assert report.per_class[c][label].ap[t] == expected
 
     def test_edge_frame_outcome(self):
         # the hand-made frame, spelled out: ties go to the lower index, the
@@ -338,16 +341,6 @@ class TestAggregateUsc:
         v1 = usc_score(perfect.box, g.box).usc
         v2 = usc_score(worse.box, g.box).usc
         assert agg.ausc["car"] == pytest.approx((v1 + v2) / 2, abs=1e-15)
-        assert agg.mausc == agg.ausc["car"]
-
-    def test_mean_over_classes(self):
-        g1 = Annotation("car", box(0, 10))
-        g2 = Annotation("truck", box(2, 12))
-        p1 = Detection("car", box(0, 10), 1.0)
-        p2 = Detection("truck", box(2, 12.8), 1.0)
-        agg = aggregate_usc({"car": [pair(p1, g1)], "truck": [pair(p2, g2)]})
-        assert agg.mausc == pytest.approx(
-            (agg.ausc["car"] + agg.ausc["truck"]) / 2, abs=1e-15)
 
     def test_undefined_pairs_excluded_and_counted(self):
         behind = Annotation("car", Box3D(0, 0, -5, 1, 1, 1, 0))
@@ -355,7 +348,6 @@ class TestAggregateUsc:
         agg = aggregate_usc({"car": [pair(p, behind)]})
         assert agg.ausc["car"] is None
         assert agg.excluded["car"] == 1
-        assert agg.mausc is None
 
 
 class TestPearson:
@@ -511,7 +503,9 @@ class TestProtocolConfigValidation:
         assert config.ap_distance_thresholds == (1.0, 2.0)
         assert config.tp_measures == ("ATE", "ASE", "AOE")
         assert config.skip_missing_classes is True
-        assert config.focal == 1.0
+        assert [f.name for f in fields(config)] == [
+            "range_buckets", "match_thresholds", "ap_distance_thresholds",
+            "tp_measures", "skip_missing_classes"]
 
     def test_rejects_overlapping_buckets(self):
         with pytest.raises(ValueError):
@@ -541,7 +535,6 @@ class TestProtocolConfigValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, value, message", [
-        ("focal", lambda bad: bad, "focal length"),
         ("match_thresholds", lambda bad: (1.0, bad), "match thresholds"),
         ("ap_distance_thresholds", lambda bad: (bad,), "AP distance thresholds"),
         ("range_buckets", lambda bad: ((0.0, 10.0), (10.0, bad)), "invalid bucket"),
@@ -556,4 +549,4 @@ class TestProtocolConfigValidation:
         assert config.bucket_index(9.999) == 0
         assert config.bucket_index(10.0) == 1
         assert config.bucket_index(20.0) is None
-        assert config.bucket_label(1) == "[10,20)"
+        assert bucket_label(*config.range_buckets[1]) == "[10,20)"

@@ -10,7 +10,7 @@ from oracles import (MonteCarloOracle, box_volume_reference,
                      intersection_volume_reference, iogt3d_reference,
                      iou3d_reference, segments_intersect_oracle)
 from strategies import boxes, finite
-from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, Rect2D, Segment2D, box_corners,
+from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, Segment2D, box_corners,
                  box_volume, convex_intersection_area, intersection_volume,
                  iogt3d, iou3d, project_bev, project_pv_rect,
                  segments_intersect, shoelace_area, wrap_angle)
@@ -112,12 +112,12 @@ class TestProjectPv:
     def test_point_projection_arithmetic(self):
         # single corner dominating the rectangle: box shrunk to a point-ish cube
         box = Box3D(1, 1, 2, 1e-6, 1e-6, 1e-6, 0.0)
-        rect = project_pv_rect(box, focal=1.0)
+        rect = project_pv_rect(box)
         assert rect.min_u == pytest.approx(0.5, abs=1e-5)
         assert rect.max_v == pytest.approx(0.5, abs=1e-5)
 
     def test_unit_cube_extents(self):
-        rect = project_pv_rect(Box3D(0, 0, 10, 1, 1, 1, 0.0), focal=1.0)
+        rect = project_pv_rect(Box3D(0, 0, 10, 1, 1, 1, 0.0))
         # near corners at z = 9.5 dominate both extents
         bound = 0.5 / 9.5
         assert rect.max_u == pytest.approx(bound, abs=1e-12)
@@ -128,7 +128,7 @@ class TestProjectPv:
     @given(boxes())
     def test_rect_bounds_all_corners(self, box):
         try:
-            rect = project_pv_rect(box, focal=1.0)
+            rect = project_pv_rect(box)
         except BehindCamera:
             assert min(c.z for c in box_corners(box)) < 1e-3
             return
@@ -139,12 +139,6 @@ class TestProjectPv:
     def test_straddling_camera_plane_raises(self):
         with pytest.raises(BehindCamera):
             project_pv_rect(Box3D(0, 0, 0.2, 1, 1, 1, 0.0))
-
-    def test_focal_scales_coordinates(self):
-        box = Box3D(0.5, 0.2, 12, 1, 1, 1, 0.3)
-        r1 = project_pv_rect(box, focal=1.0)
-        r2 = project_pv_rect(box, focal=2.0)
-        assert r2.max_u == pytest.approx(2 * r1.max_u, rel=1e-12)
 
 
 class TestProjectBev:
@@ -188,11 +182,6 @@ class TestConvexIntersectionArea:
         a = [(0, 0), (1, 0), (1, 1), (0, 1)]
         b = [(3, 3), (4, 3), (4, 4), (3, 4)]
         assert convex_intersection_area(a, b) == 0.0
-
-    def test_rect2d_inputs(self):
-        a = Rect2D(0, 0, 2, 2)
-        b = Rect2D(1, 1, 3, 3)
-        assert convex_intersection_area(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_monte_carlo_cross_check(self):
         a = project_bev(Box3D(0, 0, 10, 3, 1, 2, 0.4))

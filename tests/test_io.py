@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  SyntheticSpec, evaluate, generate_synthetic, load_config,
@@ -89,7 +89,7 @@ class TestDatasetValidation:
             load_dataset(path)
         assert str(err.value) == "line 2: integer literal has too many digits to decode"
         config = tmp_path / "c.json"
-        config.write_text('{"focal": ' + "1" * 5000 + "}")
+        config.write_text('{"smooth_l1_beta": ' + "1" * 5000 + "}")
         with pytest.raises(ParseError, match="^integer literal has too many"):
             load_config(config)
 
@@ -562,6 +562,7 @@ class TestSyntheticGenerator:
         ("yaw_noise", 1e308), ("lateral_noise", 1e308), ("size_noise", 1e308),
         ("lateral_noise", MAX_PERTURBATION * 1.5), ("depth_bias", 1e308),
         ("depth_bias", -1e308), ("classes", ("car", "")),
+        ("range_max", math.inf),
     ])
     def test_spec_the_generator_cannot_run_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -572,12 +573,14 @@ class TestSyntheticGenerator:
            free=st.sampled_from(["depth_bias", "lateral_noise", "size_noise",
                                  "yaw_noise", "range_min", "range_max",
                                  "max_azimuth"]),
-           value=st.none() | st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from([-sys.float_info.max, sys.float_info.max]))
+           value=st.none() | st.floats()
+           | st.sampled_from([-sys.float_info.max, sys.float_info.max,
+                              -math.inf, math.inf, math.nan]))
+    @example(kwargs={"frames": 1}, free="range_max", value=math.inf)
     def test_every_accepted_spec_generates(self, kwargs, free, value):
         """Fields are drawn over the whole accepted range, extremes included,
-        except that one of them may take any finite value; a draw that
-        SyntheticSpec rejects is skipped."""
+        except that one of them may take any float, infinities and NaN
+        included; a draw that SyntheticSpec rejects is skipped."""
         if value is not None:
             kwargs[free] = value
         try:
