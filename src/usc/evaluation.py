@@ -3,16 +3,18 @@
 Pipeline: one walk over frames and their classes. Per (frame, class), one
 candidate table of BEV center distances serves the protocol match (each
 annotation limited by its bucket's threshold) and one match per AP distance
-threshold; in each, detections by descending score take the nearest
-untaken annotation within the limit. Objects are grouped into range buckets
-by the ground-truth center distance; matched detections inherit their
-annotation's bucket, unmatched detections fall into the bucket of their own
-center distance. The report is then assembled bucket by bucket, class by
-class within a bucket: one ``aggregate_usc`` call scores the bucket's pairs
-of every class; each class gets its slice (AP per distance threshold, mean
-true-positive errors, average spatial-constraint score AUSC, and TP/FP/FN,
-TP + FN being its in-range ground truths); the bucket's mAP, NDS, mAUSC,
-USC-NDS and counts come from its slices, the overall ones from the buckets'.
+threshold; it computes distances only inside an x/z window of the largest
+threshold around each detection. In each match, detections by descending
+score take the nearest untaken annotation within the limit. Objects are
+grouped into range buckets by the ground-truth center distance; matched
+detections inherit their annotation's bucket, unmatched detections fall
+into the bucket of their own center distance. The report is then assembled
+bucket by bucket, class by class within a bucket: one ``aggregate_usc``
+call scores the bucket's pairs of every class; each class gets its slice
+(AP per distance threshold, mean true-positive errors, average
+spatial-constraint score AUSC, and TP/FP/FN, TP + FN being its in-range
+ground truths); the bucket's mAP, NDS, mAUSC, USC-NDS and counts come from
+its slices, the overall ones from the buckets'.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -23,6 +25,7 @@ bucket skipped rather than scored as worst-case.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -126,9 +129,10 @@ class ProtocolConfig:
         if any(not 0.0 < t < math.inf for t in thresholds):
             raise ValueError("match thresholds must be positive and finite")
         ap_thresholds = tuple(float(t) for t in self.ap_distance_thresholds)
-        if (not ap_thresholds or any(not 0.0 < t < math.inf for t in ap_thresholds)
-                or len(set(ap_thresholds)) != len(ap_thresholds)):
-            raise ValueError("AP distance thresholds must be positive, finite and distinct")
+        if not ap_thresholds or any(not 0.0 < t < math.inf for t in ap_thresholds):
+            raise ValueError("AP distance thresholds must be positive and finite")
+        if len({ap_label(t) for t in ap_thresholds}) != len(ap_thresholds):
+            raise ValueError("AP distance thresholds must have distinct labels")
         measures = tuple(str(m).upper() for m in self.tp_measures)
         unknown = set(measures) - set(TP_MEASURES)
         if unknown:
@@ -150,6 +154,12 @@ class ProtocolConfig:
 def bucket_label(near: float, far: float) -> str:
     """The report's key for the range bucket [near, far), e.g. ``[0,10)``."""
     return f"[{near:g},{far:g})"
+
+
+def ap_label(distance: float) -> str:
+    """The report table's column heading for an AP distance threshold, e.g.
+    ``AP@1m``."""
+    return f"AP@{distance:g}m"
 
 
 @dataclass
@@ -203,11 +213,32 @@ def _center_range(box: Box3D) -> float:
 
 def _candidates(dets: Sequence[Detection], anns: Sequence[Annotation], reach: float):
     """Per detection, (distance, annotation index) for each annotation within
-    reach, nearest first, lower index on ties."""
-    boxes = [ann.box for ann in anns]
-    return [sorted([(d, j) for j, box in enumerate(boxes)
-                    if (d := bev_center_distance(det.box, box)) <= reach])
-            for det in dets]
+    reach, nearest first, lower index on ties.
+
+    Distances are computed only inside a window, ``slack = reach * (1 +
+    1e-9)``: annotations with ``px - slack <= x <= px + slack`` (bounds
+    rounded; the x-sorted list bisected) and ``abs(pz - z) <= slack``. No
+    pair within reach lies outside: ``math.hypot`` rounds faithfully and
+    max(|dx|, |dz|) is a float, so a computed distance is at least both
+    computed offsets; ``fl(px - x) <= reach`` means ``px - x <= reach * (1 +
+    2**-53)`` (a subnormal difference is exact), below slack, so by monotone
+    rounding ``fl(px - slack) <= x``, and likewise above.
+    """
+    slack = reach * (1 + 1e-9)
+    keyed = sorted([(ann.box.center_x, j, ann.box) for j, ann in enumerate(anns)])
+    table = []
+    for det in dets:
+        p = det.box
+        high, pz = p.center_x + slack, p.center_z
+        row = []
+        # a 1-tuple sorts before every entry with the same x
+        for x, j, box in keyed[bisect_left(keyed, (p.center_x - slack,)):]:
+            if x > high:
+                break
+            if abs(pz - box.center_z) <= slack and (d := bev_center_distance(p, box)) <= reach:
+                row.append((d, j))
+        table.append(sorted(row))
+    return table
 
 
 def _greedy(order: Sequence[int], table, limits: Sequence[float]):
@@ -379,26 +410,37 @@ def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]]) -> UscAg
     return UscAggregate(ausc, excluded)
 
 
+def _deviations(values: Sequence[float]) -> List[float]:
+    """Deviations from the mean of ``values`` times the power of two that
+    brings their largest magnitude into [0.5, 1). The scaling is exact unless
+    a product is subnormal; after it no sum or deviation overflows, and the
+    largest deviation, at least 2**-55 in magnitude, has a square far from
+    underflow. The mean is kept within [min, max], so only a constant series
+    deviates by exactly 0: it raises ZeroVariance."""
+    shift = -math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, shift) for v in values]
+    mean = min(max(sum(scaled) / len(scaled), min(scaled)), max(scaled))
+    deviations = [v - mean for v in scaled]
+    if not any(deviations):
+        raise ZeroVariance("a series has zero variance")
+    return deviations
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient.
+    """Sample Pearson correlation coefficient. Each series is scaled by a
+    power of two before its deviations are taken (``_deviations``), so
+    scaling a series changes r by rounding only, and by a power of two not
+    at all.
 
     Raises ZeroVariance when either series is constant (or shorter than 2).
     """
     if len(xs) != len(ys):
         raise ValueError("series lengths differ")
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         raise ZeroVariance("need at least two samples")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
-    if var_x <= 0.0 or var_y <= 0.0:
-        raise ZeroVariance("a series has zero variance")
+    dx, dy = _deviations(xs), _deviations(ys)
     cov = sum(a * b for a, b in zip(dx, dy))
-    return cov / math.sqrt(var_x * var_y)
+    return cov / math.sqrt(sum(d * d for d in dx) * sum(d * d for d in dy))
 
 
 # --- full protocol -----------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
 
 from .errors import ParseError, SchemaError
 from .evaluation import (Annotation, Detection, MetricsReport, ProtocolConfig,
-                         bucket_label)
+                         ap_label, bucket_label)
 from .geometry import Box3D, wrap_angle
 from .loss import LossConfig
 
@@ -484,7 +484,7 @@ def format_report_table(report: MetricsReport) -> str:
     """Aligned human-readable summary of a report."""
     labels = [bucket_label(near, far) for near, far in report.range_buckets]
     rows = [["bucket", "class"]
-            + [f"AP@{d:g}m" for d in report.ap_distance_thresholds]
+            + [ap_label(d) for d in report.ap_distance_thresholds]
             + list(report.tp_measures) + ["AUSC", "TP", "FP", "FN"]]
     for label in labels:
         for class_name in report.classes:

@@ -6,10 +6,11 @@ segment predicates by orientation tests, matching by exhaustive assignment
 enumeration, average precision by a hand-rolled staircase walk, and view
 coverage by ray casting. The greedy matcher is also kept here in its
 original per-pair form, as the reference for the library's shared
-candidate table, and the overlap measures in their original form, which
-project a box afresh for every factor, as the reference for the library's
-one projection per box, and the dataset loader in its field-by-field form,
-as the reference for the library's whole-object check.
+candidate table, and that table in its all-pairs form, as the reference
+for the library's windowed one; the overlap measures in their original
+form, which project a box afresh for every factor, as the reference for
+the library's one projection per box; and the dataset loader in its
+field-by-field form, as the reference for the library's whole-object check.
 """
 
 import itertools
@@ -286,6 +287,16 @@ def greedy_match(dets, anns, threshold_of) -> MatchSet:
     fps = [d for i, d in enumerate(dets) if not matched_det[i]]
     fns = [a for j, a in enumerate(anns) if not taken[j]]
     return MatchSet(pairs, fps, fns)
+
+
+def reference_candidates(dets, anns, reach):
+    """The candidate table with a distance for every (detection, annotation)
+    pair: per detection, (distance, annotation index) for each annotation
+    within reach, nearest first, lower index on ties."""
+    boxes = [ann.box for ann in anns]
+    return [sorted([(d, j) for j, box in enumerate(boxes)
+                    if (d := bev_center_distance(det.box, box)) <= reach])
+            for det in dets]
 
 
 def reference_walk(frames, config, threshold_of):

@@ -125,6 +125,17 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown keys ['focal']\n"
 
+    def test_ap_thresholds_with_one_label_is_schema_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ap_distance_thresholds": [1.0, 1.0000001]}))
+        code = main(["eval", "--data", str(data), "--config", str(config),
+                     "--format", "table"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: AP distance thresholds must have distinct labels\n"
+
     def test_deeply_nested_config_is_parse_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         make_dataset(data, frames=3)
@@ -378,6 +389,22 @@ class TestCorr:
         for metric in ("mAP", "NDS", "USC-NDS"):
             value = float(lines[metric])
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_outcome_scale_leaves_r_unchanged(self, tmp_path, capsys, scale):
+        paths = build_detector_family(
+            tmp_path, biases=(0.15, 0.45, 0.75), miss_rates=(0.02, 0.0, 0.01))
+        printed = []
+        for factor in (1.0, scale):
+            outcomes = tmp_path / "o.json"
+            outcomes.write_text(json.dumps(
+                {p.name: (index + 1) * factor for index, p in enumerate(paths)}))
+            code = main(["corr", "--reports", *[str(p) for p in paths],
+                         "--outcomes", str(outcomes)])
+            assert code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "undefined" not in printed[0]
 
     def test_identical_reports_zero_variance(self, tmp_path, capsys):
         frames = generate_synthetic(SyntheticSpec(seed=2, frames=20))

@@ -1,18 +1,21 @@
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import ap_oracle, greedy_match, optimal_assignment, reference_walk
+from oracles import (ap_oracle, greedy_match, optimal_assignment,
+                     reference_candidates, reference_walk)
 from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
                  evaluate, generate_synthetic, match_frame, matched_pairs,
                  nds, pearson, tp_error_means, usc_nds, usc_score,
                  SyntheticSpec, FrameRecord)
+from usc import evaluation
 from usc.errors import MissingAnnotationField, ZeroVariance
-from usc.evaluation import bucket_label
+from usc.evaluation import ap_label, bucket_label
 
 
 def box(x=0.0, z=10.0, l=1.0, h=1.0, w=1.0, yaw=0.0, y=0.0):
@@ -218,6 +221,74 @@ class TestMatcherAgainstReference:
         assert report.classes == ["car", "truck"]
 
 
+def edge_coordinate(c, reach, factor, sign, ulps):
+    """c moved by sign * reach * factor, then ulps steps of nextafter."""
+    moved = c + sign * reach * factor
+    return math.nextafter(moved, math.copysign(math.inf, ulps)) if ulps else moved
+
+
+@st.composite
+def candidate_groups(draw):
+    """(detection centers, annotation centers, reach). An annotation often
+    sits at one reach, one ulp either side of it, or reach * (1 +- 1e-9)
+    from a detection along x or z; coordinates reach 1e15 m, where rounding
+    moves the window bounds; equal keys and duplicate centers are common,
+    and either list may be empty."""
+    reach = draw(st.sampled_from((1.0, 4.0, 0.3)) | st.floats(1e-9, 1e3))
+    value = (st.sampled_from((0.0, 0.5, -7.25, 1e15, -1e15))
+             | st.floats(-1e15, 1e15))
+    dets = draw(st.lists(st.tuples(value, value), max_size=6))
+    edge = st.tuples(st.sampled_from((0.0, 1.0, 1 - 1e-9, 1 + 1e-9)),
+                     st.sampled_from((-1, 1)), st.sampled_from((-1, 0, 1)))
+    anns = []
+    for _ in range(draw(st.integers(0, 8))):
+        if dets and draw(st.booleans()):
+            anns.append(tuple(edge_coordinate(c, reach, *draw(edge))
+                              for c in draw(st.sampled_from(dets))))
+        else:
+            anns.append(draw(st.tuples(value, value)))
+    return dets, anns, reach
+
+
+class TestCandidateTable:
+    """The windowed candidate table against the all-pairs one
+    (``oracles.reference_candidates``)."""
+
+    @given(candidate_groups())
+    # 0.5 - x rounds to 1.0 although x < 0.5 - 1.0: only the slack keeps it
+    @example(([(0.5, 0.0)], [(math.nextafter(-0.5, -math.inf), 0.0)], 1.0))
+    @example(([(1e15, 0.0)], [(1e15 - 4.0, 4.0), (1e15 + 4.0, -4.0)], 4.0))
+    @example(([], [(0.0, 0.0)], 1.0))
+    @example(([(0.0, 0.0)], [], 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_all_pairs_reference(self, group):
+        det_centers, ann_centers, reach = group
+        dets = [det(x, z) for x, z in det_centers]
+        anns = [ann(x, z) for x, z in ann_centers]
+        assert evaluation._candidates(dets, anns, reach) == \
+            reference_candidates(dets, anns, reach)
+
+    def test_distances_only_inside_the_window(self, monkeypatch):
+        # a 10 x 10 grid 5 m apart; each detection has one annotation in its
+        # window, within the 1 m reach for half of them and beyond for the rest
+        anns = [ann(5.0 * a, 5.0 * b) for a in range(10) for b in range(10)]
+        dets = [det(5.0 * a + 0.25, 5.0 * b - 0.5) if (a + b) % 2
+                else det(5.0 * a - 0.9, 5.0 * b + 0.9)
+                for a in range(10) for b in range(10)]
+        calls = []
+        distance = evaluation.bev_center_distance
+        monkeypatch.setattr(evaluation, "bev_center_distance",
+                            lambda p, g: calls.append(1) or distance(p, g))
+        table = evaluation._candidates(dets, anns, 1.0)
+        slack = 1.0 * (1 + 1e-9)
+        window = sum(abs(d.box.center_x - a.box.center_x) <= slack
+                     and abs(d.box.center_z - a.box.center_z) <= slack
+                     for d in dets for a in anns)
+        assert len(calls) == window == 100
+        assert sum(map(len, table)) == 50
+        assert table == reference_candidates(dets, anns, 1.0)
+
+
 class TestAveragePrecision:
     def test_perfect_detector(self):
         scored = [(1.0, True)] * 7
@@ -367,6 +438,43 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(ZeroVariance):
             pearson([1.0], [2.0])
+        # the rounded mean of three 0.1s is not 0.1
+        with pytest.raises(ZeroVariance):
+            pearson([0.1, 0.1, 0.1], [1, 2, 4])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_series(self, scale):
+        assert pearson([0.1, 0.2, 0.3], [scale, 2 * scale, 3 * scale]) == \
+            pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shift", [-1020, -500, 500, 1024])
+    def test_power_of_two_scale_changes_nothing(self, shift):
+        xs, ys = [0.9, -0.9, 0.5, 0.25], [1.0, 2.0, 3.0, 5.0]
+        scaled = [math.ldexp(x, shift) for x in xs]
+        assert pearson(scaled, ys) == pearson(xs, ys)
+        assert pearson(ys, scaled) == pearson(ys, xs)
+
+    @given(st.lists(st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+                    min_size=2, max_size=8),
+           st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_against_exact_fractions(self, steps, x_scale, y_scale):
+        xs = [a * x_scale for a, _ in steps]
+        ys = [b * y_scale for _, b in steps]
+        exact_x, exact_y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+        mean_x, mean_y = sum(exact_x) / len(xs), sum(exact_y) / len(ys)
+        dx, dy = [v - mean_x for v in exact_x], [v - mean_y for v in exact_y]
+        cov = sum(a * b for a, b in zip(dx, dy))
+        var_x, var_y = sum(a * a for a in dx), sum(b * b for b in dy)
+        if var_x == 0 or var_y == 0:
+            with pytest.raises(ZeroVariance):
+                pearson(xs, ys)
+            return
+        r = pearson(xs, ys)
+        r2 = cov * cov / (var_x * var_y)
+        assert math.isclose(r * r, r2, rel_tol=1e-9, abs_tol=1e-12)
+        if r2 > 1e-9:
+            assert (r > 0) == (cov > 0)
 
 
 def perfect_dataset(frames=20, seed=11):
@@ -528,6 +636,12 @@ class TestProtocolConfigValidation:
             ProtocolConfig(range_buckets=((1000000.2, 1000000.3),
                                           (1000000.4, 1000000.5)),
                            match_thresholds=(1, 1))
+
+    def test_rejects_ap_thresholds_with_one_label(self):
+        # both head their table column AP@1m
+        with pytest.raises(ValueError, match="distinct labels"):
+            ProtocolConfig(ap_distance_thresholds=(1.0, 1.0000001))
+        assert ap_label(1.0000001) == ap_label(1.0) == "AP@1m"
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
