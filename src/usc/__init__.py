@@ -12,7 +12,7 @@ from . import errors
 from .constraints import (RepresentativePoints, UscBreakdown, adr, azimuth,
                           bev_constraint, distance_ratio_geomean, iogt_pv,
                           pv_constraint, representative_points, usc_batch,
-                          usc_score, usc_verdict)
+                          usc_score)
 from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
                          Detection, MatchedPair, MatchSet, MetricsReport,
                          ProtocolConfig, UscAggregate, aggregate_usc,
@@ -21,8 +21,9 @@ from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
                          tp_error_means, usc_nds)
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
                        Point3, Rect2D, Segment2D, box_corners, box_volume,
-                       convex_intersection_area, intersection_volume, iogt3d,
-                       iou3d, project_bev, project_pv_rect, segments_intersect,
+                       convex_intersection_area, corner_arrays,
+                       intersection_volume, iogt3d, iogt3d_batch, iou3d,
+                       project_bev, project_pv_rect, segments_intersect,
                        shoelace_area, wrap_angle)
 from .io import (FrameRecord, SyntheticSpec, format_report_table,
                  generate_synthetic, load_config, load_dataset, load_report,

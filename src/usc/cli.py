@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from . import io as uio
 from .errors import UscError, ZeroVariance
 from .evaluation import ProtocolConfig, evaluate, matched_pairs, pearson
-from .loss import LossConfig, iogt_loss, smooth_l1
+from .geometry import iogt3d_batch
+from .loss import LossConfig, smooth_l1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -84,21 +85,28 @@ def cmd_loss(args) -> int:
     if not pairs_by_class:
         print("error: no matched pairs", file=sys.stderr)
         return EXIT_VALIDATION
+    classes = sorted(pairs_by_class)
+    iogt = iogt3d_batch(
+        [pair.detection.box for name in classes for pair in pairs_by_class[name]],
+        [pair.annotation.box for name in classes for pair in pairs_by_class[name]])
     rows = []
-    for class_name in sorted(pairs_by_class):
+    start = 0
+    for class_name in classes:
         class_pairs = pairs_by_class[class_name]
+        stop = start + len(class_pairs)
         l1 = enclosure = blended = 0.0
-        for pair in class_pairs:
+        for pair, pair_iogt in zip(class_pairs, iogt[start:stop].tolist()):
             p, g = pair.detection.box, pair.annotation.box
             pair_l1 = smooth_l1(p, g, loss_config.smooth_l1_beta,
                                 loss_config.yaw_wrapping)
-            pair_enclosure = iogt_loss(p, g)
+            pair_enclosure = 1.0 - pair_iogt
             l1 += pair_l1
             enclosure += pair_enclosure
             blended += loss_config.blend(pair_l1, pair_enclosure)
         n = len(class_pairs)
         rows.append(f"{class_name:<16}{l1 / n:>12.6f}{enclosure / n:>12.6f}"
                     f"{blended / n:>13.6f}")
+        start = stop
     print(f"lambda={loss_config.blend_lambda:g} "
           f"beta={loss_config.smooth_l1_beta:g}")
     print(f"{'class':<16}{'smooth_l1':>12}{'iogt_loss':>12}{'safety_loss':>13}")

@@ -1,7 +1,8 @@
 """Spatial-constraint verdicts and scores for matched box pairs.
 
-A prediction is "safe" when it fully covers its ground truth as seen from
-the vehicle. That requirement decomposes into two checks:
+The paper asks a "safe" prediction to fully cover its ground truth as seen
+from the vehicle. The verdict here is the paper's relaxation of that into
+two checks on bounding shapes:
 
 * PV: the prediction's image-plane rectangle must enclose the ground
   truth's (quantified by IoGT, the intersection area over the ground-truth
@@ -13,6 +14,12 @@ the vehicle. That requirement decomposes into two checks:
 
 The consolidated verdict is the conjunction of both checks; the
 consolidated score is ``IoGT * ADR`` in [0, 1].
+
+The PV check compares the rectangles bounding the eight projected corners,
+not the silhouettes (their convex hulls), so a passing verdict, or a USC of
+1.0, does not certify full coverage: a ray through the ground truth can
+miss the prediction. ``tests/test_constraints.py`` pins such a pair
+(``test_passing_verdict_is_a_rectangle_relaxation``).
 
 Conventions: azimuth is ``atan2(x, z)``, increasing to the right; all BEV
 footprint vertices must lie strictly ahead of the vehicle (z > 0), and ties
@@ -29,9 +36,10 @@ import numpy as np
 
 from .errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
                      GroundTruthAtOrigin, OriginInside, UscError)
-from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, Rect2D,
-                       Segment2D, project_bev, project_pv_rect,
-                       segments_intersect)
+from .geometry import (BATCH_CAP, EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon,
+                       Box3D, Point2, Rect2D, Segment2D, corner_arrays,
+                       map_math, project_bev, project_pv_rect,
+                       segments_intersect, well_formed_footprints)
 
 
 @dataclass(frozen=True)
@@ -184,55 +192,11 @@ def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
     )
 
 
-def usc_verdict(p: Box3D, g: Box3D) -> bool:
-    """Conjunction of the PV and BEV constraints for a box pair."""
-    return usc_score(p, g).verdict
-
-
 # --- batch kernel ------------------------------------------------------------
 
 #: Exclusion reasons reported by ``usc_batch``: reason code ``i + 1`` stands
 #: for ``EXCLUSION_REASONS[i]``, and code 0 for a scored pair.
 EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
-
-#: Most pairs ``usc_batch`` holds in its working arrays at once, which bounds
-#: its memory whatever the batch length.
-_BATCH_CAP = 256
-
-# Local corner sides in ``box_corners`` order (bit 0: x, bit 1: y, bit 2: z).
-_SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-_SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-
-#: The corners ``project_bev`` uses, in its counter-clockwise order.
-_FOOTPRINT = [5, 4, 0, 1]
-
-#: Every pair of footprint vertices, sides and diagonals.
-_VERTEX_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
-
-
-def _map_math(fn, *arrays) -> np.ndarray:
-    """Apply a scalar ``math`` function elementwise. numpy's own hypot,
-    arctan2 and power differ from ``math`` in the last bit on some inputs,
-    and the kernel must match the scalar path bit for bit."""
-    shape = arrays[0].shape
-    flat = [a.ravel().tolist() for a in arrays]
-    return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
-
-
-def _corners(boxes: Sequence[Box3D]):
-    """(n, 8) corner coordinates, the same floats as ``box_corners``."""
-    cx, cy, cz, length, height, width, yaw = np.array(
-        [b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 7).T
-    c = _map_math(math.cos, yaw)[:, None]
-    s = _map_math(math.sin, yaw)[:, None]
-    dx = (length / 2.0)[:, None] * _SIDE_X
-    dy = (height / 2.0)[:, None] * _SIDE_Y
-    dz = (width / 2.0)[:, None] * _SIDE_Z
-    x = cx[:, None] + dx * c + dz * s
-    y = cy[:, None] + dy
-    z = cz[:, None] - dx * s + dz * c
-    return x, y, z
 
 
 def _pv_bounds(x, y, z):
@@ -253,26 +217,22 @@ def _first_min(key, fx, fz) -> np.ndarray:
 def _footprint_terms(x, z):
     """Distances of the closest / rightmost / leftmost footprint vertices, as
     ``representative_points`` picks them, and a mask of the footprints on
-    which ``usc_score`` cannot raise ValueError: finite, every two vertices
-    more than EPS_GEOM apart (BevPolygon rejects a shorter side) and not all
-    four on one bearing (then no facing side is left for
-    ``segments_intersect``)."""
-    fx, fz = x[:, _FOOTPRINT], z[:, _FOOTPRINT]
-    norm = _map_math(math.hypot, fx, fz)
-    bearing = _map_math(math.atan2, fx, fz)
+    which ``usc_score`` cannot raise ValueError: ``BevPolygon`` accepts them
+    and not all four vertices lie on one bearing (then no facing side is
+    left for ``segments_intersect``)."""
+    fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
+    norm = map_math(math.hypot, fx, fz)
+    bearing = map_math(math.atan2, fx, fz)
     picks = np.stack([_first_min(norm, fx, fz), _first_min(-bearing, fx, fz),
                       _first_min(bearing, fx, fz)], axis=1)
-    i, j = _VERTEX_PAIRS
-    apart = np.maximum(abs(fx[:, i] - fx[:, j]), abs(fz[:, i] - fz[:, j]))
-    well_formed = (np.isfinite(fx).all(axis=1) & np.isfinite(fz).all(axis=1)
-                   & (apart > EPS_GEOM).all(axis=1)
+    well_formed = (well_formed_footprints(fx, fz)
                    & (bearing.max(axis=1) != bearing.min(axis=1)))
     return np.take_along_axis(norm, picks, axis=1), well_formed
 
 
 def _usc_chunk(pred_boxes, gt_boxes):
-    p_x, p_y, p_z = _corners(pred_boxes)
-    g_x, g_y, g_z = _corners(gt_boxes)
+    p_x, p_y, p_z = corner_arrays(pred_boxes)
+    g_x, g_y, g_z = corner_arrays(gt_boxes)
     p_behind, p_rect = _pv_bounds(p_x, p_y, p_z)
     g_behind, g_rect = _pv_bounds(g_x, g_y, g_z)
     p_dist, p_well_formed = _footprint_terms(p_x, p_z)
@@ -289,7 +249,7 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # distance_ratio_geomean over (closest, rightmost, leftmost)
     ratio = g_dist / np.maximum(p_dist, g_dist)
     product = ratio[:, 0] * ratio[:, 1] * ratio[:, 2]
-    adr_value = _map_math(pow, product, np.full(len(product), 1.0 / 3))
+    adr_value = map_math(pow, product, np.full(len(product), 1.0 / 3))
 
     usc = iogt * adr_value
     reason = np.zeros(len(usc), dtype=np.int8)
@@ -331,8 +291,8 @@ def usc_batch(pred_boxes: Sequence[Box3D],
     usc = np.empty(len(pred_boxes), dtype=np.float64)
     reason = np.empty(len(pred_boxes), dtype=np.int8)
     with np.errstate(all="ignore"):
-        for start in range(0, len(pred_boxes), _BATCH_CAP):
-            stop = start + _BATCH_CAP
+        for start in range(0, len(pred_boxes), BATCH_CAP):
+            stop = start + BATCH_CAP
             usc[start:stop], reason[start:stop] = _usc_chunk(
                 pred_boxes[start:stop], gt_boxes[start:stop])
     return usc, reason

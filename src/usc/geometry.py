@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
+import numpy as np
+
 from .errors import BehindCamera
 
 #: Point-coincidence / degeneracy tolerance, meters. Its square is also the
@@ -420,9 +422,14 @@ def iou3d(p: Box3D, g: Box3D) -> float:
 def iogt3d(p: Box3D, g: Box3D) -> float:
     """Intersection-over-ground-truth: overlap volume against Vol(g) alone.
 
-    Saturates at 1 exactly when p contains g; unlike IoU it measures
-    enclosure, not alignment. The ground-truth footprint is used as the
-    clipping subject so full containment gives a ratio of exactly 1. The
+    Unlike IoU it measures enclosure, not alignment. The ground-truth
+    footprint is used as the clipping subject so full containment gives a
+    ratio of exactly 1. The converse holds only up to the clip's half-plane
+    slack: a ground-truth footprint sticking out past a prediction side L
+    metres long by at most EPS_GEOM / L metres still counts as covered,
+    while the vertical intervals are compared exactly. So
+    ``iogt3d(Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0), Box3D(0, 0, 10, 2, 1.5, 2, 0))``
+    is 1.0, and the same 4e-10 short in height gives 0.99999999973. The
     prediction is projected only when the vertical intervals overlap.
     Raises ValueError when the ground truth's volume is 0.0, as when its
     height vanishes against a huge ``center_y``.
@@ -435,3 +442,171 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
     vertical = _vertical_overlap(p, g)
     inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
     return min(1.0, inter / volume)
+
+
+# --- batch kernels -----------------------------------------------------------
+
+#: Most pairs a batch kernel (``iogt3d_batch``, ``constraints.usc_batch``)
+#: holds in its working arrays at once, which bounds its memory whatever the
+#: batch length.
+BATCH_CAP = 256
+
+# Local corner sides in ``box_corners`` order (bit 0: x, bit 1: y, bit 2: z).
+_SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+_SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+
+#: The corners ``project_bev`` uses, in its counter-clockwise order.
+FOOTPRINT = [5, 4, 0, 1]
+
+#: Every pair of footprint vertices, sides and diagonals.
+_VERTEX_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+
+#: The next footprint vertex, counter-clockwise.
+_NEXT = [1, 2, 3, 0]
+
+#: Most vertices a clipped footprint holds in ``_clip_rows``: each of the
+#: four clipping edges adds at most one in exact arithmetic.
+_CLIP_SLOTS = 8
+
+
+def map_math(fn, *arrays) -> np.ndarray:
+    """Apply a scalar ``math`` function elementwise. numpy's own hypot,
+    arctan2 and power differ from ``math`` in the last bit on some inputs,
+    and the batch kernels must match the scalar path bit for bit."""
+    shape = arrays[0].shape
+    flat = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
+
+
+def corner_arrays(boxes: Sequence[Box3D]):
+    """(n, 8) arrays of the x, y and z corner coordinates of each box: the
+    array form of ``box_corners``, the same floats in the same order."""
+    cx, cy, cz, length, height, width, yaw = np.array(
+        [b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 7).T
+    c = map_math(math.cos, yaw)[:, None]
+    s = map_math(math.sin, yaw)[:, None]
+    dx = (length / 2.0)[:, None] * _SIDE_X
+    dy = (height / 2.0)[:, None] * _SIDE_Y
+    dz = (width / 2.0)[:, None] * _SIDE_Z
+    x = cx[:, None] + dx * c + dz * s
+    y = cy[:, None] + dy
+    z = cz[:, None] - dx * s + dz * c
+    return x, y, z
+
+
+def well_formed_footprints(fx, fz) -> np.ndarray:
+    """Mask of the (n, 4) footprints, in ``FOOTPRINT`` order, that
+    ``BevPolygon`` accepts: finite, every two vertices more than EPS_GEOM
+    apart in x or z (it rejects a side whose length is no more), and no turn
+    whose cross product, in its arithmetic, is negative (it rejects one
+    below a negative slack)."""
+    i, j = _VERTEX_PAIRS
+    apart = np.maximum(abs(fx[:, i] - fx[:, j]), abs(fz[:, i] - fz[:, j]))
+    side_x, side_z = fx[:, _NEXT] - fx, fz[:, _NEXT] - fz
+    cross = side_x * side_z[:, _NEXT] - side_z * side_x[:, _NEXT]
+    return (np.isfinite(fx).all(axis=1) & np.isfinite(fz).all(axis=1)
+            & (apart > EPS_GEOM).all(axis=1) & (cross >= 0.0).all(axis=1))
+
+
+def _shoelace_rows(x, z, count) -> np.ndarray:
+    """``shoelace_area`` of the first ``count`` vertices of each row, summed
+    in the same order."""
+    width = x.shape[1]
+    acc = np.zeros(len(x))
+    for i in range(width):
+        has_next = i + 1 < count
+        bx = np.where(has_next, x[:, (i + 1) % width], x[:, 0])
+        bz = np.where(has_next, z[:, (i + 1) % width], z[:, 0])
+        acc += np.where(i < count, x[:, i] * bz - bx * z[:, i], 0.0)
+    return abs(acc) / 2.0
+
+
+def _clip_rows(sx, sz, cx, cz):
+    """``_clip_convex`` of each row's subject footprint by its clip
+    footprint, both (n, 4) arrays, with the same arithmetic in the same
+    order.
+
+    Returns the clipped vertices in (n, 8) arrays, their counts, and a mask
+    of the rows whose clip emitted more than 8 vertices at some edge, which
+    rounding can cause; their vertices are cut short.
+    """
+    n = len(sx)
+    slots = np.arange(_CLIP_SLOTS)
+    x = np.zeros((n, _CLIP_SLOTS))
+    z = np.zeros((n, _CLIP_SLOTS))
+    x[:, :4], z[:, :4] = sx, sz
+    count = np.full(n, 4)
+    overflow = np.zeros(n, dtype=bool)
+    for i in range(4):
+        ax, az = cx[:, i, None], cz[:, i, None]
+        ex = cx[:, (i + 1) % 4, None] - ax
+        ez = cz[:, (i + 1) % 4, None] - az
+        inside = ex * (z - az) - ez * (x - ax) >= -EPS_GEOM
+        prev = np.where(slots == 0, count[:, None] - 1, slots - 1)
+        px = np.take_along_axis(x, prev, axis=1)
+        pz = np.take_along_axis(z, prev, axis=1)
+        prev_in = np.take_along_axis(inside, prev, axis=1)
+        # cross_point(prev, point); np.minimum and np.maximum would keep a
+        # NaN that Python's min and max drop
+        den = ex * (z - pz) - ez * (x - px)
+        num = ez * (px - ax) - ex * (pz - az)
+        t = np.where(den != 0.0, num / den, 0.5)
+        t = np.where(t > 0.0, t, 0.0)
+        t = np.where(t < 1.0, t, 1.0)
+        # each vertex emits its crossing point, then itself, into two slots
+        live = slots < count[:, None]
+        emit = np.stack([live & (inside != prev_in), live & inside],
+                        axis=2).reshape(n, -1)
+        count = emit.sum(axis=1)
+        overflow |= count > _CLIP_SLOTS
+        order = np.argsort(~emit, axis=1, kind="stable")[:, :_CLIP_SLOTS]
+        x = np.take_along_axis(np.stack([px + t * (x - px), x], axis=2)
+                               .reshape(n, -1), order, axis=1)
+        z = np.take_along_axis(np.stack([pz + t * (z - pz), z], axis=2)
+                               .reshape(n, -1), order, axis=1)
+        count = np.minimum(count, _CLIP_SLOTS)
+    return x, z, count, overflow
+
+
+def _iogt3d_chunk(preds, gts) -> np.ndarray:
+    p_x, p_y, p_z = corner_arrays(preds)
+    g_x, g_y, g_z = corner_arrays(gts)
+    px, pz = p_x[:, FOOTPRINT], p_z[:, FOOTPRINT]
+    gx, gz = g_x[:, FOOTPRINT], g_z[:, FOOTPRINT]
+    # corners 0 and 2 sit at the bottom and top of the vertical interval;
+    # no bound is NaN, so np.minimum and np.maximum pick as min and max do
+    p_lo, p_hi, g_lo, g_hi = p_y[:, 0], p_y[:, 2], g_y[:, 0], g_y[:, 2]
+    volume = _shoelace_rows(gx, gz, 4) * (g_hi - g_lo)
+    vertical = np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo)
+    x, z, count, overflow = _clip_rows(gx, gz, px, pz)
+    area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)
+    ratio = np.where(vertical > 0.0, area * vertical, 0.0) / volume
+    value = np.where(ratio < 1.0, ratio, 1.0)  # as min(1.0, ratio): NaN reads 1.0
+
+    # Pairs on which iogt3d may raise, or whose clip ran out of slots, go
+    # through it, so that it decides them.
+    scalar = ~(well_formed_footprints(px, pz) & well_formed_footprints(gx, gz)
+               & (volume != 0.0)) | overflow
+    for row in np.flatnonzero(scalar):
+        value[row] = iogt3d(preds[row], gts[row])
+    return value
+
+
+def iogt3d_batch(preds: Sequence[Box3D], gts: Sequence[Box3D]) -> np.ndarray:
+    """``iogt3d`` of many prediction / ground-truth pairs at once.
+
+    Returns a float64 array whose every value equals, bit for bit, what
+    ``iogt3d`` gives for that pair: the kernel repeats its arithmetic in the
+    same order, with ``math`` for the cosine and sine. Pairs on which
+    ``iogt3d`` could raise are passed to it, in pair order, so the first
+    such pair raises the same error here.
+    """
+    if len(preds) != len(gts):
+        raise ValueError(f"{len(preds)} predictions but {len(gts)} ground truths")
+    values = np.empty(len(preds), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(preds), BATCH_CAP):
+            stop = start + BATCH_CAP
+            values[start:stop] = _iogt3d_chunk(preds[start:stop], gts[start:stop])
+    return values

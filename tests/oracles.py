@@ -21,7 +21,7 @@ import numpy as np
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, MatchSet,
                  MatchedPair, bev_center_distance, box_corners,
-                 convex_intersection_area, project_bev)
+                 convex_intersection_area, project_bev, shoelace_area)
 from usc.errors import ParseError, SchemaError
 
 
@@ -411,6 +411,34 @@ def view_coverage_fraction(p: Box3D, g: Box3D, rng: np.ndarray) -> float:
             hits += 1
     return hits / len(world_x)
 
+
+
+def _convex_hull(points):
+    """Counter-clockwise convex hull of 2D points (monotone chain)."""
+    points = sorted(set(points))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for point in points:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], point) <= 0:
+            lower.pop()
+        lower.append(point)
+    for point in reversed(points):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], point) <= 0:
+            upper.pop()
+        upper.append(point)
+    return lower[:-1] + upper[:-1]
+
+
+def silhouette_iogt(p: Box3D, g: Box3D) -> float:
+    """IoGT of the silhouettes the vehicle sees, not of their bounding
+    rectangles: the convex hulls of the eight corners projected to
+    ``(x/z, y/z)``. Both boxes must lie ahead of the camera."""
+    hull_p, hull_g = (_convex_hull([(c.x / c.z, c.y / c.z) for c in box_corners(box)])
+                      for box in (p, g))
+    return convex_intersection_area(hull_g, hull_p) / shoelace_area(hull_g)
 
 # --- reference dataset loader ---------------------------------------------------
 

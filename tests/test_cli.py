@@ -215,6 +215,40 @@ class TestLoss:
             "error: ground-truth volume is 0.0")
         assert main(["eval", "--data", str(data)]) == 0
 
+    def test_first_failing_class_in_sorted_order_reports(self, tmp_path, capsys):
+        # the truck frame comes first in the file, but classes are walked in
+        # sorted order, so the car's error is the one printed
+        truck = {"class": "truck", "center": [0.0, 1e17, 10.0],
+                 "size": [7.0, 3.0, 2.5], "yaw": 0.0}
+        car = {"class": "car", "center": [2.0, 0.0, 12.0],
+               "size": [1e-10, 1, 1], "yaw": 0.0}
+        data = tmp_path / "d.jsonl"
+        data.write_text("".join(json.dumps({
+            "frame_id": f"f{i}", "ground_truths": [box],
+            "predictions": [{**box, "score": 0.9}]}) + "\n"
+            for i, box in enumerate((truck, car))))
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: repeated polygon vertices at index 0")
+
+    def test_thin_prediction_above_its_ground_truth_is_not_projected(
+            self, tmp_path, capsys):
+        gt = {"class": "car", "center": [0.0, 0.0, 10.0],
+              "size": [4.0, 1.5, 1.8], "yaw": 0.0}
+        pred = {"class": "car", "center": [0.0, 5.0, 10.0],
+                "size": [1e-10, 1, 1], "yaw": 0.0, "score": 0.9}
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"frame_id": "f0", "ground_truths": [gt],
+                                    "predictions": [pred]}) + "\n")
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 0
+        name, _, enclosure, _ = captured.out.splitlines()[2].split()
+        assert (name, enclosure) == ("car", "1.000000")
+
 
 class TestSynth:
     def test_same_seed_identical_files(self, tmp_path, capsys):

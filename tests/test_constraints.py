@@ -10,8 +10,9 @@ from usc import (EPS_DEPTH, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, SyntheticSpec, adr, azimuth, bev_constraint,
                  box_corners, distance_ratio_geomean, generate_synthetic,
                  iogt_pv, project_bev, pv_constraint, representative_points,
-                 usc_score, usc_verdict)
+                 usc_score)
 from usc import constraints
+from usc.geometry import BATCH_CAP
 from usc.constraints import EXCLUSION_REASONS, usc_batch
 from usc.errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
                         GroundTruthAtOrigin, OriginInside, UscError)
@@ -253,22 +254,22 @@ class TestUscVerdict:
         g = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
         # scaled x1.5 about the near-bottom corner, nudged toward the vehicle
         p = Box3D(0.5, 0.375, 10.2, 3, 2.25, 3, 0.0)
-        assert usc_verdict(p, g) is True
+        assert usc_score(p, g).verdict is True
 
     def test_prediction_strictly_behind(self):
         g = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
         p = Box3D(0, 0, 12.5, 2, 1.5, 2, 0.0)
-        assert usc_verdict(p, g) is False
+        assert usc_score(p, g).verdict is False
 
     def test_lateral_offset_exposes_truth(self):
         g = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
         p = Box3D(1.2, 0, 10, 2, 1.5, 2, 0.0)
-        assert usc_verdict(p, g) is False
+        assert usc_score(p, g).verdict is False
 
     def test_identity_is_locked_false(self):
         # regression: coincident facing sides overlap, so the BEV check fails
         g = Box3D(0.5, 0, 9, 2.2, 1.4, 1.8, 0.2)
-        assert usc_verdict(g, g) is False
+        assert usc_score(g, g).verdict is False
 
 
 class TestUscScore:
@@ -310,16 +311,32 @@ class TestViewCoverageOracle:
     the object, an exposing one does not."""
 
     def test_covering_versus_exposing_prediction(self):
-        import numpy as np
-        from oracles import view_coverage_fraction
+        from oracles import silhouette_iogt, view_coverage_fraction
         g = Box3D(0.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0)
         covering = Box3D(0.0, 0.0, 9.4, 2.0, 1.5, 4.0, 0.0)
         exposing = Box3D(0.0, 0.0, 10.6, 2.0, 1.5, 4.0, 0.0)
         rays = np.random.default_rng(17).random((4000, 3))
-        assert usc_verdict(covering, g) is True
+        assert usc_score(covering, g).verdict is True
         assert view_coverage_fraction(covering, g, rays) == 1.0
-        assert usc_verdict(exposing, g) is False
+        assert silhouette_iogt(covering, g) == 1.0
+        assert usc_score(exposing, g).verdict is False
         assert view_coverage_fraction(exposing, g, rays) < 1.0
+        assert silhouette_iogt(exposing, g) < 1.0
+
+    def test_passing_verdict_is_a_rectangle_relaxation(self):
+        # The PV check compares bounding rectangles of the projected corners,
+        # not the silhouettes: this prediction passes with USC 1.0 while part
+        # of the ground truth's silhouette lies outside its own.
+        from oracles import silhouette_iogt, view_coverage_fraction
+        g = Box3D(-1.5076, -0.0651, 5.9306, 1.9944, 1.2712, 1.4039, 2.2126)
+        p = Box3D(-1.4908, 0.0038, 5.6067, 2.4373, 1.3445, 1.3987, 2.4238)
+        breakdown = usc_score(p, g)
+        assert breakdown.verdict is True
+        assert breakdown.usc == 1.0
+        assert silhouette_iogt(p, g) < 0.997
+        assert silhouette_iogt(g, g) == 1.0
+        rays = np.random.default_rng(0).random((20_000, 3))
+        assert view_coverage_fraction(p, g, rays) < 1.0
 
 
 def scalar_outcome(p, g):
@@ -457,8 +474,8 @@ class TestUscBatch:
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
         pairs = [(m.detection.box, m.annotation.box)
                  for key in sorted(matched) for m in matched[key]]
-        assert len(pairs) > 2 * constraints._BATCH_CAP
-        pairs.insert(constraints._BATCH_CAP + 1, (BEHIND, AHEAD))
+        assert len(pairs) > 2 * BATCH_CAP
+        pairs.insert(BATCH_CAP + 1, (BEHIND, AHEAD))
 
         def no_scalar_fallback(*args):
             raise AssertionError("well-formed pairs must not reach usc_score")

@@ -10,13 +10,35 @@ from oracles import (MonteCarloOracle, box_volume_reference,
                      intersection_volume_reference, iogt3d_reference,
                      iou3d_reference, segments_intersect_oracle)
 from strategies import boxes, finite
-from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, Segment2D, box_corners,
-                 box_volume, convex_intersection_area, intersection_volume,
-                 iogt3d, iou3d, project_bev, project_pv_rect,
+from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
+                 Segment2D, SyntheticSpec, box_corners, box_volume,
+                 convex_intersection_area, corner_arrays, generate_synthetic,
+                 intersection_volume, iogt3d, iogt3d_batch, iogt_loss, iou3d,
+                 matched_pairs, project_bev, project_pv_rect,
                  segments_intersect, shoelace_area, wrap_angle)
+from usc import geometry
 from usc.errors import BehindCamera
+from usc.geometry import BATCH_CAP
 
 SMALL_MC = MonteCarloOracle(samples=200_000, seed=99)
+
+
+@st.composite
+def overflow_boxes(draw, scale=None):
+    """Boxes whose BEV coordinates and sizes lie between 1e150 and 1e307,
+    where the clip's products overflow to infinity and NaN, 1 m tall at
+    heights that overlap, touch or miss each other."""
+    if scale is None:
+        scale = 10.0 ** draw(finite(150, 307))
+    return Box3D(scale * draw(finite(-1, 1)), draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+                 scale * draw(finite(-1, 1)), scale * draw(finite(0.01, 1)), 1.0,
+                 scale * draw(finite(0.01, 1)), draw(finite(-math.pi, math.pi)))
+
+
+@st.composite
+def overflow_pairs(draw):
+    scale = 10.0 ** draw(finite(150, 307))
+    return draw(overflow_boxes(scale)), draw(overflow_boxes(scale))
 
 
 def corner_set(points):
@@ -62,6 +84,14 @@ class TestBoxCorners:
                           round(box.center_y + dy, 9),
                           round(box.center_z - s * dx + c * dz, 9)))
         assert corner_set(box_corners(box)) == expected
+
+    @given(st.lists(boxes() | overflow_boxes(), max_size=12))
+    @settings(max_examples=100)
+    def test_corner_arrays_are_box_corners(self, box_list):
+        x, y, z = corner_arrays(box_list)
+        assert x.shape == y.shape == z.shape == (len(box_list), 8)
+        expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
+        assert np.stack([x, y, z], axis=2).tobytes() == expected.tobytes()
 
 
 class TestBox3DValidation:
@@ -358,6 +388,18 @@ class TestIogt3d:
     def test_bounds(self, p, g):
         assert 0.0 <= iogt3d(p, g) <= 1.0
 
+    def test_footprint_slack_but_exact_heights(self):
+        # the clip's half-plane slack covers a prediction 4e-10 m too short;
+        # the vertical intervals have no slack
+        g = Box3D(0, 0, 10, 2, 1.5, 2, 0)
+        shorter = Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0)
+        lower = Box3D(0, 0, 10, 2, 1.5 - 4e-10, 2, 0)
+        for measure in (iogt3d, lambda p, g: iogt3d_batch([p], [g])[0]):
+            assert measure(shorter, g) == 1.0
+            assert measure(lower, g) == 0.9999999997333333
+        assert iogt_loss(shorter, g) == 0.0
+        assert iogt_loss(lower, g) > 0.0
+
     @given(boxes(), boxes())
     @settings(max_examples=150)
     def test_containment_iff_full_ratio(self, p, g):
@@ -440,6 +482,202 @@ class TestOverlapAgainstReference:
                     else (ValueError, "repeated polygon vertices at index "
                           f"{0 if g_sides == ('length',) else 1}"))
         assert _outcome(iogt3d, p, g) == expected
+
+
+def assert_batch_matches_iogt3d(pairs):
+    """``iogt3d_batch`` against ``iogt3d`` pair by pair: the same float64
+    bits for every pair that does not raise, the same error for every pair
+    that does, and for the whole batch the error of its first such pair."""
+    expected = [_outcome(iogt3d, p, g) for p, g in pairs]
+    scored = [i for i, value in enumerate(expected) if isinstance(value, float)]
+    values = iogt3d_batch([pairs[i][0] for i in scored],
+                          [pairs[i][1] for i in scored])
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array([expected[i] for i in scored],
+                                        dtype=np.float64).tobytes()
+    errors = [value for value in expected if not isinstance(value, float)]
+    if errors:
+        whole = _outcome(iogt3d_batch, [p for p, _ in pairs], [g for _, g in pairs])
+        assert isinstance(whole, tuple) and whole == errors[0]
+    for (p, g), value in zip(pairs, expected):
+        if not isinstance(value, float):
+            assert _outcome(iogt3d_batch, [p], [g]) == value
+
+
+# At overflow scale: clamping the crossing parameter with np.minimum and
+# np.maximum keeps a NaN that Python's min and max drop, and reads 0.0 on
+# this pair where iogt3d reads 1.0.
+OVERFLOW_PAIR = (
+    Box3D(3.708513582821271e+156, 0.0, -1.0235567660606691e+156,
+          4.02046377966548e+156, 1.0, 3.1240723233058217e+156, -2.6493865948092647),
+    Box3D(1.1174764418204777e+156, 0.0, 1.98670721811444e+156,
+          7.740747470861453e+156, 1.0, 6.259342908031175e+156, -1.21939699846706))
+
+BOX_LIST = [Box3D(0.3 * i, 0.1 * i, 10 + 0.2 * i, 2 + 0.1 * i, 1.5, 2, 0.2 * i)
+            for i in range(14)]
+
+
+class TestIogt3dBatch:
+    """The kernel against the scalar ``iogt3d``, bit for bit and error for
+    error."""
+
+    @given(st.lists(overlap_pairs(), max_size=30))
+    @settings(max_examples=150)
+    def test_overlap_pairs(self, pairs):
+        assert_batch_matches_iogt3d(pairs)
+
+    @pytest.mark.parametrize("p_sides, g_sides", [
+        ((), ("length",)), (("width",), ()), (("width",), ("length",)),
+        (("length", "width"), ("width",))])
+    @pytest.mark.parametrize("center_y", [0.3, 5.0])
+    def test_thin_boxes(self, p_sides, g_sides, center_y):
+        g = _thin(Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4), g_sides)
+        p = _thin(Box3D(0.5, center_y, 9.3, 2.0, 1.6, 4.5, 0.5), p_sides)
+        assert_batch_matches_iogt3d([(p, g), (g, p), (g, g)])
+
+    def test_hand_cases(self):
+        g = Box3D(0, 0, 10, 2, 1.5, 2, 0)
+        cases = [
+            (Box3D(0, 0, 10, 3, 2, 3, 0), g),  # containment
+            (g, Box3D(0, 0, 10, 3, 2, 3, 0)),  # contained
+            (g, g),
+            (Box3D(2, 0, 10, 2, 1.5, 2, 0), g),  # touching along an edge
+            (Box3D(2, 0, 12, 2, 1.5, 2, 0), g),  # sharing one vertex
+            (Box3D(1, 0, 11, 2, 1.5, 2, math.pi / 4), g),  # centred on g's corner
+            (Box3D(0, 1.5, 10, 2, 1.5, 2, 0), g),  # touching vertically
+            (Box3D(0, 3.0, 10, 2, 1.5, 2, 0), g),  # vertically disjoint
+            (Box3D(0, 0.75, 10.5, 2, 1.5, 2, 0.3), g),
+            (Box3D(4, 0, 10, 1, 1, 1, 0), g),  # disjoint
+        ]
+        assert_batch_matches_iogt3d(cases)
+        values = iogt3d_batch([p for p, _ in cases], [g for _, g in cases])
+        assert values[:3].tolist() == [1.0, 1 / 3, 1.0]
+        assert values[[3, 4, 6, 7, 9]].tolist() == [0.0] * 5
+
+    def test_zero_volume_ground_truth(self):
+        flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        ahead = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
+        assert_batch_matches_iogt3d([(ahead, ahead), (ahead, flat), (flat, ahead)])
+
+    @given(st.lists(overflow_pairs(), min_size=1, max_size=40))
+    @settings(max_examples=100)
+    def test_overflow_scale(self, pairs):
+        assert_batch_matches_iogt3d(pairs)
+
+    def test_overflow_scale_nan_crossing(self):
+        assert iogt3d(*OVERFLOW_PAIR) == 1.0
+        assert_batch_matches_iogt3d([OVERFLOW_PAIR])
+
+    @pytest.mark.parametrize("p, g", [
+        (Box3D(3.2499999985857864, 0, 0.2500000014142135, 0.5, 1, 1.0, 2.356194490192345),
+         Box3D(3.25, 0, 0.25, 0.5, 1, 1.0, 2.356194490192345)),
+        (Box3D(-3.2499999985857864, 0, 0.5000000014142135, 2.5, 1, 0.5, 2.356194490192345),
+         Box3D(-3.25, 0, 0.5, 2.5, 1, 0.5, 2.356194490192345)),
+    ])
+    def test_crossing_with_zero_denominator(self, p, g):
+        # a side of g parallel to one of p's, about EPS_GEOM outside it: the
+        # clip takes a crossing point on a segment parallel to the edge
+        assert iogt3d(p, g) < 1.0
+        assert_batch_matches_iogt3d([(p, g)])
+
+    def test_vertex_exactly_at_the_slack(self):
+        # g's near corners give p's near edge a half-plane value of exactly
+        # -EPS_GEOM, which counts as inside
+        near_edge = EPS_GEOM / 0.125
+        p = Box3D(0.0, 0.0, near_edge + 2.0 ** -30, 0.125, 1.0, 2.0 ** -29, 0.0)
+        g = Box3D(0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
+        a, b = project_bev(p).vertices[2:]
+        assert (b.x - a.x) * (0.0 - a.z) - (b.z - a.z) * (-0.5 - a.x) == -EPS_GEOM
+        assert_batch_matches_iogt3d([(p, g)])
+
+    def test_batch_longer_than_two_chunks(self, monkeypatch):
+        frames = generate_synthetic(SyntheticSpec(
+            seed=7, frames=120, objects_min=2, objects_max=8, depth_bias=0.2,
+            lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
+        matched, _, _ = matched_pairs(frames, ProtocolConfig())
+        pairs = [(m.detection.box, m.annotation.box)
+                 for key in sorted(matched) for m in matched[key]]
+        assert len(pairs) > 2 * BATCH_CAP
+        expected = [iogt3d(p, g) for p, g in pairs]
+
+        def no_scalar_fallback(*args):
+            raise AssertionError("well-formed pairs must not reach iogt3d")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "iogt3d", no_scalar_fallback)
+            values = iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert values.tobytes() == np.array(expected).tobytes()
+
+        thin = _thin(pairs[0][1], ("length",))
+        flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        pairs.insert(2 * BATCH_CAP + 3, (pairs[0][0], flat))
+        pairs.insert(BATCH_CAP + 1, (pairs[0][0], thin))
+        with pytest.raises(ValueError, match="^repeated polygon vertices"):
+            iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert_batch_matches_iogt3d(pairs)
+
+    def test_clip_out_of_slots_goes_to_iogt3d(self, monkeypatch):
+        # no box pair is known to run the clip out of its 8 slots, so a
+        # stand-in reports every other row out of slots, with no vertices
+        pairs = list(zip(BOX_LIST[1:], BOX_LIST))
+        expected = [iogt3d(p, g) for p, g in pairs]
+        clip_rows, calls = geometry._clip_rows, []
+
+        def out_of_slots(*args):
+            x, z, count, overflow = clip_rows(*args)
+            overflow[::2] = True
+            count[::2] = 0
+            return x, z, count, overflow
+
+        def counted(p, g):
+            calls.append((p, g))
+            return iogt3d(p, g)
+
+        monkeypatch.setattr(geometry, "_clip_rows", out_of_slots)
+        monkeypatch.setattr(geometry, "iogt3d", counted)
+        values = iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert values.tolist() == expected
+        assert calls == pairs[::2]
+
+    def test_clip_rows_against_clip_convex(self):
+        # arbitrary quadrilaterals, non-convex ones included, clipped by a
+        # rotated rectangle; a few run out of slots
+        rng = np.random.default_rng(5)
+        subject = rng.integers(-3, 4, size=(2000, 2, 4)).astype(float)
+        clip = np.array(project_bev(Box3D(0.5, 0, 0.25, 2.5, 1, 2, 0.3)).vertices).T
+        with np.errstate(all="ignore"):
+            x, z, count, overflow = geometry._clip_rows(
+                subject[:, 0], subject[:, 1], np.tile(clip[0], (2000, 1)),
+                np.tile(clip[1], (2000, 1)))
+        assert 0 < overflow.sum() < 100
+        for row in np.flatnonzero(~overflow):
+            expected = geometry._clip_convex(subject[row].T.tolist(), clip.T.tolist())
+            got = np.stack([x[row], z[row]], axis=1)[:count[row]]
+            assert got.tolist() == [list(v) for v in expected]
+
+    @pytest.mark.parametrize("scale", [1.0, EPS_GEOM / 2, 1e308])
+    def test_well_formed_footprints_pass_bev_polygon(self, scale):
+        # arbitrary quadrilaterals: clockwise, reflex, repeated or collinear
+        # vertices, overflowing coordinates at the largest scale
+        rng = np.random.default_rng(11)
+        with np.errstate(all="ignore"):
+            quads = rng.integers(-2, 3, size=(3000, 2, 4)) * scale
+            quads[::7] = np.array([[1, -1, -1, 1], [1, 1, -1, -1]]) * scale
+            well_formed = geometry.well_formed_footprints(quads[:, 0], quads[:, 1])
+        assert 0 < well_formed.sum() < len(quads)
+        for quad, accepted in zip(quads, well_formed):
+            try:
+                BevPolygon(tuple(quad.T.tolist()))
+            except ValueError:
+                assert not accepted
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
+            iogt3d_batch(BOX_LIST[:2], BOX_LIST[:1])
+
+    def test_empty_batch(self):
+        values = iogt3d_batch([], [])
+        assert values.shape == (0,) and values.dtype == np.float64
 
 
 class TestRigidInvariance:
