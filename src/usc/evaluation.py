@@ -1,10 +1,11 @@
 """Dataset-level evaluation protocol.
 
-Pipeline: one walk over frames and their classes. Per (frame, class), one
-candidate table of BEV center distances serves the protocol match (each
-annotation limited by its bucket's threshold) and one match per AP distance
-threshold; it computes distances only inside an x/z window of the largest
-threshold around each detection. In each match, detections by descending
+Pipeline: one walk over frames and their classes, the one way into the
+matcher (``matched_pairs`` exposes it). Per (frame, class), one candidate
+table of BEV center distances serves the protocol match (each annotation
+limited by its bucket's threshold) and one match per AP distance threshold;
+it computes distances only inside an x/z window of the largest threshold
+around each detection. In each match, detections by descending
 score take the nearest untaken annotation within the limit. Objects are
 grouped into range buckets by the ground-truth center distance; matched
 detections inherit their annotation's bucket, unmatched detections fall
@@ -90,15 +91,6 @@ class MatchedPair:
     center_distance: float
 
 
-@dataclass
-class MatchSet:
-    """One-to-one assignment of detections to annotations plus the residue."""
-
-    pairs: List[MatchedPair]
-    false_positives: List[Detection]
-    false_negatives: List[Annotation]
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Evaluation protocol parameters; defaults implement the near-field
@@ -139,6 +131,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown TP measures: {sorted(unknown)}")
         if not measures:
             raise ValueError("at least one TP measure is required")
+        if len(set(measures)) != len(measures):
+            raise ValueError("TP measures must be distinct")
         object.__setattr__(self, "range_buckets", buckets)
         object.__setattr__(self, "match_thresholds", thresholds)
         object.__setattr__(self, "ap_distance_thresholds", ap_thresholds)
@@ -254,25 +248,6 @@ def _greedy(order: Sequence[int], table, limits: Sequence[float]):
                 match[i] = (j, d)
                 break
     return match, taken
-
-
-def match_frame(dets: Sequence[Detection], anns: Sequence[Annotation],
-                class_name: str, threshold: float) -> MatchSet:
-    """Match one frame's detections of a class to its annotations.
-
-    Detections are taken in descending score order (input order on ties) and
-    each grabs the closest unmatched annotation within the distance
-    threshold; leftovers become false positives / negatives.
-    """
-    dets = [d for d in dets if d.class_name == class_name]
-    anns = [a for a in anns if a.class_name == class_name]
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    table = _candidates(dets, anns, threshold)
-    match, taken = _greedy(order, table, [threshold] * len(anns))
-    return MatchSet([MatchedPair(dets[i], anns[match[i][0]], match[i][1])
-                     for i in order if match[i] is not None],
-                    [det for det, m in zip(dets, match) if m is None],
-                    [ann for ann, t in zip(anns, taken) if not t])
 
 
 def average_precision(scored_matches: Sequence[Tuple[float, bool]],
@@ -500,7 +475,11 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
 def matched_pairs(frames, config: ProtocolConfig):
     """Match every frame, each annotation at its own bucket's threshold;
     annotations outside all buckets are dropped. Returns per (class, bucket):
-    matched pairs, false positives, false negatives."""
+    matched pairs, false positives, false negatives.
+
+    The one public entry point to the matcher. To match at a single
+    threshold, give the config one bucket that covers every object and that
+    threshold."""
     return _walk(frames, config, ())[:3]
 
 

@@ -5,24 +5,30 @@ than the implementation under test: volumes by Monte Carlo sampling,
 segment predicates by orientation tests, matching by exhaustive assignment
 enumeration, average precision by a hand-rolled staircase walk, and view
 coverage by ray casting. The greedy matcher is also kept here in its
-original per-pair form, as the reference for the library's shared
-candidate table, and that table in its all-pairs form, as the reference
-for the library's windowed one; the overlap measures in their original
-form, which project a box afresh for every factor, as the reference for
-the library's one projection per box; and the dataset loader in its
-field-by-field form, as the reference for the library's whole-object check.
+original per-pair form, as the reference for ``matched_pairs``, the
+library's one matcher entry point, and its shared candidate table; that
+table in its all-pairs form, as the reference for the library's windowed
+one; the overlap measures in their original form, which project a box
+afresh for every factor, as the reference for the library's one projection
+per box; and the dataset loader in its field-by-field form, as the
+reference for the library's whole-object check. The whole report is
+rebuilt from the documented definitions by ``reference_evaluate``.
 """
 
 import itertools
 import json
 import math
+from fractions import Fraction
+from typing import List, NamedTuple
 
 import numpy as np
 
-from usc import (Annotation, Box3D, Detection, FrameRecord, MatchSet,
-                 MatchedPair, bev_center_distance, box_corners,
-                 convex_intersection_area, project_bev, shoelace_area)
-from usc.errors import ParseError, SchemaError
+from usc import (Annotation, Box3D, BucketSummary, ClassBucketMetrics,
+                 Detection, FrameRecord, MatchedPair, MetricsReport,
+                 bev_center_distance, box_corners, convex_intersection_area,
+                 project_bev, shoelace_area, usc_score)
+from usc.errors import (BehindCamera, DegenerateGroundTruth, ParseError,
+                        SchemaError)
 
 
 # --- Monte Carlo volume oracle ------------------------------------------------
@@ -262,7 +268,15 @@ def optimal_assignment(distances, threshold: float):
 # --- reference greedy matcher ---------------------------------------------------
 
 
-def greedy_match(dets, anns, threshold_of) -> MatchSet:
+class GreedyMatch(NamedTuple):
+    """One-to-one assignment of detections to annotations plus the residue."""
+
+    pairs: List[MatchedPair]
+    false_positives: List[Detection]
+    false_negatives: List[Annotation]
+
+
+def greedy_match(dets, anns, threshold_of) -> GreedyMatch:
     """Greedy score-descending matching; threshold_of(ann) bounds each pair.
 
     The library's original matcher, kept as the reference for the shared
@@ -286,7 +300,7 @@ def greedy_match(dets, anns, threshold_of) -> MatchSet:
             pairs.append(MatchedPair(dets[i], anns[best_j], best_d))
     fps = [d for i, d in enumerate(dets) if not matched_det[i]]
     fns = [a for j, a in enumerate(anns) if not taken[j]]
-    return MatchSet(pairs, fps, fns)
+    return GreedyMatch(pairs, fps, fns)
 
 
 def reference_candidates(dets, anns, reach):
@@ -368,6 +382,150 @@ def ap_oracle(scored_matches, num_ground_truths: int):
     return total / 90.0 / 0.9
 
 
+# --- reference evaluator ---------------------------------------------------------
+
+
+def _mean(values):
+    return sum(values) / len(values) if values else None
+
+
+def _tp_error(measure, pair):
+    """One matched pair's true-positive error: ATE the BEV center distance,
+    ASE one minus the product of the length, height and width min/max
+    ratios, AOE the yaw difference wrapped to [0, pi], AVE the norm of the
+    velocity difference, AAE 1 on an attribute mismatch and 0 otherwise."""
+    p, g = pair.detection, pair.annotation
+    if measure == "ATE":
+        return pair.center_distance
+    if measure == "ASE":
+        ratio = 1.0
+        for a, b in ((p.box.length, g.box.length), (p.box.height, g.box.height),
+                     (p.box.width, g.box.width)):
+            ratio *= min(a, b) / max(a, b)
+        return 1.0 - ratio
+    if measure == "AOE":
+        return abs(math.remainder(p.box.yaw - g.box.yaw, 2.0 * math.pi))
+    if measure == "AVE":
+        return math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
+    return 0.0 if p.attribute == g.attribute else 1.0
+
+
+def _reference_summary(slices, config):
+    """One bucket's summary by the documented rules: the counts cover every
+    class; the metrics average over the classes with in-range ground truth,
+    or over all when classes are not skipped; an absent class scores worst
+    case (AP 0, errors 1, AUSC 0); a present class whose every pair was
+    excluded from USC stays out of mAUSC."""
+    aps, ausc = [], []
+    errors = {name: [] for name in config.tp_measures}
+    for m in slices:
+        present = m.tp + m.fn > 0
+        if not present and config.skip_missing_classes:
+            continue
+        for value in m.ap.values():
+            aps.append(value if present else 0.0)
+        for name in config.tp_measures:
+            errors[name].append(m.tp_errors[name] if present else 1.0)
+        if not present:
+            ausc.append(0.0)
+        elif m.ausc is not None:
+            ausc.append(m.ausc)
+    mean_ap, mausc = _mean(aps), _mean(ausc)
+    tp_errors = {name: _mean(values) for name, values in errors.items()}
+    nds = usc_nds = None
+    if mean_ap is not None:
+        k = len(config.tp_measures)
+        nds = (k * mean_ap + sum(1.0 - min(1.0, e) for e in tp_errors.values())) / (2 * k)
+        if mausc is not None:
+            usc_nds = (nds + mausc) / 2.0
+    return BucketSummary(mean_ap=mean_ap, nds=nds, mausc=mausc, usc_nds=usc_nds,
+                         tp_errors=tp_errors,
+                         tp=sum(m.tp for m in slices), fp=sum(m.fp for m in slices),
+                         fn=sum(m.fn for m in slices),
+                         usc_excluded=sum(m.usc_excluded for m in slices))
+
+
+def reference_evaluate(frames, config):
+    """The report rebuilt from its documented definitions with plain loops:
+    ``reference_walk`` for the protocol's pairs and, at each AP distance
+    threshold, for the (score, is TP) labels; ``ap_oracle`` for AP;
+    ``usc_score`` on every pair, a BehindCamera or DegenerateGroundTruth
+    pair excluded from AUSC and counted; the bucket rules of
+    ``_reference_summary``; and the overall metrics as the means of the
+    buckets' defined ones. A class with nothing matched in a bucket scores
+    worst case there (errors 1, AUSC 0) if it has ground truth in it, and
+    None otherwise. AVE and AAE need velocities and attributes on every
+    object."""
+    frames = list(frames)
+
+    def bucket_of(box):
+        return config.bucket_index(math.hypot(box.center_x, box.center_z))
+
+    pairs, fps, fns = reference_walk(
+        frames, config, lambda ann: config.match_thresholds[bucket_of(ann.box)])
+    labels = {}
+    for t in config.ap_distance_thresholds:
+        t_pairs, t_fps, _ = reference_walk(frames, config, lambda _ann: t)
+        for key, matched in t_pairs.items():
+            labels.setdefault((t, key), []).extend(
+                (pair.detection.score, True) for pair in matched)
+        for key, dets in t_fps.items():
+            labels.setdefault((t, key), []).extend((det.score, False) for det in dets)
+    classes = sorted({ann.class_name for frame in frames for ann in frame.ground_truths
+                      if bucket_of(ann.box) is not None})
+    report = MetricsReport(
+        range_buckets=list(config.range_buckets), classes=classes,
+        ap_distance_thresholds=list(config.ap_distance_thresholds),
+        tp_measures=list(config.tp_measures), frames=len(frames),
+        per_class={class_name: {} for class_name in classes})
+    for b, (near, far) in enumerate(config.range_buckets):
+        label = f"[{near:g},{far:g})"
+        slices = []
+        for class_name in classes:
+            key = (class_name, b)
+            matched = pairs.get(key, [])
+            n_gt = len(matched) + len(fns.get(key, []))
+            scores = []
+            for pair in matched:
+                try:
+                    scores.append(usc_score(pair.detection.box, pair.annotation.box).usc)
+                except (BehindCamera, DegenerateGroundTruth):
+                    pass
+            if matched:
+                errors = {name: _mean([_tp_error(name, pair) for pair in matched])
+                          for name in config.tp_measures}
+                ausc = _mean(scores)
+            else:
+                errors = {name: 1.0 if n_gt else None for name in config.tp_measures}
+                ausc = 0.0 if n_gt else None
+            metrics = ClassBucketMetrics(
+                ap={t: ap_oracle(labels.get((t, key), []), n_gt)
+                    for t in config.ap_distance_thresholds},
+                tp_errors=errors, ausc=ausc, tp=len(matched),
+                fp=len(fps.get(key, [])), fn=n_gt - len(matched),
+                usc_excluded=len(matched) - len(scores))
+            report.per_class[class_name][label] = metrics
+            slices.append(metrics)
+        report.per_bucket[label] = _reference_summary(slices, config)
+
+    summaries = list(report.per_bucket.values())
+
+    def overall(values):
+        return _mean([v for v in values if v is not None])
+
+    report.overall = BucketSummary(
+        mean_ap=overall(s.mean_ap for s in summaries),
+        nds=overall(s.nds for s in summaries),
+        mausc=overall(s.mausc for s in summaries),
+        usc_nds=overall(s.usc_nds for s in summaries),
+        tp_errors={name: overall(s.tp_errors[name] for s in summaries)
+                   for name in config.tp_measures},
+        tp=sum(s.tp for s in summaries), fp=sum(s.fp for s in summaries),
+        fn=sum(s.fn for s in summaries),
+        usc_excluded=sum(s.usc_excluded for s in summaries))
+    return report
+
+
 # --- ray-coverage oracle ---------------------------------------------------------
 
 
@@ -439,6 +597,22 @@ def silhouette_iogt(p: Box3D, g: Box3D) -> float:
     hull_p, hull_g = (_convex_hull([(c.x / c.z, c.y / c.z) for c in box_corners(box)])
                       for box in (p, g))
     return convex_intersection_area(hull_g, hull_p) / shoelace_area(hull_g)
+
+
+def hull_contains(points, queries) -> bool:
+    """Whether every query point lies in the convex hull of ``points``,
+    boundary included, decided exactly: each float becomes a Fraction, so
+    every orientation test is exact. A hull of fewer than three vertices
+    contains nothing."""
+    hull = _convex_hull([(Fraction(u), Fraction(v)) for u, v in points])
+    if len(hull) < 3:
+        return False
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    for u, v in queries:
+        q = (Fraction(u), Fraction(v))
+        if any(_orient(a, b, q) < 0 for a, b in edges):
+            return False
+    return True
 
 # --- reference dataset loader ---------------------------------------------------
 

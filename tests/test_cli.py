@@ -1,8 +1,11 @@
+import importlib
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -14,6 +17,9 @@ from usc.cli import main
 
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
                         node_paths, replaced)
+
+#: the checkout's root, where ``pyproject.toml`` and ``src`` are
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_dataset(path, seed=11, frames=25, **spec_kwargs):
@@ -135,6 +141,16 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err == \
             "error: AP distance thresholds must have distinct labels\n"
+
+    def test_repeated_tp_measure_is_schema_error(self, tmp_path, capsys):
+        # equal once upper-cased; a report listing ATE twice would not load
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, frames=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tp_measures": ["ATE", "ate"]}))
+        code = main(["eval", "--data", str(data), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: TP measures must be distinct\n"
 
     def test_deeply_nested_config_is_parse_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -663,5 +679,22 @@ class TestEntryPoint:
         if exe is None:
             pytest.skip("console script not on PATH")
         result = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert "eval" in result.stdout
+
+    def test_script_names_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["usc"]
+        module, _, name = target.partition(":")
+        assert (module, name) == ("usc.cli", "main")
+        assert getattr(importlib.import_module(module), name) is main
+
+    def test_module_runs_from_source(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "usc.cli", "--help"],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "eval" in result.stdout

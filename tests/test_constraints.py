@@ -3,14 +3,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from strategies import boxes, frontal_boxes, frontal_pairs
+from oracles import hull_contains
+from strategies import boxes, finite, frontal_boxes, frontal_pairs
 from usc import (EPS_DEPTH, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, SyntheticSpec, adr, azimuth, bev_constraint,
                  box_corners, distance_ratio_geomean, generate_synthetic,
-                 iogt_pv, project_bev, pv_constraint, representative_points,
-                 usc_score)
+                 iogt_pv, project_bev, project_pv_rect, pv_constraint,
+                 representative_points, usc_score)
 from usc import constraints
 from usc.geometry import BATCH_CAP
 from usc.constraints import EXCLUSION_REASONS, usc_batch
@@ -337,6 +338,44 @@ class TestViewCoverageOracle:
         assert silhouette_iogt(g, g) == 1.0
         rays = np.random.default_rng(0).random((20_000, 3))
         assert view_coverage_fraction(p, g, rays) < 1.0
+
+
+def pv_points(box):
+    """Each corner's (u, v): the floats ``project_pv_rect`` bounds."""
+    return [(c.x / c.z, c.y / c.z) for c in box_corners(box)]
+
+
+@st.composite
+def grown_pairs(draw):
+    """A frontal ground truth and a prediction grown from it by 0-40% per
+    dimension, its center moved by up to 0.2 m and its yaw by up to 0.1."""
+    g = draw(frontal_boxes())
+    p = Box3D(g.center_x + draw(finite(-0.2, 0.2)),
+              g.center_y + draw(finite(-0.2, 0.2)),
+              g.center_z + draw(finite(-0.2, 0.2)),
+              g.length * draw(finite(1.0, 1.4)),
+              g.height * draw(finite(1.0, 1.4)),
+              g.width * draw(finite(1.0, 1.4)),
+              g.yaw + draw(finite(-0.1, 0.1)))
+    assume(p.center_z - math.hypot(p.length, p.width) / 2.0 > 0.3)
+    return p, g
+
+
+class TestHullImpliesPvConstraint:
+    """The direction that does hold between the silhouettes and the PV
+    rectangles: when every ground-truth corner's (u, v) lies in the convex
+    hull of the prediction's, decided exactly on the same floats, the
+    prediction's rectangle encloses the ground truth's. The converse fails
+    (``test_passing_verdict_is_a_rectangle_relaxation``)."""
+
+    @given(grown_pairs())
+    @example((Box3D(0.3, 0.1, 8.0, 4.2, 1.6, 1.9, 0.4),
+              Box3D(0.3, 0.1, 8.0, 4.2, 1.6, 1.9, 0.4)))
+    @settings(max_examples=300, deadline=None)
+    def test_corners_in_hull_pass_pv(self, pair):
+        p, g = pair
+        assume(hull_contains(pv_points(p), pv_points(g)))
+        assert pv_constraint(project_pv_rect(p), project_pv_rect(g)) is True
 
 
 def scalar_outcome(p, g):

@@ -1,16 +1,17 @@
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (ap_oracle, greedy_match, optimal_assignment,
-                     reference_candidates, reference_walk)
+from oracles import (ap_oracle, optimal_assignment, reference_candidates,
+                     reference_evaluate, reference_walk)
+from strategies import finite
 from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
-                 evaluate, generate_synthetic, match_frame, matched_pairs,
+                 evaluate, generate_synthetic, matched_pairs,
                  nds, pearson, tp_error_means, usc_nds, usc_score,
                  SyntheticSpec, FrameRecord)
 from usc import evaluation
@@ -41,38 +42,52 @@ class TestBevCenterDistance:
         assert bev_center_distance(box(y=0.0), box(y=2.5)) == 0.0
 
 
-class TestMatchFrame:
+def match_one_bucket(dets, anns, threshold, class_name="car"):
+    """``matched_pairs`` on one frame under one bucket that covers every
+    object, matched at ``threshold``: the pairs, false positives and false
+    negatives of ``class_name``."""
+    config = ProtocolConfig(range_buckets=((0.0, 100.0),),
+                            match_thresholds=(threshold,))
+    pairs, fps, fns = matched_pairs([FrameRecord("f", anns, dets)], config)
+    key = (class_name, 0)
+    return pairs.get(key, []), fps.get(key, []), fns.get(key, [])
+
+
+class TestMatchedPairsOneBucket:
     def test_single_match(self):
-        result = match_frame([det(0.5, 10)], [ann(0, 10)], "car", threshold=1.0)
-        assert len(result.pairs) == 1
-        assert result.pairs[0].center_distance == pytest.approx(0.5)
-        assert not result.false_positives and not result.false_negatives
+        pairs, fps, fns = match_one_bucket([det(0.5, 10)], [ann(0, 10)], 1.0)
+        assert len(pairs) == 1
+        assert pairs[0].center_distance == pytest.approx(0.5)
+        assert not fps and not fns
 
     def test_higher_score_wins_contested_annotation(self):
         close_weak = det(0.2, 10, score=0.5)
         far_strong = det(0.6, 10, score=0.9)
-        result = match_frame([close_weak, far_strong], [ann(0, 10)], "car", 1.0)
-        assert len(result.pairs) == 1
-        assert result.pairs[0].detection is far_strong
-        assert result.false_positives == [close_weak]
+        pairs, fps, _ = match_one_bucket([close_weak, far_strong], [ann(0, 10)], 1.0)
+        assert len(pairs) == 1
+        assert pairs[0].detection is far_strong
+        assert fps == [close_weak]
 
     def test_beyond_threshold(self):
-        result = match_frame([det(1.5, 10)], [ann(0, 10)], "car", threshold=1.0)
-        assert not result.pairs
-        assert len(result.false_positives) == 1
-        assert len(result.false_negatives) == 1
+        pairs, fps, fns = match_one_bucket([det(1.5, 10)], [ann(0, 10)], 1.0)
+        assert not pairs
+        assert len(fps) == 1
+        assert len(fns) == 1
 
     def test_one_to_one(self):
         dets = [det(0.1, 10, score=0.9), det(0.2, 10, score=0.8)]
         anns = [ann(0, 10), ann(0.3, 10)]
-        result = match_frame(dets, anns, "car", 1.0)
-        assert len(result.pairs) == 2
-        assert len({id(p.annotation) for p in result.pairs}) == 2
+        pairs, _, _ = match_one_bucket(dets, anns, 1.0)
+        assert len(pairs) == 2
+        assert len({id(p.annotation) for p in pairs}) == 2
 
     def test_filters_other_classes(self):
-        result = match_frame([det(cls="truck")], [ann(cls="car")], "car", 1.0)
-        assert not result.pairs and not result.false_positives
-        assert len(result.false_negatives) == 1
+        truck = det(cls="truck")
+        pairs, fps, fns = match_one_bucket([truck], [ann(cls="car")], 1.0)
+        assert not pairs and not fps
+        assert len(fns) == 1
+        _, truck_fps, _ = match_one_bucket([truck], [ann(cls="car")], 1.0, "truck")
+        assert truck_fps == [truck]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -83,16 +98,16 @@ class TestMatchFrame:
                 for _ in range(n_det)]
         anns = [ann(rng.uniform(-3, 3), rng.uniform(8, 12)) for _ in range(n_ann)]
         threshold = rng.uniform(0.5, 3.0)
-        result = match_frame(dets, anns, "car", threshold)
-        assert all(p.center_distance <= threshold for p in result.pairs)
-        assert len(result.pairs) + len(result.false_positives) == n_det
-        assert len(result.pairs) + len(result.false_negatives) == n_ann
+        pairs, fps, fns = match_one_bucket(dets, anns, threshold)
+        assert all(p.center_distance <= threshold for p in pairs)
+        assert len(pairs) + len(fps) == n_det
+        assert len(pairs) + len(fns) == n_ann
         distances = [[bev_center_distance(d.box, a.box) for a in anns] for d in dets]
         best_count, best_total = optimal_assignment(distances, threshold)
-        greedy_total = sum(p.center_distance for p in result.pairs)
-        assert len(result.pairs) <= best_count
+        greedy_total = sum(p.center_distance for p in pairs)
+        assert len(pairs) <= best_count
         # greedy bound: every matched distance is below the threshold
-        assert greedy_total <= best_total + threshold * len(result.pairs) + 1e-9
+        assert greedy_total <= best_total + threshold * len(pairs) + 1e-9
 
 
 #: A frame with every tie and boundary the greedy matcher must break the
@@ -130,12 +145,15 @@ def tie_scenes(draw):
     return frames
 
 
+#: Per-bucket thresholds, then one bucket covering every GRID_Z at one
+#: threshold, which is matching a class at a single threshold.
 REFERENCE_CONFIGS = (
     ProtocolConfig(),
     ProtocolConfig(range_buckets=((0, 5), (5, 10), (10, 20)),
                    match_thresholds=(0.5, 1, 2),
                    ap_distance_thresholds=(0.5, 1, 1.5, 2)),
-)
+) + tuple(ProtocolConfig(range_buckets=((0, 25),), match_thresholds=(t,))
+          for t in (0.5, 1.0, 1.5, 2.0))
 
 
 def identities(pairs):
@@ -152,7 +170,8 @@ class TestMatcherAgainstReference:
 
     @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
     @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
-    @settings(max_examples=200, deadline=None)
+    @example([EDGE_FRAME], REFERENCE_CONFIGS[3])
+    @settings(max_examples=300, deadline=None)
     def test_matched_pairs_equal_reference(self, frames, config):
         def threshold_of(a):
             return config.match_thresholds[
@@ -166,22 +185,6 @@ class TestMatcherAgainstReference:
             {k: ids(v) for k, v in ref_fps.items()}
         assert {k: ids(v) for k, v in fns.items()} == \
             {k: ids(v) for k, v in ref_fns.items()}
-
-    @given(tie_scenes(), st.sampled_from((0.5, 1.0, 1.5, 2.0)))
-    @example([EDGE_FRAME], 1.0)
-    @settings(max_examples=200, deadline=None)
-    def test_match_frame_equals_reference(self, frames, threshold):
-        for frame in frames:
-            for class_name in ("car", "truck", "bus"):
-                result = match_frame(frame.predictions, frame.ground_truths,
-                                     class_name, threshold)
-                ref = greedy_match(
-                    [d for d in frame.predictions if d.class_name == class_name],
-                    [a for a in frame.ground_truths if a.class_name == class_name],
-                    lambda _a: threshold)
-                assert identities(result.pairs) == identities(ref.pairs)
-                assert ids(result.false_positives) == ids(ref.false_positives)
-                assert ids(result.false_negatives) == ids(ref.false_negatives)
 
     @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
     @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
@@ -603,6 +606,118 @@ class TestEvaluate:
             evaluate(frames, config)
 
 
+CLASSES = st.sampled_from(("car", "truck", "bus"))
+#: a third of fresh boxes have z in [-1, 3] m, so they often straddle the
+#: camera plane
+FRESH_BOXES = st.builds(Box3D, finite(-6.0, 6.0), finite(-1.0, 1.0),
+                        finite(-1.0, 3.0) | finite(3.0, 22.0) | finite(3.0, 22.0),
+                        finite(0.5, 4.5), finite(0.5, 2.5), finite(0.5, 4.5),
+                        finite(-math.pi, math.pi))
+#: (dx, dy, dz, length, height and width factors, dyaw) of a box near another
+JITTERS = st.tuples(finite(-1.5, 1.5), finite(-0.3, 0.3), finite(-1.5, 1.5),
+                    finite(0.7, 1.4), finite(0.7, 1.4), finite(0.7, 1.4),
+                    finite(-0.5, 0.5))
+VELOCITIES = st.tuples(finite(-5.0, 5.0), finite(-5.0, 5.0))
+ATTRIBUTES = st.sampled_from(("moving", "parked"))
+SCORES = st.sampled_from((0.3, 0.6, 0.9)) | finite(0.0, 1.0)
+
+
+def jittered(box, jitter):
+    dx, dy, dz, length, height, width, dyaw = jitter
+    return Box3D(box.center_x + dx, box.center_y + dy, box.center_z + dz,
+                 box.length * length, box.height * height, box.width * width,
+                 box.yaw + dyaw)
+
+
+@st.composite
+def report_scenes(draw):
+    """1-6 frames of 0-8 ground truths and 0-8 predictions over three
+    classes, every object with a velocity and an attribute. Three in four
+    predictions are jittered from a ground truth, four in five of those
+    keeping its class; scores come from three values or anywhere in [0, 1]."""
+    frames = []
+    for index in range(draw(st.integers(1, 6))):
+        anns = [Annotation(draw(CLASSES), draw(FRESH_BOXES), draw(VELOCITIES),
+                           draw(ATTRIBUTES))
+                for _ in range(draw(st.integers(0, 8)))]
+        dets = []
+        for _ in range(draw(st.integers(0, 8))):
+            if anns and draw(st.integers(0, 3)):
+                source = draw(st.sampled_from(anns))
+                cls = source.class_name if draw(st.integers(0, 4)) else draw(CLASSES)
+                box = jittered(source.box, draw(JITTERS))
+            else:
+                cls, box = draw(CLASSES), draw(FRESH_BOXES)
+            dets.append(Detection(cls, box, draw(SCORES), draw(VELOCITIES),
+                                  draw(ATTRIBUTES)))
+        frames.append(FrameRecord(f"f{index}", anns, dets))
+    return frames
+
+
+@st.composite
+def report_configs(draw):
+    """The default buckets, three buckets or one, each with both
+    ``skip_missing_classes`` values and any non-empty TP measure list."""
+    buckets, thresholds, ap_thresholds = draw(st.sampled_from((
+        (((0, 10), (10, 20)), (1, 2), (1, 2)),
+        (((0, 5), (5, 10), (10, 20)), (0.5, 1, 2), (0.5, 1, 1.5, 2)),
+        (((0, 15),), (1.5,), (1,)))))
+    return ProtocolConfig(
+        range_buckets=buckets, match_thresholds=thresholds,
+        ap_distance_thresholds=ap_thresholds,
+        tp_measures=tuple(draw(st.lists(st.sampled_from(evaluation.TP_MEASURES),
+                                        min_size=1, max_size=5, unique=True))),
+        skip_missing_classes=draw(st.booleans()))
+
+
+def assert_same_report(actual, expected, path="report"):
+    """Field by field: the same keys in the same order, the same counts and
+    None-ness, and floats equal to 1e-12 relative."""
+    if is_dataclass(expected):
+        assert type(actual) is type(expected), path
+        for f in fields(expected):
+            assert_same_report(getattr(actual, f.name), getattr(expected, f.name),
+                               f"{path}.{f.name}")
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key, value in expected.items():
+            assert_same_report(actual[key], value, f"{path}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_same_report(a, e, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), (path, actual)
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0), \
+            (path, actual, expected)
+    else:
+        assert type(actual) is type(expected) and actual == expected, \
+            (path, actual, expected)
+
+
+#: a matched pair whose boxes reach behind the camera plane
+BEHIND_CAMERA_FRAME = FrameRecord("behind", [ann(0.5, 1.0, l=2.0, w=2.0)],
+                                  [det(0.6, 1.0, l=2.0, w=2.0)])
+
+
+class TestReportAgainstReference:
+    """Every field of the report against ``oracles.reference_evaluate``,
+    which rebuilds it from the documented definitions."""
+
+    @given(report_scenes(), report_configs())
+    @example([EDGE_FRAME], ProtocolConfig())
+    @example([EDGE_FRAME], ProtocolConfig(skip_missing_classes=False))
+    @example([BEHIND_CAMERA_FRAME], ProtocolConfig(skip_missing_classes=False))
+    @settings(max_examples=300, deadline=None)
+    def test_report_equals_reference(self, frames, config):
+        assert_same_report(evaluate(frames, config), reference_evaluate(frames, config))
+
+    def test_behind_camera_pair_is_excluded(self):
+        report = reference_evaluate([BEHIND_CAMERA_FRAME], ProtocolConfig())
+        assert report.per_class["car"]["[0,10)"].usc_excluded == 1
+        assert report.per_class["car"]["[0,10)"].ausc is None
+
+
 class TestProtocolConfigValidation:
     def test_defaults(self):
         config = ProtocolConfig()
@@ -646,6 +761,13 @@ class TestProtocolConfigValidation:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
             ProtocolConfig(tp_measures=("ATE", "XYZ"))
+
+    def test_rejects_repeated_measures(self):
+        # equal once upper-cased: the report would list a measure twice
+        with pytest.raises(ValueError, match="distinct"):
+            ProtocolConfig(tp_measures=("ATE", "ate"))
+        with pytest.raises(ValueError, match="distinct"):
+            ProtocolConfig(tp_measures=("ATE", "ate", "AOE"))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, value, message", [
