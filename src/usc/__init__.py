@@ -15,9 +15,9 @@ from .constraints import (RepresentativePoints, UscBreakdown, adr, azimuth,
                           usc_score)
 from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
                          Detection, MatchedPair, MetricsReport,
-                         ProtocolConfig, UscAggregate, aggregate_usc,
-                         average_precision, bev_center_distance, evaluate,
-                         matched_pairs, nds, pearson, tp_error_means, usc_nds)
+                         ProtocolConfig, aggregate_usc, average_precision,
+                         bev_center_distance, evaluate, matched_pairs, nds,
+                         pearson, tp_error_means, usc_nds)
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
                        Point3, Rect2D, Segment2D, box_corners, box_volume,
                        convex_intersection_area, corner_arrays,

@@ -85,17 +85,13 @@ def cmd_loss(args) -> int:
     if not pairs_by_class:
         print("error: no matched pairs", file=sys.stderr)
         return EXIT_VALIDATION
-    classes = sorted(pairs_by_class)
-    iogt = iogt3d_batch(
-        [pair.detection.box for name in classes for pair in pairs_by_class[name]],
-        [pair.annotation.box for name in classes for pair in pairs_by_class[name]])
     rows = []
-    start = 0
-    for class_name in classes:
+    for class_name in sorted(pairs_by_class):
         class_pairs = pairs_by_class[class_name]
-        stop = start + len(class_pairs)
+        iogt = iogt3d_batch([pair.detection.box for pair in class_pairs],
+                            [pair.annotation.box for pair in class_pairs])
         l1 = enclosure = blended = 0.0
-        for pair, pair_iogt in zip(class_pairs, iogt[start:stop].tolist()):
+        for pair, pair_iogt in zip(class_pairs, iogt.tolist()):
             p, g = pair.detection.box, pair.annotation.box
             pair_l1 = smooth_l1(p, g, loss_config.smooth_l1_beta,
                                 loss_config.yaw_wrapping)
@@ -106,7 +102,6 @@ def cmd_loss(args) -> int:
         n = len(class_pairs)
         rows.append(f"{class_name:<16}{l1 / n:>12.6f}{enclosure / n:>12.6f}"
                     f"{blended / n:>13.6f}")
-        start = stop
     print(f"lambda={loss_config.blend_lambda:g} "
           f"beta={loss_config.smooth_l1_beta:g}")
     print(f"{'class':<16}{'smooth_l1':>12}{'iogt_loss':>12}{'safety_loss':>13}")

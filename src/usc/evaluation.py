@@ -11,7 +11,7 @@ grouped into range buckets by the ground-truth center distance; matched
 detections inherit their annotation's bucket, unmatched detections fall
 into the bucket of their own center distance. The report is then assembled
 bucket by bucket, class by class within a bucket: one ``aggregate_usc``
-call scores the bucket's pairs of every class; each class gets its slice
+call per class scores its pairs in the bucket; each class gets its slice
 (AP per distance threshold, mean true-positive errors, average
 spatial-constraint score AUSC, and TP/FP/FN, TP + FN being its in-range
 ground truths); the bucket's mAP, NDS, mAUSC, USC-NDS and counts come from
@@ -357,32 +357,20 @@ def usc_nds(nds_value: float, mausc: float) -> float:
     return (nds_value + mausc) / 2.0
 
 
-@dataclass
-class UscAggregate:
-    """Per-class average USC plus the exclusion diagnostics."""
-
-    ausc: Dict[str, Optional[float]]
-    excluded: Dict[str, int]
-
-
-def aggregate_usc(pairs_per_class: Mapping[str, Sequence[MatchedPair]]) -> UscAggregate:
-    """Average the USC score (``usc_batch``) over matched pairs, class by
-    class.
+def aggregate_usc(pairs: Sequence[MatchedPair]) -> Tuple[Optional[float], int]:
+    """The average USC score (``usc_batch``) of one (class, bucket) slice's
+    matched pairs, and how many pairs were excluded from it.
 
     Pairs whose constraint evaluation is undefined (a box corner behind the
     camera plane, or a ground truth with no PV area) are excluded and
-    counted rather than scored zero; classes with no scoreable pair get a
+    counted rather than scored zero; a slice with no scoreable pair gets a
     None AUSC. The report's mAUSC is built from these in ``_bucket_summary``.
     """
-    ausc: Dict[str, Optional[float]] = {}
-    excluded: Dict[str, int] = {}
-    for class_name, pairs in pairs_per_class.items():
-        usc, reason = usc_batch([pair.detection.box for pair in pairs],
-                                [pair.annotation.box for pair in pairs])
-        scores = usc[reason == 0].tolist()
-        ausc[class_name] = math.fsum(scores) / len(scores) if scores else None
-        excluded[class_name] = len(pairs) - len(scores)
-    return UscAggregate(ausc, excluded)
+    usc, reason = usc_batch([pair.detection.box for pair in pairs],
+                            [pair.annotation.box for pair in pairs])
+    scores = usc[reason == 0].tolist()
+    return (math.fsum(scores) / len(scores) if scores else None,
+            len(pairs) - len(scores))
 
 
 def _deviations(values: Sequence[float]) -> List[float]:
@@ -538,28 +526,27 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     )
     for b, (near, far) in enumerate(config.range_buckets):
         label = bucket_label(near, far)
-        bucket_pairs = {c: pairs[c, b] for c in classes if (c, b) in pairs}
-        usc = aggregate_usc(bucket_pairs)
+        # the bucket's USC before its TP errors, so that a USC fault reports first
+        usc = {c: aggregate_usc(pairs[c, b]) for c in classes if (c, b) in pairs}
         slices = []
         for class_name in classes:
             key = (class_name, b)
-            class_pairs = bucket_pairs.get(class_name, [])
+            class_pairs = pairs.get(key, [])
             n_fn = len(fns.get(key, []))
             n_gt = len(class_pairs) + n_fn
             if class_pairs:
                 errors = tp_error_means(class_pairs, config.tp_measures)
-                ausc = usc.ausc[class_name]
+                ausc, excluded = usc[class_name]
             else:
                 # worst case for a present class with nothing matched;
                 # undefined for a class absent from the bucket
                 errors = {m: 1.0 if n_gt else None for m in config.tp_measures}
-                ausc = 0.0 if n_gt else None
+                ausc, excluded = 0.0 if n_gt else None, 0
             metrics = ClassBucketMetrics(
                 ap={d: average_precision(labeled[d].get(key, []), n_gt)
                     for d in config.ap_distance_thresholds},
                 tp_errors=errors, ausc=ausc, tp=len(class_pairs),
-                fp=len(fps.get(key, [])), fn=n_fn,
-                usc_excluded=usc.excluded.get(class_name, 0))
+                fp=len(fps.get(key, [])), fn=n_fn, usc_excluded=excluded)
             report.per_class[class_name][label] = metrics
             slices.append(metrics)
         report.per_bucket[label] = _bucket_summary(slices, config)

@@ -8,11 +8,13 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
                         "velocity"?: [vx, vz], "attribute"?: str}, ...],
      "predictions":   [same fields plus "score": float]}
 
-A fast pass checks each object of a line at once: the exact JSON types and
+One parser reads each line: the frame's own fields first, then its objects
+in order. Each object is checked whole at once: the exact JSON types and
 list lengths, the types of all its numbers together, and their finiteness
-from one sum. It builds no field paths. A line it does not vouch for is
-checked again field by field, so every error keeps the type, message, field
-path and line number of that check. Bytes that are not UTF-8 are a
+from one sum; that check builds no field path. An object it does not vouch
+for is parsed field by field, which raises the error with its type,
+message, field path and line number, or builds the object if it is valid
+after all (a center whose sum overflows). Bytes that are not UTF-8 are a
 ParseError at their line.
 
 Configs, synthetic specs and reports are single JSON documents, each checked
@@ -144,6 +146,47 @@ def _parse_object(obj, path: str, with_score: bool):
     return Annotation(class_name, box, velocity, attribute)
 
 
+#: the exact types of a JSON number; bool, an int subclass, is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _vouched(obj, with_score: bool):
+    """One dataset object as ``_parse_object`` builds it, from one whole-object
+    check that builds no field path; None when the check fails, and then
+    ``_parse_object`` decides."""
+    if type(obj) is not dict:
+        return None
+    class_name = obj.get("class")
+    center, size = obj.get("center"), obj.get("size")
+    velocity, attribute = obj.get("velocity"), obj.get("attribute")
+    if (type(class_name) is not str or not class_name
+            or type(center) is not list or len(center) != 3
+            or type(size) is not list or len(size) != 3
+            or (attribute is not None and type(attribute) is not str)):
+        return None
+    numbers = [*center, *size, obj.get("yaw")]
+    if velocity is not None:
+        if type(velocity) is not list or len(velocity) != 2:
+            return None
+        numbers += velocity
+    if with_score:
+        numbers.append(obj.get("score"))
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
+        return None
+    try:
+        values = tuple(map(float, numbers))
+        if not math.isfinite(sum(values)):
+            return None
+        box = Box3D(*values[:7])
+        if velocity is not None:
+            velocity = values[7:9]
+        if with_score:
+            return Detection(class_name, box, values[-1], velocity, attribute)
+        return Annotation(class_name, box, velocity, attribute)
+    except (ValueError, OverflowError):
+        return None
+
+
 def _parse_frame(obj, path: str) -> FrameRecord:
     if not isinstance(obj, dict):
         raise SchemaError("expected a JSON object", path)
@@ -156,68 +199,13 @@ def _parse_frame(obj, path: str) -> FrameRecord:
         raise SchemaError("'ground_truths' must be a list", f"{path}.ground_truths")
     if not isinstance(preds_raw, list):
         raise SchemaError("'predictions' must be a list", f"{path}.predictions")
-    gts = [_parse_object(g, f"{path}.ground_truths[{i}]", with_score=False)
+    gts = [_vouched(g, False)
+           or _parse_object(g, f"{path}.ground_truths[{i}]", with_score=False)
            for i, g in enumerate(gts_raw)]
-    preds = [_parse_object(p, f"{path}.predictions[{i}]", with_score=True)
+    preds = [_vouched(p, True)
+             or _parse_object(p, f"{path}.predictions[{i}]", with_score=True)
              for i, p in enumerate(preds_raw)]
     return FrameRecord(frame_id, gts, preds)
-
-
-class _Slow(Exception):
-    """The fast parse does not vouch for a line; ``_parse_frame`` decides."""
-
-
-#: the exact types of a JSON number; bool, an int subclass, is not one
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _fast_object(obj, with_score: bool):
-    """One dataset object as ``_parse_object`` builds it, from one whole-object
-    check that builds no field path; _Slow, ValueError or OverflowError when
-    the check fails."""
-    if type(obj) is not dict:
-        raise _Slow
-    class_name = obj.get("class")
-    center, size = obj.get("center"), obj.get("size")
-    velocity, attribute = obj.get("velocity"), obj.get("attribute")
-    if (type(class_name) is not str or not class_name
-            or type(center) is not list or len(center) != 3
-            or type(size) is not list or len(size) != 3
-            or (attribute is not None and type(attribute) is not str)):
-        raise _Slow
-    numbers = [*center, *size, obj.get("yaw")]
-    if velocity is not None:
-        if type(velocity) is not list or len(velocity) != 2:
-            raise _Slow
-        numbers += velocity
-    if with_score:
-        numbers.append(obj.get("score"))
-    if not set(map(type, numbers)) <= _NUMBER_TYPES:
-        raise _Slow
-    values = tuple(map(float, numbers))
-    if not math.isfinite(sum(values)):
-        raise _Slow
-    box = Box3D(*values[:7])
-    if velocity is not None:
-        velocity = values[7:9]
-    if with_score:
-        return Detection(class_name, box, values[-1], velocity, attribute)
-    return Annotation(class_name, box, velocity, attribute)
-
-
-def _fast_frame(obj) -> FrameRecord:
-    """One dataset line as ``_parse_frame`` builds it; _Slow, ValueError or
-    OverflowError when a whole-object check fails."""
-    if type(obj) is not dict:
-        raise _Slow
-    frame_id = obj.get("frame_id")
-    gts_raw = obj.get("ground_truths", [])
-    preds_raw = obj.get("predictions", [])
-    if (type(frame_id) is not str or not frame_id
-            or type(gts_raw) is not list or type(preds_raw) is not list):
-        raise _Slow
-    return FrameRecord(frame_id, [_fast_object(g, False) for g in gts_raw],
-                       [_fast_object(p, True) for p in preds_raw])
 
 
 def load_dataset(path) -> List[FrameRecord]:
@@ -235,11 +223,7 @@ def load_dataset(path) -> List[FrameRecord]:
                 _check_utf8(line, lineno)
             if not line.strip():
                 continue
-            obj = _decode(line, lineno)
-            try:
-                frame = _fast_frame(obj)
-            except (_Slow, ValueError, OverflowError):
-                frame = _parse_frame(obj, f"line {lineno}")
+            frame = _parse_frame(_decode(line, lineno), f"line {lineno}")
             if frame.frame_id in seen:
                 raise SchemaError(f"duplicate frame_id '{frame.frame_id}'",
                                   f"line {lineno}.frame_id")

@@ -11,8 +11,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usc import (ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
-                 load_dataset, load_report, save_dataset, write_report)
+from usc import (LossConfig, ProtocolConfig, SyntheticSpec, evaluate,
+                 generate_synthetic, iogt_loss, load_config, load_dataset,
+                 load_report, matched_pairs, safety_loss, save_dataset,
+                 smooth_l1, write_report)
 from usc.cli import main
 
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
@@ -264,6 +266,43 @@ class TestLoss:
         assert code == 0
         name, _, enclosure, _ = captured.out.splitlines()[2].split()
         assert (name, enclosure) == ("car", "1.000000")
+
+    @pytest.mark.parametrize("config", [None, {
+        "lambda": 0.3, "smooth_l1_beta": 0.5, "yaw_wrapping": False}])
+    def test_rows_equal_the_scalar_loss_functions(self, tmp_path, capsys, config):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data, seed=4, frames=40, depth_bias=0.2, lateral_noise=0.3,
+                     size_noise=0.1, yaw_noise=0.3, miss_rate=0.1, fp_rate=0.2)
+        argv = ["loss", "--data", str(data)]
+        protocol, loss_config = ProtocolConfig(), LossConfig()
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+            protocol, loss_config = load_config(path)
+        pairs, _, _ = matched_pairs(load_dataset(data), protocol)
+        assert {b for _, b in pairs} == {0, 1}
+        by_class = {}
+        for (class_name, _), class_pairs in pairs.items():
+            by_class.setdefault(class_name, []).extend(class_pairs)
+        assert len(by_class) >= 2
+        rows = []
+        for class_name in sorted(by_class):
+            l1 = enclosure = blended = 0.0
+            for pair in by_class[class_name]:
+                p, g = pair.detection.box, pair.annotation.box
+                l1 += smooth_l1(p, g, loss_config.smooth_l1_beta,
+                                loss_config.yaw_wrapping)
+                enclosure += iogt_loss(p, g)
+                blended += safety_loss(p, g, loss_config)
+            n = len(by_class[class_name])
+            rows.append(f"{class_name:<16}{l1 / n:>12.6f}{enclosure / n:>12.6f}"
+                        f"{blended / n:>13.6f}")
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"lambda={loss_config.blend_lambda:g} "
+                            f"beta={loss_config.smooth_l1_beta:g}")
+        assert lines[2:] == rows
 
 
 class TestSynth:

@@ -411,17 +411,17 @@ class TestAggregateUsc:
         g = Annotation("car", box(0, 10, l=2, h=1.5, w=4))
         perfect = Detection("car", box(0, 9.4, l=2, h=1.5, w=4), 1.0)
         worse = Detection("car", box(0, 10.6, l=2, h=1.5, w=4), 1.0)
-        agg = aggregate_usc({"car": [pair(perfect, g), pair(worse, g)]})
+        ausc, _ = aggregate_usc([pair(perfect, g), pair(worse, g)])
         v1 = usc_score(perfect.box, g.box).usc
         v2 = usc_score(worse.box, g.box).usc
-        assert agg.ausc["car"] == pytest.approx((v1 + v2) / 2, abs=1e-15)
+        assert ausc == pytest.approx((v1 + v2) / 2, abs=1e-15)
 
     def test_undefined_pairs_excluded_and_counted(self):
         behind = Annotation("car", Box3D(0, 0, -5, 1, 1, 1, 0))
         p = Detection("car", Box3D(0, 0, -4.5, 1, 1, 1, 0), 0.9)
-        agg = aggregate_usc({"car": [pair(p, behind)]})
-        assert agg.ausc["car"] is None
-        assert agg.excluded["car"] == 1
+        ausc, excluded = aggregate_usc([pair(p, behind)])
+        assert ausc is None
+        assert excluded == 1
 
 
 class TestPearson:

@@ -11,6 +11,7 @@ from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  load_dataset, load_report, merge_datasets, report_from_dict,
                  report_to_dict, save_dataset, write_report,
                  format_report_table)
+from usc import io
 from usc.errors import ParseError, SchemaError, UscError
 from usc.io import MAX_PERTURBATION, config_from_dict, spec_kwargs_from_dict
 
@@ -188,6 +189,20 @@ def _leaf(document, path):
 #: paths to the number leaves of FRAME
 NUMBER_PATHS = [path for path in node_paths(FRAME)
                 if type(_leaf(FRAME, path)) in (int, float)]
+#: a valid line with two objects per side, so that a node replaced in the
+#: second object follows one the whole-object check accepted
+TWO_OBJECT_FRAME = dict(
+    FRAME,
+    ground_truths=FRAME["ground_truths"] + [
+        {"class": "pedestrian", "center": [-2, 0.1, 14], "size": [0.6, 1.8, 0.6],
+         "yaw": -1.2}],
+    predictions=FRAME["predictions"] + [
+        {"class": "pedestrian", "center": [-2.1, 0.1, 14.2],
+         "size": [0.6, 1.7, 0.6], "yaw": -1.1, "velocity": [0.5, 0],
+         "attribute": "walking", "score": 0.4}])
+#: paths into the second object of each side, and to it
+SECOND_OBJECT_PATHS = [path for path in node_paths(TWO_OBJECT_FRAME)
+                       if path[1:2] == (1,)]
 #: replacements for one number leaf that a loader must treat exactly
 NUMBER_EDGES = (st.integers() | st.sampled_from(
     [True, False, -0.0, 0, float("nan"), float("inf"), -float("inf"),
@@ -227,6 +242,30 @@ class TestLoaderAgainstReference:
     def test_one_number_replaced(self, tmp_path, path, value):
         self.check(tmp_path, replaced(FRAME, path, value))
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(SECOND_OBJECT_PATHS),
+           value=json_values() | NUMBER_EDGES)
+    def test_node_of_second_object_replaced(self, tmp_path, path, value):
+        self.check(tmp_path, replaced(TWO_OBJECT_FRAME, path, value))
+
+    @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
+    def test_only_the_middle_object_is_parsed_field_by_field(
+            self, tmp_path, monkeypatch, side):
+        first, second = TWO_OBJECT_FRAME[side]
+        middle = dict(first, center=[1e308, 1e308, 0])
+        document = dict(TWO_OBJECT_FRAME, **{side: [first, middle, second]})
+        self.check(tmp_path, document)
+        parse_object, paths = io._parse_object, []
+
+        def counted(obj, path, with_score):
+            paths.append(path)
+            return parse_object(obj, path, with_score)
+
+        monkeypatch.setattr(io, "_parse_object", counted)
+        load_dataset(tmp_path / "d.jsonl")
+        assert paths == [f"line 3.{side}[1]"]
+
     @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
     def test_center_whose_sum_overflows_loads(self, tmp_path, side):
         document = replaced(FRAME, (side, 0, "center"), [1e308, 1e308, 0])
@@ -237,13 +276,14 @@ class TestLoaderAgainstReference:
 
 
 class TestValidDataTakesTheFastPath:
-    """Valid lines never reach the field-by-field parser; a fast path that
-    stopped vouching for them would still load them, only slower."""
+    """Valid objects never reach the field-by-field parser; a whole-object
+    check that stopped vouching for them would still load them, only
+    slower."""
 
     def refuse_slow_path(self, monkeypatch):
-        def refuse(obj, path):
+        def refuse(obj, path, with_score):
             raise AssertionError(f"{path} took the field-by-field parser")
-        monkeypatch.setattr("usc.io._parse_frame", refuse)
+        monkeypatch.setattr("usc.io._parse_object", refuse)
 
     def test_saved_synthetic_dataset(self, tmp_path, monkeypatch):
         frames = generate_synthetic(SyntheticSpec(seed=5, frames=12,
