@@ -8,14 +8,18 @@ dataset), ``corr`` (correlate report metrics against outcome rates).
 dataset), or ``--gt`` together with ``--pred``, and a ``--config``. A
 missing ``--config`` prints a warning and falls back to the defaults.
 
-Every failure prints one ``error:`` line to stderr and exits 1 (validation
-error) or 2 (I/O error); 0 is success. Malformed flags are argparse's
-usage errors, which also exit 2.
+A failing command raises (UscError or ValueError for invalid input,
+OSError for I/O) before it prints its output or writes a file; ``main`` is
+the one place that prints the ``error:`` line to stderr and picks the exit
+code, 1 (validation error) or 2 (I/O error); 0 is success. Line breaks in
+the message are escaped, so the ``error:`` line is one line. Malformed flags
+are argparse's usage errors, which also exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -30,6 +34,11 @@ from .loss import LossConfig, smooth_l1
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+#: each character ``str.splitlines`` breaks at -> its escape, so that an error
+#: naming an input string (a key, a frame id) stays on its one line
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1]
+                   for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 #: (printed name, overall field) of each metric ``corr`` correlates
 CORR_METRICS = (("mAP", "mean_ap"), ("NDS", "nds"), ("mAUSC", "mausc"),
@@ -83,8 +92,7 @@ def cmd_loss(args) -> int:
     for (class_name, _bucket), class_pairs in pairs.items():
         pairs_by_class.setdefault(class_name, []).extend(class_pairs)
     if not pairs_by_class:
-        print("error: no matched pairs", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise UscError("no matched pairs")
     rows = []
     for class_name in sorted(pairs_by_class):
         class_pairs = pairs_by_class[class_name]
@@ -99,9 +107,12 @@ def cmd_loss(args) -> int:
             l1 += pair_l1
             enclosure += pair_enclosure
             blended += loss_config.blend(pair_l1, pair_enclosure)
-        n = len(class_pairs)
-        rows.append(f"{class_name:<16}{l1 / n:>12.6f}{enclosure / n:>12.6f}"
-                    f"{blended / n:>13.6f}")
+        means = [total / len(class_pairs) for total in (l1, enclosure, blended)]
+        if not all(map(math.isfinite, means)):
+            raise ValueError(f"the loss means of class {class_name!r} are not "
+                             "all finite numbers")
+        rows.append(f"{class_name:<16}{means[0]:>12.6f}{means[1]:>12.6f}"
+                    f"{means[2]:>13.6f}")
     print(f"lambda={loss_config.blend_lambda:g} "
           f"beta={loss_config.smooth_l1_beta:g}")
     print(f"{'class':<16}{'smooth_l1':>12}{'iogt_loss':>12}{'safety_loss':>13}")
@@ -130,21 +141,15 @@ def cmd_corr(args) -> int:
         report = uio.load_report(path)
         key = path if path in outcomes_map else os.path.basename(path)
         if key not in outcomes_map:
-            print(f"error: no outcome for report {path}", file=sys.stderr)
-            return EXIT_VALIDATION
-        overall = report.overall
-        values = [None if overall is None else getattr(overall, field)
-                  for _, field in CORR_METRICS]
+            raise UscError(f"no outcome for report {path}")
+        values = [getattr(report.overall, field) for _, field in CORR_METRICS]
         if None in values:
-            print(f"error: report {path} has undefined overall metrics",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise UscError(f"report {path} has undefined overall metrics")
         for (name, _), value in zip(CORR_METRICS, values):
             series[name].append(value)
         outcomes.append(outcomes_map[key])
     if len(outcomes) < 2:
-        print("error: need at least two reports", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise UscError("need at least two reports")
     results: Dict[str, Optional[float]] = {}
     for name, values in series.items():
         try:
@@ -152,8 +157,7 @@ def cmd_corr(args) -> int:
         except ZeroVariance:
             results[name] = None
     if all(value is None for value in results.values()):
-        print("error: zero variance in every metric series", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise UscError("zero variance in every metric series")
     print(f"{'metric':<10}{'|r|':>10}")
     for name, value in results.items():
         print(f"{name:<10}{value:>10.6f}" if value is not None
@@ -208,12 +212,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UscError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (UscError, ValueError, OSError) as exc:
+        print(f"error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

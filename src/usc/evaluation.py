@@ -9,13 +9,12 @@ around each detection. In each match, detections by descending
 score take the nearest untaken annotation within the limit. Objects are
 grouped into range buckets by the ground-truth center distance; matched
 detections inherit their annotation's bucket, unmatched detections fall
-into the bucket of their own center distance. The report is then assembled
-bucket by bucket, class by class within a bucket: one ``aggregate_usc``
-call per class scores its pairs in the bucket; each class gets its slice
-(AP per distance threshold, mean true-positive errors, average
-spatial-constraint score AUSC, and TP/FP/FN, TP + FN being its in-range
-ground truths); the bucket's mAP, NDS, mAUSC, USC-NDS and counts come from
-its slices, the overall ones from the buckets'.
+into the bucket of their own center distance. One class loop per bucket
+then gives each class its slice: AP per distance threshold, AUSC (the mean
+USC score) and then the mean true-positive errors of its pairs, and TP/FP/FN,
+TP + FN being its in-range ground truths; the first faulty slice in bucket,
+then class order names the error. The bucket's mAP, NDS, mAUSC, USC-NDS and
+counts come from its slices, the overall ones from the buckets'.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,9 +190,9 @@ class MetricsReport:
     ap_distance_thresholds: List[float]
     tp_measures: List[str]
     frames: int
-    per_class: Dict[str, Dict[str, ClassBucketMetrics]] = field(default_factory=dict)
-    per_bucket: Dict[str, BucketSummary] = field(default_factory=dict)
-    overall: Optional[BucketSummary] = None
+    per_class: Dict[str, Dict[str, ClassBucketMetrics]]
+    per_bucket: Dict[str, BucketSummary]
+    overall: BucketSummary
 
 
 def bev_center_distance(p: Box3D, g: Box3D) -> float:
@@ -305,7 +304,8 @@ def tp_error_means(pairs: Sequence[MatchedPair],
     ATE: mean BEV center distance. ASE: one minus the product of
     per-dimension min/max ratios. AOE: mean absolute yaw difference wrapped
     to [0, pi]. AVE: mean velocity vector error; AAE: attribute mismatch
-    rate; both require the optional fields on every pair.
+    rate; both require the optional fields on every pair. A mean that is not
+    a finite number (or a sum that overflows) is a ValueError.
     """
     if not pairs:
         raise ValueError("tp_error_means needs at least one matched pair")
@@ -335,7 +335,12 @@ def tp_error_means(pairs: Sequence[MatchedPair],
                       for pair in pairs]
         else:
             raise ValueError(f"unknown TP measure {measure!r}")
-        means[measure] = math.fsum(values) / len(values)
+        try:
+            means[measure] = math.fsum(values) / len(values)
+        except OverflowError:
+            means[measure] = math.inf
+        if not math.isfinite(means[measure]):
+            raise ValueError(f"the {measure} mean is not a finite number")
     return means
 
 
@@ -365,6 +370,7 @@ def aggregate_usc(pairs: Sequence[MatchedPair]) -> Tuple[Optional[float], int]:
     camera plane, or a ground truth with no PV area) are excluded and
     counted rather than scored zero; a slice with no scoreable pair gets a
     None AUSC. The report's mAUSC is built from these in ``_bucket_summary``.
+    ``evaluate`` calls it per non-empty slice, just before ``tp_error_means``.
     """
     usc, reason = usc_batch([pair.detection.box for pair in pairs],
                             [pair.annotation.box for pair in pairs])
@@ -516,18 +522,10 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     frames = list(frames)
     pairs, fps, fns, labeled = _walk(frames, config, config.ap_distance_thresholds)
     classes = sorted({class_name for class_name, _ in [*pairs, *fns]})
-    report = MetricsReport(
-        range_buckets=list(config.range_buckets),
-        classes=classes,
-        ap_distance_thresholds=list(config.ap_distance_thresholds),
-        tp_measures=list(config.tp_measures),
-        frames=len(frames),
-        per_class={class_name: {} for class_name in classes},
-    )
+    per_class = {class_name: {} for class_name in classes}
+    per_bucket = {}
     for b, (near, far) in enumerate(config.range_buckets):
         label = bucket_label(near, far)
-        # the bucket's USC before its TP errors, so that a USC fault reports first
-        usc = {c: aggregate_usc(pairs[c, b]) for c in classes if (c, b) in pairs}
         slices = []
         for class_name in classes:
             key = (class_name, b)
@@ -535,8 +533,8 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
             n_fn = len(fns.get(key, []))
             n_gt = len(class_pairs) + n_fn
             if class_pairs:
+                ausc, excluded = aggregate_usc(class_pairs)
                 errors = tp_error_means(class_pairs, config.tp_measures)
-                ausc, excluded = usc[class_name]
             else:
                 # worst case for a present class with nothing matched;
                 # undefined for a class absent from the bucket
@@ -547,18 +545,21 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
                     for d in config.ap_distance_thresholds},
                 tp_errors=errors, ausc=ausc, tp=len(class_pairs),
                 fp=len(fps.get(key, [])), fn=n_fn, usc_excluded=excluded)
-            report.per_class[class_name][label] = metrics
+            per_class[class_name][label] = metrics
             slices.append(metrics)
-        report.per_bucket[label] = _bucket_summary(slices, config)
+        per_bucket[label] = _bucket_summary(slices, config)
 
-    summaries = list(report.per_bucket.values())
-    report.overall = BucketSummary(
+    summaries = list(per_bucket.values())
+    overall = BucketSummary(
         mean_ap=_mean_or_none([s.mean_ap for s in summaries]),
         nds=_mean_or_none([s.nds for s in summaries]),
         mausc=_mean_or_none([s.mausc for s in summaries]),
         usc_nds=_mean_or_none([s.usc_nds for s in summaries]),
         tp_errors={m: _mean_or_none([s.tp_errors[m] for s in summaries])
                    for m in config.tp_measures},
-        **_counts(summaries),
-    )
-    return report
+        **_counts(summaries))
+    return MetricsReport(
+        range_buckets=list(config.range_buckets), classes=classes,
+        ap_distance_thresholds=list(config.ap_distance_thresholds),
+        tp_measures=list(config.tp_measures), frames=len(frames),
+        per_class=per_class, per_bucket=per_bucket, overall=overall)

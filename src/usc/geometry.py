@@ -179,6 +179,10 @@ class Segment2D:
         object.__setattr__(self, "b", b)
 
 
+#: The ``box_corners`` indices of the BEV footprint, counter-clockwise in (x, z).
+FOOTPRINT = [5, 4, 0, 1]
+
+
 def box_corners(box: Box3D) -> tuple:
     """Eight corners of the box in a fixed, bit-coded order.
 
@@ -220,13 +224,10 @@ def project_pv_rect(box: Box3D) -> Rect2D:
 
 
 def project_bev(box: Box3D) -> BevPolygon:
-    """Four-vertex counter-clockwise BEV footprint of the box."""
-    hx, hz = box.length / 2.0, box.width / 2.0
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = ((hx, hz), (-hx, hz), (-hx, -hz), (hx, -hz))  # CCW in (x, z)
-    return BevPolygon(tuple(
-        Point2(box.center_x + dx * c + dz * s, box.center_z - dx * s + dz * c)
-        for dx, dz in local))
+    """Four-vertex counter-clockwise BEV footprint of the box: the (x, z) of
+    its ``FOOTPRINT`` corners."""
+    corners = box_corners(box)
+    return BevPolygon(tuple(Point2(corners[i].x, corners[i].z) for i in FOOTPRINT))
 
 
 PolygonLike = Union[BevPolygon, Sequence]
@@ -455,9 +456,6 @@ BATCH_CAP = 256
 _SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 _SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-
-#: The corners ``project_bev`` uses, in its counter-clockwise order.
-FOOTPRINT = [5, 4, 0, 1]
 
 #: Every pair of footprint vertices, sides and diagonals.
 _VERTEX_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])

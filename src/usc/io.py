@@ -23,10 +23,10 @@ against the type hints of its dataclasses (``ProtocolConfig`` with
 mistyped value, an unknown key or a missing report field is a SchemaError at
 its field path, e.g. ``per_class.car.[0,10).tp`` or ``range_buckets[0][1]``.
 Every number must be finite, so a report carrying NaN or infinity is
-rejected; so is ``"overall": {}`` (it is null or a whole summary), and so
-are two AP keys naming one threshold (``"1"`` and ``"1.0"``). A report's
-tables must be keyed by exactly the classes, bucket labels, AP thresholds
-and TP measures it lists.
+rejected; so are ``"overall": {}`` and ``"overall": null`` (``overall`` is
+always a whole summary, never null), and two AP keys naming one threshold
+(``"1"`` and ``"1.0"``). A report's tables must be keyed by exactly the
+classes, bucket labels, AP thresholds and TP measures it lists.
 Floats are written in Python's shortest round-trip form (up to 17
 significant digits), so load(save(x)) is lossless and re-saving is
 byte-identical. Undefined metrics serialize as null, never as 0.
@@ -443,7 +443,7 @@ def report_from_dict(obj: dict) -> MetricsReport:
             tables[f"{path}.ap"] = (metrics.ap, report.ap_distance_thresholds)
             measured[path] = metrics
     tables.update((f"{path}.tp_errors", (s.tp_errors, report.tp_measures))
-                  for path, s in measured.items() if s is not None)
+                  for path, s in measured.items())
     for path, (table, expected) in tables.items():
         if set(table) != set(expected) or len(table) != len(expected):
             raise SchemaError(f"keys {sorted(table, key=str)} do not match "
@@ -478,12 +478,10 @@ def format_report_table(report: MetricsReport) -> str:
                         + [_fmt(m.tp_errors[t]) for t in report.tp_measures]
                         + [_fmt(m.ausc), str(m.tp), str(m.fp), str(m.fn)])
     summaries = [(label, report.per_bucket[label]) for label in labels]
-    if report.overall is not None:
-        summaries.append(("overall", report.overall))
     summary_rows = [["bucket", "mAP", "NDS", "mAUSC", "USC-NDS", "TP", "FP", "FN"]]
     summary_rows += [[name, _fmt(s.mean_ap), _fmt(s.nds), _fmt(s.mausc),
                       _fmt(s.usc_nds), str(s.tp), str(s.fp), str(s.fn)]
-                     for name, s in summaries]
+                     for name, s in [*summaries, ("overall", report.overall)]]
     return "\n".join(_aligned(rows, 2) + [""] + _aligned(summary_rows, 1)) + "\n"
 
 

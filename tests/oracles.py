@@ -473,11 +473,8 @@ def reference_evaluate(frames, config):
             labels.setdefault((t, key), []).extend((det.score, False) for det in dets)
     classes = sorted({ann.class_name for frame in frames for ann in frame.ground_truths
                       if bucket_of(ann.box) is not None})
-    report = MetricsReport(
-        range_buckets=list(config.range_buckets), classes=classes,
-        ap_distance_thresholds=list(config.ap_distance_thresholds),
-        tp_measures=list(config.tp_measures), frames=len(frames),
-        per_class={class_name: {} for class_name in classes})
+    per_class = {class_name: {} for class_name in classes}
+    per_bucket = {}
     for b, (near, far) in enumerate(config.range_buckets):
         label = f"[{near:g},{far:g})"
         slices = []
@@ -504,16 +501,16 @@ def reference_evaluate(frames, config):
                 tp_errors=errors, ausc=ausc, tp=len(matched),
                 fp=len(fps.get(key, [])), fn=n_gt - len(matched),
                 usc_excluded=len(matched) - len(scores))
-            report.per_class[class_name][label] = metrics
+            per_class[class_name][label] = metrics
             slices.append(metrics)
-        report.per_bucket[label] = _reference_summary(slices, config)
+        per_bucket[label] = _reference_summary(slices, config)
 
-    summaries = list(report.per_bucket.values())
+    summaries = list(per_bucket.values())
 
     def overall(values):
         return _mean([v for v in values if v is not None])
 
-    report.overall = BucketSummary(
+    summary = BucketSummary(
         mean_ap=overall(s.mean_ap for s in summaries),
         nds=overall(s.nds for s in summaries),
         mausc=overall(s.mausc for s in summaries),
@@ -523,7 +520,11 @@ def reference_evaluate(frames, config):
         tp=sum(s.tp for s in summaries), fp=sum(s.fp for s in summaries),
         fn=sum(s.fn for s in summaries),
         usc_excluded=sum(s.usc_excluded for s in summaries))
-    return report
+    return MetricsReport(
+        range_buckets=list(config.range_buckets), classes=classes,
+        ap_distance_thresholds=list(config.ap_distance_thresholds),
+        tp_measures=list(config.tp_measures), frames=len(frames),
+        per_class=per_class, per_bucket=per_bucket, overall=summary)
 
 
 # --- ray-coverage oracle ---------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -29,6 +31,28 @@ def make_dataset(path, seed=11, frames=25, **spec_kwargs):
                                                **spec_kwargs))
     save_dataset(dataset, path)
     return dataset
+
+
+def assert_one_error_line(captured):
+    """Nothing on stdout, and the last stderr line is its one ``error:``
+    line."""
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+
+
+CAR = {"class": "car", "center": [0.0, 0.0, 8.0], "size": [4.0, 1.5, 1.8],
+       "yaw": 0.0}
+
+
+def write_frames(path, frames):
+    """A dataset of one car ground truth and one car prediction per frame,
+    each frame given as (ground-truth fields, prediction fields) added to
+    ``CAR``."""
+    path.write_text("".join(json.dumps({
+        "frame_id": f"f{i}", "ground_truths": [{**CAR, **gt}],
+        "predictions": [{**CAR, "score": 0.9, **pred}]}) + "\n"
+        for i, (gt, pred) in enumerate(frames)))
 
 
 class TestEval:
@@ -163,6 +187,36 @@ class TestEval:
         assert code == 1
         assert "nested" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames", [
+        # one pair whose velocity error is infinite
+        [({"velocity": [1e308, 0]}, {"velocity": [-1e308, 0]})],
+        # two finite velocity errors whose sum overflows
+        [({"velocity": [0, 0]}, {"velocity": [1e308, 0]})] * 2,
+    ], ids=["infinite", "overflowing-sum"])
+    def test_mean_velocity_error_beyond_float_range(self, tmp_path, capsys,
+                                                    frames):
+        data, config = tmp_path / "d.jsonl", tmp_path / "c.json"
+        out = tmp_path / "r.json"
+        write_frames(data, frames)
+        config.write_text(json.dumps({"tp_measures": ["ATE", "AVE"]}))
+        code = main(["eval", "--data", str(data), "--config", str(config),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_error_line(captured)
+        assert captured.err == "error: the AVE mean is not a finite number\n"
+        assert not out.exists()
+
+    def test_line_break_in_an_error_is_escaped(self, tmp_path, capsys):
+        frame = json.dumps({"frame_id": "a\nerror: b\u2028c"})
+        data = tmp_path / "d.jsonl"
+        data.write_text(f"{frame}\n{frame}\n")
+        assert main(["eval", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == (
+            "error: line 2.frame_id: duplicate frame_id 'a\\nerror: b\\u2028c'")
+
     def test_deeply_nested_data_line_is_parse_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         make_dataset(data, frames=3)
@@ -251,6 +305,16 @@ class TestLoss:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
             "error: repeated polygon vertices at index 0")
+
+    def test_loss_mean_beyond_float_range(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_frames(data, [({}, {"size": [1e308, 1e308, 1e308]})])
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == (
+            "error: the loss means of class 'car' are not all finite numbers")
 
     def test_thin_prediction_above_its_ground_truth_is_not_projected(
             self, tmp_path, capsys):
@@ -693,7 +757,8 @@ def argvs(draw, command, directory):
 
 class TestCommandLineFuzz:
     """Whatever the flags and file contents, ``main`` returns 0, 1 or 2, or
-    argparse exits with 2; no other exception escapes."""
+    argparse exits with 2; no other exception escapes. A failure (1 or 2)
+    ends stderr with its one ``error:`` line; a success prints none."""
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     @settings(max_examples=50, deadline=None)
@@ -704,12 +769,17 @@ class TestCommandLineFuzz:
             for name, text in data.draw(input_files()).items():
                 (directory / name).write_text(text, encoding="utf-8")
             argv = data.draw(argvs(command, directory))
+            err = io.StringIO()
             try:
-                code = main(argv)
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
             except SystemExit as exc:
                 assert exc.code == 2
             else:
                 assert code in (0, 1, 2)
+                lines = err.getvalue().splitlines()
+                errors = [line for line in lines if line.startswith("error: ")]
+                assert errors == (lines[-1:] if code else [])
 
 
 class TestEntryPoint:

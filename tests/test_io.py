@@ -368,6 +368,16 @@ class TestConfig:
             load_config(path)
 
 
+def case_ids(cases):
+    """Each (path, value) case's dotted path, with ``=<value as JSON>`` added
+    where an earlier case has the same path."""
+    ids = []
+    for path, value in cases:
+        name = ".".join(map(str, path))
+        ids.append(f"{name}={json.dumps(value)}" if name in ids else name)
+    return ids
+
+
 #: (path into the report's JSON form, mistyped value)
 MISTYPED_FIELDS = [
     (("frames",), "3"),
@@ -388,6 +398,7 @@ MISTYPED_FIELDS = [
     (("tp_measures", 0), None),
     (("per_bucket", "[0,10)", "mausc"), float("nan")),
     (("overall",), {}),
+    (("overall",), None),
     (("per_class", "car", "[0,10)", "ap", "1"), 0.5),
 ]
 
@@ -450,7 +461,7 @@ class TestReports:
             write_report(self.report(), tmp_path / "r.bin", "yaml")
 
     @pytest.mark.parametrize("path, value", MISTYPED_FIELDS,
-                             ids=[".".join(map(str, p)) for p, _ in MISTYPED_FIELDS])
+                             ids=case_ids(MISTYPED_FIELDS))
     def test_mistyped_field_named(self, path, value):
         obj = replaced(report_to_dict(self.report()), path, value)
         with pytest.raises(SchemaError) as err:

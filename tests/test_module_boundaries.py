@@ -1,5 +1,6 @@
 """No module of the ``usc`` package uses another module's private names:
-neither ``from .x import _name`` nor ``x._name`` on a package module ``x``."""
+neither ``from .x import _name`` nor ``x._name`` on a package module ``x``.
+And only ``cli.main`` prints an ``error:`` line: every other failure raises."""
 
 import ast
 import pathlib
@@ -82,3 +83,50 @@ def test_private_use_is_found(source, named):
 ])
 def test_public_or_outside_use_is_allowed(source):
     assert private_uses(source) == []
+
+
+def _leading_text(node) -> str:
+    """The literal text a string or f-string expression starts with."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+def error_printers(source: str):
+    """Names of the functions in ``source`` (``<module>`` for top-level code)
+    that call ``print`` with a first argument, a string or f-string, starting
+    with ``error:``."""
+    names = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print" and node.args
+                and _leading_text(node.args[0]).startswith("error:")):
+            names.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return names
+
+
+def test_only_cli_main_prints_an_error_line():
+    printers = {(path.stem, name) for path in PACKAGE.glob("*.py")
+                for name in error_printers(path.read_text(encoding="utf-8"))}
+    assert printers == {("cli", "main")}
+
+
+@pytest.mark.parametrize("source, named", [
+    ("def f():\n    print('error: x', file=sys.stderr)", {"f"}),
+    ("def f(e):\n    print(f'error: {e}')", {"f"}),
+    ("def f():\n    def g():\n        print('error:')\n    print('ok')", {"g"}),
+    ("print('error: at import')", {"<module>"}),
+    ("def f():\n    print('warning: x')\n    print(f'{e} error: x')", set()),
+    ("def f():\n    log('error: x')", set()),
+])
+def test_error_printer_is_found(source, named):
+    assert error_printers(source) == named
