@@ -22,8 +22,9 @@ miss the prediction. ``tests/test_constraints.py`` pins such a pair
 (``test_passing_verdict_is_a_rectangle_relaxation``).
 
 Conventions: azimuth is ``atan2(x, z)``, increasing to the right; all BEV
-footprint vertices must lie strictly ahead of the vehicle (z > 0), and ties
-between candidate representative vertices break to the smallest (x, z).
+footprint vertices must lie more than EPS_GEOM ahead of the vehicle, and
+ties between candidate representative vertices break to the smallest
+(x, z).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
-                     GroundTruthAtOrigin, OriginInside, UscError)
+from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from .geometry import (BATCH_CAP, EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon,
                        Box3D, Point2, Rect2D, Segment2D, corner_arrays,
                        map_math, project_bev, project_pv_rect,
@@ -95,16 +95,17 @@ def pv_constraint(p: Rect2D, g: Rect2D) -> bool:
 def representative_points(poly: BevPolygon) -> RepresentativePoints:
     """Extract the closest / rightmost / leftmost vertices of a footprint.
 
-    Raises OriginInside when the vehicle origin lies in the footprint and
-    BehindVehicle when any vertex sits at or behind the vehicle; in both
-    cases the constraint semantics are undefined.
+    Raises BehindVehicle when any vertex lies no more than EPS_GEOM ahead of
+    the vehicle, where the constraint semantics are undefined. That covers a
+    footprint holding the vehicle origin (a convex one has a vertex at
+    z <= 0) and a vertex at the origin; every accepted vertex is more than
+    EPS_GEOM from it, since its distance is at least its z.
     """
-    if poly.contains_origin():
-        raise OriginInside("vehicle origin lies inside the footprint")
     for v in poly.vertices:
-        if v.z <= 0.0:
+        if v.z <= EPS_GEOM:
             raise BehindVehicle(
-                f"footprint vertex at z={v.z:.6g} m is not ahead of the vehicle")
+                f"footprint vertex at z={v.z:.6g} m is not more than "
+                f"{EPS_GEOM:g} m ahead of the vehicle")
     closest = min(poly.vertices, key=lambda v: (v.norm(), v.x, v.z))
     rightmost = max(poly.vertices, key=lambda v: (azimuth(v), -v.x, -v.z))
     leftmost = min(poly.vertices, key=lambda v: (azimuth(v), v.x, v.z))
@@ -154,9 +155,6 @@ def adr(p: BevPolygon, g: BevPolygon) -> float:
     rep_g = representative_points(g)
     g_dists = (rep_g.closest.norm(), rep_g.rightmost.norm(), rep_g.leftmost.norm())
     p_dists = (rep_p.closest.norm(), rep_p.rightmost.norm(), rep_p.leftmost.norm())
-    if min(g_dists) <= EPS_GEOM:
-        raise GroundTruthAtOrigin(
-            "ground-truth representative point coincides with the origin")
     return distance_ratio_geomean(g_dists, p_dists)
 
 
@@ -167,12 +165,12 @@ def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
     Raises BehindCamera (prediction checked first) when a box corner is
     less than EPS_DEPTH ahead of the camera, and DegenerateGroundTruth when
     the ground truth's PV rectangle has no area; the constraints are
-    undefined for such a pair. No other UscError is reachable: every BEV
+    undefined for such a pair. BehindVehicle is not reachable: every BEV
     footprint vertex is a box corner, so a footprint past the BehindCamera
-    check lies wholly ahead of the vehicle. Raises ValueError on boxes whose
-    projections degenerate in floating point: a non-finite PV bound or
-    footprint vertex, a footprint side no longer than EPS_GEOM, or all four
-    footprint vertices on one bearing.
+    check lies at least EPS_DEPTH ahead of the vehicle. Raises ValueError
+    on boxes whose projections degenerate in floating point: a non-finite
+    PV bound or footprint vertex, a footprint side no longer than EPS_GEOM,
+    or all four footprint vertices on one bearing.
     """
     p_pv = project_pv_rect(p)
     g_pv = project_pv_rect(g)
@@ -265,7 +263,7 @@ def _usc_chunk(pred_boxes, gt_boxes):
         try:
             usc[row] = usc_score(pred_boxes[row], gt_boxes[row]).usc
             reason[row] = 0
-        except UscError as exc:
+        except EXCLUSION_REASONS as exc:
             reason[row] = 1 + EXCLUSION_REASONS.index(type(exc))
     usc[reason != 0] = np.nan
     return usc, reason

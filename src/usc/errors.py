@@ -21,15 +21,7 @@ class DegenerateGroundTruth(UscError):
 
 
 class BehindVehicle(UscError):
-    """A BEV footprint vertex lies at or behind the vehicle (z <= 0)."""
-
-
-class OriginInside(UscError):
-    """The vehicle origin lies inside the BEV footprint."""
-
-
-class GroundTruthAtOrigin(UscError):
-    """A ground-truth representative point coincides with the origin."""
+    """A BEV footprint vertex lies no more than EPS_GEOM ahead of the vehicle."""
 
 
 class MissingAnnotationField(UscError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,15 +153,6 @@ class BevPolygon:
     def area(self) -> float:
         return shoelace_area(self.vertices)
 
-    def contains_origin(self) -> bool:
-        """True if the origin lies inside the polygon or on its boundary."""
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            if (b.x - a.x) * (-a.z) - (b.z - a.z) * (-a.x) < 0.0:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Segment2D:
@@ -230,15 +221,6 @@ def project_bev(box: Box3D) -> BevPolygon:
     return BevPolygon(tuple(Point2(corners[i].x, corners[i].z) for i in FOOTPRINT))
 
 
-PolygonLike = Union[BevPolygon, Sequence]
-
-
-def _as_ccw_vertices(poly: PolygonLike) -> tuple:
-    if isinstance(poly, BevPolygon):
-        return poly.vertices
-    return tuple(Point2(float(p[0]), float(p[1])) for p in poly)
-
-
 def shoelace_area(vertices: Sequence) -> float:
     """Unsigned polygon area by the shoelace formula."""
     n = len(vertices)
@@ -260,10 +242,12 @@ def _clip_convex(subject: Sequence, clip: Sequence) -> list:
         ax, az = clip[i][0], clip[i][1]
         bx, bz = clip[(i + 1) % n][0], clip[(i + 1) % n][1]
         ex, ez = bx - ax, bz - az
+        slack = -EPS_GEOM * max(abs(ex), abs(ez))
 
         def inside(p):
-            # non-strict half-plane test; EPS slack keeps shared boundaries in
-            return ex * (p[1] - az) - ez * (p[0] - ax) >= -EPS_GEOM
+            # non-strict half-plane test; a slack of EPS_GEOM / sqrt(2) to
+            # EPS_GEOM metres keeps shared boundaries in
+            return ex * (p[1] - az) - ez * (p[0] - ax) >= slack
 
         def cross_point(p, q):
             den = ex * (q[1] - p[1]) - ez * (q[0] - p[0])
@@ -288,9 +272,10 @@ def _clip_convex(subject: Sequence, clip: Sequence) -> list:
     return output
 
 
-def convex_intersection_area(p: PolygonLike, q: PolygonLike) -> float:
-    """Area of the intersection of two convex polygons; 0 if disjoint."""
-    clipped = _clip_convex(_as_ccw_vertices(p), _as_ccw_vertices(q))
+def convex_intersection_area(p: Sequence, q: Sequence) -> float:
+    """Area of the intersection of two convex polygons, given as sequences
+    of (x, z) vertices, q counter-clockwise; 0 if disjoint."""
+    clipped = _clip_convex(p, q)
     if len(clipped) < 3:
         return 0.0
     return shoelace_area(clipped)
@@ -376,7 +361,7 @@ def _overlap_volume(subject: BevPolygon, clip: BevPolygon, vertical: float) -> f
     of their vertical intervals; ``subject`` is clipped by ``clip``."""
     if vertical <= 0.0:
         return 0.0
-    return convex_intersection_area(subject, clip) * vertical
+    return convex_intersection_area(subject.vertices, clip.vertices) * vertical
 
 
 def box_volume(box: Box3D) -> float:
@@ -426,9 +411,10 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
     Unlike IoU it measures enclosure, not alignment. The ground-truth
     footprint is used as the clipping subject so full containment gives a
     ratio of exactly 1. The converse holds only up to the clip's half-plane
-    slack: a ground-truth footprint sticking out past a prediction side L
-    metres long by at most EPS_GEOM / L metres still counts as covered,
-    while the vertical intervals are compared exactly. So
+    slack: a ground-truth footprint sticking out past a prediction side by
+    less than EPS_GEOM / sqrt(2) metres still counts as covered, by more
+    than EPS_GEOM metres never (between the two it depends on the side's
+    bearing), while the vertical intervals are compared exactly. So
     ``iogt3d(Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0), Box3D(0, 0, 10, 2, 1.5, 2, 0))``
     is 1.0, and the same 4e-10 short in height gives 0.99999999973. The
     prediction is projected only when the vertical intervals overlap.
@@ -540,7 +526,8 @@ def _clip_rows(sx, sz, cx, cz):
         ax, az = cx[:, i, None], cz[:, i, None]
         ex = cx[:, (i + 1) % 4, None] - ax
         ez = cz[:, (i + 1) % 4, None] - az
-        inside = ex * (z - az) - ez * (x - ax) >= -EPS_GEOM
+        inside = (ex * (z - az) - ez * (x - ax)
+                  >= -EPS_GEOM * np.maximum(abs(ex), abs(ez)))
         prev = np.where(slots == 0, count[:, None] - 1, slots - 1)
         px = np.take_along_axis(x, prev, axis=1)
         pz = np.take_along_axis(z, prev, axis=1)

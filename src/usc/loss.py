@@ -71,8 +71,8 @@ def smooth_l1(p, g, beta: float = 1.0, wrap_yaw: bool = True) -> float:
 def iogt_loss(p: Box3D, g: Box3D) -> float:
     """Enclosure loss ``1 - IoGT3D``; zero when the prediction contains the
     ground truth, and also when the ground truth's footprint sticks out of
-    the prediction's within the clip's slack, about EPS_GEOM for metre-long
-    sides (see ``iogt3d``)."""
+    the prediction's within the clip's slack, at most EPS_GEOM metres (see
+    ``iogt3d``)."""
     return 1.0 - iogt3d(p, g)
 
 

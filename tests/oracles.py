@@ -149,7 +149,8 @@ def _overlap_parts(p: Box3D, g: Box3D, subject_first: bool) -> float:
     if vertical <= 0.0:
         return 0.0
     first, second = (p, g) if subject_first else (g, p)
-    area = convex_intersection_area(project_bev(first), project_bev(second))
+    area = convex_intersection_area(project_bev(first).vertices,
+                                    project_bev(second).vertices)
     return area * vertical
 
 

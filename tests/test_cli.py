@@ -573,6 +573,50 @@ class TestCorr:
         assert code == 1
         assert "variance" in captured.err
 
+    def write_two_reports(self, tmp_path, edit_b):
+        """a.json and b.json from one synthetic report, b's ``overall``
+        changed by ``edit_b``, and outcomes 0.1 and 0.5 for them."""
+        report = evaluate(generate_synthetic(SyntheticSpec(seed=2, frames=20)),
+                          ProtocolConfig())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(report, a, "json")
+        document = json.loads(a.read_text())
+        edit_b(document["overall"])
+        b.write_text(json.dumps(document))
+        outcomes = tmp_path / "o.json"
+        outcomes.write_text(json.dumps({"a.json": 0.1, "b.json": 0.5}))
+        return a, b, outcomes
+
+    def test_undefined_overall_metric(self, tmp_path, capsys):
+        a, b, outcomes = self.write_two_reports(
+            tmp_path, lambda overall: overall.update(mausc=None))
+        code = main(["corr", "--reports", str(a), str(b),
+                     "--outcomes", str(outcomes)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == (
+            f"error: report {b} has undefined overall metrics")
+
+    def test_one_report(self, tmp_path, capsys):
+        a, _, outcomes = self.write_two_reports(tmp_path, lambda overall: None)
+        code = main(["corr", "--reports", str(a), "--outcomes", str(outcomes)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == "error: need at least two reports"
+
+    def test_zero_variance_metric_reads_undefined(self, tmp_path, capsys):
+        # only mAUSC differs between the two reports
+        a, b, outcomes = self.write_two_reports(
+            tmp_path, lambda overall: overall.update(mausc=overall["mausc"] / 2))
+        code = main(["corr", "--reports", str(a), str(b),
+                     "--outcomes", str(outcomes)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "metric           |r|", "mAP        undefined", "NDS        undefined",
+            "mAUSC       1.000000", "USC-NDS    undefined"]
+
     def test_missing_outcome_entry(self, tmp_path, capsys):
         frames = generate_synthetic(SyntheticSpec(seed=2, frames=20))
         report = evaluate(frames, ProtocolConfig())

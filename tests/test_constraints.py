@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import hull_contains
 from strategies import boxes, finite, frontal_boxes, frontal_pairs
-from usc import (EPS_DEPTH, BevPolygon, Box3D, Point2, ProtocolConfig,
+from usc import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, SyntheticSpec, adr, azimuth, bev_constraint,
                  box_corners, distance_ratio_geomean, generate_synthetic,
                  iogt_pv, project_bev, project_pv_rect, pv_constraint,
@@ -15,8 +15,7 @@ from usc import (EPS_DEPTH, BevPolygon, Box3D, Point2, ProtocolConfig,
 from usc import constraints
 from usc.geometry import BATCH_CAP
 from usc.constraints import EXCLUSION_REASONS, usc_batch
-from usc.errors import (BehindCamera, BehindVehicle, DegenerateGroundTruth,
-                        GroundTruthAtOrigin, OriginInside, UscError)
+from usc.errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from usc.evaluation import matched_pairs
 
 
@@ -117,8 +116,16 @@ class TestRepresentativePoints:
             representative_points(poly((1, -1), (3, -1), (3, 1), (1, 1)))
 
     def test_origin_inside(self):
-        with pytest.raises(OriginInside):
+        with pytest.raises(BehindVehicle):
             representative_points(poly((1, -1), (1, 1), (-1, 1), (-1, -1)))
+
+    def test_vertex_within_eps_geom_of_vehicle(self):
+        with pytest.raises(BehindVehicle):
+            representative_points(poly((0, EPS_GEOM / 2), (1, 1), (0, 2), (-1, 1)))
+
+    def test_vertex_past_eps_geom_ahead_of_vehicle(self):
+        rep = representative_points(poly((0, 2 * EPS_GEOM), (1, 1), (0, 2), (-1, 1)))
+        assert rep.closest == Point2(0, 2 * EPS_GEOM)
 
     @given(frontal_boxes())
     @settings(max_examples=300)
@@ -179,7 +186,7 @@ class TestAdr:
     def test_ground_truth_at_origin(self):
         g = poly((0, 1e-12), (1, 1e-12), (1, 1), (0, 1))
         p = poly((0, 5), (1, 5), (1, 6), (0, 6))
-        with pytest.raises(GroundTruthAtOrigin):
+        with pytest.raises(BehindVehicle):
             adr(p, g)
 
     @given(frontal_pairs())
@@ -382,7 +389,7 @@ def scalar_outcome(p, g):
     """(usc, reason code) of one pair through the scalar reference path."""
     try:
         return usc_score(p, g).usc, 0
-    except UscError as exc:
+    except EXCLUSION_REASONS as exc:
         return None, 1 + EXCLUSION_REASONS.index(type(exc))
 
 
@@ -500,6 +507,31 @@ class TestUscBatch:
             with pytest.raises(ValueError) as batch:
                 usc_batch([AHEAD, BEHIND, p, tiny], [AHEAD, AHEAD, g, AHEAD])
             assert str(batch.value) == str(scalar.value)
+
+    def test_routed_pairs_are_scored_by_usc_score(self, monkeypatch):
+        # a stand-in reports every footprint ill-formed, so every pair goes
+        # through usc_score, scored pairs included
+        flat = Box3D(0.0, 0.0, 10.0, 4.5, 1e-20, 1.9, 0.0)
+        nearer = Box3D(0.5, 0.0, 9.5, 4.8, 1.9, 2.1, 0.1)
+        pairs = [(AHEAD, AHEAD), (BEHIND, AHEAD), (AHEAD, flat), (nearer, AHEAD)]
+        monkeypatch.setattr(constraints, "well_formed_footprints",
+                            lambda fx, fz: np.zeros(len(fx), dtype=bool))
+        _, reason = assert_batch_matches_scalar(pairs)
+        assert reason.tolist() == [0, BEHIND_CAMERA, DEGENERATE, 0]
+
+    def test_unexpected_usc_error_propagates(self, monkeypatch):
+        def behind_vehicle(p, g):
+            raise BehindVehicle("stand-in")
+
+        monkeypatch.setattr(constraints, "well_formed_footprints",
+                            lambda fx, fz: np.zeros(len(fx), dtype=bool))
+        monkeypatch.setattr(constraints, "usc_score", behind_vehicle)
+        with pytest.raises(BehindVehicle, match="^stand-in$"):
+            usc_batch([AHEAD], [AHEAD])
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
+            usc_batch([AHEAD, AHEAD], [AHEAD])
 
     def test_empty_batch(self):
         usc, reason = usc_batch([], [])

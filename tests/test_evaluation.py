@@ -338,6 +338,14 @@ def pair(det_, ann_):
     return MatchedPair(det_, ann_, bev_center_distance(det_.box, ann_.box))
 
 
+@pytest.mark.parametrize("make", [lambda: Annotation("", box()),
+                                  lambda: Detection("", box(), 0.9)],
+                         ids=["annotation", "detection"])
+def test_empty_class_name_rejected(make):
+    with pytest.raises(ValueError, match="^class_name must be non-empty$"):
+        make()
+
+
 class TestTpErrorMeans:
     def test_perfect_pairs_are_zero(self):
         pairs = [pair(det(1, 10), Annotation("car", box(1, 10)))]
@@ -376,6 +384,10 @@ class TestTpErrorMeans:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             tp_error_means([], ("ATE",))
+
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValueError, match="^unknown TP measure 'XYZ'$"):
+            tp_error_means([pair(det(), ann())], ("ATE", "xyz"))
 
 
 class TestNds:
@@ -444,6 +456,10 @@ class TestPearson:
         # the rounded mean of three 0.1s is not 0.1
         with pytest.raises(ZeroVariance):
             pearson([0.1, 0.1, 0.1], [1, 2, 4])
+
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^series lengths differ$"):
+            pearson([1.0, 2.0, 3.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_huge_and_tiny_series(self, scale):
@@ -758,9 +774,17 @@ class TestProtocolConfigValidation:
             ProtocolConfig(ap_distance_thresholds=(1.0, 1.0000001))
         assert ap_label(1.0000001) == ap_label(1.0) == "AP@1m"
 
+    def test_rejects_no_buckets(self):
+        with pytest.raises(ValueError, match="^at least one range bucket is required$"):
+            ProtocolConfig(range_buckets=(), match_thresholds=())
+
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
             ProtocolConfig(tp_measures=("ATE", "XYZ"))
+
+    def test_rejects_no_measures(self):
+        with pytest.raises(ValueError, match="^at least one TP measure is required$"):
+            ProtocolConfig(tp_measures=())
 
     def test_rejects_repeated_measures(self):
         # equal once upper-cased: the report would list a measure twice

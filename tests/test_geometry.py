@@ -11,7 +11,7 @@ from oracles import (MonteCarloOracle, box_volume_reference,
                      iou3d_reference, segments_intersect_oracle)
 from strategies import boxes, finite
 from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
-                 Segment2D, SyntheticSpec, box_corners, box_volume,
+                 Rect2D, Segment2D, SyntheticSpec, box_corners, box_volume,
                  convex_intersection_area, corner_arrays, generate_synthetic,
                  intersection_volume, iogt3d, iogt3d_batch, iogt_loss, iou3d,
                  matched_pairs, project_bev, project_pv_rect,
@@ -216,7 +216,7 @@ class TestConvexIntersectionArea:
     def test_monte_carlo_cross_check(self):
         a = project_bev(Box3D(0, 0, 10, 3, 1, 2, 0.4))
         b = project_bev(Box3D(0.8, 0, 10.5, 2.5, 1, 2.2, -0.3))
-        area = convex_intersection_area(a, b)
+        area = convex_intersection_area(a.vertices, b.vertices)
         rng = np.random.default_rng(5)
         pts = rng.uniform([-3, 6], [4, 14], size=(1_000_000, 2))
 
@@ -237,17 +237,11 @@ class TestConvexIntersectionArea:
     @settings(max_examples=200)
     def test_bounded_by_inputs_and_vertices_on_both(self, b1, b2):
         p, q = project_bev(b1), project_bev(b2)
-        area = convex_intersection_area(p, q)
+        area = convex_intersection_area(p.vertices, q.vertices)
         assert area <= min(p.area, q.area) * (1 + 1e-9) + 1e-12
-        clipped = _clipped_vertices(p, q)
-        for vertex in clipped:
+        for vertex in geometry._clip_convex(p.vertices, q.vertices):
             assert _violation(vertex, p) <= 1e-8
             assert _violation(vertex, q) <= 1e-8
-
-
-def _clipped_vertices(p, q):
-    from usc.geometry import _as_ccw_vertices, _clip_convex
-    return _clip_convex(_as_ccw_vertices(p), _as_ccw_vertices(q))
 
 
 def _violation(point, poly):
@@ -581,14 +575,27 @@ class TestIogt3dBatch:
         assert_batch_matches_iogt3d([(p, g)])
 
     def test_vertex_exactly_at_the_slack(self):
-        # g's near corners give p's near edge a half-plane value of exactly
-        # -EPS_GEOM, which counts as inside
-        near_edge = EPS_GEOM / 0.125
-        p = Box3D(0.0, 0.0, near_edge + 2.0 ** -30, 0.125, 1.0, 2.0 ** -29, 0.0)
+        # p's 1 m near edge lies on z = 0, so its slack is EPS_GEOM metres:
+        # g's near corners at z = -EPS_GEOM count as inside, one ulp farther
+        # they do not
+        p = Box3D(0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
+        at = Box3D(0.0, 0.0, -EPS_GEOM + 2.0 ** -30, 0.5, 1.0, 2.0 ** -29, 0.0)
+        past = Box3D(0.0, 0.0, at.center_z - 2.0 ** -82, 0.5, 1.0, 2.0 ** -29, 0.0)
+        assert project_bev(at).vertices[2].z == -EPS_GEOM
+        assert project_bev(past).vertices[2].z == math.nextafter(-EPS_GEOM, -1.0)
+        assert iogt3d(p, at) == 1.0
+        assert iogt3d(p, past) < 0.5
+        assert_batch_matches_iogt3d([(p, at), (p, past)])
+
+    def test_slack_past_a_short_side_is_in_metres(self):
+        # p, 1.9e-9 m wide, lies inside g; its short sides admit no more
+        # than EPS_GEOM metres of g past them, so the overlap is Vol(p)
+        p = Box3D(0.0, 0.0, 8e-9 + 2.0 ** -30, 0.125, 1.0, 2.0 ** -29, 0.0)
         g = Box3D(0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
-        a, b = project_bev(p).vertices[2:]
-        assert (b.x - a.x) * (0.0 - a.z) - (b.z - a.z) * (-0.5 - a.x) == -EPS_GEOM
-        assert_batch_matches_iogt3d([(p, g)])
+        expected = box_volume(p) / box_volume(g)
+        assert iogt3d(p, g) == pytest.approx(expected, rel=1e-8)
+        assert iogt3d_batch([p], [g])[0] == iogt3d(p, g)
+        assert intersection_volume(p, g) == pytest.approx(box_volume(p), rel=1e-8)
 
     def test_batch_longer_than_two_chunks(self, monkeypatch):
         frames = generate_synthetic(SyntheticSpec(
@@ -743,6 +750,14 @@ class TestPolygonValidation:
     def test_rejects_repeated_vertices(self):
         with pytest.raises(ValueError):
             BevPolygon(((0, 0), (1, 0), (1, 0), (0, 1)))
+
+    def test_rejects_fewer_than_three_vertices(self):
+        with pytest.raises(ValueError, match="^polygon needs at least 3 vertices$"):
+            BevPolygon(((0, 0), (1, 0)))
+
+    def test_rect_rejects_bounds_out_of_order(self):
+        with pytest.raises(ValueError, match="^rectangle bounds out of order"):
+            Rect2D(0.0, 1.0, 1.0, 0.5)
 
     def test_shoelace(self):
         assert shoelace_area([(0, 0), (2, 0), (2, 1), (0, 1)]) == 2.0

@@ -367,6 +367,16 @@ class TestConfig:
         with pytest.raises(SchemaError):
             load_config(path)
 
+    def test_number_for_a_flag_rejected(self):
+        with pytest.raises(SchemaError,
+                           match="^skip_missing_classes: expected a boolean$"):
+            config_from_dict({"skip_missing_classes": 1})
+
+
+def test_type_without_json_form_is_a_type_error():
+    with pytest.raises(TypeError, match="^no JSON form for <class 'set'>$"):
+        io._typed(set, [], "")
+
 
 def case_ids(cases):
     """Each (path, value) case's dotted path, with ``=<value as JSON>`` added
@@ -649,3 +659,5 @@ class TestSyntheticGenerator:
             SyntheticSpec(frames=-1)
         with pytest.raises(ValueError):
             SyntheticSpec(objects_min=5, objects_max=2)
+        with pytest.raises(ValueError, match="^at least one class is required$"):
+            SyntheticSpec(classes=())

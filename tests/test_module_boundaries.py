@@ -1,6 +1,7 @@
 """No module of the ``usc`` package uses another module's private names:
 neither ``from .x import _name`` nor ``x._name`` on a package module ``x``.
-And only ``cli.main`` prints an ``error:`` line: every other failure raises."""
+Only ``cli.main`` prints an ``error:`` line: every other failure raises.
+And every exception class of ``usc.errors`` is raised somewhere."""
 
 import ast
 import pathlib
@@ -130,3 +131,36 @@ def test_only_cli_main_prints_an_error_line():
 ])
 def test_error_printer_is_found(source, named):
     assert error_printers(source) == named
+
+
+def raised_names(source: str):
+    """Names that ``source`` raises directly: ``raise Name`` or
+    ``raise Name(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8"))
+                           for path in PACKAGE.glob("*.py")
+                           if path.stem != "errors"))
+    assert defined - raised == set()
+
+
+@pytest.mark.parametrize("source, named", [
+    ("raise SchemaError('x', path)", {"SchemaError"}),
+    ("raise ZeroVariance", {"ZeroVariance"}),
+    ("try:\n    f()\nexcept ParseError:\n    raise", set()),
+    ("raise ValueError('x') from UscError", {"ValueError"}),
+    ("raise errors.BehindCamera('x')", set()),
+    ("except_ = BehindVehicle('x')", set()),
+])
+def test_raised_name_is_found(source, named):
+    assert raised_names(source) == named
