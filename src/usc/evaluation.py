@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,46 +45,74 @@ _AP_GRID = 101
 _AP_FLOOR = 0.1
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """Ground-truth object: class label plus box, with optional velocity
-    (vx, vz in m/s) and attribute label."""
+def _velocity(velocity) -> Tuple[float, float]:
+    values = tuple(map(float, velocity))
+    if not (len(values) == 2 and math.isfinite(values[0])
+            and math.isfinite(values[1])):
+        raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
+    return values
 
+
+class _AnnotationFields(NamedTuple):
     class_name: str
     box: Box3D
     velocity: Optional[Tuple[float, float]] = None
     attribute: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.class_name:
+
+class Annotation(_AnnotationFields):
+    """Ground-truth object: class label plus box, with optional velocity
+    (vx, vz in m/s) and attribute label.
+
+    A validated tuple, like ``Box3D``: the class label must be non-empty
+    and a velocity exactly two finite numbers, stored as floats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, class_name, box, velocity=None, attribute=None):
+        if not class_name:
             raise ValueError("class_name must be non-empty")
-        if self.velocity is not None:
-            object.__setattr__(self, "velocity",
-                               (float(self.velocity[0]), float(self.velocity[1])))
+        if velocity is not None:
+            velocity = _velocity(velocity)
+        return tuple.__new__(cls, (class_name, box, velocity, attribute))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """Predicted object with a confidence score in [0, 1]."""
-
+class _DetectionFields(NamedTuple):
     class_name: str
     box: Box3D
     score: float
     velocity: Optional[Tuple[float, float]] = None
     attribute: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.class_name:
+
+class Detection(_DetectionFields):
+    """Predicted object with a confidence score in [0, 1].
+
+    A validated tuple, like ``Annotation``, which also checks the score.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, class_name, box, score, velocity=None, attribute=None):
+        if not class_name:
             raise ValueError("class_name must be non-empty")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if self.velocity is not None:
-            object.__setattr__(self, "velocity",
-                               (float(self.velocity[0]), float(self.velocity[1])))
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {score}")
+        if velocity is not None:
+            velocity = _velocity(velocity)
+        return tuple.__new__(cls, (class_name, box, score, velocity, attribute))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(NamedTuple):
     detection: Detection
     annotation: Annotation
     center_distance: float

@@ -8,6 +8,14 @@ The autonomous vehicle (AV) sits at the origin of a right-handed frame with
 length along ``x`` at zero yaw, height along ``y``, width along ``z``, and
 yaw as rotation about the ``y`` axis.
 
+A ``Box3D``, like the evaluation module's ``Annotation`` and ``Detection``,
+is a validated tuple: a subclass of a ``typing.NamedTuple`` whose
+``__new__`` checks the values on every construction, whether by call,
+``_make``, ``_replace``, ``copy`` or ``pickle``. It has no ``__dict__``, and
+assigning a field raises AttributeError. Otherwise it is a plain tuple: a
+box equals the 7-tuple of its values, unpacks as ``(x, y, z, l, h, w,
+yaw)`` and orders like a tuple.
+
 Two projections are used throughout:
 
 * PV (perspective view): pinhole mapping ``(u, v) = (x/z, y/z)`` onto the
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,14 +78,7 @@ class Point2(NamedTuple):
         return math.hypot(self.x, self.z)
 
 
-@dataclass(frozen=True)
-class Box3D:
-    """Upright oriented box in the AV frame.
-
-    Dimensions must be positive and finite; yaw is normalized to (-pi, pi]
-    on construction.
-    """
-
+class _Box3DFields(NamedTuple):
     center_x: float
     center_y: float
     center_z: float
@@ -85,21 +87,35 @@ class Box3D:
     width: float
     yaw: float
 
-    def __post_init__(self):
-        values = (self.center_x, self.center_y, self.center_z,
-                  self.length, self.height, self.width, self.yaw)
+
+class Box3D(_Box3DFields):
+    """Upright oriented box in the AV frame: a validated 7-tuple
+    ``(x, y, z, l, h, w, yaw)`` with those fields named ``center_x`` to
+    ``yaw``.
+
+    Every parameter must be finite and every dimension positive; a yaw
+    outside (-pi, pi] is wrapped into it on construction. A box equals the
+    plain 7-tuple of its values and orders like it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, center_x, center_y, center_z, length, height, width, yaw):
+        values = (center_x, center_y, center_z, length, height, width, yaw)
         # a finite sum has only finite terms; otherwise check term by term
         if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
             raise ValueError(f"box parameters must be finite, got {values}")
-        if self.length <= 0 or self.height <= 0 or self.width <= 0:
+        if length <= 0 or height <= 0 or width <= 0:
             raise ValueError(
-                f"box dimensions must be positive, got l={self.length}, "
-                f"h={self.height}, w={self.width}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+                f"box dimensions must be positive, got l={length}, "
+                f"h={height}, w={width}")
+        if not -math.pi < yaw <= math.pi:
+            values = values[:6] + (wrap_angle(yaw),)
+        return tuple.__new__(cls, values)
 
-    def as_tuple(self) -> tuple:
-        return (self.center_x, self.center_y, self.center_z,
-                self.length, self.height, self.width, self.yaw)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -466,8 +482,8 @@ def map_math(fn, *arrays) -> np.ndarray:
 def corner_arrays(boxes: Sequence[Box3D]):
     """(n, 8) arrays of the x, y and z corner coordinates of each box: the
     array form of ``box_corners``, the same floats in the same order."""
-    cx, cy, cz, length, height, width, yaw = np.array(
-        [b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 7).T
+    cx, cy, cz, length, height, width, yaw = np.fromiter(
+        chain.from_iterable(boxes), np.float64, 7 * len(boxes)).reshape(-1, 7).T
     c = map_math(math.cos, yaw)[:, None]
     s = map_math(math.sin, yaw)[:, None]
     dx = (length / 2.0)[:, None] * _SIDE_X

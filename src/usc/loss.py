@@ -55,8 +55,7 @@ def smooth_l1(p, g, beta: float = 1.0, wrap_yaw: bool = True) -> float:
     Accepts Box3D values or plain 7-sequences (x, y, z, l, h, w, yaw). The
     yaw residual is wrapped to (-pi, pi] unless wrap_yaw is disabled.
     """
-    pt = p.as_tuple() if isinstance(p, Box3D) else tuple(p)
-    gt = g.as_tuple() if isinstance(g, Box3D) else tuple(g)
+    pt, gt = tuple(p), tuple(g)
     if len(pt) != 7 or len(gt) != 7:
         raise ValueError("expected 7-tuples of box parameters")
     total = 0.0

@@ -346,6 +346,24 @@ def test_empty_class_name_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make", [lambda v: Annotation("car", box(), v),
+                                  lambda v: Detection("car", box(), 0.9, v)],
+                         ids=["annotation", "detection"])
+class TestVelocity:
+    def test_stored_as_two_floats(self, make):
+        velocity = make([1, -2]).velocity
+        assert velocity == (1.0, -2.0)
+        assert all(type(v) is float for v in velocity)
+
+    @pytest.mark.parametrize("velocity", [(1, 2, 3), (1,), (math.nan, 1.0),
+                                          (1.0, -math.inf)],
+                             ids=["three", "one", "nan", "inf"])
+    def test_rejects_all_but_two_finite_numbers(self, make, velocity):
+        with pytest.raises(ValueError,
+                           match=r"^velocity must be two finite numbers, got \("):
+            make(velocity)
+
+
 class TestTpErrorMeans:
     def test_perfect_pairs_are_zero(self):
         pairs = [pair(det(1, 10), Annotation("car", box(1, 10)))]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -88,6 +87,16 @@ class TestBoxCorners:
     @given(st.lists(boxes() | overflow_boxes(), max_size=12))
     @settings(max_examples=100)
     def test_corner_arrays_are_box_corners(self, box_list):
+        x, y, z = corner_arrays(box_list)
+        assert x.shape == y.shape == z.shape == (len(box_list), 8)
+        expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
+        assert np.stack([x, y, z], axis=2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("box_list", [
+        [], [Box3D(1, 0, 10, 2, 1, 3, 0), Box3D(-4, 2, 7, 1, 2, 1, 4)]],
+        ids=["empty", "ints"])
+    def test_corner_arrays_of_no_boxes_and_of_int_boxes(self, box_list):
+        assert all(type(v) is int for b in box_list for v in b[:6])
         x, y, z = corner_arrays(box_list)
         assert x.shape == y.shape == z.shape == (len(box_list), 8)
         expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
@@ -412,7 +421,7 @@ def _outcome(measure, *boxes_):
 
 def _thin(box, sides):
     """The box with each named side shrunk to at most EPS_GEOM."""
-    return dataclasses.replace(box, **{side: EPS_GEOM / 3 for side in sides})
+    return box._replace(**{side: EPS_GEOM / 3 for side in sides})
 
 
 @st.composite
@@ -430,12 +439,12 @@ def overlap_pairs(draw):
                   g.height * draw(finite(0.6, 1.6)), g.width * draw(finite(0.6, 1.6)),
                   g.yaw + draw(finite(-0.6, 0.6)))
     else:
-        p = dataclasses.replace(g, length=g.length * draw(finite(1, 2)),
-                                height=g.height * draw(finite(1, 2)),
-                                width=g.width * draw(finite(1, 2)))
+        p = g._replace(length=g.length * draw(finite(1, 2)),
+                       height=g.height * draw(finite(1, 2)),
+                       width=g.width * draw(finite(1, 2)))
     if draw(st.booleans()):
         gap = (g.height + p.height) / 2 + draw(finite(0, 2))
-        p = dataclasses.replace(p, center_y=g.center_y + draw(st.sampled_from((-gap, gap))))
+        p = p._replace(center_y=g.center_y + draw(st.sampled_from((-gap, gap))))
     thin_sides = st.sampled_from(((),) * 4 + (("length",), ("width",), ("length", "width")))
     return _thin(p, draw(thin_sides)), _thin(g, draw(thin_sides))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -290,12 +289,11 @@ class TestValidDataTakesTheFastPath:
                                                   lateral_noise=0.2,
                                                   fp_rate=0.3))
         for index, frame in enumerate(frames[::2]):
-            frame.ground_truths[0] = dataclasses.replace(
-                frame.ground_truths[0], velocity=(index, -0.5),
-                attribute="moving")
+            frame.ground_truths[0] = frame.ground_truths[0]._replace(
+                velocity=(index, -0.5), attribute="moving")
             if frame.predictions:
-                frame.predictions[0] = dataclasses.replace(
-                    frame.predictions[0], velocity=(0.25, 1e-3))
+                frame.predictions[0] = frame.predictions[0]._replace(
+                    velocity=(0.25, 1e-3))
         path = tmp_path / "d.jsonl"
         save_dataset(frames, path)
         expected = load_dataset(path)

@@ -137,7 +137,7 @@ class TestSafetyLoss:
         base = safety_loss(p, g)
         eps = 1e-6
         for index in range(7):
-            params = list(p.as_tuple())
+            params = list(p)
             params[index] += eps
             shifted = safety_loss(Box3D(*params), g)
             assert abs(shifted - base) <= 100 * eps

@@ -1,0 +1,104 @@
+"""The validated tuple value types. ``Box3D``, ``Annotation`` and
+``Detection`` check their values however an instance is built: by call,
+``_make``, ``_replace``, ``copy`` or ``pickle``. None of them, nor
+``MatchedPair``, has a ``__dict__`` or takes an assignment, and a box is
+otherwise a plain 7-tuple."""
+
+import copy
+import math
+import pickle
+import re
+
+import pytest
+
+from usc import Annotation, Box3D, Detection, MatchedPair
+
+BOX = Box3D(0.5, -0.25, 10.0, 4.0, 1.5, 1.8, 0.1)
+ANN = Annotation("car", BOX, (1.0, 0.5), "moving")
+DET = Detection("car", BOX, 0.9, (1.0, 0.5), "moving")
+PAIR = MatchedPair(DET, ANN, 0.0)
+
+#: (a valid value, one of its fields, a value the constructor rejects there)
+INVALID = [(BOX, "length", -1), (BOX, "center_x", math.nan),
+           (ANN, "class_name", ""), (DET, "class_name", ""), (DET, "score", 1.5)]
+INVALID_IDS = ["length", "nan-center", "annotation-class", "detection-class",
+               "score"]
+
+
+def rejected(value, field, bad):
+    """The values of ``value`` with ``field`` set to ``bad``, and the exact
+    message of the ValueError the constructor raises on them."""
+    values = list(value)
+    values[value._fields.index(field)] = bad
+    with pytest.raises(ValueError) as exc:
+        type(value)(*values)
+    return values, f"^{re.escape(str(exc.value))}$"
+
+
+def forged(value, values):
+    """An instance of ``value``'s type holding ``values`` unchecked."""
+    return tuple.__new__(type(value), values)
+
+
+@pytest.mark.parametrize("value, field, bad", INVALID, ids=INVALID_IDS)
+class TestEveryConstructionValidates:
+    def test_make(self, value, field, bad):
+        values, message = rejected(value, field, bad)
+        with pytest.raises(ValueError, match=message):
+            type(value)._make(values)
+
+    def test_replace(self, value, field, bad):
+        _, message = rejected(value, field, bad)
+        with pytest.raises(ValueError, match=message):
+            value._replace(**{field: bad})
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copy(self, value, field, bad, duplicate):
+        values, message = rejected(value, field, bad)
+        with pytest.raises(ValueError, match=message):
+            duplicate(forged(value, values))
+
+    def test_pickle_round_trip(self, value, field, bad):
+        values, message = rejected(value, field, bad)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(forged(value, values)))
+
+
+@pytest.mark.parametrize("value", [BOX, ANN, DET, PAIR],
+                         ids=["box", "annotation", "detection", "pair"])
+class TestTupleTraps:
+    def test_copies_and_round_trips_are_equal_and_of_the_type(self, value):
+        for other in (copy.copy(value), copy.deepcopy(value), value._replace(),
+                      type(value)._make(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value) and other == value
+
+    def test_no_field_can_be_assigned(self, value):
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+
+def test_replace_wraps_yaw_and_normalizes_velocity():
+    assert BOX._replace(yaw=3 * math.pi) == Box3D(*BOX[:6], 3 * math.pi)
+    assert BOX._replace(yaw=3 * math.pi).yaw == pytest.approx(math.pi)
+    assert ANN._replace(velocity=[2, 0]).velocity == (2.0, 0.0)
+    with pytest.raises(ValueError, match="^velocity must be two finite numbers"):
+        DET._replace(velocity=(1, 2, 3))
+
+
+def test_box_is_its_plain_seven_tuple():
+    values = (0.5, -0.25, 10.0, 4.0, 1.5, 1.8, 0.1)
+    assert BOX == values and hash(BOX) == hash(values)
+    x, y, z, length, height, width, yaw = BOX
+    assert (x, y, z, length, height, width, yaw) == (
+        BOX.center_x, BOX.center_y, BOX.center_z, BOX.length, BOX.height,
+        BOX.width, BOX.yaw)
+    shifted = BOX._replace(center_z=9.0)
+    assert shifted < BOX and sorted([BOX, shifted]) == [shifted, BOX]
+    assert repr(BOX) == ("Box3D(center_x=0.5, center_y=-0.25, center_z=10.0, "
+                         "length=4.0, height=1.5, width=1.8, yaw=0.1)")
