@@ -36,9 +36,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
-from .geometry import (BATCH_CAP, EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon,
-                       Box3D, Point2, Rect2D, Segment2D, corner_arrays,
-                       map_math, project_bev, project_pv_rect,
+from .geometry import (EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon, Box3D,
+                       Point2, Rect2D, Segment2D, corner_arrays, map_math,
+                       pair_batches, project_bev, project_pv_rect,
                        segments_intersect, well_formed_footprints)
 
 
@@ -168,9 +168,9 @@ def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
     undefined for such a pair. BehindVehicle is not reachable: every BEV
     footprint vertex is a box corner, so a footprint past the BehindCamera
     check lies at least EPS_DEPTH ahead of the vehicle. Raises ValueError
-    on boxes whose projections degenerate in floating point: a non-finite
-    PV bound or footprint vertex, a footprint side no longer than EPS_GEOM,
-    or all four footprint vertices on one bearing.
+    only where ``Rect2D`` or ``BevPolygon`` rejects a projection that
+    degenerates in floating point: a non-finite PV bound or footprint
+    vertex, or a footprint side no longer than EPS_GEOM.
     """
     p_pv = project_pv_rect(p)
     g_pv = project_pv_rect(g)
@@ -214,18 +214,14 @@ def _first_min(key, fx, fz) -> np.ndarray:
 
 def _footprint_terms(x, z):
     """Distances of the closest / rightmost / leftmost footprint vertices, as
-    ``representative_points`` picks them, and a mask of the footprints on
-    which ``usc_score`` cannot raise ValueError: ``BevPolygon`` accepts them
-    and not all four vertices lie on one bearing (then no facing side is
-    left for ``segments_intersect``)."""
+    ``representative_points`` picks them, and the mask of the footprints
+    that ``BevPolygon`` accepts."""
     fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
     norm = map_math(math.hypot, fx, fz)
     bearing = map_math(math.atan2, fx, fz)
     picks = np.stack([_first_min(norm, fx, fz), _first_min(-bearing, fx, fz),
                       _first_min(bearing, fx, fz)], axis=1)
-    well_formed = (well_formed_footprints(fx, fz)
-                   & (bearing.max(axis=1) != bearing.min(axis=1)))
-    return np.take_along_axis(norm, picks, axis=1), well_formed
+    return np.take_along_axis(norm, picks, axis=1), well_formed_footprints(fx, fz)
 
 
 def _usc_chunk(pred_boxes, gt_boxes):
@@ -271,8 +267,9 @@ def _usc_chunk(pred_boxes, gt_boxes):
 
 def usc_batch(pred_boxes: Sequence[Box3D],
               gt_boxes: Sequence[Box3D]) -> Tuple[np.ndarray, np.ndarray]:
-    """USC of many prediction / ground-truth pairs at once, with the PV
-    rectangles on the normalized image plane, as ``usc_score`` takes them.
+    """USC of many prediction / ground-truth pairs at once, run by
+    ``pair_batches``, with the PV rectangles on the normalized image plane,
+    as ``usc_score`` takes them.
 
     Returns a float64 array of USC values and an int8 array of exclusion
     reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
@@ -283,14 +280,4 @@ def usc_batch(pred_boxes: Sequence[Box3D],
     ValueError are passed to it, so the first such pair raises the same
     error here.
     """
-    if len(pred_boxes) != len(gt_boxes):
-        raise ValueError(f"{len(pred_boxes)} predictions but "
-                         f"{len(gt_boxes)} ground truths")
-    usc = np.empty(len(pred_boxes), dtype=np.float64)
-    reason = np.empty(len(pred_boxes), dtype=np.int8)
-    with np.errstate(all="ignore"):
-        for start in range(0, len(pred_boxes), BATCH_CAP):
-            stop = start + BATCH_CAP
-            usc[start:stop], reason[start:stop] = _usc_chunk(
-                pred_boxes[start:stop], gt_boxes[start:stop])
-    return usc, reason
+    return pair_batches(_usc_chunk, pred_boxes, gt_boxes)

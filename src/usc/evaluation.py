@@ -10,11 +10,12 @@ score take the nearest untaken annotation within the limit. Objects are
 grouped into range buckets by the ground-truth center distance; matched
 detections inherit their annotation's bucket, unmatched detections fall
 into the bucket of their own center distance. One class loop per bucket
-then gives each class its slice: AP per distance threshold, AUSC (the mean
-USC score) and then the mean true-positive errors of its pairs, and TP/FP/FN,
-TP + FN being its in-range ground truths; the first faulty slice in bucket,
-then class order names the error. The bucket's mAP, NDS, mAUSC, USC-NDS and
-counts come from its slices, the overall ones from the buckets'.
+then gives each class with an in-range object, ground truth or prediction,
+its slice: AP per distance threshold, AUSC (the mean USC score) and then the
+mean true-positive errors of its pairs, and TP/FP/FN, TP + FN being its
+in-range ground truths; the first faulty slice in bucket, then class order
+names the error. The bucket's mAP, NDS, mAUSC, USC-NDS and counts come from
+its slices, the overall ones from the buckets'.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -46,7 +47,10 @@ _AP_FLOOR = 0.1
 
 
 def _velocity(velocity) -> Tuple[float, float]:
-    values = tuple(map(float, velocity))
+    try:
+        values = tuple(map(float, velocity))
+    except OverflowError:  # an int beyond the float range
+        values = ()
     if not (len(values) == 2 and math.isfinite(values[0])
             and math.isfinite(values[1])):
         raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
@@ -519,10 +523,12 @@ def _counts(parts) -> Dict[str, int]:
 def _bucket_summary(slices: Sequence[ClassBucketMetrics],
                     config: ProtocolConfig) -> BucketSummary:
     """One bucket's summary from its slices, one per class of the report.
-    The counts cover every slice; the metrics average over the classes with
-    in-range ground truth, or over all when classes are not skipped. An
-    absent class scores worst case (AP 0, errors 1, AUSC 0); a present class
-    whose every pair was excluded from USC stays out of mAUSC."""
+    The counts cover every slice, including the false positives of a class
+    with no ground truth in the bucket; the metrics average over the classes
+    with ground truth in the bucket, or over all when classes are not
+    skipped. An absent class scores worst case (AP 0, errors 1, AUSC 0); a
+    present class whose every pair was excluded from USC stays out of
+    mAUSC."""
     counted = [m for m in slices
                if m.tp + m.fn > 0 or not config.skip_missing_classes]
     mean_ap = _mean_or_none([0.0 if v is None else v
@@ -545,11 +551,13 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     """Run the full range-bucketed protocol over a dataset.
 
     ``frames`` is a sequence of FrameRecord values (see the io module).
-    Undefined metrics stay None; they are never silently zeroed.
+    The report lists every class with an in-range ground truth or
+    prediction, so a class seen only in predictions shows its false
+    positives. Undefined metrics stay None; they are never silently zeroed.
     """
     frames = list(frames)
     pairs, fps, fns, labeled = _walk(frames, config, config.ap_distance_thresholds)
-    classes = sorted({class_name for class_name, _ in [*pairs, *fns]})
+    classes = sorted({class_name for class_name, _ in [*pairs, *fps, *fns]})
     per_class = {class_name: {} for class_name in classes}
     per_bucket = {}
     for b, (near, far) in enumerate(config.range_buckets):

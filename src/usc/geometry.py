@@ -102,8 +102,13 @@ class Box3D(_Box3DFields):
 
     def __new__(cls, center_x, center_y, center_z, length, height, width, yaw):
         values = (center_x, center_y, center_z, length, height, width, yaw)
-        # a finite sum has only finite terms; otherwise check term by term
-        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        try:
+            # a finite float sum has only finite terms; else check each term
+            finite = (math.isfinite(sum(values, 0.0))
+                      or all(map(math.isfinite, values)))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"box parameters must be finite, got {values}")
         if length <= 0 or height <= 0 or width <= 0:
             raise ValueError(
@@ -341,14 +346,12 @@ def _pair_intersects(s: Segment2D, t: Segment2D) -> bool:
 
 def segments_intersect(segments: Iterable[Segment2D]) -> bool:
     """True iff some pair of segments intersects, excluding touches at
-    coincident endpoints.
+    coincident endpoints; fewer than two segments give False.
 
-    The representative-point sets this serves hold exactly four segments, so
+    The representative-point sets this serves hold at most four segments, so
     the quadratic pairwise test is used rather than a sweep line.
     """
     segs = list(segments)
-    if len(segs) < 2:
-        raise ValueError("need at least 2 segments")
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             if _pair_intersects(segs[i], segs[j]):
@@ -470,6 +473,21 @@ _NEXT = [1, 2, 3, 0]
 _CLIP_SLOTS = 8
 
 
+def pair_batches(chunk, preds: Sequence[Box3D], gts: Sequence[Box3D]) -> tuple:
+    """Run a batch kernel's ``chunk`` on consecutive slices of at most
+    BATCH_CAP prediction / ground-truth pairs, in pair order, with numpy's
+    floating-point warnings off, and join each array it returns. With no
+    pairs it calls ``chunk`` once on the empty slices, so the arrays keep
+    their dtypes. Raises ValueError unless the lengths agree.
+    """
+    if len(preds) != len(gts):
+        raise ValueError(f"{len(preds)} predictions but {len(gts)} ground truths")
+    with np.errstate(all="ignore"):
+        parts = [chunk(preds[start:start + BATCH_CAP], gts[start:start + BATCH_CAP])
+                 for start in range(0, max(len(preds), 1), BATCH_CAP)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def map_math(fn, *arrays) -> np.ndarray:
     """Apply a scalar ``math`` function elementwise. numpy's own hypot,
     arctan2 and power differ from ``math`` in the last bit on some inputs,
@@ -558,19 +576,19 @@ def _clip_rows(sx, sz, cx, cz):
         # each vertex emits its crossing point, then itself, into two slots
         live = slots < count[:, None]
         emit = np.stack([live & (inside != prev_in), live & inside],
-                        axis=2).reshape(n, -1)
+                        axis=2).reshape(n, 2 * _CLIP_SLOTS)
         count = emit.sum(axis=1)
         overflow |= count > _CLIP_SLOTS
         order = np.argsort(~emit, axis=1, kind="stable")[:, :_CLIP_SLOTS]
         x = np.take_along_axis(np.stack([px + t * (x - px), x], axis=2)
-                               .reshape(n, -1), order, axis=1)
+                               .reshape(n, 2 * _CLIP_SLOTS), order, axis=1)
         z = np.take_along_axis(np.stack([pz + t * (z - pz), z], axis=2)
-                               .reshape(n, -1), order, axis=1)
+                               .reshape(n, 2 * _CLIP_SLOTS), order, axis=1)
         count = np.minimum(count, _CLIP_SLOTS)
     return x, z, count, overflow
 
 
-def _iogt3d_chunk(preds, gts) -> np.ndarray:
+def _iogt3d_chunk(preds, gts) -> tuple:
     p_x, p_y, p_z = corner_arrays(preds)
     g_x, g_y, g_z = corner_arrays(gts)
     px, pz = p_x[:, FOOTPRINT], p_z[:, FOOTPRINT]
@@ -591,23 +609,17 @@ def _iogt3d_chunk(preds, gts) -> np.ndarray:
                & (volume != 0.0)) | overflow
     for row in np.flatnonzero(scalar):
         value[row] = iogt3d(preds[row], gts[row])
-    return value
+    return (value,)
 
 
 def iogt3d_batch(preds: Sequence[Box3D], gts: Sequence[Box3D]) -> np.ndarray:
-    """``iogt3d`` of many prediction / ground-truth pairs at once.
+    """``iogt3d`` of many prediction / ground-truth pairs at once, run by
+    ``pair_batches``.
 
     Returns a float64 array whose every value equals, bit for bit, what
     ``iogt3d`` gives for that pair: the kernel repeats its arithmetic in the
     same order, with ``math`` for the cosine and sine. Pairs on which
-    ``iogt3d`` could raise are passed to it, in pair order, so the first
-    such pair raises the same error here.
+    ``iogt3d`` could raise are passed to it, so the first such pair raises
+    the same error here.
     """
-    if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} predictions but {len(gts)} ground truths")
-    values = np.empty(len(preds), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        for start in range(0, len(preds), BATCH_CAP):
-            stop = start + BATCH_CAP
-            values[start:stop] = _iogt3d_chunk(preds[start:stop], gts[start:stop])
-    return values
+    return pair_batches(_iogt3d_chunk, preds, gts)[0]

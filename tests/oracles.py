@@ -453,7 +453,8 @@ def reference_evaluate(frames, config):
     ``usc_score`` on every pair, a BehindCamera or DegenerateGroundTruth
     pair excluded from AUSC and counted; the bucket rules of
     ``_reference_summary``; and the overall metrics as the means of the
-    buckets' defined ones. A class with nothing matched in a bucket scores
+    buckets' defined ones. The classes are those with an in-range ground
+    truth or prediction. A class with nothing matched in a bucket scores
     worst case there (errors 1, AUSC 0) if it has ground truth in it, and
     None otherwise. AVE and AAE need velocities and attributes on every
     object."""
@@ -472,8 +473,9 @@ def reference_evaluate(frames, config):
                 (pair.detection.score, True) for pair in matched)
         for key, dets in t_fps.items():
             labels.setdefault((t, key), []).extend((det.score, False) for det in dets)
-    classes = sorted({ann.class_name for frame in frames for ann in frame.ground_truths
-                      if bucket_of(ann.box) is not None})
+    classes = sorted({obj.class_name for frame in frames
+                      for obj in [*frame.ground_truths, *frame.predictions]
+                      if bucket_of(obj.box) is not None})
     per_class = {class_name: {} for class_name in classes}
     per_bucket = {}
     for b, (near, far) in enumerate(config.range_buckets):

@@ -19,6 +19,14 @@ from usc.errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from usc.evaluation import matched_pairs
 
 
+AHEAD = Box3D(0.0, 0.0, 10.0, 4.5, 1.7, 1.9, 0.0)
+BEHIND = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
+#: 1.8 mm wide and 1e13 m off, so all four footprint vertices share one
+#: bearing: the footprint has no vehicle-facing side
+FAR = Box3D(8881733906860.004, 0.0, 4065451049573.2236, 1.4485064961420586,
+            808.5728874333704, 0.0018175574008870465, 2.7123276880465355)
+
+
 def rect(min_u, min_v, max_u, max_v):
     return Rect2D(min_u, min_v, max_u, max_v)
 
@@ -155,6 +163,16 @@ class TestBevConstraint:
         g_box = Box3D(0, 0, 10, 2, 1, 2, 0.0)
         p_box = Box3D(0, 0, 11.5, 2, 1, 2, 0.0)
         assert bev_constraint(project_bev(p_box), project_bev(g_box)) is False
+
+    @pytest.mark.parametrize("p_box, g_box", [(FAR, AHEAD), (AHEAD, FAR)],
+                             ids=["far-prediction", "far-ground-truth"])
+    def test_footprint_on_one_bearing(self, p_box, g_box):
+        # FAR has no facing side, and AHEAD's closest vertex is also its
+        # leftmost, so one facing side is left and nothing can cross
+        p, g = project_bev(p_box), project_bev(g_box)
+        nearer = (representative_points(p).closest.norm()
+                  <= representative_points(g).closest.norm())
+        assert bev_constraint(p, g) is nearer
 
     def test_nearer_but_crossing_sides_fails(self):
         g_box = Box3D(0, 0, 10, 4, 1, 2, 0.0)
@@ -410,8 +428,6 @@ def assert_batch_matches_scalar(pairs):
 
 BEHIND_CAMERA = 1 + EXCLUSION_REASONS.index(BehindCamera)
 DEGENERATE = 1 + EXCLUSION_REASONS.index(DegenerateGroundTruth)
-AHEAD = Box3D(0.0, 0.0, 10.0, 4.5, 1.7, 1.9, 0.0)
-BEHIND = Box3D(0.0, 0.0, 0.5, 4.5, 1.7, 1.9, 0.0)
 
 
 class TestUscScoreExclusions:
@@ -494,19 +510,30 @@ class TestUscBatch:
     def test_value_error_parity(self):
         tiny = Box3D(0.0, 0.0, 10.0, 1e-10, 1e-10, 1e-10, 0.0)
         huge = Box3D(1e308, 0.0, 0.6, 1.0, 1.0, 1.0, 0.0)
-        # so far off that all four footprint vertices share one bearing
-        far = Box3D(8881733906860.004, 0.0, 4065451049573.2236,
-                    1.4485064961420586, 808.5728874333704,
-                    0.0018175574008870465, 2.7123276880465355)
         # one footprint vertex overflows, the PV bounds stay finite
         overflow = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
-        for p, g in ((tiny, AHEAD), (huge, AHEAD), (AHEAD, far),
-                     (overflow, AHEAD)):
+        for p, g in ((tiny, AHEAD), (huge, AHEAD), (overflow, AHEAD)):
             with pytest.raises(ValueError) as scalar:
                 usc_score(p, g)
             with pytest.raises(ValueError) as batch:
                 usc_batch([AHEAD, BEHIND, p, tiny], [AHEAD, AHEAD, g, AHEAD])
             assert str(batch.value) == str(scalar.value)
+
+    def test_footprint_on_one_bearing(self, monkeypatch):
+        # usc_score scores or excludes such a pair, and the kernel decides
+        # it alone, bit for bit
+        pairs = [(FAR, AHEAD), (AHEAD, FAR), (FAR, FAR)]
+        expected = [scalar_outcome(p, g) for p, g in pairs]
+        assert expected == [(0.0, 0), (None, DEGENERATE), (None, DEGENERATE)]
+
+        def no_scalar_fallback(*args):
+            raise AssertionError("well-formed pairs must not reach usc_score")
+
+        monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
+        usc, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert reason.tolist() == [0, DEGENERATE, DEGENERATE]
+        assert usc[:1].tobytes() == np.array([expected[0][0]]).tobytes()
+        assert np.isnan(usc[1:]).all()
 
     def test_routed_pairs_are_scored_by_usc_score(self, monkeypatch):
         # a stand-in reports every footprint ill-formed, so every pair goes

@@ -191,13 +191,16 @@ class TestMatcherAgainstReference:
     @settings(max_examples=200, deadline=None)
     def test_report_ap_equals_reference_labels(self, frames, config):
         report = evaluate(frames, config)
-        gt_counts = {}
+        gt_counts, classes = {}, set()
         for frame in frames:
             for a in frame.ground_truths:
                 b = config.bucket_index(math.hypot(a.box.center_x, a.box.center_z))
                 if b is not None:
                     gt_counts[(a.class_name, b)] = gt_counts.get((a.class_name, b), 0) + 1
-        assert report.classes == sorted({c for c, _ in gt_counts})
+            for d in frame.predictions:
+                if config.bucket_index(math.hypot(d.box.center_x, d.box.center_z)) is not None:
+                    classes.add(d.class_name)
+        assert report.classes == sorted(classes | {c for c, _ in gt_counts})
         for t in config.ap_distance_thresholds:
             pairs, fps, _ = reference_walk(frames, config, lambda _a: t)
             for c in report.classes:
@@ -220,8 +223,12 @@ class TestMatcherAgainstReference:
         assert ids(fps[("bus", 1)]) == [id(dets[4])]
         assert ids(fns[("car", 0)]) == [id(anns[2])]
         assert ids(fns[("truck", 1)]) == [id(anns[4])]
+        # the bus class, seen only in predictions, is listed with its FP
         report = evaluate([EDGE_FRAME], ProtocolConfig())
-        assert report.classes == ["car", "truck"]
+        assert report.classes == ["bus", "car", "truck"]
+        assert report.per_class["bus"]["[10,20)"].fp == 1
+        assert report.per_bucket["[10,20)"].fp == 2
+        assert report.overall.fp == 2
 
 
 def edge_coordinate(c, reach, factor, sign, ulps):
@@ -356,8 +363,9 @@ class TestVelocity:
         assert all(type(v) is float for v in velocity)
 
     @pytest.mark.parametrize("velocity", [(1, 2, 3), (1,), (math.nan, 1.0),
-                                          (1.0, -math.inf)],
-                             ids=["three", "one", "nan", "inf"])
+                                          (1.0, -math.inf), (10**400, 0)],
+                             ids=["three", "one", "nan", "inf",
+                                  "int-beyond-float-range"])
     def test_rejects_all_but_two_finite_numbers(self, make, velocity):
         with pytest.raises(ValueError,
                            match=r"^velocity must be two finite numbers, got \("):

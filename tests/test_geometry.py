@@ -118,6 +118,14 @@ class TestBox3DValidation:
         box = Box3D(1e308, 1e308, 0, 1e308, 1, 1, 0)
         assert box.center_x == box.center_y == box.length == 1e308
 
+    @pytest.mark.parametrize("values", [
+        (10**400, 0, 10, 1, 1, 1, 0), (0, 0, 10, 10**400, 1, 1, 0),
+        (0, 0, 10, 1, 1, 1, 10**400), (10**400, -10**400, 10, 1, 1, 1, 0)],
+        ids=["center", "dimension", "yaw", "cancelling-sum"])
+    def test_rejects_int_beyond_float_range(self, values):
+        with pytest.raises(ValueError, match="^box parameters must be finite, got "):
+            Box3D(*values)
+
     @pytest.mark.parametrize("infinities", [(math.inf, -math.inf), (math.inf, 1.0)])
     def test_rejects_infinities_whatever_their_sum(self, infinities):
         with pytest.raises(ValueError, match="finite"):
@@ -290,8 +298,9 @@ class TestSegmentsIntersect:
         assert segments_intersect([seg(0, 0, 2, 0), seg(0, 0, 1, 0)]) is True
 
     def test_needs_two_segments(self):
-        with pytest.raises(ValueError):
-            segments_intersect([seg(0, 0, 1, 1)])
+        # with fewer than two segments no pair can cross
+        assert segments_intersect([]) is False
+        assert segments_intersect([seg(0, 0, 1, 1)]) is False
 
     def test_four_segment_set(self):
         segs = [seg(0, 5, -1, 6), seg(0, 5, 1, 6),
@@ -715,6 +724,55 @@ class TestIogt3dBatch:
     def test_empty_batch(self):
         values = iogt3d_batch([], [])
         assert values.shape == (0,) and values.dtype == np.float64
+
+
+class TestPairBatches:
+    """The one driver of both batch kernels, with a stand-in chunk that
+    records the slices it is given."""
+
+    @staticmethod
+    def recording_chunk(calls):
+        def chunk(preds, gts):
+            calls.append((list(preds), list(gts)))
+            return (np.array(preds, dtype=np.float64),
+                    np.array(gts, dtype=np.int8))
+        return chunk
+
+    def test_lengths_must_agree(self):
+        calls = []
+        with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
+            geometry.pair_batches(self.recording_chunk(calls), [1, 2], [3])
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [1, BATCH_CAP - 1, BATCH_CAP, BATCH_CAP + 1,
+                                   2 * BATCH_CAP + 3])
+    def test_slices_of_at_most_cap_pairs_in_order(self, n):
+        calls = []
+        preds, gts = list(range(n)), [i % 100 for i in range(n)]
+        values, codes = geometry.pair_batches(self.recording_chunk(calls), preds, gts)
+        assert len(calls) == -(-n // BATCH_CAP)
+        assert all(0 < len(p) == len(g) <= BATCH_CAP for p, g in calls)
+        assert [i for p, _ in calls for i in p] == preds
+        assert [i for _, g in calls for i in g] == gts
+        assert values.tolist() == preds and codes.tolist() == gts
+        assert values.dtype == np.float64 and codes.dtype == np.int8
+
+    def test_no_pairs_calls_the_chunk_once(self):
+        calls = []
+        values, codes = geometry.pair_batches(self.recording_chunk(calls), [], [])
+        assert calls == [([], [])]
+        assert values.shape == codes.shape == (0,)
+        assert values.dtype == np.float64 and codes.dtype == np.int8
+
+    def test_warnings_off_inside_the_chunk_only(self):
+        def chunk(preds, gts):
+            return (np.array(preds) / np.array(gts),)
+
+        with np.errstate(all="raise"):
+            (values,) = geometry.pair_batches(chunk, [1.0, 0.0], [0.0, 0.0])
+            assert values[0] == math.inf and math.isnan(values[1])
+            with pytest.raises(FloatingPointError):
+                np.array([1.0]) / np.array([0.0])
 
 
 class TestRigidInvariance:
