@@ -98,16 +98,20 @@ def cmd_loss(args) -> int:
         class_pairs = pairs_by_class[class_name]
         iogt = iogt3d_batch([pair.detection.box for pair in class_pairs],
                             [pair.annotation.box for pair in class_pairs])
-        l1 = enclosure = blended = 0.0
+        columns = ([], [], [])
         for pair, pair_iogt in zip(class_pairs, iogt.tolist()):
             p, g = pair.detection.box, pair.annotation.box
             pair_l1 = smooth_l1(p, g, loss_config.smooth_l1_beta,
                                 loss_config.yaw_wrapping)
             pair_enclosure = 1.0 - pair_iogt
-            l1 += pair_l1
-            enclosure += pair_enclosure
-            blended += loss_config.blend(pair_l1, pair_enclosure)
-        means = [total / len(class_pairs) for total in (l1, enclosure, blended)]
+            columns[0].append(pair_l1)
+            columns[1].append(pair_enclosure)
+            columns[2].append(loss_config.blend(pair_l1, pair_enclosure))
+        try:
+            # exact sums, so the means do not depend on the order of the frames
+            means = [math.fsum(column) / len(class_pairs) for column in columns]
+        except OverflowError:
+            means = [math.inf]
         if not all(map(math.isfinite, means)):
             raise ValueError(f"the loss means of class {class_name!r} are not "
                              "all finite numbers")

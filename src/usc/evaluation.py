@@ -6,7 +6,10 @@ table of BEV center distances serves the protocol match (each annotation
 limited by its bucket's threshold) and one match per AP distance threshold;
 it computes distances only inside an x/z window of the largest threshold
 around each detection. In each match, detections by descending
-score take the nearest untaken annotation within the limit. Objects are
+score take the nearest untaken annotation within the limit. The protocol
+match is also the AP match at threshold t where the two cannot differ:
+when every annotation of the (frame, class) has limit t, or when no
+candidate lies beyond t or beyond the smallest limit. Objects are
 grouped into range buckets by the ground-truth center distance; matched
 detections inherit their annotation's bucket, unmatched detections fall
 into the bucket of their own center distance. One class loop per bucket
@@ -26,15 +29,16 @@ bucket skipped rather than scored as worst-case.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .constraints import usc_batch
 from .errors import MissingAnnotationField, ZeroVariance
-from .geometry import Box3D, wrap_angle
+from .geometry import Box3D, box_rows, map_math, wrap_angle
 
 #: Recognized true-positive error measures, in canonical report order.
 TP_MEASURES = ("ATE", "ASE", "AOE", "AVE", "AAE")
@@ -44,6 +48,9 @@ _AP_GRID = 101
 
 #: Recall/precision floor below which the PR curve is clipped.
 _AP_FLOOR = 0.1
+
+#: The recall grid precision is interpolated onto.
+_RECALL_GRID = np.linspace(0.0, 1.0, _AP_GRID)
 
 
 def _velocity(velocity) -> Tuple[float, float]:
@@ -168,12 +175,16 @@ class ProtocolConfig:
         object.__setattr__(self, "match_thresholds", thresholds)
         object.__setattr__(self, "ap_distance_thresholds", ap_thresholds)
         object.__setattr__(self, "tp_measures", measures)
+        object.__setattr__(self, "_edges", tuple(chain.from_iterable(buckets)))
 
     def bucket_index(self, distance: float) -> Optional[int]:
-        for i, (near, far) in enumerate(self.range_buckets):
-            if near <= distance < far:
-                return i
-        return None
+        """The index of the bucket [near, far) holding ``distance``; None in
+        a gap, beyond the last bucket and for NaN. ``bisect_right`` over the
+        edges ``near0, far0, near1, ...`` lands after ``near_i`` and before
+        ``far_i`` exactly when ``near_i <= distance < far_i``: at the odd
+        position ``2i + 1``. A NaN compares below no edge and lands last."""
+        i = bisect_right(self._edges, distance)
+        return i >> 1 if i & 1 else None
 
 
 def bucket_label(near: float, far: float) -> str:
@@ -232,10 +243,6 @@ def bev_center_distance(p: Box3D, g: Box3D) -> float:
     return math.hypot(p.center_x - g.center_x, p.center_z - g.center_z)
 
 
-def _center_range(box: Box3D) -> float:
-    return math.hypot(box.center_x, box.center_z)
-
-
 def _candidates(dets: Sequence[Detection], anns: Sequence[Annotation], reach: float):
     """Per detection, (distance, annotation index) for each annotation within
     reach, nearest first, lower index on ties.
@@ -285,8 +292,8 @@ def average_precision(scored_matches: Sequence[Tuple[float, bool]],
                       num_ground_truths: int) -> Optional[float]:
     """Clipped-curve average precision.
 
-    The exact formula: detections sort by descending score (stable under
-    ties); cumulative counts give one (recall, precision) sample per
+    The exact formula: detections sort by descending score (false positives
+    first on equal scores); cumulative counts give one (recall, precision) sample per
     detection, keeping only the last sample at any repeated recall value.
     Precision is linearly interpolated onto a 101-point recall grid
     (constant at the first sample below the smallest recall, zero above the
@@ -300,33 +307,20 @@ def average_precision(scored_matches: Sequence[Tuple[float, bool]],
         return None
     if not scored_matches:
         return 0.0
+    scores, hits = np.fromiter(chain.from_iterable(scored_matches), np.float64,
+                               2 * len(scored_matches)).reshape(-1, 2).T
     # score ties resolve pessimistically (false positives first) so the
     # result does not depend on dataset ordering
-    ordered = sorted(scored_matches, key=lambda m: (-m[0], m[1]))
-    recalls: List[float] = []
-    precisions: List[float] = []
-    tp = 0
-    for rank, (_, is_tp) in enumerate(ordered, start=1):
-        tp += 1 if is_tp else 0
-        rec = tp / num_ground_truths
-        prec = tp / rank
-        if recalls and recalls[-1] == rec:
-            precisions[-1] = prec  # keep the last sample at this recall
-        else:
-            recalls.append(rec)
-            precisions.append(prec)
-    grid = np.linspace(0.0, 1.0, _AP_GRID)
-    interp = np.interp(grid, recalls, precisions,
+    tp = np.cumsum(hits[np.lexsort((hits, -scores))], dtype=np.int64)
+    # the last sample of each run of equal recalls, that is of equal tp
+    last = np.append(tp[1:] != tp[:-1], True)
+    counts = tp[last]
+    recalls = counts / num_ground_truths
+    precisions = counts / (np.flatnonzero(last) + 1)
+    interp = np.interp(_RECALL_GRID, recalls, precisions,
                        left=precisions[0], right=0.0)
     clipped = np.maximum(0.0, interp[int(_AP_FLOOR * 100) + 1:] - _AP_FLOOR)
     return math.fsum(clipped) / len(clipped) / (1.0 - _AP_FLOOR)
-
-
-def _scale_error(p: Box3D, g: Box3D) -> float:
-    ratio = 1.0
-    for pd, gd in ((p.length, g.length), (p.height, g.height), (p.width, g.width)):
-        ratio *= min(pd, gd) / max(pd, gd)
-    return 1.0 - ratio
 
 
 def tp_error_means(pairs: Sequence[MatchedPair],
@@ -338,20 +332,33 @@ def tp_error_means(pairs: Sequence[MatchedPair],
     to [0, pi]. AVE: mean velocity vector error; AAE: attribute mismatch
     rate; both require the optional fields on every pair. A mean that is not
     a finite number (or a sum that overflows) is a ValueError.
+
+    ASE and AOE come from the pairs' boxes as float64 arrays, built once per
+    call: the ratios multiply in length, height, width order, and only a yaw
+    difference outside (-pi, pi] goes through ``wrap_angle``.
     """
     if not pairs:
         raise ValueError("tp_error_means needs at least one matched pair")
     means: Dict[str, float] = {}
+    boxes = None
     for measure in measures:
         measure = measure.upper()
         if measure == "ATE":
             values = [pair.center_distance for pair in pairs]
-        elif measure == "ASE":
-            values = [_scale_error(pair.detection.box, pair.annotation.box)
-                      for pair in pairs]
-        elif measure == "AOE":
-            values = [abs(wrap_angle(pair.detection.box.yaw - pair.annotation.box.yaw))
-                      for pair in pairs]
+        elif measure in ("ASE", "AOE"):
+            if boxes is None:
+                boxes = (box_rows([pair.detection.box for pair in pairs]),
+                         box_rows([pair.annotation.box for pair in pairs]))
+            p, g = boxes
+            if measure == "ASE":
+                ratio = np.minimum(p[3:6], g[3:6]) / np.maximum(p[3:6], g[3:6])
+                values = (1.0 - ratio[0] * ratio[1] * ratio[2]).tolist()
+            else:
+                diff = p[6] - g[6]
+                wrap = (diff <= -math.pi) | (diff > math.pi)
+                if wrap.any():
+                    diff[wrap] = map_math(wrap_angle, diff[wrap])
+                values = np.abs(diff).tolist()
         elif measure == "AVE":
             if any(pair.detection.velocity is None or pair.annotation.velocity is None
                    for pair in pairs):
@@ -455,25 +462,45 @@ def _bucketed(order, match, ann_keys, det_keys):
             + [(k, i, None) for i, k in enumerate(det_keys) if k and match[i] is None])
 
 
+def _same_match(table, limits: Sequence[float], t: float) -> bool:
+    """Whether ``_greedy`` over ``table`` gives one match under ``limits`` and
+    under limit t for every annotation. It does when every entry (d, j) has
+    ``d <= limits[j]`` exactly when ``d <= t``: when every limit is t, or when
+    the farthest entry is within both t and the smallest limit."""
+    if limits.count(t) == len(limits):
+        return True
+    farthest = max([row[-1][0] for row in table if row], default=-math.inf)
+    return farthest <= t and farthest <= min(limits)
+
+
 def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
     """The frame -> class walk: per (frame, class), one candidate table serves
     the protocol match and a match per AP threshold. Returns, per (class,
     bucket), the protocol pairs, false positives and false negatives, and the
     (score, is TP) labels per AP threshold. Every in-range annotation ends up
-    in a pair or as a false negative."""
+    in a pair or as a false negative.
+
+    The protocol match and its ``_bucketed`` list serve as the AP match at
+    threshold t when every annotation of the group has limit t, or when the
+    group's farthest candidate is within both t and the smallest limit (see
+    ``_same_match``); otherwise the group is matched again at t. Each object
+    is keyed from its box's x and z, read once."""
     pairs, fps, fns = {}, {}, {}
     labeled = {t: {} for t in ap_thresholds}
     reach = max(config.match_thresholds + ap_thresholds)
+    bucket_index, hypot = config.bucket_index, math.hypot
     for frame in frames:
         groups: Dict[str, Tuple[list, list, list, list]] = {}
         for ann in frame.ground_truths:
-            bucket = config.bucket_index(_center_range(ann.box))
+            x, _, z, _, _, _, _ = ann.box
+            bucket = bucket_index(hypot(x, z))
             if bucket is not None:
                 group = groups.setdefault(ann.class_name, ([], [], [], []))
                 group[0].append(ann)
                 group[1].append((ann.class_name, bucket))
         for det in frame.predictions:
-            bucket = config.bucket_index(_center_range(det.box))
+            x, _, z, _, _, _, _ = det.box
+            bucket = bucket_index(hypot(x, z))
             group = groups.setdefault(det.class_name, ([], [], [], []))
             group[2].append(det)
             group[3].append(None if bucket is None else (det.class_name, bucket))
@@ -483,7 +510,8 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
             table = _candidates(dets, anns, reach)
             limits = [config.match_thresholds[b] for _, b in ann_keys]
             match, taken = _greedy(order, table, limits)
-            for key, i, m in _bucketed(order, match, ann_keys, det_keys):
+            bucketed = _bucketed(order, match, ann_keys, det_keys)
+            for key, i, m in bucketed:
                 if m is None:
                     fps.setdefault(key, []).append(dets[i])
                 else:
@@ -492,8 +520,11 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
                 if not matched:
                     fns.setdefault(key, []).append(ann)
             for t in ap_thresholds:
-                match, _ = _greedy(order, table, [t] * len(anns))
-                for key, i, m in _bucketed(order, match, ann_keys, det_keys):
+                t_bucketed = bucketed
+                if not _same_match(table, limits, t):
+                    match, _ = _greedy(order, table, [t] * len(anns))
+                    t_bucketed = _bucketed(order, match, ann_keys, det_keys)
+                for key, i, m in t_bucketed:
                     labeled[t].setdefault(key, []).append((dets[i].score, m is not None))
     return pairs, fps, fns, labeled
 

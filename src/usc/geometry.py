@@ -497,11 +497,16 @@ def map_math(fn, *arrays) -> np.ndarray:
     return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
 
 
+def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
+    """The (7, n) float64 array of n boxes' values, one row per field."""
+    return np.fromiter(chain.from_iterable(boxes), np.float64,
+                       7 * len(boxes)).reshape(-1, 7).T
+
+
 def corner_arrays(boxes: Sequence[Box3D]):
     """(n, 8) arrays of the x, y and z corner coordinates of each box: the
     array form of ``box_corners``, the same floats in the same order."""
-    cx, cy, cz, length, height, width, yaw = np.fromiter(
-        chain.from_iterable(boxes), np.float64, 7 * len(boxes)).reshape(-1, 7).T
+    cx, cy, cz, length, height, width, yaw = box_rows(boxes)
     c = map_math(math.cos, yaw)[:, None]
     s = map_math(math.sin, yaw)[:, None]
     dx = (length / 2.0)[:, None] * _SIDE_X

@@ -10,16 +10,19 @@ library's one matcher entry point, and its shared candidate table; that
 table in its all-pairs form, as the reference for the library's windowed
 one; the overlap measures in their original form, which project a box
 afresh for every factor, as the reference for the library's one projection
-per box; and the dataset loader in its field-by-field form, as the
-reference for the library's whole-object check. The whole report is
-rebuilt from the documented definitions by ``reference_evaluate``.
+per box; the dataset loader in its field-by-field form, as the
+reference for the library's whole-object check; and the bucket lookup,
+average precision and true-positive error means in their original
+per-bucket, per-label and per-pair loops, as the references, bit for bit,
+for the library's bisected edges and arrays. The whole report is rebuilt
+from the documented definitions by ``reference_evaluate``.
 """
 
 import itertools
 import json
 import math
 from fractions import Fraction
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +30,9 @@ from usc import (Annotation, Box3D, BucketSummary, ClassBucketMetrics,
                  Detection, FrameRecord, MatchedPair, MetricsReport,
                  bev_center_distance, box_corners, convex_intersection_area,
                  project_bev, shoelace_area, usc_score)
-from usc.errors import (BehindCamera, DegenerateGroundTruth, ParseError,
-                        SchemaError)
+from usc.errors import (BehindCamera, DegenerateGroundTruth,
+                        MissingAnnotationField, ParseError, SchemaError)
+from usc.geometry import wrap_angle
 
 
 # --- Monte Carlo volume oracle ------------------------------------------------
@@ -314,6 +318,16 @@ def reference_candidates(dets, anns, reach):
             for det in dets]
 
 
+def reference_bucket_index(config, distance: float) -> Optional[int]:
+    """The index of the first bucket [near, far) of ``config`` holding
+    ``distance``, None if there is none: the library's original bucket
+    lookup, one comparison per bucket."""
+    for i, (near, far) in enumerate(config.range_buckets):
+        if near <= distance < far:
+            return i
+    return None
+
+
 def reference_walk(frames, config, threshold_of):
     """Per (class, bucket): pairs, false positives and false negatives of
     greedy_match run frame by frame and class by class, every bucket looked
@@ -321,7 +335,7 @@ def reference_walk(frames, config, threshold_of):
     loop). Annotations outside all buckets are dropped, as are unmatched
     detections outside all buckets."""
     def bucket_of(box):
-        return config.bucket_index(math.hypot(box.center_x, box.center_z))
+        return reference_bucket_index(config, math.hypot(box.center_x, box.center_z))
 
     pairs, fps, fns = {}, {}, {}
     for frame in frames:
@@ -381,6 +395,86 @@ def ap_oracle(scored_matches, num_ground_truths: int):
     for i in range(11, 101):
         total += max(0.0, precision_at(i / 100.0) - 0.1)
     return total / 90.0 / 0.9
+
+
+def reference_average_precision(scored_matches, num_ground_truths: int):
+    """Clipped-curve average precision in the library's original form: one
+    (recall, precision) sample per label in a sorted Python loop, then the
+    library's interpolation and sum."""
+    if num_ground_truths == 0:
+        return None
+    if not scored_matches:
+        return 0.0
+    # score ties resolve pessimistically (false positives first) so the
+    # result does not depend on dataset ordering
+    ordered = sorted(scored_matches, key=lambda m: (-m[0], m[1]))
+    recalls: List[float] = []
+    precisions: List[float] = []
+    tp = 0
+    for rank, (_, is_tp) in enumerate(ordered, start=1):
+        tp += 1 if is_tp else 0
+        rec = tp / num_ground_truths
+        prec = tp / rank
+        if recalls and recalls[-1] == rec:
+            precisions[-1] = prec  # keep the last sample at this recall
+        else:
+            recalls.append(rec)
+            precisions.append(prec)
+    grid = np.linspace(0.0, 1.0, 101)
+    interp = np.interp(grid, recalls, precisions,
+                       left=precisions[0], right=0.0)
+    clipped = np.maximum(0.0, interp[11:] - 0.1)
+    return math.fsum(clipped) / len(clipped) / (1.0 - 0.1)
+
+
+def _scale_error(p: Box3D, g: Box3D) -> float:
+    ratio = 1.0
+    for pd, gd in ((p.length, g.length), (p.height, g.height), (p.width, g.width)):
+        ratio *= min(pd, gd) / max(pd, gd)
+    return 1.0 - ratio
+
+
+def reference_tp_error_means(pairs: Sequence[MatchedPair],
+                             measures: Sequence[str] = ("ATE", "ASE", "AOE")
+                             ) -> Dict[str, float]:
+    """Mean true-positive errors in the library's original per-pair form:
+    each measure's values in a Python loop over the pairs, then the
+    library's ``math.fsum`` mean and its errors."""
+    if not pairs:
+        raise ValueError("tp_error_means needs at least one matched pair")
+    means: Dict[str, float] = {}
+    for measure in measures:
+        measure = measure.upper()
+        if measure == "ATE":
+            values = [pair.center_distance for pair in pairs]
+        elif measure == "ASE":
+            values = [_scale_error(pair.detection.box, pair.annotation.box)
+                      for pair in pairs]
+        elif measure == "AOE":
+            values = [abs(wrap_angle(pair.detection.box.yaw - pair.annotation.box.yaw))
+                      for pair in pairs]
+        elif measure == "AVE":
+            if any(pair.detection.velocity is None or pair.annotation.velocity is None
+                   for pair in pairs):
+                raise MissingAnnotationField("AVE requested but velocity missing")
+            values = [math.hypot(pair.detection.velocity[0] - pair.annotation.velocity[0],
+                                 pair.detection.velocity[1] - pair.annotation.velocity[1])
+                      for pair in pairs]
+        elif measure == "AAE":
+            if any(pair.detection.attribute is None or pair.annotation.attribute is None
+                   for pair in pairs):
+                raise MissingAnnotationField("AAE requested but attribute missing")
+            values = [0.0 if pair.detection.attribute == pair.annotation.attribute else 1.0
+                      for pair in pairs]
+        else:
+            raise ValueError(f"unknown TP measure {measure!r}")
+        try:
+            means[measure] = math.fsum(values) / len(values)
+        except OverflowError:
+            means[measure] = math.inf
+        if not math.isfinite(means[measure]):
+            raise ValueError(f"the {measure} mean is not a finite number")
+    return means
 
 
 # --- reference evaluator ---------------------------------------------------------
@@ -461,7 +555,7 @@ def reference_evaluate(frames, config):
     frames = list(frames)
 
     def bucket_of(box):
-        return config.bucket_index(math.hypot(box.center_x, box.center_z))
+        return reference_bucket_index(config, math.hypot(box.center_x, box.center_z))
 
     pairs, fps, fns = reference_walk(
         frames, config, lambda ann: config.match_thresholds[bucket_of(ann.box)])

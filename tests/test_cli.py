@@ -316,6 +316,41 @@ class TestLoss:
         assert captured.err.splitlines()[-1] == (
             "error: the loss means of class 'car' are not all finite numbers")
 
+    def test_loss_sum_beyond_float_range(self, tmp_path, capsys):
+        # two finite smooth_l1 values of 1e308 (center_y residuals the BEV
+        # match ignores) whose exact sum overflows
+        data = tmp_path / "d.jsonl"
+        write_frames(data, [({}, {"center": [0.0, 1e308, 8.0]})] * 2)
+        code = main(["loss", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == (
+            "error: the loss means of class 'car' are not all finite numbers")
+
+    def test_means_do_not_depend_on_frame_order(self, tmp_path, capsys):
+        # smooth_l1 of 1e16 (a center_y residual the BEV match ignores) and
+        # three of 0.75: summed in walk order, 1e16 absorbs each 0.75 when
+        # it comes first; the exact sum 1e16 + 2.25 rounds to 1e16 + 2
+        def frame(frame_id, pairs):
+            return json.dumps({
+                "frame_id": frame_id,
+                "ground_truths": [{**CAR, "center": g} for g, _ in pairs],
+                "predictions": [{**CAR, "center": p, "score": 0.9}
+                                for _, p in pairs]}) + "\n"
+
+        a = frame("a", [([0.0, 0.0, 8.0], [0.0, 1e16, 8.0])])
+        b = frame("b", [([x, 0.0, 8.0], [x, 1.25, 8.0]) for x in (-5.0, 0.0, 5.0)])
+        outputs = []
+        for name, text in (("ab", a + b), ("ba", b + a)):
+            data = tmp_path / f"{name}.jsonl"
+            data.write_text(text)
+            assert main(["loss", "--data", str(data)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[2].split()[:2] == [
+            "car", "2500000000000000.500000"]
+
     def test_thin_prediction_above_its_ground_truth_is_not_projected(
             self, tmp_path, capsys):
         gt = {"class": "car", "center": [0.0, 0.0, 10.0],

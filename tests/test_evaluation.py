@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (ap_oracle, optimal_assignment, reference_candidates,
-                     reference_evaluate, reference_walk)
+from oracles import (ap_oracle, optimal_assignment, reference_average_precision,
+                     reference_bucket_index, reference_candidates,
+                     reference_evaluate, reference_tp_error_means,
+                     reference_walk)
 from strategies import finite
 from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
@@ -15,7 +17,7 @@ from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  nds, pearson, tp_error_means, usc_nds, usc_score,
                  SyntheticSpec, FrameRecord)
 from usc import evaluation
-from usc.errors import MissingAnnotationField, ZeroVariance
+from usc.errors import MissingAnnotationField, UscError, ZeroVariance
 from usc.evaluation import ap_label, bucket_label
 
 
@@ -124,6 +126,21 @@ EDGE_FRAME = FrameRecord(
      det(1.5, 19.5, score=0.6),           # no candidate
      det(0.0, 12.0, score=0.8, cls="bus")])  # class only in predictions
 
+#: (frame, class) groups on each side of the rule by which the protocol
+#: match serves as the AP match at threshold t (``evaluation._same_match``),
+#: under the default protocol: a candidate exactly at t = 1 m from an
+#: annotation with limit 2 m (the protocol match serves), one a single ulp
+#: beyond t (matched again), and a group with candidates 1.5 m from an
+#: annotation beyond 10 m (limit 2 m) and from one below (limit 1 m), each
+#: between its limit and one AP threshold (matched again at both).
+REUSE_FRAMES = [
+    FrameRecord("at-t", [ann(0.0, 15.0)], [det(1.0, 15.0)]),
+    FrameRecord("ulp-beyond-t", [ann(0.0, 15.0)],
+                [det(math.nextafter(1.0, math.inf), 15.0)]),
+    FrameRecord("between-t-and-limit", [ann(0.0, 15.0), ann(0.0, 5.0)],
+                [det(1.5, 15.0), det(1.5, 5.0, score=0.8)]),
+]
+
 GRID_X = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
 GRID_Z = (4.0, 4.5, 5.0, 9.0, 9.5, 9.999, 10.0, 10.5, 11.0, 19.5, 20.0)
 
@@ -171,6 +188,8 @@ class TestMatcherAgainstReference:
     @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
     @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
     @example([EDGE_FRAME], REFERENCE_CONFIGS[3])
+    @example(REUSE_FRAMES, REFERENCE_CONFIGS[0])
+    @example(REUSE_FRAMES, REFERENCE_CONFIGS[1])
     @settings(max_examples=300, deadline=None)
     def test_matched_pairs_equal_reference(self, frames, config):
         def threshold_of(a):
@@ -188,6 +207,8 @@ class TestMatcherAgainstReference:
 
     @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
     @example([EDGE_FRAME], REFERENCE_CONFIGS[0])
+    @example(REUSE_FRAMES, REFERENCE_CONFIGS[0])
+    @example(REUSE_FRAMES, REFERENCE_CONFIGS[1])
     @settings(max_examples=200, deadline=None)
     def test_report_ap_equals_reference_labels(self, frames, config):
         report = evaluate(frames, config)
@@ -340,6 +361,16 @@ class TestAveragePrecision:
         b = [(0.9, False), (0.9, True), (0.8, True)]
         assert average_precision(a, 3) == average_precision(b, 3)
 
+    @given(st.lists(st.tuples(st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                              st.booleans()), max_size=200),
+           st.integers(0, 250))
+    @example([(0.5, False)] * 3 + [(0.5, True)] * 3 + [(0.0, True), (1.0, False)], 4)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_bit_for_bit(self, scored, n_gt):
+        # scores from four values give long runs of ties and equal recalls
+        assert average_precision(scored, n_gt) == \
+            reference_average_precision(scored, n_gt)
+
 
 def pair(det_, ann_):
     return MatchedPair(det_, ann_, bev_center_distance(det_.box, ann_.box))
@@ -372,7 +403,55 @@ class TestVelocity:
             make(velocity)
 
 
+#: yaws near both ends of (-pi, pi], so that differences beyond +-pi are common
+TP_YAWS = (st.sampled_from((math.pi, math.nextafter(-math.pi, 0.0), -3.0, 0.0, 3.0))
+           | finite(-math.pi, math.pi))
+#: a few sizes, so that equal dimensions are common
+TP_SIZES = st.sampled_from((0.5, 1.0, 2.0)) | finite(0.1, 10.0)
+#: velocity components up to the float range, so AVE overflows
+TP_SPEEDS = st.sampled_from((0.0, 1e308, -1e308)) | finite(-5.0, 5.0)
+
+
+@st.composite
+def tp_pairs(draw):
+    """1-8 matched pairs with velocities and attributes."""
+    def obj(make, *extra):
+        box = Box3D(draw(finite(-5.0, 5.0)), 0.0, draw(finite(1.0, 20.0)),
+                    draw(TP_SIZES), draw(TP_SIZES), draw(TP_SIZES), draw(TP_YAWS))
+        return make("car", box, *extra, (draw(TP_SPEEDS), draw(TP_SPEEDS)),
+                    draw(st.sampled_from(("moving", "parked"))))
+
+    return [pair(obj(Detection, 0.9), obj(Annotation))
+            for _ in range(draw(st.integers(1, 8)))]
+
+
+def outcome(function, *args):
+    """The value of a call, or the type and message of its error."""
+    try:
+        return function(*args)
+    except (UscError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestTpErrorMeans:
+    @given(tp_pairs(), st.lists(st.sampled_from(evaluation.TP_MEASURES),
+                                min_size=1, max_size=5, unique=True))
+    @example([pair(Detection("car", box(yaw=math.pi), 0.9),
+                   Annotation("car", box(yaw=math.nextafter(-math.pi, 0.0))))],
+             ["ASE", "AOE"])
+    # the ratios multiplied in l, h, w order: (0.3 * 0.9) * 0.45 rounds to
+    # another ASE than 0.3 * (0.9 * 0.45)
+    @example([pair(Detection("car", box(l=0.3, h=0.9, w=0.45), 0.9), ann())], ["ASE"])
+    # a velocity error that is infinite, and two finite ones whose sum overflows
+    @example([pair(Detection("car", box(), 0.9, (1e308, 0.0)),
+                   Annotation("car", box(), (-1e308, 0.0)))], ["ASE", "AVE"])
+    @example([pair(Detection("car", box(), 0.9, (0.0, 0.0)),
+                   Annotation("car", box(), (1e308, 0.0)))] * 2, ["ASE", "AVE"])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_bit_for_bit(self, pairs, measures):
+        assert outcome(tp_error_means, pairs, measures) == \
+            outcome(reference_tp_error_means, pairs, measures)
+
     def test_perfect_pairs_are_zero(self):
         pairs = [pair(det(1, 10), Annotation("car", box(1, 10)))]
         means = tp_error_means(pairs, ("ATE", "ASE", "AOE"))
@@ -760,6 +839,20 @@ class TestReportAgainstReference:
         assert report.per_class["car"]["[0,10)"].ausc is None
 
 
+@st.composite
+def bucket_layouts(draw):
+    """Configs of 1-5 ordered buckets, each 0.1 m or more wide, often sharing
+    an edge with the next and otherwise leaving a gap."""
+    buckets = []
+    near = draw(st.sampled_from((0.0, 0.5)) | finite(0.0, 50.0))
+    for _ in range(draw(st.integers(1, 5))):
+        far = near + draw(st.sampled_from((0.1, 1.0, 10.0)) | finite(0.1, 50.0))
+        buckets.append((near, far))
+        near = far + draw(st.sampled_from((0.0, 0.0, 2.0)) | finite(0.1, 10.0))
+    return ProtocolConfig(range_buckets=tuple(buckets),
+                          match_thresholds=(1.0,) * len(buckets))
+
+
 class TestProtocolConfigValidation:
     def test_defaults(self):
         config = ProtocolConfig()
@@ -828,6 +921,19 @@ class TestProtocolConfigValidation:
     def test_rejects_non_finite_values(self, field, value, message, bad):
         with pytest.raises(ValueError, match=f"^{message}"):
             ProtocolConfig(**{field: value(bad)})
+
+    @given(bucket_layouts(), st.lists(st.floats(), max_size=5))
+    @example(ProtocolConfig(range_buckets=((0, 5), (5, 10), (12, 20)),
+                            match_thresholds=(1, 1, 1)), [])
+    @settings(max_examples=300, deadline=None)
+    def test_bucket_index_equals_reference(self, config, distances):
+        probes = [0.0, -0.0, math.inf, -math.inf, math.nan, *distances]
+        for edge in (e for bucket in config.range_buckets for e in bucket):
+            probes += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf)]
+        for distance in probes:
+            assert config.bucket_index(distance) == \
+                reference_bucket_index(config, distance), distance
 
     def test_bucket_lookup(self):
         config = ProtocolConfig()
