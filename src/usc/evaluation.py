@@ -38,7 +38,7 @@ import numpy as np
 
 from .constraints import usc_batch
 from .errors import MissingAnnotationField, ZeroVariance
-from .geometry import Box3D, box_rows, map_math, wrap_angle
+from .geometry import Box3D, box_rows, finite_floats, map_math, wrap_angle
 
 #: Recognized true-positive error measures, in canonical report order.
 TP_MEASURES = ("ATE", "ASE", "AOE", "AVE", "AAE")
@@ -53,15 +53,20 @@ _AP_FLOOR = 0.1
 _RECALL_GRID = np.linspace(0.0, 1.0, _AP_GRID)
 
 
-def _velocity(velocity) -> Tuple[float, float]:
-    try:
-        values = tuple(map(float, velocity))
-    except OverflowError:  # an int beyond the float range
-        values = ()
-    if not (len(values) == 2 and math.isfinite(values[0])
-            and math.isfinite(values[1])):
-        raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
-    return values
+def _checked_velocity(class_name, velocity, attribute):
+    """The velocity of an ``Annotation`` or ``Detection`` as two floats, or
+    None; ValueError unless the class label is a non-empty string, the velocity
+    None or two finite real numbers, and the attribute None or a string."""
+    if not isinstance(class_name, str) or not class_name:
+        raise ValueError("class_name must be a non-empty string")
+    if velocity is not None:
+        values = finite_floats(velocity)
+        if values is None or len(values) != 2:
+            raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
+        velocity = values
+    if attribute is not None and not isinstance(attribute, str):
+        raise ValueError(f"attribute must be a string, got {attribute!r}")
+    return velocity
 
 
 class _AnnotationFields(NamedTuple):
@@ -75,17 +80,14 @@ class Annotation(_AnnotationFields):
     """Ground-truth object: class label plus box, with optional velocity
     (vx, vz in m/s) and attribute label.
 
-    A validated tuple, like ``Box3D``: the class label must be non-empty
-    and a velocity exactly two finite numbers, stored as floats.
+    A validated tuple, like ``Box3D``: a non-empty string class label, a
+    velocity of two finite real numbers stored as floats, a string attribute.
     """
 
     __slots__ = ()
 
     def __new__(cls, class_name, box, velocity=None, attribute=None):
-        if not class_name:
-            raise ValueError("class_name must be non-empty")
-        if velocity is not None:
-            velocity = _velocity(velocity)
+        velocity = _checked_velocity(class_name, velocity, attribute)
         return tuple.__new__(cls, (class_name, box, velocity, attribute))
 
     @classmethod
@@ -104,19 +106,17 @@ class _DetectionFields(NamedTuple):
 class Detection(_DetectionFields):
     """Predicted object with a confidence score in [0, 1].
 
-    A validated tuple, like ``Annotation``, which also checks the score.
+    A validated tuple, like ``Annotation``, whose score is stored as a float.
     """
 
     __slots__ = ()
 
     def __new__(cls, class_name, box, score, velocity=None, attribute=None):
-        if not class_name:
-            raise ValueError("class_name must be non-empty")
-        if not (0.0 <= score <= 1.0):
+        velocity = _checked_velocity(class_name, velocity, attribute)
+        value = finite_floats((score,))
+        if value is None or not 0.0 <= value[0] <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {score}")
-        if velocity is not None:
-            velocity = _velocity(velocity)
-        return tuple.__new__(cls, (class_name, box, score, velocity, attribute))
+        return tuple.__new__(cls, (class_name, box, value[0], velocity, attribute))
 
     @classmethod
     def _make(cls, iterable):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,19 @@ def wrap_angle(angle: float) -> float:
     if wrapped <= -math.pi:
         wrapped += _TAU
     return wrapped
+
+
+def finite_floats(values) -> Optional[Tuple[float, ...]]:
+    """``values`` as a tuple of floats; None if one is not a finite real number:
+    NaN, infinity, an int beyond the float range or a non-number (a string)."""
+    try:
+        values = tuple(values)
+        # the sum rejects a string; a finite sum has only finite terms
+        if math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values)):
+            return tuple(map(float, values))
+    except (OverflowError, TypeError):
+        pass
+    return None
 
 
 class Point3(NamedTuple):
@@ -93,30 +106,26 @@ class Box3D(_Box3DFields):
     ``(x, y, z, l, h, w, yaw)`` with those fields named ``center_x`` to
     ``yaw``.
 
-    Every parameter must be finite and every dimension positive; a yaw
-    outside (-pi, pi] is wrapped into it on construction. A box equals the
-    plain 7-tuple of its values and orders like it.
+    Every parameter must be a finite real number and every dimension
+    positive. A box stores its seven values as floats, wrapping a yaw outside
+    (-pi, pi] into it; it equals the plain 7-tuple of them and orders like it.
     """
 
     __slots__ = ()
 
     def __new__(cls, center_x, center_y, center_z, length, height, width, yaw):
         values = (center_x, center_y, center_z, length, height, width, yaw)
-        try:
-            # a finite float sum has only finite terms; else check each term
-            finite = (math.isfinite(sum(values, 0.0))
-                      or all(map(math.isfinite, values)))
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
+        floats = finite_floats(values)
+        if floats is None:
             raise ValueError(f"box parameters must be finite, got {values}")
+        _, _, _, length, height, width, yaw = floats
         if length <= 0 or height <= 0 or width <= 0:
             raise ValueError(
                 f"box dimensions must be positive, got l={length}, "
                 f"h={height}, w={width}")
         if not -math.pi < yaw <= math.pi:
-            values = values[:6] + (wrap_angle(yaw),)
-        return tuple.__new__(cls, values)
+            floats = floats[:6] + (wrap_angle(yaw),)
+        return tuple.__new__(cls, floats)
 
     @classmethod
     def _make(cls, iterable):

@@ -9,13 +9,12 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
      "predictions":   [same fields plus "score": float]}
 
 One parser reads each line: the frame's own fields first, then its objects
-in order. Each object is checked whole at once: the exact JSON types and
-list lengths, the types of all its numbers together, and their finiteness
-from one sum; that check builds no field path. An object it does not vouch
-for is parsed field by field, which raises the error with its type,
-message, field path and line number, or builds the object if it is valid
-after all (a center whose sum overflows). Bytes that are not UTF-8 are a
-ParseError at their line.
+in order. Each object is checked whole at once, building no field path: its
+JSON shape here, and its values by the constructors of ``Box3D``,
+``Annotation`` and ``Detection``. An object that check does not vouch for
+is parsed field by field, which raises the error with its type, message,
+field path and line number. Bytes that are not UTF-8 are a ParseError at
+their line.
 
 Configs, synthetic specs and reports are single JSON documents, each checked
 against the type hints of its dataclasses (``ProtocolConfig`` with
@@ -45,7 +44,7 @@ from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
 from .errors import ParseError, SchemaError
 from .evaluation import (Annotation, Detection, MetricsReport, ProtocolConfig,
                          ap_label, bucket_label)
-from .geometry import Box3D, wrap_angle
+from .geometry import Box3D
 from .loss import LossConfig
 
 
@@ -151,39 +150,30 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def _vouched(obj, with_score: bool):
-    """One dataset object as ``_parse_object`` builds it, from one whole-object
-    check that builds no field path; None when the check fails, and then
-    ``_parse_object`` decides."""
+    """One dataset object as ``_parse_object`` builds it, or None exactly when
+    that raises, from a check that builds no field path. Only the JSON shape is
+    checked here (an object, list lengths, numbers that are ints or floats but
+    not bools); the constructors check the values."""
     if type(obj) is not dict:
         return None
-    class_name = obj.get("class")
-    center, size = obj.get("center"), obj.get("size")
-    velocity, attribute = obj.get("velocity"), obj.get("attribute")
-    if (type(class_name) is not str or not class_name
-            or type(center) is not list or len(center) != 3
+    center, size, velocity = obj.get("center"), obj.get("size"), obj.get("velocity")
+    if (type(center) is not list or len(center) != 3
             or type(size) is not list or len(size) != 3
-            or (attribute is not None and type(attribute) is not str)):
+            or velocity is not None and (type(velocity) is not list
+                                         or len(velocity) != 2)):
         return None
-    numbers = [*center, *size, obj.get("yaw")]
-    if velocity is not None:
-        if type(velocity) is not list or len(velocity) != 2:
-            return None
-        numbers += velocity
+    numbers = [*center, *size, obj.get("yaw"), *(velocity or ())]
     if with_score:
         numbers.append(obj.get("score"))
     if not set(map(type, numbers)) <= _NUMBER_TYPES:
         return None
+    class_name, attribute = obj.get("class"), obj.get("attribute")
     try:
-        values = tuple(map(float, numbers))
-        if not math.isfinite(sum(values)):
-            return None
-        box = Box3D(*values[:7])
-        if velocity is not None:
-            velocity = values[7:9]
+        box = Box3D(*numbers[:7])
         if with_score:
-            return Detection(class_name, box, values[-1], velocity, attribute)
+            return Detection(class_name, box, numbers[-1], velocity, attribute)
         return Annotation(class_name, box, velocity, attribute)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
 
 
@@ -627,7 +617,7 @@ def _perturb(rng: random.Random, spec: SyntheticSpec, ann: Annotation) -> Detect
     z = box.center_z + spec.depth_bias * uz - lateral * ux
     dims = [max(0.05, d * (1.0 + rng.gauss(0.0, spec.size_noise)))
             for d in (box.length, box.height, box.width)]
-    yaw = wrap_angle(box.yaw + rng.gauss(0.0, spec.yaw_noise))
+    yaw = box.yaw + rng.gauss(0.0, spec.yaw_noise)
     score = rng.uniform(0.5, 1.0)
     pred_box = Box3D(x, box.center_y, z, dims[0], dims[1], dims[2], yaw)
     return Detection(ann.class_name, pred_box, score)

@@ -4,7 +4,9 @@ files."""
 import copy
 import math
 from dataclasses import fields
+from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, strategies as st
 
 from usc import (Box3D, LossConfig, ProtocolConfig, SyntheticSpec, evaluate,
@@ -15,17 +17,27 @@ def finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def reals(lo, hi):
+    """Real numbers in [lo, hi] of each type the value types convert to
+    float: float, numpy.float64, Fraction, int and bool."""
+    floats = finite(lo, hi)
+    return (floats | floats.map(np.float64) | floats.map(Fraction)
+            | st.integers(math.ceil(lo), math.floor(hi))
+            | st.booleans().filter(lambda b: lo <= b <= hi))
+
+
 @st.composite
-def boxes(draw, center=20.0, dim_min=0.1, dim_max=5.0):
-    """Arbitrary valid boxes anywhere around the vehicle."""
+def boxes(draw, center=20.0, dim_min=0.1, dim_max=5.0, number=finite):
+    """Arbitrary valid boxes anywhere around the vehicle, each parameter
+    drawn from ``number(lo, hi)``."""
     return Box3D(
-        draw(finite(-center, center)),
-        draw(finite(-3.0, 3.0)),
-        draw(finite(-center, center)),
-        draw(finite(dim_min, dim_max)),
-        draw(finite(dim_min, dim_max)),
-        draw(finite(dim_min, dim_max)),
-        draw(finite(-math.pi, math.pi)),
+        draw(number(-center, center)),
+        draw(number(-3.0, 3.0)),
+        draw(number(-center, center)),
+        draw(number(dim_min, dim_max)),
+        draw(number(dim_min, dim_max)),
+        draw(number(dim_min, dim_max)),
+        draw(number(-math.pi, math.pi)),
     )
 
 

@@ -380,7 +380,7 @@ def pair(det_, ann_):
                                   lambda: Detection("", box(), 0.9)],
                          ids=["annotation", "detection"])
 def test_empty_class_name_rejected(make):
-    with pytest.raises(ValueError, match="^class_name must be non-empty$"):
+    with pytest.raises(ValueError, match="^class_name must be a non-empty string$"):
         make()
 
 

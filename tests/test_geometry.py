@@ -96,7 +96,7 @@ class TestBoxCorners:
         [], [Box3D(1, 0, 10, 2, 1, 3, 0), Box3D(-4, 2, 7, 1, 2, 1, 4)]],
         ids=["empty", "ints"])
     def test_corner_arrays_of_no_boxes_and_of_int_boxes(self, box_list):
-        assert all(type(v) is int for b in box_list for v in b[:6])
+        assert all(type(v) is float for b in box_list for v in b)
         x, y, z = corner_arrays(box_list)
         assert x.shape == y.shape == z.shape == (len(box_list), 8)
         expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)

@@ -15,8 +15,8 @@ from usc.errors import ParseError, SchemaError, UscError
 from usc.io import MAX_PERTURBATION, config_from_dict, spec_kwargs_from_dict
 
 from oracles import reference_load_dataset
-from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, finite,
-                        json_values, node_paths, replaced)
+from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, boxes, finite,
+                        json_values, node_paths, reals, replaced)
 
 
 def sample_frames():
@@ -26,6 +26,21 @@ def sample_frames():
     other = Annotation("pedestrian", Box3D(-2.0, 0.1, 14.0, 0.6, 1.8, 0.6, -1.2))
     return [FrameRecord("f-001", [gt], [pred]),
             FrameRecord("f-002", [other], [])]
+
+
+#: objects built from every number type the value types accept, with and
+#: without a velocity and an attribute
+CLASS_NAMES = st.text(min_size=1, max_size=4)
+VELOCITIES = st.none() | st.tuples(reals(-30.0, 30.0), reals(-30.0, 30.0))
+ATTRIBUTES = st.none() | st.text(max_size=4)
+ANNOTATIONS = st.builds(Annotation, CLASS_NAMES, boxes(number=reals),
+                        VELOCITIES, ATTRIBUTES)
+DETECTIONS = st.builds(Detection, CLASS_NAMES, boxes(number=reals),
+                       reals(0.0, 1.0), VELOCITIES, ATTRIBUTES)
+TYPED_FRAMES = st.lists(
+    st.tuples(st.lists(ANNOTATIONS, max_size=3), st.lists(DETECTIONS, max_size=3)),
+    max_size=3).map(lambda sides: [FrameRecord(f"f-{i}", gts, preds)
+                                   for i, (gts, preds) in enumerate(sides)])
 
 
 class TestDatasetRoundTrip:
@@ -46,6 +61,14 @@ class TestDatasetRoundTrip:
         save_dataset(sample_frames(), first)
         save_dataset(load_dataset(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frames=TYPED_FRAMES)
+    def test_every_value_the_types_accept_round_trips(self, tmp_path, frames):
+        path = tmp_path / "d.jsonl"
+        save_dataset(frames, path)
+        assert repr(load_dataset(path)) == repr(frames)
 
     def test_synthetic_round_trip(self, tmp_path):
         frames = generate_synthetic(SyntheticSpec(seed=3, frames=15,
@@ -202,6 +225,11 @@ TWO_OBJECT_FRAME = dict(
 #: paths into the second object of each side, and to it
 SECOND_OBJECT_PATHS = [path for path in node_paths(TWO_OBJECT_FRAME)
                        if path[1:2] == (1,)]
+#: (object, whether it is a prediction, path to one of its nodes) for every
+#: node of every object of TWO_OBJECT_FRAME, whose first objects are FRAME's
+OBJECT_NODES = [(obj, side == "predictions", path)
+                for side in ("ground_truths", "predictions")
+                for obj in TWO_OBJECT_FRAME[side] for path in node_paths(obj)]
 #: replacements for one number leaf that a loader must treat exactly
 NUMBER_EDGES = (st.integers() | st.sampled_from(
     [True, False, -0.0, 0, float("nan"), float("inf"), -float("inf"),
@@ -221,7 +249,8 @@ class TestLoaderAgainstReference:
     """load_dataset gives the same records, or the same error with the same
     text, as the field-by-field reference loader in tests/oracles.py. Each
     file has a valid first line, so line numbers and duplicate frame ids
-    are compared too."""
+    are compared too. The whole-object check vouches for exactly the
+    objects the field-by-field parser builds."""
 
     def check(self, tmp_path, document):
         data = tmp_path / "d.jsonl"
@@ -252,7 +281,7 @@ class TestLoaderAgainstReference:
     def test_only_the_middle_object_is_parsed_field_by_field(
             self, tmp_path, monkeypatch, side):
         first, second = TWO_OBJECT_FRAME[side]
-        middle = dict(first, center=[1e308, 1e308, 0])
+        middle = dict(first, size=[4.2, 1.6, 0])
         document = dict(TWO_OBJECT_FRAME, **{side: [first, middle, second]})
         self.check(tmp_path, document)
         parse_object, paths = io._parse_object, []
@@ -262,16 +291,28 @@ class TestLoaderAgainstReference:
             return parse_object(obj, path, with_score)
 
         monkeypatch.setattr(io, "_parse_object", counted)
-        load_dataset(tmp_path / "d.jsonl")
+        with pytest.raises(SchemaError, match="box dimensions must be positive"):
+            load_dataset(tmp_path / "d.jsonl")
         assert paths == [f"line 3.{side}[1]"]
 
-    @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
-    def test_center_whose_sum_overflows_loads(self, tmp_path, side):
-        document = replaced(FRAME, (side, 0, "center"), [1e308, 1e308, 0])
-        self.check(tmp_path, document)
-        data = tmp_path / "d.jsonl"
-        box = getattr(load_dataset(data)[1], side)[0].box
-        assert (box.center_x, box.center_y, box.center_z) == (1e308, 1e308, 0.0)
+    @settings(max_examples=300, deadline=None)
+    @given(node=st.sampled_from(OBJECT_NODES), value=json_values() | NUMBER_EDGES)
+    @example(node=(FRAME["ground_truths"][0], False, ("center",)),
+             value=[1e308, 1e308, 0])
+    @example(node=(FRAME["predictions"][0], True, ("size",)),
+             value=[1e308, 1e308, 1])
+    @example(node=(FRAME["ground_truths"][0], False, ("velocity",)),
+             value=[1e308, 1e308])
+    def test_whole_object_check_accepts_what_the_parser_accepts(self, node, value):
+        original, with_score, path = node
+        obj = replaced(original, path, value)
+        vouched = io._vouched(obj, with_score)
+        try:
+            parsed = io._parse_object(obj, "line 1", with_score)
+        except SchemaError:
+            assert vouched is None
+        else:
+            assert repr(vouched) == repr(parsed)
 
 
 class TestValidDataTakesTheFastPath:
@@ -312,6 +353,17 @@ class TestValidDataTakesTheFastPath:
         self.refuse_slow_path(monkeypatch)
         loaded = load_dataset(path)
         assert loaded == expected and repr(loaded) == repr(expected)
+
+    @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
+    def test_center_whose_sum_overflows_loads(self, tmp_path, monkeypatch, side):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(
+            replaced(FRAME, (side, 0, "center"), [1e308, 1e308, 0])) + "\n")
+        expected = reference_load_dataset(path)
+        self.refuse_slow_path(monkeypatch)
+        loaded = load_dataset(path)
+        assert repr(loaded) == repr(expected)
+        assert getattr(loaded[0], side)[0].box[:3] == (1e308, 1e308, 0.0)
 
 
 class TestMergeDatasets:

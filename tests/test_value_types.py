@@ -1,8 +1,8 @@
 """The validated tuple value types. ``Box3D``, ``Annotation`` and
 ``Detection`` check their values however an instance is built: by call,
-``_make``, ``_replace``, ``copy`` or ``pickle``. None of them, nor
-``MatchedPair``, has a ``__dict__`` or takes an assignment, and a box is
-otherwise a plain 7-tuple."""
+``_make``, ``_replace``, ``copy`` or ``pickle``, and store their numbers as
+floats. None of them, nor ``MatchedPair``, has a ``__dict__`` or takes an
+assignment, and a box is otherwise a plain 7-tuple."""
 
 import copy
 import math
@@ -11,7 +11,10 @@ import re
 
 import pytest
 
-from usc import Annotation, Box3D, Detection, MatchedPair
+from usc import (Annotation, Box3D, Detection, MatchedPair, smooth_l1,
+                 tp_error_means)
+
+from oracles import reference_tp_error_means
 
 BOX = Box3D(0.5, -0.25, 10.0, 4.0, 1.5, 1.8, 0.1)
 ANN = Annotation("car", BOX, (1.0, 0.5), "moving")
@@ -20,9 +23,15 @@ PAIR = MatchedPair(DET, ANN, 0.0)
 
 #: (a valid value, one of its fields, a value the constructor rejects there)
 INVALID = [(BOX, "length", -1), (BOX, "center_x", math.nan),
-           (ANN, "class_name", ""), (DET, "class_name", ""), (DET, "score", 1.5)]
-INVALID_IDS = ["length", "nan-center", "annotation-class", "detection-class",
-               "score"]
+           (BOX, "center_x", "1"), (ANN, "class_name", ""),
+           (ANN, "class_name", 5), (ANN, "class_name", ["car"]),
+           (DET, "class_name", ""), (DET, "score", 1.5), (DET, "score", "0.5"),
+           (ANN, "velocity", "12"), (ANN, "velocity", ["1", "2"]),
+           (ANN, "attribute", 5), (DET, "attribute", 5)]
+INVALID_IDS = ["length", "nan-center", "string-center", "annotation-class",
+               "int-class", "list-class", "detection-class", "score",
+               "string-score", "string-velocity", "string-list-velocity",
+               "annotation-attribute", "detection-attribute"]
 
 
 def rejected(value, field, bad):
@@ -102,3 +111,29 @@ def test_box_is_its_plain_seven_tuple():
     assert shifted < BOX and sorted([BOX, shifted]) == [shifted, BOX]
     assert repr(BOX) == ("Box3D(center_x=0.5, center_y=-0.25, center_z=10.0, "
                          "length=4.0, height=1.5, width=1.8, yaw=0.1)")
+
+
+#: a prediction and a ground truth whose lengths are ints no float holds
+INT_PRED = (0, 0, 10, 2**53 + 1, 1, 1, 0)
+INT_GT = (0, 0, 10, 2**53 + 3, 1, 1, 0)
+
+
+class TestNumbersAreStoredAsFloats:
+    """The scalar paths and the array paths, which round every value to
+    float64, compute with the same numbers."""
+
+    def test_box_rounds_an_int_to_its_float(self):
+        box = Box3D(*INT_PRED)
+        assert box == tuple(map(float, INT_PRED)) and box.length == 2.0**53
+        assert all(type(v) is float for v in box)
+
+    def test_tp_errors_agree_with_the_oracle(self):
+        pairs = [MatchedPair(Detection("car", Box3D(*INT_PRED), True),
+                             Annotation("car", Box3D(*INT_GT)), 0.0)]
+        assert (tp_error_means(pairs, ["ASE"])
+                == reference_tp_error_means(pairs, ["ASE"]))
+        assert type(pairs[0].detection.score) is float
+
+    def test_smooth_l1_of_int_and_float_built_boxes_agree(self):
+        floats = Box3D(*map(float, INT_PRED)), Box3D(*map(float, INT_GT))
+        assert smooth_l1(Box3D(*INT_PRED), Box3D(*INT_GT)) == smooth_l1(*floats)
