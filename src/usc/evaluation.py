@@ -52,6 +52,9 @@ _AP_FLOOR = 0.1
 #: The recall grid precision is interpolated onto.
 _RECALL_GRID = np.linspace(0.0, 1.0, _AP_GRID)
 
+#: The index i of each recall grid point, which stands for i / 100.
+_GRID_STEPS = np.arange(_AP_GRID)
+
 
 def _checked_velocity(class_name, velocity, attribute):
     """The velocity of an ``Annotation`` or ``Detection`` as two floats, or
@@ -87,6 +90,10 @@ class Annotation(_AnnotationFields):
     __slots__ = ()
 
     def __new__(cls, class_name, box, velocity=None, attribute=None):
+        # a string label with neither velocity nor attribute passes the rule
+        if (velocity is None and attribute is None and type(class_name) is str
+                and class_name):
+            return tuple.__new__(cls, (class_name, box, None, None))
         velocity = _checked_velocity(class_name, velocity, attribute)
         return tuple.__new__(cls, (class_name, box, velocity, attribute))
 
@@ -112,6 +119,10 @@ class Detection(_DetectionFields):
     __slots__ = ()
 
     def __new__(cls, class_name, box, score, velocity=None, attribute=None):
+        # and so, with a float score in [0, 1], does a detection
+        if (velocity is None and attribute is None and type(class_name) is str
+                and class_name and type(score) is float and 0.0 <= score <= 1.0):
+            return tuple.__new__(cls, (class_name, box, score, None, None))
         velocity = _checked_velocity(class_name, velocity, attribute)
         value = finite_floats((score,))
         if value is None or not 0.0 <= value[0] <= 1.0:
@@ -318,7 +329,10 @@ def average_precision(scored_matches: Sequence[Tuple[float, bool]],
     recalls = counts / num_ground_truths
     precisions = counts / (np.flatnonzero(last) + 1)
     interp = np.interp(_RECALL_GRID, recalls, precisions,
-                       left=precisions[0], right=0.0)
+                       left=precisions[0], right=precisions[-1])
+    # zero above the largest recall, decided exactly: grid point i stands for
+    # i / 100, which some grid floats exceed by an ulp (0.7000000000000001)
+    interp[_GRID_STEPS * num_ground_truths > (_AP_GRID - 1) * counts[-1]] = 0.0
     clipped = np.maximum(0.0, interp[int(_AP_FLOOR * 100) + 1:] - _AP_FLOOR)
     return math.fsum(clipped) / len(clipped) / (1.0 - _AP_FLOOR)
 

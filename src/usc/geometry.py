@@ -114,6 +114,17 @@ class Box3D(_Box3DFields):
     __slots__ = ()
 
     def __new__(cls, center_x, center_y, center_z, length, height, width, yaw):
+        # Seven exact floats with a finite sum, positive dimensions and a yaw
+        # in range pass the rule below unchanged, so they are stored as given
+        # without building its tuples; any other input takes the rule.
+        if (float is type(center_x) is type(center_y) is type(center_z)
+                is type(length) is type(height) is type(width) is type(yaw)
+                and math.isfinite(center_x + center_y + center_z + length
+                                  + height + width + yaw)
+                and length > 0.0 and height > 0.0 and width > 0.0
+                and -math.pi < yaw <= math.pi):
+            return tuple.__new__(cls, (center_x, center_y, center_z, length,
+                                       height, width, yaw))
         values = (center_x, center_y, center_z, length, height, width, yaw)
         floats = finite_floats(values)
         if floats is None:
@@ -143,10 +154,14 @@ class Rect2D:
 
     def __post_init__(self):
         values = (self.min_u, self.min_v, self.max_u, self.max_v)
-        if not all(math.isfinite(v) for v in values):
+        floats = finite_floats(values)
+        if floats is None:
             raise ValueError(f"rectangle bounds must be finite, got {values}")
-        if self.min_u > self.max_u or self.min_v > self.max_v:
+        min_u, min_v, max_u, max_v = floats
+        if min_u > max_u or min_v > max_v:
             raise ValueError(f"rectangle bounds out of order: {values}")
+        for name, value in zip(("min_u", "min_v", "max_u", "max_v"), floats):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -160,12 +175,13 @@ class BevPolygon:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(Point2(float(p[0]), float(p[1])) for p in self.vertices)
-        if len(verts) < 3:
+        points = [finite_floats((p[0], p[1])) for p in self.vertices]
+        if len(points) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        for p in verts:
-            if not (math.isfinite(p.x) and math.isfinite(p.z)):
+        for p, point in zip(self.vertices, points):
+            if point is None:
                 raise ValueError(f"polygon vertex not finite: {p}")
+        verts = tuple(Point2(*point) for point in points)
         n = len(verts)
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
@@ -192,8 +208,12 @@ class Segment2D:
     b: Point2
 
     def __post_init__(self):
-        a = Point2(float(self.a[0]), float(self.a[1]))
-        b = Point2(float(self.b[0]), float(self.b[1]))
+        a = finite_floats((self.a[0], self.a[1]))
+        b = finite_floats((self.b[0], self.b[1]))
+        if a is None or b is None:
+            raise ValueError(
+                f"segment endpoints must be finite, got {self.a}, {self.b}")
+        a, b = Point2(*a), Point2(*b)
         if math.hypot(b.x - a.x, b.z - a.z) <= EPS_GEOM:
             raise ValueError(f"degenerate segment at {a}")
         object.__setattr__(self, "a", a)

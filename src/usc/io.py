@@ -9,9 +9,12 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
      "predictions":   [same fields plus "score": float]}
 
 One parser reads each line: the frame's own fields first, then its objects
-in order. Each object is checked whole at once, building no field path: its
-JSON shape here, and its values by the constructors of ``Box3D``,
-``Annotation`` and ``Detection``. An object that check does not vouch for
+in order. Each object is checked whole at once and built in the same step,
+building no field path and no list of its numbers: its JSON shape here (list
+lengths, and no bool where a number goes), and its values by the
+constructors of ``Box3D``, ``Annotation`` and ``Detection``, which store
+values that are already floats as given and convert and check any other
+value by their one rule. An object that check does not vouch for
 is parsed field by field, which raises the error with its type, message,
 field path and line number. Bytes that are not UTF-8 are a ParseError at
 their line.
@@ -145,15 +148,11 @@ def _parse_object(obj, path: str, with_score: bool):
     return Annotation(class_name, box, velocity, attribute)
 
 
-#: the exact types of a JSON number; bool, an int subclass, is not one
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _vouched(obj, with_score: bool):
     """One dataset object as ``_parse_object`` builds it, or None exactly when
     that raises, from a check that builds no field path. Only the JSON shape is
-    checked here (an object, list lengths, numbers that are ints or floats but
-    not bools); the constructors check the values."""
+    checked here (an object, list lengths, no bool where a number goes); the
+    constructors check the values, and reject every other non-number."""
     if type(obj) is not dict:
         return None
     center, size, velocity = obj.get("center"), obj.get("size"), obj.get("velocity")
@@ -162,16 +161,18 @@ def _vouched(obj, with_score: bool):
             or velocity is not None and (type(velocity) is not list
                                          or len(velocity) != 2)):
         return None
-    numbers = [*center, *size, obj.get("yaw"), *(velocity or ())]
-    if with_score:
-        numbers.append(obj.get("score"))
-    if not set(map(type, numbers)) <= _NUMBER_TYPES:
+    x, y, z = center
+    length, height, width = size
+    yaw, score = obj.get("yaw"), obj.get("score") if with_score else None
+    vx, vz = velocity or (None, None)
+    if bool in (type(x), type(y), type(z), type(length), type(height),
+                type(width), type(yaw), type(score), type(vx), type(vz)):
         return None
     class_name, attribute = obj.get("class"), obj.get("attribute")
     try:
-        box = Box3D(*numbers[:7])
+        box = Box3D(x, y, z, length, height, width, yaw)
         if with_score:
-            return Detection(class_name, box, numbers[-1], velocity, attribute)
+            return Detection(class_name, box, score, velocity, attribute)
         return Annotation(class_name, box, velocity, attribute)
     except ValueError:
         return None

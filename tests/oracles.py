@@ -11,7 +11,10 @@ table in its all-pairs form, as the reference for the library's windowed
 one; the overlap measures in their original form, which project a box
 afresh for every factor, as the reference for the library's one projection
 per box; the dataset loader in its field-by-field form, as the
-reference for the library's whole-object check; and the bucket lookup,
+reference for the library's whole-object check; the value types' rule for
+their numbers written as plain checks, as the reference for their
+constructors' shortcut for values that are already floats; and the bucket
+lookup,
 average precision and true-positive error means in their original
 per-bucket, per-label and per-pair loops, as the references, bit for bit,
 for the library's bisected edges and arrays. The whole report is rebuilt
@@ -400,7 +403,9 @@ def ap_oracle(scored_matches, num_ground_truths: int):
 def reference_average_precision(scored_matches, num_ground_truths: int):
     """Clipped-curve average precision in the library's original form: one
     (recall, precision) sample per label in a sorted Python loop, then the
-    library's interpolation and sum."""
+    library's interpolation and sum. Precision is zero at grid point i / 100
+    when that exceeds the largest recall, though the grid float may exceed it
+    by an ulp where the two are equal."""
     if num_ground_truths == 0:
         return None
     if not scored_matches:
@@ -422,7 +427,10 @@ def reference_average_precision(scored_matches, num_ground_truths: int):
             precisions.append(prec)
     grid = np.linspace(0.0, 1.0, 101)
     interp = np.interp(grid, recalls, precisions,
-                       left=precisions[0], right=0.0)
+                       left=precisions[0], right=precisions[-1])
+    for i in range(101):
+        if i / 100 > tp / num_ground_truths:
+            interp[i] = 0.0
     clipped = np.maximum(0.0, interp[11:] - 0.1)
     return math.fsum(clipped) / len(clipped) / (1.0 - 0.1)
 
@@ -711,6 +719,64 @@ def hull_contains(points, queries) -> bool:
         if any(_orient(a, b, q) < 0 for a, b in edges):
             return False
     return True
+
+# --- value type rules -----------------------------------------------------------
+
+
+def _reference_floats(values):
+    """``values`` as floats, or None unless each is a finite real number."""
+    try:
+        if all(math.isfinite(v) for v in values):
+            return tuple(float(v) for v in values)
+    except (OverflowError, TypeError):
+        pass
+    return None
+
+
+def reference_box_values(values):
+    """The seven values ``Box3D(*values)`` stores, by its rule written as plain
+    checks: each a finite real number, stored as a float, then positive
+    dimensions, then the yaw wrapped into (-pi, pi]. Raises the ValueError
+    ``Box3D`` raises."""
+    values = tuple(values)
+    floats = _reference_floats(values)
+    if floats is None:
+        raise ValueError(f"box parameters must be finite, got {values}")
+    length, height, width, yaw = floats[3:]
+    if length <= 0 or height <= 0 or width <= 0:
+        raise ValueError(f"box dimensions must be positive, got l={length}, "
+                         f"h={height}, w={width}")
+    return floats[:6] + (wrap_angle(yaw),)
+
+
+def reference_annotation_values(class_name, box, velocity, attribute):
+    """The values ``Annotation(class_name, box, velocity, attribute)`` stores,
+    by its rule written as plain checks in its order: the class label, the
+    velocity, then the attribute. Raises the ValueError ``Annotation``
+    raises."""
+    if not isinstance(class_name, str) or not class_name:
+        raise ValueError("class_name must be a non-empty string")
+    if velocity is not None:
+        floats = _reference_floats(velocity)
+        if floats is None or len(floats) != 2:
+            raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
+        velocity = floats
+    if attribute is not None and not isinstance(attribute, str):
+        raise ValueError(f"attribute must be a string, got {attribute!r}")
+    return (class_name, box, velocity, attribute)
+
+
+def reference_detection_values(class_name, box, score, velocity, attribute):
+    """The values ``Detection(class_name, box, score, velocity, attribute)``
+    stores: the annotation rule, then a score in [0, 1] stored as a float.
+    Raises the ValueError ``Detection`` raises."""
+    class_name, box, velocity, attribute = reference_annotation_values(
+        class_name, box, velocity, attribute)
+    floats = _reference_floats((score,))
+    if floats is None or not 0.0 <= floats[0] <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    return (class_name, box, floats[0], velocity, attribute)
+
 
 # --- reference dataset loader ---------------------------------------------------
 

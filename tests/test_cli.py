@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -13,10 +14,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usc import (LossConfig, ProtocolConfig, SyntheticSpec, evaluate,
-                 generate_synthetic, iogt_loss, load_config, load_dataset,
-                 load_report, matched_pairs, safety_loss, save_dataset,
-                 smooth_l1, write_report)
+from usc import (Annotation, Box3D, Detection, FrameRecord, LossConfig,
+                 ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
+                 iogt_loss, load_config, load_dataset, load_report,
+                 matched_pairs, safety_loss, save_dataset, smooth_l1,
+                 write_report)
 from usc.cli import main
 
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
@@ -859,6 +861,82 @@ class TestCommandLineFuzz:
                 lines = err.getvalue().splitlines()
                 errors = [line for line in lines if line.startswith("error: ")]
                 assert errors == (lines[-1:] if code else [])
+
+
+@pytest.fixture
+def collector():
+    """The collector's state before the test, restored after it."""
+    enabled = gc.isenabled()
+    yield enabled
+    (gc.enable if enabled else gc.disable)()
+
+
+#: a car pair that straddles the camera plane, so USC excludes it
+BEHIND_CAMERA = FrameRecord(
+    "behind", [Annotation("car", Box3D(5.0, 0.0, 0.5, 4.2, 1.6, 1.9, 0.0))],
+    [Detection("car", Box3D(5.2, 0.0, 0.6, 4.0, 1.6, 1.9, 0.05), 0.9)])
+
+
+def varied_dataset(path, frames):
+    """A synthetic dataset of ``frames`` frames plus ``BEHIND_CAMERA``, with a
+    velocity and an attribute on every other object, so the constructors'
+    general rule and USC's exclusion both run."""
+    dataset = generate_synthetic(SyntheticSpec(seed=11, frames=frames))
+    for frame in dataset:
+        for objects in (frame.ground_truths, frame.predictions):
+            objects[::2] = [o._replace(velocity=(1.5, -0.25), attribute="moving")
+                            for o in objects[::2]]
+    save_dataset(dataset + [BEHIND_CAMERA], path)
+
+
+class TestCollectorPause:
+    """Commands run with the cyclic collector paused, and ``main`` gives the
+    caller back the collector as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--data", "{data}"], 0), (["loss", "--data", "{data}"], 0),
+        (["eval", "--data", "{data}", "--config", "{config}"], 1),
+        (["eval", "--data", "{missing}"], 2)],
+        ids=["eval", "loss", "schema-error", "missing-file"])
+    def test_state_is_restored(self, tmp_path, capsys, collector, enabled,
+                               argv, code):
+        paths = {"data": tmp_path / "d.jsonl", "config": tmp_path / "c.json",
+                 "missing": tmp_path / "missing.jsonl"}
+        varied_dataset(paths["data"], 3)
+        paths["config"].write_text(json.dumps({"range_buckets": "near"}))
+        (gc.enable if enabled else gc.disable)()
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_is_restored_after_an_uncaught_exception(
+            self, tmp_path, monkeypatch, collector, enabled):
+        data = tmp_path / "d.jsonl"
+        varied_dataset(data, 1)
+
+        def fail(frames, protocol):
+            assert not gc.isenabled()
+            raise RuntimeError("evaluate failed")
+        monkeypatch.setattr("usc.cli.evaluate", fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="^evaluate failed$"):
+            main(["eval", "--data", str(data)])
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("command", ["eval", "loss"])
+    def test_cyclic_garbage_does_not_grow_with_the_data(
+            self, tmp_path, capsys, collector, command):
+        small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+        varied_dataset(small, 1)
+        varied_dataset(large, 100)
+        gc.disable()
+        counts = []
+        for data in (small, small, large, small, large):
+            assert main([command, "--data", str(data)]) == 0
+            counts.append(gc.collect())
+        # the first run also frees what warming up left behind
+        assert counts[1] == counts[2] == counts[3] == counts[4]
 
 
 class TestEntryPoint:

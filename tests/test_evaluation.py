@@ -347,6 +347,8 @@ class TestAveragePrecision:
     @given(st.lists(st.tuples(st.floats(0.01, 1.0), st.booleans()),
                     min_size=0, max_size=12),
            st.integers(1, 8))
+    # the largest recall is 0.7, which np.linspace(0, 1, 101) exceeds by an ulp
+    @example([(0.3, False)] * 4 + [(0.3, True)] * 7, 10)
     @settings(max_examples=300)
     def test_oracle_agreement_and_bounds(self, scored, n_gt):
         n_tp = sum(1 for _, hit in scored if hit)
@@ -365,6 +367,7 @@ class TestAveragePrecision:
                               st.booleans()), max_size=200),
            st.integers(0, 250))
     @example([(0.5, False)] * 3 + [(0.5, True)] * 3 + [(0.0, True), (1.0, False)], 4)
+    @example([(0.3, False)] * 4 + [(0.3, True)] * 7, 10)
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_bit_for_bit(self, scored, n_gt):
         # scores from four values give long runs of ties and equal recalls

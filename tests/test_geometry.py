@@ -832,3 +832,29 @@ class TestPolygonValidation:
     def test_segment_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Segment2D(Point2(1, 1), Point2(1, 1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Rect2D(10**400, 0, 1, 1), lambda: Rect2D("1", 0, 1, 1),
+        lambda: Rect2D(0, math.nan, 1, 1),
+        lambda: Segment2D((math.inf, 0), (1, 1)),
+        lambda: Segment2D((0, 0), (1, math.nan)),
+        lambda: Segment2D((10**400, 0), (1, 1)),
+        lambda: BevPolygon(((10**400, 0), (1, 0), (1, 1))),
+        lambda: BevPolygon(((0, 0), ("1", 0), (1, 1)))],
+        ids=["rect-huge-int", "rect-string", "rect-nan", "segment-inf",
+             "segment-nan", "segment-huge-int", "polygon-huge-int",
+             "polygon-string"])
+    def test_non_finite_number_is_a_value_error(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    def test_numbers_are_stored_as_floats(self):
+        rect = Rect2D(0, 0, 1, True)
+        segment = Segment2D((0, 0), (1, 1))
+        polygon = BevPolygon(((0, 0), (1, 0), (1, 1)))
+        assert repr(rect) == ("Rect2D(min_u=0.0, min_v=0.0, max_u=1.0, "
+                              "max_v=1.0)")
+        assert repr((segment.a, segment.b)) == (
+            "(Point2(x=0.0, z=0.0), Point2(x=1.0, z=1.0))")
+        assert polygon.vertices == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+        assert all(type(v) is float for p in polygon.vertices for v in p)

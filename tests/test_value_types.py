@@ -8,13 +8,18 @@ import copy
 import math
 import pickle
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from usc import (Annotation, Box3D, Detection, MatchedPair, smooth_l1,
                  tp_error_means)
 
-from oracles import reference_tp_error_means
+from oracles import (reference_annotation_values, reference_box_values,
+                     reference_detection_values, reference_tp_error_means)
+from strategies import finite
 
 BOX = Box3D(0.5, -0.25, 10.0, 4.0, 1.5, 1.8, 0.1)
 ANN = Annotation("car", BOX, (1.0, 0.5), "moving")
@@ -137,3 +142,76 @@ class TestNumbersAreStoredAsFloats:
     def test_smooth_l1_of_int_and_float_built_boxes_agree(self):
         floats = Box3D(*map(float, INT_PRED)), Box3D(*map(float, INT_GT))
         assert smooth_l1(Box3D(*INT_PRED), Box3D(*INT_GT)) == smooth_l1(*floats)
+
+
+#: any value a caller may pass where a number goes: every float (-0.0,
+#: subnormals, infinities and NaN among them), ints a float cannot hold or
+#: that overflow it, bools, numpy floats, fractions and strings
+ANY_NUMBER = (st.floats() | st.floats().map(np.float64)
+              | finite(-10.0, 10.0).map(Fraction) | st.integers(-3, 3)
+              | st.sampled_from([-0.0, 5e-324, -5e-324, 2**53 + 1, 10**400,
+                                 -10**400, True, False, "1", "nan"]))
+
+
+@st.composite
+def box_values(draw):
+    """Seven values of a valid float box, a few of them, maybe none, replaced
+    by ``ANY_NUMBER``; some yaws lie outside (-pi, pi]."""
+    values = ([draw(finite(-50.0, 50.0)) for _ in range(3)]
+              + [draw(finite(1e-3, 10.0)) for _ in range(3)]
+              + [draw(finite(-10.0, 10.0))])
+    for index in draw(st.lists(st.integers(0, 6), max_size=7)):
+        values[index] = draw(ANY_NUMBER)
+    return values
+
+
+def same_outcome(build, reference, *args):
+    """``build(*args)`` stores what ``reference(*args)`` gives, or both raise
+    ValueError with the same message. Stored values are compared by ``repr``,
+    which tells -0.0 from 0.0 and a float from an int, a numpy float or a
+    fraction."""
+    try:
+        expected = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build(*args)
+        assert str(raised.value) == str(exc)
+        return
+    assert repr(tuple(build(*args))) == repr(expected)
+
+
+class TestConstructorsAgainstTheirRule:
+    """Whichever branch a constructor takes, it stores what its rule, written
+    plainly in ``tests/oracles.py``, stores, or raises what the rule raises."""
+
+    @given(box_values())
+    @example([0.0, -0.0, 5e-324, 1.0, 1.0, 1.0, math.pi])
+    @example([0.0, 0.0, 10.0, 1.0, 1.0, 1.0, -math.pi])
+    @example([1e308, 1e308, 0.0, 1.0, 1.0, 1.0, 0.0])
+    @example([0.0, 0.0, 10.0, 1.0, -0.0, 1.0, 0.0])
+    @example([0.0, 0.0, 10.0, 1.0, 1.0, 1.0, math.nan])
+    @example([0.0, 0.0, 10.0, 2**53 + 1, 1.0, 1.0, 0.0])
+    def test_box(self, values):
+        same_outcome(Box3D._make, reference_box_values, values)
+
+    # "car", no velocity and no attribute come up often, so that scores of
+    # every kind meet the shortcut
+    @given(st.just("car") | st.sampled_from(["", 5, None]),
+           ANY_NUMBER | finite(0.0, 1.0),
+           st.none() | st.tuples(ANY_NUMBER, ANY_NUMBER) | st.just("12"),
+           st.none() | st.sampled_from(["moving", 5]))
+    @example("car", 0.5, None, None)
+    @example("car", -0.5, None, None)
+    @example("car", 1, None, None)
+    @example("car", -0.0, None, None)
+    @example("car", 5e-324, None, None)
+    @example("car", math.nan, None, None)
+    @example("car", np.float64(0.5), None, None)
+    @example("car", True, None, None)
+    @example("car", 0.5, (1, -0.0), "moving")
+    def test_detection_and_annotation(self, class_name, score, velocity,
+                                      attribute):
+        same_outcome(Detection, reference_detection_values, class_name, BOX,
+                     score, velocity, attribute)
+        same_outcome(Annotation, reference_annotation_values, class_name, BOX,
+                     velocity, attribute)
