@@ -28,6 +28,7 @@ from .io import (FrameRecord, SyntheticSpec, format_report_table,
                  generate_synthetic, load_config, load_dataset, load_report,
                  merge_datasets, report_from_dict, report_to_dict,
                  save_dataset, write_report)
-from .loss import LossConfig, iogt_loss, safety_loss, smooth_l1
+from .loss import (LossConfig, iogt_loss, safety_loss, safety_loss_batch,
+                   smooth_l1)
 
 __version__ = "0.1.0"

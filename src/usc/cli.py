@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from . import io as uio
 from .errors import UscError, ZeroVariance
 from .evaluation import ProtocolConfig, evaluate, matched_pairs, pearson
-from .geometry import iogt3d_batch
-from .loss import LossConfig, smooth_l1
+from .loss import LossConfig, safety_loss_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -105,20 +104,16 @@ def cmd_loss(args) -> int:
     rows = []
     for class_name in sorted(pairs_by_class):
         class_pairs = pairs_by_class[class_name]
-        iogt = iogt3d_batch([pair.detection.box for pair in class_pairs],
-                            [pair.annotation.box for pair in class_pairs])
-        columns = ([], [], [])
-        for pair, pair_iogt in zip(class_pairs, iogt.tolist()):
-            p, g = pair.detection.box, pair.annotation.box
-            pair_l1 = smooth_l1(p, g, loss_config.smooth_l1_beta,
-                                loss_config.yaw_wrapping)
-            pair_enclosure = 1.0 - pair_iogt
-            columns[0].append(pair_l1)
-            columns[1].append(pair_enclosure)
-            columns[2].append(loss_config.blend(pair_l1, pair_enclosure))
+        preds = [pair.detection.box for pair in class_pairs]
+        gts = [pair.annotation.box for pair in class_pairs]
+        try:
+            columns = safety_loss_batch(preds, gts, loss_config)
+        except ValueError as exc:
+            raise ValueError(f"class {class_name!r}: {exc}") from exc
         try:
             # exact sums, so the means do not depend on the order of the frames
-            means = [math.fsum(column) / len(class_pairs) for column in columns]
+            means = [math.fsum(column.tolist()) / len(class_pairs)
+                     for column in columns]
         except OverflowError:
             means = [math.inf]
         if not all(map(math.isfinite, means)):

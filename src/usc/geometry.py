@@ -481,9 +481,9 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
 
 # --- batch kernels -----------------------------------------------------------
 
-#: Most pairs a batch kernel (``iogt3d_batch``, ``constraints.usc_batch``)
-#: holds in its working arrays at once, which bounds its memory whatever the
-#: batch length.
+#: Most pairs a batch kernel (``iogt3d_batch``, ``constraints.usc_batch``,
+#: ``loss.safety_loss_batch``) holds in its working arrays at once, which
+#: bounds its memory whatever the batch length.
 BATCH_CAP = 256
 
 # Local corner sides in ``box_corners`` order (bit 0: x, bit 1: y, bit 2: z).
@@ -582,8 +582,17 @@ def _clip_rows(sx, sz, cx, cz):
     Returns the clipped vertices in (n, 8) arrays, their counts, and a mask
     of the rows whose clip emitted more than 8 vertices at some edge, which
     rounding can cause; their vertices are cut short.
+
+    At each edge every live slot may emit its crossing point, then its
+    vertex. An emitted value goes to the slot numbered by how many values its
+    row emitted before it at that edge (a running sum, no sort), and values
+    from the ninth on are dropped. Slots at or past a row's count keep
+    whatever they held before: nothing reads them, since the live-slot mask
+    here, ``_shoelace_rows`` and the ``count >= 3`` gate of ``_iogt3d_chunk``
+    all stop at the count.
     """
     n = len(sx)
+    rows = np.arange(n)
     slots = np.arange(_CLIP_SLOTS)
     x = np.zeros((n, _CLIP_SLOTS))
     z = np.zeros((n, _CLIP_SLOTS))
@@ -596,10 +605,12 @@ def _clip_rows(sx, sz, cx, cz):
         ez = cz[:, (i + 1) % 4, None] - az
         inside = (ex * (z - az) - ez * (x - ax)
                   >= -EPS_GEOM * np.maximum(abs(ex), abs(ez)))
-        prev = np.where(slots == 0, count[:, None] - 1, slots - 1)
-        px = np.take_along_axis(x, prev, axis=1)
-        pz = np.take_along_axis(z, prev, axis=1)
-        prev_in = np.take_along_axis(inside, prev, axis=1)
+        # each slot's previous vertex: the slot before it, and for slot 0 the
+        # last live slot
+        last = count - 1
+        px = np.concatenate([x[rows, last, None], x[:, :-1]], axis=1)
+        pz = np.concatenate([z[rows, last, None], z[:, :-1]], axis=1)
+        prev_in = np.concatenate([inside[rows, last, None], inside[:, :-1]], axis=1)
         # cross_point(prev, point); np.minimum and np.maximum would keep a
         # NaN that Python's min and max drop
         den = ex * (z - pz) - ez * (x - px)
@@ -611,13 +622,13 @@ def _clip_rows(sx, sz, cx, cz):
         live = slots < count[:, None]
         emit = np.stack([live & (inside != prev_in), live & inside],
                         axis=2).reshape(n, 2 * _CLIP_SLOTS)
-        count = emit.sum(axis=1)
+        pos = np.cumsum(emit, axis=1) - 1
+        count = pos[:, -1] + 1
         overflow |= count > _CLIP_SLOTS
-        order = np.argsort(~emit, axis=1, kind="stable")[:, :_CLIP_SLOTS]
-        x = np.take_along_axis(np.stack([px + t * (x - px), x], axis=2)
-                               .reshape(n, 2 * _CLIP_SLOTS), order, axis=1)
-        z = np.take_along_axis(np.stack([pz + t * (z - pz), z], axis=2)
-                               .reshape(n, 2 * _CLIP_SLOTS), order, axis=1)
+        r, c = np.nonzero(emit & (pos < _CLIP_SLOTS))
+        slot, vertex, kind = pos[r, c], c // 2, c % 2
+        x[r, slot] = np.stack([px + t * (x - px), x], axis=2)[r, vertex, kind]
+        z[r, slot] = np.stack([pz + t * (z - pz), z], axis=2)[r, vertex, kind]
         count = np.minimum(count, _CLIP_SLOTS)
     return x, z, count, overflow
 

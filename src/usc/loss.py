@@ -1,16 +1,25 @@
 """Safety-oriented loss values on matched box pairs.
 
-These are reference implementations for offline scoring: a Huber-style
-kernel on the raw 7-tuple parameters, an enclosure term derived from 3D
-IoGT, and their convex blend. No gradients are provided.
+Three values are defined for offline scoring: a Huber-style kernel on the
+raw 7-tuple parameters (``smooth_l1``), an enclosure term derived from 3D
+IoGT (``iogt_loss``), and their convex blend (``safety_loss``). No gradients
+are provided.
+
+``safety_loss_batch`` computes all three for many pairs in float64 arrays,
+a bounded chunk at a time; ``usc loss`` runs it once per class. The one-pair
+functions are its reference: each batch value equals theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
-from .geometry import Box3D, iogt3d, wrap_angle
+import numpy as np
+
+from .geometry import (Box3D, box_rows, iogt3d, iogt3d_batch, map_math,
+                       pair_batches, wrap_angle)
 
 #: Index of the yaw parameter inside the 7-tuple.
 _YAW_INDEX = 6
@@ -79,3 +88,33 @@ def safety_loss(p: Box3D, g: Box3D, config: LossConfig = LossConfig()) -> float:
     """Convex blend of the accuracy and enclosure terms."""
     accuracy = smooth_l1(p, g, config.smooth_l1_beta, config.yaw_wrapping)
     return config.blend(accuracy, iogt_loss(p, g))
+
+
+def safety_loss_batch(preds: Sequence[Box3D], gts: Sequence[Box3D],
+                      config: LossConfig = LossConfig()
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``smooth_l1``, ``iogt_loss`` and ``safety_loss`` of many prediction /
+    ground-truth pairs, as three float64 arrays, run by ``pair_batches``.
+
+    Every value equals, bit for bit, what the one-pair function gives for
+    that pair: the arithmetic is theirs, in the same order, and only a yaw
+    residual outside (-pi, pi] goes through ``wrap_angle``. The first pair
+    on which ``iogt3d`` raises raises the same error here.
+    """
+    def chunk(p_boxes, g_boxes):
+        residual = box_rows(p_boxes) - box_rows(g_boxes)
+        if config.yaw_wrapping:
+            yaw = residual[_YAW_INDEX]
+            wrap = (yaw <= -math.pi) | (yaw > math.pi)
+            if wrap.any():
+                yaw[wrap] = map_math(wrap_angle, yaw[wrap])
+        beta = config.smooth_l1_beta
+        r = abs(residual)
+        huber = np.where(r < beta, 0.5 * r * r / beta, r - 0.5 * beta)
+        accuracy = np.zeros(len(p_boxes))
+        for row in huber:
+            accuracy += row
+        enclosure = 1.0 - iogt3d_batch(p_boxes, g_boxes)
+        return accuracy, enclosure, config.blend(accuracy, enclosure)
+
+    return pair_batches(chunk, preds, gts)

@@ -42,6 +42,24 @@ def boxes(draw, center=20.0, dim_min=0.1, dim_max=5.0, number=finite):
 
 
 @st.composite
+def overflow_boxes(draw, scale=None):
+    """Boxes whose BEV coordinates and sizes lie between 1e150 and 1e307,
+    where the clip's products overflow to infinity and NaN, 1 m tall at
+    heights that overlap, touch or miss each other."""
+    if scale is None:
+        scale = 10.0 ** draw(finite(150, 307))
+    return Box3D(scale * draw(finite(-1, 1)), draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+                 scale * draw(finite(-1, 1)), scale * draw(finite(0.01, 1)), 1.0,
+                 scale * draw(finite(0.01, 1)), draw(finite(-math.pi, math.pi)))
+
+
+@st.composite
+def overflow_pairs(draw):
+    scale = 10.0 ** draw(finite(150, 307))
+    return draw(overflow_boxes(scale)), draw(overflow_boxes(scale))
+
+
+@st.composite
 def frontal_boxes(draw, range_min=4.0, range_max=19.0):
     """Boxes whose footprint sits fully ahead of the vehicle.
 

@@ -271,7 +271,8 @@ class TestLoss:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "error: repeated polygon vertices at index 0" in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "error: class 'car': repeated polygon vertices at index 0")
 
     def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
         # the height vanishes against center_y: (1e17 + 0.75) - (1e17 - 0.75)
@@ -286,7 +287,7 @@ class TestLoss:
         assert captured.out == ""
         assert captured.err.count("\n") == 2  # the config warning, then the error
         assert captured.err.splitlines()[-1].startswith(
-            "error: ground-truth volume is 0.0")
+            "error: class 'car': ground-truth volume is 0.0 (height 1.5 ")
         assert main(["eval", "--data", str(data)]) == 0
 
     def test_first_failing_class_in_sorted_order_reports(self, tmp_path, capsys):
@@ -306,7 +307,7 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "error: repeated polygon vertices at index 0")
+            "error: class 'car': repeated polygon vertices at index 0")
 
     def test_loss_mean_beyond_float_range(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (MonteCarloOracle, box_volume_reference,
                      intersection_volume_reference, iogt3d_reference,
                      iou3d_reference, segments_intersect_oracle)
-from strategies import boxes, finite
+from strategies import boxes, finite, overflow_boxes, overflow_pairs
 from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, Segment2D, SyntheticSpec, box_corners, box_volume,
                  convex_intersection_area, corner_arrays, generate_synthetic,
@@ -20,24 +20,6 @@ from usc.errors import BehindCamera
 from usc.geometry import BATCH_CAP
 
 SMALL_MC = MonteCarloOracle(samples=200_000, seed=99)
-
-
-@st.composite
-def overflow_boxes(draw, scale=None):
-    """Boxes whose BEV coordinates and sizes lie between 1e150 and 1e307,
-    where the clip's products overflow to infinity and NaN, 1 m tall at
-    heights that overlap, touch or miss each other."""
-    if scale is None:
-        scale = 10.0 ** draw(finite(150, 307))
-    return Box3D(scale * draw(finite(-1, 1)), draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
-                 scale * draw(finite(-1, 1)), scale * draw(finite(0.01, 1)), 1.0,
-                 scale * draw(finite(0.01, 1)), draw(finite(-math.pi, math.pi)))
-
-
-@st.composite
-def overflow_pairs(draw):
-    scale = 10.0 ** draw(finite(150, 307))
-    return draw(overflow_boxes(scale)), draw(overflow_boxes(scale))
 
 
 def corner_set(points):
@@ -529,6 +511,33 @@ BOX_LIST = [Box3D(0.3 * i, 0.1 * i, 10 + 0.2 * i, 2 + 0.1 * i, 1.5, 2, 0.2 * i)
             for i in range(14)]
 
 
+def clip_emission_order(subject, clip, slots=8):
+    """``_clip_convex``'s emission order written out for one subject and one
+    clip polygon, keeping at each edge only the first ``slots`` vertices it
+    emits, as ``_clip_rows`` does: the vertices kept, and whether some edge
+    emitted more."""
+    output, spilled = list(subject), False
+    for i in range(len(clip)):
+        (ax, az), (bx, bz) = clip[i], clip[(i + 1) % len(clip)]
+        ex, ez = bx - ax, bz - az
+        slack = -EPS_GEOM * max(abs(ex), abs(ez))
+        emitted = []
+        for k, (qx, qz) in enumerate(output):
+            px, pz = output[k - 1]
+            point_in = ex * (qz - az) - ez * (qx - ax) >= slack
+            prev_in = ex * (pz - az) - ez * (px - ax) >= slack
+            if point_in != prev_in:
+                den = ex * (qz - pz) - ez * (qx - px)
+                num = ez * (px - ax) - ex * (pz - az)
+                t = min(1.0, max(0.0, num / den if den != 0.0 else 0.5))
+                emitted.append((px + t * (qx - px), pz + t * (qz - pz)))
+            if point_in:
+                emitted.append((qx, qz))
+        spilled |= len(emitted) > slots
+        output = emitted[:slots]
+    return output, spilled
+
+
 class TestIogt3dBatch:
     """The kernel against the scalar ``iogt3d``, bit for bit and error for
     error."""
@@ -700,6 +709,36 @@ class TestIogt3dBatch:
             expected = geometry._clip_convex(subject[row].T.tolist(), clip.T.tolist())
             got = np.stack([x[row], z[row]], axis=1)[:count[row]]
             assert got.tolist() == [list(v) for v in expected]
+
+    def test_clip_rows_compaction_against_emission_order(self):
+        # random subjects and clips, some rows out of slots, then three
+        # hand-made rows: a disjoint pair, a square clipped by a diamond to an
+        # octagon, and a crossed subject that emits more than 8 vertices at
+        # some edge
+        rng = np.random.default_rng(21)
+
+        def quads(*hand):
+            return np.concatenate([rng.integers(-3, 4, size=(1500, 2, 4)).astype(float),
+                                   rng.uniform(-3, 3, size=(500, 2, 4)), hand])
+
+        square = [[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]]
+        diamond = [[1.25, 0.0, -1.25, 0.0], [0.0, 1.25, 0.0, -1.25]]
+        disjoint = [[10.0, 11.0, 11.0, 10.0], [10.0, 10.0, 11.0, 11.0]]
+        crossed = [[-3.0, 3.0, -2.0, 2.0], [3.0, 0.0, 0.0, -3.0]]
+        subject = quads(disjoint, square, crossed)
+        clip = quads(square, diamond, square)
+        with np.errstate(all="ignore"):
+            x, z, count, overflow = geometry._clip_rows(
+                subject[:, 0], subject[:, 1], clip[:, 0], clip[:, 1])
+        assert count[-3:].tolist() == [0, 8, 8]
+        assert overflow[-3:].tolist() == [False, False, True]
+        assert 0 < overflow.sum() < 100
+        for row in range(len(subject)):
+            vertices, spilled = clip_emission_order(subject[row].T.tolist(),
+                                                    clip[row].T.tolist())
+            assert (count[row], overflow[row]) == (len(vertices), spilled)
+            got = np.stack([x[row], z[row]], axis=1)[:count[row]]
+            assert got.tobytes() == np.array(vertices).reshape(-1, 2).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, EPS_GEOM / 2, 1e308])
     def test_well_formed_footprints_pass_bev_polygon(self, scale):

@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from strategies import boxes, frontal_pairs
-from usc import Box3D, LossConfig, iogt_loss, safety_loss, smooth_l1
+from strategies import boxes, finite, frontal_pairs, overflow_pairs
+from usc import (Box3D, LossConfig, iogt_loss, safety_loss, safety_loss_batch,
+                 smooth_l1)
+from usc.geometry import BATCH_CAP
 
 
 class TestSmoothL1:
@@ -141,3 +144,132 @@ class TestSafetyLoss:
             params[index] += eps
             shifted = safety_loss(Box3D(*params), g)
             assert abs(shifted - base) <= 100 * eps
+
+
+def _outcome(measure, *args):
+    """The measure's value, or the type and text of its ValueError."""
+    try:
+        return measure(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_batch_matches_scalar(pairs, config=LossConfig()):
+    """``safety_loss_batch`` against the one-pair functions: the same float64
+    bits in each of its arrays for every pair on which ``iogt_loss`` does not
+    raise, and for the whole batch the error of its first pair that does."""
+    enclosure = [_outcome(iogt_loss, p, g) for p, g in pairs]
+    scored = [pair for pair, value in zip(pairs, enclosure)
+              if isinstance(value, float)]
+    beta, wrap = config.smooth_l1_beta, config.yaw_wrapping
+    expected = ([smooth_l1(p, g, beta, wrap) for p, g in scored],
+                [value for value in enclosure if isinstance(value, float)],
+                [safety_loss(p, g, config) for p, g in scored])
+    arrays = safety_loss_batch([p for p, _ in scored], [g for _, g in scored], config)
+    assert len(arrays) == 3
+    for array, values in zip(arrays, expected):
+        assert array.dtype == np.float64
+        assert array.tobytes() == np.array(values, dtype=np.float64).tobytes()
+    errors = [value for value in enclosure if not isinstance(value, float)]
+    if errors:
+        whole = _outcome(safety_loss_batch, [p for p, _ in pairs],
+                         [g for _, g in pairs], config)
+        assert isinstance(whole, tuple) and whole == errors[0]
+
+
+@st.composite
+def huge_boxes(draw):
+    """Boxes with centres and sizes at 1e308, whose residuals, Huber terms
+    and corners overflow."""
+    value = st.sampled_from((1e308, -1e308, 0.0, 1.0))
+    size = st.sampled_from((1e308, 1.0))
+    return Box3D(draw(value), draw(value), draw(value), draw(size), draw(size),
+                 draw(size), draw(finite(-math.pi, math.pi)))
+
+
+def loss_configs():
+    return st.builds(
+        LossConfig,
+        blend_lambda=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        smooth_l1_beta=st.sampled_from((5e-324, 1.0, 1e308)) | finite(1e-3, 10.0),
+        yaw_wrapping=st.booleans())
+
+
+def _with(box, index, value):
+    values = list(box)
+    values[index] = value
+    return Box3D(*values)
+
+
+#: the yaw index of the 7-tuple, and a ground truth whose values leave room
+#: for a residual of 1.0 on every field
+YAW = 6
+BASE = Box3D(0.5, 0.0, 10.0, 2.0, 1.5, 1.8, 0.25)
+
+
+class TestSafetyLossBatch:
+    """The array pass against ``smooth_l1``, ``iogt_loss`` and
+    ``safety_loss``, bit for bit and error for error."""
+
+    @given(st.lists(st.tuples(boxes(), boxes()) | overflow_pairs()
+                    | st.tuples(huge_boxes(), huge_boxes() | boxes()), max_size=30),
+           loss_configs())
+    @settings(max_examples=150)
+    def test_against_scalar(self, pairs, config):
+        assert_batch_matches_scalar(pairs, config)
+
+    @pytest.mark.parametrize("wrapping", [True, False])
+    def test_yaw_residuals_at_the_wrap(self, wrapping):
+        pi, half = math.pi, math.pi / 2
+        yaws = [(half, -half), (pi, -2.0 ** -50), (-half, half),
+                (-half, half + 2.0 ** -50), (math.nextafter(-pi, 0.0), pi),
+                (pi, math.nextafter(-pi, 0.0))]
+        residuals = [p - g for p, g in yaws]
+        assert residuals[0] == pi and residuals[2] == -pi
+        assert residuals[1] > pi and residuals[3] < -pi
+        pairs = [(_with(BASE, YAW, p), _with(BASE, YAW, g)) for p, g in yaws]
+        assert_batch_matches_scalar(pairs, LossConfig(yaw_wrapping=wrapping))
+
+    @pytest.mark.parametrize("beta", [5e-324, 1.0, 1e308])
+    def test_residuals_at_beta(self, beta):
+        # each field's residual at beta, an ulp either side, negated, and at
+        # r = 1.5 * sqrt(beta), where r * r overflows at beta = 1e308 and
+        # 0.5 * r * r does not, wherever the box takes it; a pair whose clip
+        # cannot be scored still checks the error
+        pairs = []
+        for index, base in enumerate(BASE):
+            for delta in (beta, -beta, math.nextafter(beta, 0.0),
+                          math.nextafter(beta, math.inf), 1.5 * math.sqrt(beta)):
+                if math.isfinite(base + delta) and (index < 3 or base + delta > 0.0):
+                    pairs.append((_with(BASE, index, base + delta), BASE))
+        assert any(p[i] - g[i] == beta for p, g in pairs for i in range(7)
+                   if isinstance(_outcome(iogt_loss, p, g), float))
+        assert_batch_matches_scalar(pairs, LossConfig(smooth_l1_beta=beta,
+                                                      yaw_wrapping=False))
+
+    def test_batch_longer_than_two_chunks(self):
+        rng = random.Random(2209)
+
+        def box():
+            return Box3D(rng.uniform(-5, 5), rng.uniform(-1, 1), rng.uniform(5, 15),
+                         rng.uniform(0.4, 3), rng.uniform(0.5, 2), rng.uniform(0.4, 3),
+                         rng.uniform(-math.pi, math.pi))
+
+        pairs = [(box(), box()) for _ in range(2 * BATCH_CAP + 7)]
+        assert_batch_matches_scalar(pairs)
+        flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        thin = BASE._replace(length=1e-10)
+        pairs.insert(2 * BATCH_CAP + 3, (BASE, flat))
+        pairs.insert(BATCH_CAP + 1, (BASE, thin))
+        with pytest.raises(ValueError, match="^repeated polygon vertices"):
+            safety_loss_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert_batch_matches_scalar(pairs)
+
+    def test_no_pairs(self):
+        arrays = safety_loss_batch([], [])
+        assert len(arrays) == 3
+        assert all(a.shape == (0,) and a.dtype == np.float64 for a in arrays)
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
+            safety_loss_batch([BASE, BASE], [BASE])
