@@ -87,9 +87,11 @@ def _inputs(args) -> Tuple[ProtocolConfig, LossConfig, List[uio.FrameRecord]]:
 def cmd_eval(args) -> int:
     protocol, _, frames = _inputs(args)
     report = evaluate(frames, protocol)
-    print(uio.format_report_table(report), end="")
-    if args.out:
-        uio.write_report(report, args.out, args.format)
+    # written first, so a failed write prints nothing; a table is formatted
+    # once, for the file and for stdout
+    written = uio.write_report(report, args.out, args.format) if args.out else None
+    table = written if args.format == "table" else None
+    print(table or uio.format_report_table(report), end="")
     return EXIT_OK
 
 

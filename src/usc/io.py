@@ -32,6 +32,15 @@ classes, bucket labels, AP thresholds and TP measures it lists.
 Floats are written in Python's shortest round-trip form (up to 17
 significant digits), so load(save(x)) is lossless and re-saving is
 byte-identical. Undefined metrics serialize as null, never as 0.
+
+A report is written over its file in place, not after truncating it: a
+re-run of ``usc eval --out`` into the same path then keeps the file's blocks
+instead of freeing them, which on a filesystem mounted with online
+``discard`` costs tens of milliseconds. The text is built whole before the
+file is opened, and its first byte is written last, so a failed format
+leaves the old report and an interrupted write leaves one that does not
+load (see ``write_report``). Datasets (``save_dataset``) are streamed to a
+truncated file, since their text runs to many MB.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
+import stat
 from dataclasses import dataclass, fields, is_dataclass
 from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
@@ -476,17 +487,55 @@ def format_report_table(report: MetricsReport) -> str:
     return "\n".join(_aligned(rows, 2) + [""] + _aligned(summary_rows, 1)) + "\n"
 
 
-def write_report(report: MetricsReport, path, fmt: str = "json") -> None:
-    """Write a report as stable-key-ordered JSON or as an aligned table."""
+def _overwrite(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, in place.
+
+    The file is opened without ``O_TRUNC``, so it keeps its inode (hard
+    links, a symlink's target and permissions stay) and no block is freed
+    when the new text is as long as the old; a new file is created with mode
+    0o666 under the umask, as ``open(path, "w")`` does. A regular file gets
+    the text with a NUL for its first byte, is truncated to the text's
+    length, and only then gets its first byte, so a write interrupted
+    before that last byte leaves a file that no JSON decoder accepts, never
+    the new head followed by the old tail. Any other target, such as
+    ``/dev/null`` or a pipe, cannot be truncated or written at an offset and
+    gets the text as it is, with no truncation.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        view = memoryview(b"\0" + data[1:] if regular else data)
+        while view:
+            view = view[os.write(fd, view):]
+        if regular:
+            os.ftruncate(fd, len(data))
+            os.pwrite(fd, data[:1], 0)
+    finally:
+        os.close(fd)
+
+
+def write_report(report: MetricsReport, path, fmt: str = "json") -> str:
+    """Write a report as stable-key-ordered JSON or as an aligned table, and
+    return the text written.
+
+    The whole text is built before the file is opened, so a report that
+    fails to format leaves the old file as it was. It is then written over
+    the old file in place (``_overwrite``) rather than after truncating it:
+    on a filesystem that discards freed blocks online, freeing a file's
+    blocks costs tens of milliseconds, far more than writing a report. A
+    write interrupted before it completes leaves a file that ``load_report``
+    rejects with ParseError. Nothing is flushed to the disk, so that
+    holds for a process that is killed, not for the host losing power.
+    """
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     elif fmt == "table":
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(format_report_table(report))
+        text = format_report_table(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    _overwrite(path, text)
+    return text
 
 
 def load_report(path) -> MetricsReport:

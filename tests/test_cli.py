@@ -73,10 +73,22 @@ class TestEval:
         data = tmp_path / "d.jsonl"
         out = tmp_path / "r.txt"
         make_dataset(data)
+        out.write_text("x" * 100_000)
         code = main(["eval", "--data", str(data), "--out", str(out),
                      "--format", "table"])
         assert code == 0
         assert "mAUSC" in out.read_text()
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys, fmt, target):
+        data = tmp_path / "d.jsonl"
+        make_dataset(data)
+        code = main(["eval", "--data", str(data), "--out",
+                     str(tmp_path / target), "--format", fmt])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr())
 
     def test_malformed_line_cited(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

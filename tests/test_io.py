@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -548,6 +549,126 @@ class TestReports:
         path.write_text("[" * 100_000)
         with pytest.raises(ParseError):
             load_report(path)
+
+
+def written_before(report, fmt, path):
+    """The bytes a report's file held when it was written by truncating
+    the file first: ``json.dump`` then a newline, or the table."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if fmt == "json":
+            json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        else:
+            handle.write(format_report_table(report))
+    return path.read_bytes()
+
+
+class TestReportWrite:
+    """``write_report`` writes over the old file in place: the same bytes as
+    a truncating write, the same inode, and never a half-written report
+    that loads."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        """A report with many classes and buckets, and one with none
+        matched: the second's JSON is the shorter."""
+        frames = generate_synthetic(SyntheticSpec(seed=8, frames=25,
+                                                  depth_bias=0.3,
+                                                  miss_rate=0.1, fp_rate=0.1))
+        return evaluate(frames, ProtocolConfig()), evaluate([], ProtocolConfig())
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (0, 0)],
+                             ids=["shrink", "grow", "same"])
+    def test_overwrite_holds_exactly_the_new_bytes(self, tmp_path, reports,
+                                                   fmt, first, second):
+        path = tmp_path / "r.out"
+        write_report(reports[first], path, fmt)
+        text = write_report(reports[second], path, fmt)
+        expected = written_before(reports[second], fmt, tmp_path / "ref.out")
+        assert path.read_bytes() == expected
+        assert text.encode("utf-8") == expected
+
+    def test_inode_links_and_symlinks_kept(self, tmp_path, reports):
+        path, link, alias = tmp_path / "r.json", tmp_path / "hard", tmp_path / "sym"
+        write_report(reports[0], path, "json")
+        os.link(path, link)
+        alias.symlink_to(path)
+        os.chmod(path, 0o640)
+        inode = os.stat(path).st_ino
+        write_report(reports[1], alias, "json")
+        assert os.stat(path).st_ino == inode
+        assert os.stat(path).st_mode & 0o777 == 0o640
+        assert load_report(link) == reports[1]
+        assert load_report(alias) == reports[1]
+
+    def test_fresh_file_mode_follows_the_umask(self, tmp_path, reports):
+        previous = os.umask(0o027)
+        try:
+            write_report(reports[1], tmp_path / "new.json", "json")
+            with open(tmp_path / "plain.json", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (os.stat(tmp_path / "new.json").st_mode
+                == os.stat(tmp_path / "plain.json").st_mode)
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_regular_target_gets_a_plain_write(self, tmp_path, reports, fmt):
+        expected = written_before(reports[0], fmt, tmp_path / "ref.out")
+        assert write_report(reports[0], os.devnull, fmt).encode("utf-8") == expected
+
+    def test_short_writes_are_continued(self, tmp_path, reports, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        path = tmp_path / "r.json"
+        write_report(reports[0], path, "json")
+        assert load_report(path) == reports[0]
+        assert write_report(reports[1], os.devnull, "json")
+
+    @pytest.mark.parametrize("step", ["ftruncate", "pwrite"])
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (0, 0)],
+                             ids=["shrink", "grow", "same"])
+    def test_interrupted_write_does_not_load(self, tmp_path, reports,
+                                             monkeypatch, step, first, second):
+        path = tmp_path / "r.json"
+        write_report(reports[first], path, "json")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, step, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_report(reports[second], path, "json")
+        monkeypatch.undo()
+        with pytest.raises(ParseError):
+            load_report(path)
+
+    def test_failed_format_leaves_the_old_report(self, tmp_path, reports,
+                                                 monkeypatch):
+        path = tmp_path / "r.json"
+        write_report(reports[0], path, "json")
+        old = path.read_bytes()
+
+        def unformattable(report):
+            raise ValueError("cannot format")
+
+        monkeypatch.setattr(io, "report_to_dict", unformattable)
+        with pytest.raises(ValueError):
+            write_report(reports[1], path, "json")
+        assert path.read_bytes() == old
+
+    def test_empty_text_empties_the_file(self, tmp_path, reports):
+        path = tmp_path / "r.json"
+        write_report(reports[0], path, "json")
+        io._overwrite(path, "")
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("target, error", [
+        ("missing/r.json", FileNotFoundError), (".", IsADirectoryError)])
+    def test_unopenable_target_raises(self, tmp_path, reports, target, error):
+        with pytest.raises(error):
+            write_report(reports[1], tmp_path / target, "json")
 
 
 class TestInputBoundaryFuzz:
