@@ -1,0 +1,133 @@
+"""A catalogue of mutants of ``src/usc`` and a runner that shows which tests
+kill them.
+
+A mutant replaces one exact text of a module, which occurs there once, by
+another. The runner copies ``src``, ``tests`` and ``pyproject.toml`` to a
+temporary directory for each mutant, applies the mutant to the copy and
+runs the mutant's tests there with ``pytest -x -q`` (Hypothesis seed 0).
+It prints one row per mutant:
+
+- killed: the tests fail (the row names the first failing test);
+- survived: they pass, and the mutant is not marked equivalent;
+- equivalent: they pass, and the catalogue says why no test can tell the
+  mutant from the program;
+- error: pytest did not run the tests (exit code other than 0 or 1).
+
+Run from the repository root (pytest does not collect this file):
+
+    python3 tests/mutants.py [name ...]
+
+With no names it runs every mutant. It exits 1 when a mutant survived or
+an error occurred, and 0 otherwise. ``tests/test_mutants.py`` checks, in
+the tier-1 suite, that each old text occurs exactly once, so a change that
+moves the mutated code updates the catalogue with it.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "usc"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/usc
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest arguments, relative to the repository root
+    equivalent: str = ""  # why no test can kill it; empty when one should
+
+
+EVALUATION = ("tests/test_evaluation.py",)
+
+CATALOGUE = (
+    # the candidate table's x window: each bound keeps an x equal to it
+    Mutant("window-low-bound-side", "evaluation.py",
+           "np.searchsorted(xs, px - slack))",
+           'np.searchsorted(xs, px - slack, side="right"))', EVALUATION),
+    Mutant("window-high-bound-side", "evaluation.py",
+           'np.searchsorted(xs, px + slack, side="right")',
+           "np.searchsorted(xs, px + slack)", EVALUATION),
+    Mutant("window-stop-key-side", "evaluation.py",
+           'px + slack, side="right"))',
+           'px + slack, side="right"), side="right")', EVALUATION),
+    Mutant("window-without-slack", "evaluation.py",
+           "slack = reach * (1 + 1e-9)", "slack = reach", EVALUATION),
+    Mutant("reach-exclusive", "evaluation.py",
+           "within = dist <= reach", "within = dist < reach", EVALUATION),
+    # the order of a detection's entries: nearest, then lower index
+    Mutant("lexsort-keys-swapped", "evaluation.py",
+           "np.lexsort((ann, dist, det))", "np.lexsort((dist, ann, det))",
+           EVALUATION),
+    # the protocol limit is inclusive
+    Mutant("eligibility-exclusive", "evaluation.py",
+           "eligible = dist <= np.array(", "eligible = dist < np.array(",
+           EVALUATION),
+    # equal scores go in input order
+    Mutant("score-ties-reversed", "evaluation.py",
+           "order = np.lexsort((-score, p_group))",
+           "order = np.lexsort((-np.arange(len(dets)), -score, p_group))",
+           EVALUATION),
+    # a group is matched again at t when an entry's eligibility differs
+    Mutant("rematch-only-new-entries", "evaluation.py",
+           "p_group[det[at_t != eligible]]", "p_group[det[at_t > eligible]]",
+           EVALUATION),
+    Mutant("rematch-only-lost-entries", "evaluation.py",
+           "p_group[det[at_t != eligible]]", "p_group[det[at_t < eligible]]",
+           EVALUATION),
+    # the walk's working memory is bounded by the chunk cap
+    Mutant("chunk-cap-above-any-dataset", "evaluation.py",
+           "_CHUNK_CAP = 2048", "_CHUNK_CAP = 10**9",
+           ("tests/test_evaluation.py::test_walk_working_memory_is_bounded",)),
+)
+
+
+def run(mutant: Mutant) -> Tuple[str, str]:
+    """The mutant's outcome, and the first failing test or pytest's last line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "usc" / mutant.path
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "error", f"old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=copy, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    last = lines[-1] if lines else done.stderr.strip()[-200:]
+    if done.returncode == 1:
+        # the short summary names the failing test
+        failed = [line.split()[1] for line in lines if line.startswith("FAILED ")]
+        return "killed", failed[0] if failed else last
+    if done.returncode == 0:
+        return ("equivalent" if mutant.equivalent else "survived"), last
+    return "error", last
+
+
+def main(names) -> int:
+    chosen = [m for m in CATALOGUE if not names or m.name in names]
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = False
+    for mutant in chosen:
+        outcome, last = run(mutant)
+        failed |= outcome in ("survived", "error")
+        print(f"{mutant.name:<30} {outcome:<11} {last}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

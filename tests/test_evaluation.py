@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -127,8 +129,9 @@ EDGE_FRAME = FrameRecord(
      det(0.0, 12.0, score=0.8, cls="bus")])  # class only in predictions
 
 #: (frame, class) groups on each side of the rule by which the protocol
-#: match serves as the AP match at threshold t (``evaluation._same_match``),
-#: under the default protocol: a candidate exactly at t = 1 m from an
+#: match serves as the AP match at threshold t (no candidate within t but
+#: beyond its limit, or the reverse; ``evaluation._match_chunk``), under the
+#: default protocol: a candidate exactly at t = 1 m from an
 #: annotation with limit 2 m (the protocol match serves), one a single ulp
 #: beyond t (matched again), and a group with candidates 1.5 m from an
 #: annotation beyond 10 m (limit 2 m) and from one below (limit 1 m), each
@@ -252,6 +255,65 @@ class TestMatcherAgainstReference:
         assert report.overall.fp == 2
 
 
+def walk_outcome(frames, config):
+    """What the walk decides, in order: the pairs, false positives and false
+    negatives with the identities of their objects, and the whole report."""
+    pairs, fps, fns = matched_pairs(frames, config)
+    return ([(k, identities(v)) for k, v in pairs.items()],
+            [(k, ids(v)) for k, v in fps.items()],
+            [(k, ids(v)) for k, v in fns.items()],
+            evaluate(frames, config))
+
+
+class TestChunkCap:
+    """The walk's results do not depend on how it cuts the frames into
+    chunks: a cap of one object (every frame alone) and a cap above the
+    dataset (one chunk) give what the default cap gives."""
+
+    @staticmethod
+    def assert_cap_free(frames, config):
+        default = walk_outcome(frames, config)
+        for cap in (1, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluation, "_CHUNK_CAP", cap)
+                assert walk_outcome(frames, config) == default
+
+    @given(tie_scenes(), st.sampled_from(REFERENCE_CONFIGS))
+    @example([EDGE_FRAME] + REUSE_FRAMES, REFERENCE_CONFIGS[0])
+    @settings(max_examples=100, deadline=None)
+    def test_tie_scenes(self, frames, config):
+        self.assert_cap_free(frames, config)
+
+    def test_synthetic_dataset_of_several_chunks(self):
+        frames = generate_synthetic(SyntheticSpec(
+            seed=17, frames=300, objects_min=2, objects_max=10,
+            classes=("car", "pedestrian", "truck", "bus"), depth_bias=0.3,
+            lateral_noise=0.4, miss_rate=0.2, fp_rate=0.5, range_min=2.0,
+            range_max=21.0))
+        objects = sum(len(f.ground_truths) + len(f.predictions) for f in frames)
+        assert objects > 2 * evaluation._CHUNK_CAP
+        self.assert_cap_free(frames, REFERENCE_CONFIGS[1])
+
+
+def test_walk_working_memory_is_bounded():
+    # the walk's transient allocations, the peak above what it still holds
+    # on return, stay under 1 MiB on 2,000 frames (about 21,000 objects):
+    # each chunk's arrays are freed before the next is built
+    frames = generate_synthetic(SyntheticSpec(
+        seed=1, frames=2000, objects_min=2, objects_max=8, depth_bias=0.2,
+        lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05, miss_rate=0.1,
+        fp_rate=0.2))
+    config = ProtocolConfig()
+    tracemalloc.start()
+    try:
+        result = evaluation._walk(frames, config, config.ap_distance_thresholds)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) > 0
+    assert peak - held < 2**20
+
+
 def edge_coordinate(c, reach, factor, sign, ulps):
     """c moved by sign * reach * factor, then ulps steps of nextafter."""
     moved = c + sign * reach * factor
@@ -281,6 +343,24 @@ def candidate_groups(draw):
     return dets, anns, reach
 
 
+def candidate_table(dets, anns, reach, det_groups=None, ann_groups=None):
+    """``evaluation._candidate_table`` as per-detection rows of (distance,
+    annotation index), the form of ``oracles.reference_candidates``; every
+    object in group 0 unless groups are given."""
+    def arrays(objects, groups):
+        return (np.array([o.box.center_x for o in objects], dtype=np.float64),
+                np.array([o.box.center_z for o in objects], dtype=np.float64),
+                np.array(groups or [0] * len(objects), dtype=np.int64))
+
+    px, pz, p_group = arrays(dets, det_groups)
+    gx, gz, g_group = arrays(anns, ann_groups)
+    rows = [[] for _ in dets]
+    for i, j, d in zip(*(a.tolist() for a in evaluation._candidate_table(
+            px, pz, p_group, gx, gz, g_group, reach))):
+        rows[i].append((d, j))
+    return rows
+
+
 class TestCandidateTable:
     """The windowed candidate table against the all-pairs one
     (``oracles.reference_candidates``)."""
@@ -296,8 +376,27 @@ class TestCandidateTable:
         det_centers, ann_centers, reach = group
         dets = [det(x, z) for x, z in det_centers]
         anns = [ann(x, z) for x, z in ann_centers]
-        assert evaluation._candidates(dets, anns, reach) == \
-            reference_candidates(dets, anns, reach)
+        table = candidate_table(dets, anns, reach)
+        assert table == reference_candidates(dets, anns, reach)
+        # each distance is bev_center_distance's float, bit for bit
+        assert [d.hex() for row in table for d, _ in row] == \
+            [bev_center_distance(dets[i].box, anns[j].box).hex()
+             for i, row in enumerate(table) for _, j in row]
+
+    @given(candidate_groups(), st.lists(st.integers(0, 2), min_size=14, max_size=14))
+    @settings(max_examples=200, deadline=None)
+    def test_groups_are_matched_apart(self, group, labels):
+        # the reference per group, annotation indices mapped back
+        det_centers, ann_centers, reach = group
+        dets = [det(x, z) for x, z in det_centers]
+        anns = [ann(x, z) for x, z in ann_centers]
+        det_groups, ann_groups = labels[:len(dets)], labels[6:6 + len(anns)]
+        expected = []
+        for i, d in enumerate(dets):
+            members = [j for j, g in enumerate(ann_groups) if g == det_groups[i]]
+            expected.append([(dist, members[j]) for dist, j in reference_candidates(
+                [d], [anns[j] for j in members], reach)[0]])
+        assert candidate_table(dets, anns, reach, det_groups, ann_groups) == expected
 
     def test_distances_only_inside_the_window(self, monkeypatch):
         # a 10 x 10 grid 5 m apart; each detection has one annotation in its
@@ -306,18 +405,28 @@ class TestCandidateTable:
         dets = [det(5.0 * a + 0.25, 5.0 * b - 0.5) if (a + b) % 2
                 else det(5.0 * a - 0.9, 5.0 * b + 0.9)
                 for a in range(10) for b in range(10)]
-        calls = []
-        distance = evaluation.bev_center_distance
-        monkeypatch.setattr(evaluation, "bev_center_distance",
-                            lambda p, g: calls.append(1) or distance(p, g))
-        table = evaluation._candidates(dets, anns, 1.0)
+        sizes = []
+        map_math = evaluation.map_math
+        monkeypatch.setattr(evaluation, "map_math",
+                            lambda fn, *arrays: sizes.append(arrays[0].size)
+                            or map_math(fn, *arrays))
+        table = candidate_table(dets, anns, 1.0)
         slack = 1.0 * (1 + 1e-9)
         window = sum(abs(d.box.center_x - a.box.center_x) <= slack
                      and abs(d.box.center_z - a.box.center_z) <= slack
                      for d in dets for a in anns)
-        assert len(calls) == window == 100
+        # one distance step, on the window's pairs only
+        assert sizes == [window] and window == 100
         assert sum(map(len, table)) == 50
         assert table == reference_candidates(dets, anns, 1.0)
+
+
+#: (score, is TP) labels whose scores often come from four values, so runs
+#: of ties and of equal recalls are long
+AP_LABELS = st.lists(st.tuples(st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                               st.booleans()), max_size=200)
+TIED_LABELS = ([(0.5, False)] * 3 + [(0.5, True)] * 3 + [(0.0, True), (1.0, False)], 4)
+FLOOR_LABELS = ([(0.3, False)] * 4 + [(0.3, True)] * 7, 10)
 
 
 class TestAveragePrecision:
@@ -363,16 +472,23 @@ class TestAveragePrecision:
         b = [(0.9, False), (0.9, True), (0.8, True)]
         assert average_precision(a, 3) == average_precision(b, 3)
 
-    @given(st.lists(st.tuples(st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0),
-                              st.booleans()), max_size=200),
-           st.integers(0, 250))
-    @example([(0.5, False)] * 3 + [(0.5, True)] * 3 + [(0.0, True), (1.0, False)], 4)
-    @example([(0.3, False)] * 4 + [(0.3, True)] * 7, 10)
+    @given(AP_LABELS, st.integers(0, 250))
+    @example(*TIED_LABELS)
+    @example(*FLOOR_LABELS)
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_bit_for_bit(self, scored, n_gt):
         # scores from four values give long runs of ties and equal recalls
         assert average_precision(scored, n_gt) == \
             reference_average_precision(scored, n_gt)
+
+    @given(AP_LABELS, st.integers(0, 250))
+    @example(*TIED_LABELS)
+    @example(*FLOOR_LABELS)
+    @settings(max_examples=300, deadline=None)
+    def test_array_input_equals_tuple_input_bit_for_bit(self, scored, n_gt):
+        array = np.array(scored, dtype=np.float64).reshape(-1, 2)
+        assert repr(average_precision(array, n_gt)) == \
+            repr(average_precision(scored, n_gt))
 
 
 def pair(det_, ann_):
