@@ -24,7 +24,9 @@ miss the prediction. ``tests/test_constraints.py`` pins such a pair
 Conventions: azimuth is ``atan2(x, z)``, increasing to the right; all BEV
 footprint vertices must lie more than EPS_GEOM ahead of the vehicle, and
 ties between candidate representative vertices break to the smallest
-(x, z).
+(x, z). A footprint need not have distinct vertices: one with a side that
+rounds to nothing is scored by the same formulas, and a facing side no
+longer than EPS_GEOM is dropped.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from .geometry import (EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon, Box3D,
                        Point2, Rect2D, Segment2D, corner_arrays, map_math,
                        pair_batches, project_bev, project_pv_rect,
-                       segments_intersect, well_formed_footprints)
+                       segments_intersect)
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,10 @@ def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
     undefined for such a pair. BehindVehicle is not reachable: every BEV
     footprint vertex is a box corner, so a footprint past the BehindCamera
     check lies at least EPS_DEPTH ahead of the vehicle. Raises ValueError
-    only where ``Rect2D`` or ``BevPolygon`` rejects a projection that
-    degenerates in floating point: a non-finite PV bound or footprint
-    vertex, or a footprint side no longer than EPS_GEOM.
+    only where ``Rect2D`` or ``BevPolygon`` rejects a projection that is not
+    finite: a PV bound or footprint vertex that overflows, for coordinates
+    near the float limit. A footprint with a side that rounds to nothing is
+    scored.
     """
     p_pv = project_pv_rect(p)
     g_pv = project_pv_rect(g)
@@ -214,14 +217,13 @@ def _first_min(key, fx, fz) -> np.ndarray:
 
 def _footprint_terms(x, z):
     """Distances of the closest / rightmost / leftmost footprint vertices, as
-    ``representative_points`` picks them, and the mask of the footprints
-    that ``BevPolygon`` accepts."""
+    ``representative_points`` picks them."""
     fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
     norm = map_math(math.hypot, fx, fz)
     bearing = map_math(math.atan2, fx, fz)
     picks = np.stack([_first_min(norm, fx, fz), _first_min(-bearing, fx, fz),
                       _first_min(bearing, fx, fz)], axis=1)
-    return np.take_along_axis(norm, picks, axis=1), well_formed_footprints(fx, fz)
+    return np.take_along_axis(norm, picks, axis=1)
 
 
 def _usc_chunk(pred_boxes, gt_boxes):
@@ -229,8 +231,8 @@ def _usc_chunk(pred_boxes, gt_boxes):
     g_x, g_y, g_z = corner_arrays(gt_boxes)
     p_behind, p_rect = _pv_bounds(p_x, p_y, p_z)
     g_behind, g_rect = _pv_bounds(g_x, g_y, g_z)
-    p_dist, p_well_formed = _footprint_terms(p_x, p_z)
-    g_dist, g_well_formed = _footprint_terms(g_x, g_z)
+    p_dist = _footprint_terms(p_x, p_z)
+    g_dist = _footprint_terms(g_x, g_z)
 
     # iogt_pv
     p_min_u, p_min_v, p_max_u, p_max_v = p_rect
@@ -251,14 +253,15 @@ def _usc_chunk(pred_boxes, gt_boxes):
         DegenerateGroundTruth)
     reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
 
-    # Pairs on which usc_score may raise ValueError go through it, so that it
-    # decides them.
-    scalar = ~(np.isfinite(p_rect).all(axis=0) & np.isfinite(g_rect).all(axis=0)
-               & p_well_formed & g_well_formed)
+    # A pair with a PV bound or a footprint coordinate that is not finite
+    # (each corner's x and z are a footprint vertex's) goes through
+    # usc_score, so that it decides the pair. It never scores one: it raises
+    # ValueError, or excludes the pair first when a box is behind the camera.
+    scalar = ~(np.isfinite(p_rect + g_rect).all(axis=0)
+               & np.isfinite(np.hstack([p_x, p_z, g_x, g_z])).all(axis=1))
     for row in np.flatnonzero(scalar):
         try:
-            usc[row] = usc_score(pred_boxes[row], gt_boxes[row]).usc
-            reason[row] = 0
+            usc_score(pred_boxes[row], gt_boxes[row])
         except EXCLUSION_REASONS as exc:
             reason[row] = 1 + EXCLUSION_REASONS.index(type(exc))
     usc[reason != 0] = np.nan
@@ -276,8 +279,10 @@ def usc_batch(pred_boxes: Sequence[Box3D],
     ``usc_score`` raises it). Excluded pairs read NaN. Every value and
     reason equals, bit for bit, what ``usc_score`` gives for that pair: the
     kernel repeats its arithmetic in the same order, with ``math`` for the
-    transcendental functions. Pairs on which ``usc_score`` could raise
-    ValueError are passed to it, so the first such pair raises the same
-    error here.
+    transcendental functions. Only the pairs on which ``usc_score`` could
+    raise ValueError, those with a PV bound or footprint coordinate that is
+    not finite, are passed to it, so the first such pair raises the same
+    error here. Every other pair, a sliver's included, is decided in the
+    arrays.
     """
     return pair_batches(_usc_chunk, pred_boxes, gt_boxes)

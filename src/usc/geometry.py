@@ -166,10 +166,13 @@ class Rect2D:
 
 @dataclass(frozen=True)
 class BevPolygon:
-    """Convex counter-clockwise polygon on the BEV plane.
+    """Polygon on the BEV plane: at least three finite vertices.
 
-    Vertices must be distinct (within EPS_GEOM) and wound counter-clockwise
-    with no reflex corners. ``project_bev`` always produces four vertices.
+    ``project_bev`` gives four, counter-clockwise; a box side that rounds to
+    nothing gives coincident ones. Nothing that reads a footprint needs
+    distinct vertices or a winding: the representative points and ADR pick
+    vertices by distance and bearing, the facing sides drop any side no
+    longer than EPS_GEOM, and ``area`` is unsigned.
     """
 
     vertices: tuple
@@ -181,19 +184,7 @@ class BevPolygon:
         for p, point in zip(self.vertices, points):
             if point is None:
                 raise ValueError(f"polygon vertex not finite: {p}")
-        verts = tuple(Point2(*point) for point in points)
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if math.hypot(b.x - a.x, b.z - a.z) <= EPS_GEOM:
-                raise ValueError(f"repeated polygon vertices at index {i}")
-        for i in range(n):
-            a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            cross = (b.x - a.x) * (c.z - b.z) - (b.z - a.z) * (c.x - b.x)
-            scale = math.hypot(b.x - a.x, b.z - a.z) * math.hypot(c.x - b.x, c.z - b.z)
-            if cross < -EPS_GEOM * max(scale, 1.0):
-                raise ValueError("polygon is not convex counter-clockwise")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", tuple(Point2(*point) for point in points))
 
     @property
     def area(self) -> float:
@@ -466,13 +457,18 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
     ``iogt3d(Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0), Box3D(0, 0, 10, 2, 1.5, 2, 0))``
     is 1.0, and the same 4e-10 short in height gives 0.99999999973. The
     prediction is projected only when the vertical intervals overlap.
-    Raises ValueError when the ground truth's volume is 0.0, as when its
-    height vanishes against a huge ``center_y``.
+    A footprint with a side that rounds to nothing is clipped like any
+    other, so a sliver prediction reads about 0. Raises ValueError when the
+    ground truth's volume is 0.0, and names both factors: a footprint area
+    that rounds to 0, or a vertical extent that does, as when the height
+    vanishes against a huge ``center_y``.
     """
     fp_g = project_bev(g)
     volume = _volume(g, fp_g)
     if volume == 0.0:
-        raise ValueError(f"ground-truth volume is 0.0 (height {g.height!r} "
+        lo, hi = _vertical_interval(g)
+        raise ValueError(f"ground-truth volume is 0.0 (footprint area {fp_g.area!r}, "
+                         f"vertical extent {hi - lo!r} from height {g.height!r} "
                          f"at center_y {g.center_y!r})")
     vertical = _vertical_overlap(p, g)
     inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
@@ -490,12 +486,6 @@ BATCH_CAP = 256
 _SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 _SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-
-#: Every pair of footprint vertices, sides and diagonals.
-_VERTEX_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
-
-#: The next footprint vertex, counter-clockwise.
-_NEXT = [1, 2, 3, 0]
 
 #: Most vertices a clipped footprint holds in ``_clip_rows``: each of the
 #: four clipping edges adds at most one in exact arithmetic.
@@ -545,20 +535,6 @@ def corner_arrays(boxes: Sequence[Box3D]):
     y = cy[:, None] + dy
     z = cz[:, None] - dx * s + dz * c
     return x, y, z
-
-
-def well_formed_footprints(fx, fz) -> np.ndarray:
-    """Mask of the (n, 4) footprints, in ``FOOTPRINT`` order, that
-    ``BevPolygon`` accepts: finite, every two vertices more than EPS_GEOM
-    apart in x or z (it rejects a side whose length is no more), and no turn
-    whose cross product, in its arithmetic, is negative (it rejects one
-    below a negative slack)."""
-    i, j = _VERTEX_PAIRS
-    apart = np.maximum(abs(fx[:, i] - fx[:, j]), abs(fz[:, i] - fz[:, j]))
-    side_x, side_z = fx[:, _NEXT] - fx, fz[:, _NEXT] - fz
-    cross = side_x * side_z[:, _NEXT] - side_z * side_x[:, _NEXT]
-    return (np.isfinite(fx).all(axis=1) & np.isfinite(fz).all(axis=1)
-            & (apart > EPS_GEOM).all(axis=1) & (cross >= 0.0).all(axis=1))
 
 
 def _shoelace_rows(x, z, count) -> np.ndarray:
@@ -648,10 +624,11 @@ def _iogt3d_chunk(preds, gts) -> tuple:
     ratio = np.where(vertical > 0.0, area * vertical, 0.0) / volume
     value = np.where(ratio < 1.0, ratio, 1.0)  # as min(1.0, ratio): NaN reads 1.0
 
-    # Pairs on which iogt3d may raise, or whose clip ran out of slots, go
-    # through it, so that it decides them.
-    scalar = ~(well_formed_footprints(px, pz) & well_formed_footprints(gx, gz)
-               & (volume != 0.0)) | overflow
+    # Pairs on which iogt3d may raise (a footprint that is not finite, or a
+    # ground-truth volume of 0.0), or whose clip ran out of slots, go through
+    # it, so that it decides them.
+    finite = np.isfinite(np.hstack([px, pz, gx, gz])).all(axis=1)
+    scalar = ~(finite & (volume != 0.0)) | overflow
     for row in np.flatnonzero(scalar):
         value[row] = iogt3d(preds[row], gts[row])
     return (value,)
@@ -663,8 +640,10 @@ def iogt3d_batch(preds: Sequence[Box3D], gts: Sequence[Box3D]) -> np.ndarray:
 
     Returns a float64 array whose every value equals, bit for bit, what
     ``iogt3d`` gives for that pair: the kernel repeats its arithmetic in the
-    same order, with ``math`` for the cosine and sine. Pairs on which
-    ``iogt3d`` could raise are passed to it, so the first such pair raises
-    the same error here.
+    same order, with ``math`` for the cosine and sine. Three kinds of pair
+    are passed to ``iogt3d``, which decides them: a footprint that is not
+    finite and a ground-truth volume of 0.0, on which it may raise, so the
+    first such pair raises the same error here; and a clip that ran out of
+    slots. Every other pair, a sliver's included, is scored in the arrays.
     """
     return pair_batches(_iogt3d_chunk, preds, gts)[0]

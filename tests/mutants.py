@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 
 
 EVALUATION = ("tests/test_evaluation.py",)
+USC_BATCH = ("tests/test_constraints.py::TestUscBatch",)
+IOGT3D_BATCH = ("tests/test_geometry.py::TestIogt3dBatch",)
+LOSS_BATCH = ("tests/test_loss.py::TestSafetyLossBatch",)
 
 CATALOGUE = (
     # the candidate table's x window: each bound keeps an x equal to it
@@ -84,6 +87,57 @@ CATALOGUE = (
     Mutant("chunk-cap-above-any-dataset", "evaluation.py",
            "_CHUNK_CAP = 2048", "_CHUNK_CAP = 10**9",
            ("tests/test_evaluation.py::test_walk_working_memory_is_bounded",)),
+    # a yaw residual of exactly -pi wraps to pi, whose absolute value is the same
+    Mutant("aoe-wrap-below-minus-pi", "evaluation.py",
+           "(diff <= -math.pi)", "(diff < -math.pi)", EVALUATION,
+           equivalent="abs(-pi) == abs(wrap_angle(-pi)) == pi"),
+    # the USC kernel's exclusions: behind the camera overrides a degenerate
+    # ground truth, as usc_score checks it first
+    Mutant("usc-exclusion-order-swapped", "constraints.py",
+           """    reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
+        DegenerateGroundTruth)
+    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+""",
+           """    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+    reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
+        DegenerateGroundTruth)
+""", USC_BATCH),
+    # a ground-truth PV area of exactly EPS_GEOM ** 2 is degenerate
+    Mutant("usc-degenerate-area-exclusive", "constraints.py",
+           "reason[g_area <= EPS_GEOM * EPS_GEOM]",
+           "reason[g_area < EPS_GEOM * EPS_GEOM]", USC_BATCH),
+    # the USC kernel's routing: a PV bound or a footprint coordinate that is
+    # not finite goes to usc_score, which raises on it
+    Mutant("usc-routing-without-pv-bounds", "constraints.py",
+           """np.isfinite(p_rect + g_rect).all(axis=0)
+               & """, "", USC_BATCH),
+    Mutant("usc-routing-without-footprints", "constraints.py",
+           """
+               & np.isfinite(np.hstack([p_x, p_z, g_x, g_z])).all(axis=1))""",
+           ")", USC_BATCH),
+    # the IoGT kernel's routing: a footprint that is not finite or a
+    # ground-truth volume of 0.0 goes to iogt3d, which raises on it
+    Mutant("iogt3d-routing-without-volume", "geometry.py",
+           "scalar = ~(finite & (volume != 0.0)) | overflow",
+           "scalar = ~finite | overflow", IOGT3D_BATCH),
+    Mutant("iogt3d-routing-without-finite", "geometry.py",
+           "scalar = ~(finite & (volume != 0.0)) | overflow",
+           "scalar = ~(volume != 0.0) | overflow", IOGT3D_BATCH),
+    # a clip of fewer than 3 vertices has no area, whatever its shoelace sum
+    Mutant("iogt3d-clip-area-ungated", "geometry.py",
+           "area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)",
+           "area = _shoelace_rows(x, z, count)", IOGT3D_BATCH),
+    # the loss pass's yaw wrap and sum
+    Mutant("loss-wrap-below-minus-pi", "loss.py",
+           "(yaw <= -math.pi)", "(yaw < -math.pi)", LOSS_BATCH,
+           equivalent="the Huber term takes abs(-pi) == abs(wrap_angle(-pi))"),
+    Mutant("loss-wrap-at-pi", "loss.py",
+           "(yaw > math.pi)", "(yaw >= math.pi)", LOSS_BATCH,
+           equivalent="wrap_angle(math.pi) is math.pi"),
+    Mutant("loss-sum-from-minus-zero", "loss.py",
+           "accuracy = np.zeros(len(p_boxes))",
+           "accuracy = np.full(len(p_boxes), -0.0)", LOSS_BATCH,
+           equivalent="no Huber term is -0.0, and -0.0 + 0.0 is 0.0"),
 )
 
 

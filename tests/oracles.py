@@ -168,14 +168,27 @@ def intersection_volume_reference(p: Box3D, g: Box3D) -> float:
 
 
 def iou3d_reference(p: Box3D, g: Box3D) -> float:
+    """Overlap volume over the union volume; a union of 0.0 raises the
+    library's ValueError, not a ZeroDivisionError."""
     inter = intersection_volume_reference(p, g)
     union = box_volume_reference(p) + box_volume_reference(g) - inter
+    if union == 0.0:
+        raise ValueError("union volume of the two boxes is 0.0")
     return min(1.0, inter / union)
 
 
 def iogt3d_reference(p: Box3D, g: Box3D) -> float:
-    """Overlap volume over Vol(g), the ground-truth footprint clipped."""
-    return min(1.0, _overlap_parts(p, g, subject_first=False) / box_volume_reference(g))
+    """Overlap volume over Vol(g), the ground-truth footprint clipped. A
+    ground-truth volume of 0.0, from a footprint area or a vertical extent
+    that rounds to 0, raises the library's ValueError before the prediction
+    is projected."""
+    volume = box_volume_reference(g)
+    if volume == 0.0:
+        lo, hi = _vertical_interval(g)
+        raise ValueError(f"ground-truth volume is 0.0 (footprint area "
+                         f"{project_bev(g).area!r}, vertical extent {hi - lo!r} "
+                         f"from height {g.height!r} at center_y {g.center_y!r})")
+    return min(1.0, _overlap_parts(p, g, subject_first=False) / volume)
 
 
 # --- segment intersection oracle ----------------------------------------------

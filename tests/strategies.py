@@ -95,6 +95,23 @@ def frontal_pairs(draw):
     return p, g
 
 
+@st.composite
+def thinned(draw, box):
+    """``box`` with each of its sides, independently, kept or made 1e-16 to
+    1e-8 m long (log-uniform)."""
+    thin = finite(-16.0, -8.0).map(lambda exponent: 10.0 ** exponent)
+    return box._replace(**{side: draw(thin) for side in ("length", "height", "width")
+                           if draw(st.booleans())})
+
+
+@st.composite
+def thin_pairs(draw):
+    """A frontal pair or two boxes around the vehicle, either box with
+    sides down to 1e-16 m (``thinned``)."""
+    p, g = draw(frontal_pairs() | st.tuples(boxes(), boxes()))
+    return draw(thinned(p)), draw(thinned(g))
+
+
 # --- input documents ----------------------------------------------------------
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)

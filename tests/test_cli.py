@@ -22,7 +22,7 @@ from usc import (Annotation, Box3D, Detection, FrameRecord, LossConfig,
 from usc.cli import main
 
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, json_values,
-                        node_paths, replaced)
+                        node_paths, replaced, thin_pairs)
 
 #: the checkout's root, where ``pyproject.toml`` and ``src`` are
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -272,24 +272,31 @@ class TestLoss:
         assert "no matched pairs" in captured.err
 
     def test_failing_pair_prints_no_partial_table(self, tmp_path, capsys):
+        # the last frame's ground truth has no volume: its height vanishes
+        # against center_y
         data = tmp_path / "d.jsonl"
         make_dataset(data)
         lines = data.read_text().splitlines()
         frame = json.loads(lines[-1])
-        frame["ground_truths"][-1]["size"] = [1e-10, 1, 1]
+        frame["ground_truths"][-1]["center"][1] = 1e17
         lines[-1] = json.dumps(frame)
         data.write_text("\n".join(lines) + "\n")
         code = main(["loss", "--data", str(data)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "error: class 'car': repeated polygon vertices at index 0")
+        line = captured.err.splitlines()[-1]
+        assert line.startswith(
+            "error: class 'car': ground-truth volume is 0.0 (footprint area ")
+        assert ", vertical extent 0.0 from height " in line
+        assert line.endswith(" at center_y 1e+17)")
 
-    def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
-        # the height vanishes against center_y: (1e17 + 0.75) - (1e17 - 0.75)
-        box = {"center": [0.0, 1e17, 10.0], "size": [4.0, 1.5, 1.8], "yaw": 0.0}
-        data = tmp_path / "d.jsonl"
+    @staticmethod
+    def assert_zero_volume_error(data, capsys, gt, detail):
+        """``usc loss`` ends with the zero-volume error of a car pair whose
+        prediction is its ground truth, given as fields added to a box, and
+        ``usc eval`` scores it."""
+        box = {"center": [0.0, 0.0, 10.0], "size": [4.0, 1.5, 1.8], "yaw": 0.0, **gt}
         data.write_text(json.dumps({
             "frame_id": "f0", "ground_truths": [{"class": "car", **box}],
             "predictions": [{"class": "car", **box, "score": 0.9}]}) + "\n")
@@ -298,9 +305,23 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 2  # the config warning, then the error
-        assert captured.err.splitlines()[-1].startswith(
-            "error: class 'car': ground-truth volume is 0.0 (height 1.5 ")
+        assert captured.err.splitlines()[-1] == (
+            f"error: class 'car': ground-truth volume is 0.0 ({detail})")
         assert main(["eval", "--data", str(data)]) == 0
+
+    def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
+        # the height vanishes against center_y: (1e17 + 0.75) - (1e17 - 0.75)
+        self.assert_zero_volume_error(
+            tmp_path / "d.jsonl", capsys, {"center": [0.0, 1e17, 10.0]},
+            "footprint area 7.200000000000003, vertical extent 0.0 from height "
+            "1.5 at center_y 1e+17")
+
+    def test_zero_area_ground_truth_is_validation_error(self, tmp_path, capsys):
+        # the footprint area rounds to 0, not the height: 5 +- 5e-18 == 5.0
+        self.assert_zero_volume_error(
+            tmp_path / "d.jsonl", capsys,
+            {"center": [5.0, 0.0, 8.0], "size": [1e-17, 1.5, 1.8]},
+            "footprint area 0.0, vertical extent 1.5 from height 1.5 at center_y 0.0")
 
     def test_first_failing_class_in_sorted_order_reports(self, tmp_path, capsys):
         # the truck frame comes first in the file, but classes are walked in
@@ -308,7 +329,7 @@ class TestLoss:
         truck = {"class": "truck", "center": [0.0, 1e17, 10.0],
                  "size": [7.0, 3.0, 2.5], "yaw": 0.0}
         car = {"class": "car", "center": [2.0, 0.0, 12.0],
-               "size": [1e-10, 1, 1], "yaw": 0.0}
+               "size": [1e-17, 1, 1], "yaw": 0.0}
         data = tmp_path / "d.jsonl"
         data.write_text("".join(json.dumps({
             "frame_id": f"f{i}", "ground_truths": [box],
@@ -319,7 +340,8 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "error: class 'car': repeated polygon vertices at index 0")
+            "error: class 'car': ground-truth volume is 0.0 (footprint area 0.0, "
+            "vertical extent 1.0 from height 1.0 at center_y 0.0)")
 
     def test_loss_mean_beyond_float_range(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -417,6 +439,50 @@ class TestLoss:
         assert lines[0] == (f"lambda={loss_config.blend_lambda:g} "
                             f"beta={loss_config.smooth_l1_beta:g}")
         assert lines[2:] == rows
+
+
+class TestThinBoxes:
+    """A box side far below EPS_GEOM, which ``load_dataset`` accepts, is
+    scored like any other: neither command ends on it."""
+
+    @pytest.mark.parametrize("frames", [
+        [({"center": [5.0, 0.0, 8.0]},
+          {"center": [5.0, 0.0, 8.0], "size": [4.0, 1.5, 1e-13]})],
+        [({"center": [5.0, 0.0, 8.0], "size": [4.0, 1.5, 1e-13]},
+          {"center": [5.0, 0.0, 8.0]})],
+    ], ids=["prediction", "ground-truth"])
+    def test_sliver_pair_scores(self, tmp_path, capsys, frames):
+        data, out = tmp_path / "d.jsonl", tmp_path / "r.json"
+        write_frames(data, frames)
+        assert main(["eval", "--data", str(data), "--out", str(out)]) == 0
+        overall = load_report(out).overall
+        assert (overall.tp, overall.usc_excluded) == (1, 0)
+        assert 0.0 < overall.mausc < 1.0
+        capsys.readouterr()
+        assert main(["loss", "--data", str(data)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["car"]
+        assert all(math.isfinite(float(v)) for v in rows[0].split()[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(thin_pairs(), min_size=1, max_size=8), st.integers(1, 3))
+    def test_eval_exits_0(self, pairs, frame_count):
+        # every coordinate lies within 25 m of the vehicle, so every
+        # projection is finite
+        frames = []
+        for i in range(frame_count):
+            mine = pairs[i::frame_count]
+            frames.append(FrameRecord(f"f{i}", [Annotation("car", g) for _, g in mine],
+                                      [Detection("car", p, 0.5) for p, _ in mine]))
+        with tempfile.TemporaryDirectory() as tmp:
+            data = pathlib.Path(tmp) / "d.jsonl"
+            save_dataset(frames, data)
+            assert load_dataset(data) == frames
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["eval", "--data", str(data)])
+        assert code == 0, err.getvalue()
 
 
 class TestSynth:

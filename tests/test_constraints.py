@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import hull_contains
-from strategies import boxes, finite, frontal_boxes, frontal_pairs
+from strategies import boxes, finite, frontal_boxes, frontal_pairs, thin_pairs
 from usc import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, SyntheticSpec, adr, azimuth, bev_constraint,
                  box_corners, distance_ratio_geomean, generate_synthetic,
@@ -412,22 +412,28 @@ def scalar_outcome(p, g):
 
 
 def assert_batch_matches_scalar(pairs):
+    """The kernel's values and reasons against ``usc_score`` pair by pair:
+    the same float64 bits, with NaN for an excluded pair."""
     preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
     usc, reason = usc_batch(preds, gts)
     assert usc.dtype == np.float64 and reason.dtype == np.int8
-    assert len(usc) == len(reason) == len(pairs)
-    for i, (p, g) in enumerate(pairs):
-        value, code = scalar_outcome(p, g)
-        assert reason[i] == code, i
-        if code == 0:
-            assert usc[i] == value, i
-        else:
-            assert math.isnan(usc[i]), i
+    expected = [scalar_outcome(p, g) for p, g in pairs]
+    assert reason.tolist() == [code for _, code in expected]
+    assert usc.tobytes() == np.array([math.nan if code else value
+                                      for value, code in expected]).tobytes()
     return usc, reason
 
 
 BEHIND_CAMERA = 1 + EXCLUSION_REASONS.index(BehindCamera)
 DEGENERATE = 1 + EXCLUSION_REASONS.index(DegenerateGroundTruth)
+#: PV bounds that overflow to infinity
+HUGE = Box3D(1e308, 0.0, 0.6, 1.0, 1.0, 1.0, 0.0)
+#: one footprint vertex overflows, the PV bounds stay finite
+OVERFLOW = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
+
+
+def no_scalar_fallback(*args):
+    raise AssertionError("a pair with finite projections must not reach usc_score")
 
 
 class TestUscScoreExclusions:
@@ -462,6 +468,25 @@ class TestUscBatch:
     def test_frontal_pairs(self, pairs):
         assert_batch_matches_scalar(pairs)
 
+    @given(st.lists(thin_pairs(), min_size=1, max_size=40))
+    @settings(max_examples=150)
+    def test_thin_sides_down_to_1e_16(self, pairs):
+        assert_batch_matches_scalar(pairs)
+
+    @pytest.mark.parametrize("side", [1e-16, 1e-13, 1e-10, 1e-8])
+    def test_sliver_of_each_side(self, monkeypatch, side):
+        # every pair is scored, a sliver on either side included, and the
+        # kernel decides each one alone
+        g = Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4)
+        p = Box3D(0.5, 0.3, 8.3, 2.0, 1.6, 4.5, 0.5)
+        pairs = [(a._replace(**{name: side}), b)
+                 for name in ("length", "height", "width")
+                 for a, b in ((p, g), (g, p), (p, p))]
+        pairs += [(b, a) for a, b in pairs]
+        monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
+        _, reason = assert_batch_matches_scalar(pairs)
+        assert not reason.any()
+
     def test_behind_camera_on_either_side(self):
         _, reason = assert_batch_matches_scalar(
             [(BEHIND, AHEAD), (AHEAD, BEHIND), (BEHIND, BEHIND), (AHEAD, AHEAD)])
@@ -478,8 +503,24 @@ class TestUscBatch:
         assert reason.tolist() == [0, BEHIND_CAMERA, BEHIND_CAMERA]
 
     def test_degenerate_ground_truth(self):
+        # behind the camera takes precedence, as usc_score checks it first
         flat = Box3D(0.0, 0.0, 10.0, 4.5, 1e-20, 1.9, 0.0)
-        _, reason = assert_batch_matches_scalar([(AHEAD, flat), (flat, AHEAD)])
+        _, reason = assert_batch_matches_scalar(
+            [(AHEAD, flat), (flat, AHEAD), (BEHIND, flat)])
+        assert reason.tolist() == [DEGENERATE, 0, BEHIND_CAMERA]
+
+    def test_ground_truth_area_at_the_limit(self):
+        # near face at z = 8, a power of two, so each PV side is exact: the
+        # rectangle's area is EPS_GEOM * EPS_GEOM itself, which is degenerate,
+        # and one ulp more of length is not
+        limit = EPS_GEOM * EPS_GEOM
+        at = Box3D(0.0, 0.0, 9.0, limit * 2.0 ** 33, 2.0 ** -27, 2.0, 0.0)
+        above = at._replace(length=math.nextafter(at.length, 1.0))
+        for g, degenerate in ((at, True), (above, False)):
+            rect = project_pv_rect(g)
+            area = (rect.max_u - rect.min_u) * (rect.max_v - rect.min_v)
+            assert (area == limit) == degenerate and area >= limit
+        _, reason = assert_batch_matches_scalar([(AHEAD, at), (AHEAD, above)])
         assert reason.tolist() == [DEGENERATE, 0]
 
     def test_closest_distance_tie(self):
@@ -508,15 +549,12 @@ class TestUscBatch:
                                      (farther, g), (g, g)])
 
     def test_value_error_parity(self):
-        tiny = Box3D(0.0, 0.0, 10.0, 1e-10, 1e-10, 1e-10, 0.0)
-        huge = Box3D(1e308, 0.0, 0.6, 1.0, 1.0, 1.0, 0.0)
-        # one footprint vertex overflows, the PV bounds stay finite
-        overflow = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
-        for p, g in ((tiny, AHEAD), (huge, AHEAD), (overflow, AHEAD)):
+        # the first of two pairs that raise gives the error
+        for p, later in ((HUGE, OVERFLOW), (OVERFLOW, HUGE)):
             with pytest.raises(ValueError) as scalar:
-                usc_score(p, g)
+                usc_score(p, AHEAD)
             with pytest.raises(ValueError) as batch:
-                usc_batch([AHEAD, BEHIND, p, tiny], [AHEAD, AHEAD, g, AHEAD])
+                usc_batch([AHEAD, BEHIND, p, later], [AHEAD, AHEAD, AHEAD, AHEAD])
             assert str(batch.value) == str(scalar.value)
 
     def test_footprint_on_one_bearing(self, monkeypatch):
@@ -525,10 +563,6 @@ class TestUscBatch:
         pairs = [(FAR, AHEAD), (AHEAD, FAR), (FAR, FAR)]
         expected = [scalar_outcome(p, g) for p, g in pairs]
         assert expected == [(0.0, 0), (None, DEGENERATE), (None, DEGENERATE)]
-
-        def no_scalar_fallback(*args):
-            raise AssertionError("well-formed pairs must not reach usc_score")
-
         monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
         usc, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert reason.tolist() == [0, DEGENERATE, DEGENERATE]
@@ -536,25 +570,32 @@ class TestUscBatch:
         assert np.isnan(usc[1:]).all()
 
     def test_routed_pairs_are_scored_by_usc_score(self, monkeypatch):
-        # a stand-in reports every footprint ill-formed, so every pair goes
-        # through usc_score, scored pairs included
+        # only a pair with a projection that is not finite goes through
+        # usc_score, which excludes it when a box is behind the camera
         flat = Box3D(0.0, 0.0, 10.0, 4.5, 1e-20, 1.9, 0.0)
         nearer = Box3D(0.5, 0.0, 9.5, 4.8, 1.9, 2.1, 0.1)
-        pairs = [(AHEAD, AHEAD), (BEHIND, AHEAD), (AHEAD, flat), (nearer, AHEAD)]
-        monkeypatch.setattr(constraints, "well_formed_footprints",
-                            lambda fx, fz: np.zeros(len(fx), dtype=bool))
+        pairs = [(AHEAD, AHEAD), (BEHIND, HUGE), (AHEAD, flat), (OVERFLOW, BEHIND),
+                 (nearer, AHEAD), (BEHIND, AHEAD)]
+        calls = []
+
+        def counted(p, g):
+            calls.append((p, g))
+            return usc_score(p, g)
+
+        monkeypatch.setattr(constraints, "usc_score", counted)
         _, reason = assert_batch_matches_scalar(pairs)
-        assert reason.tolist() == [0, BEHIND_CAMERA, DEGENERATE, 0]
+        assert calls == [pairs[1], pairs[3]]
+        assert reason.tolist() == [0, BEHIND_CAMERA, DEGENERATE, BEHIND_CAMERA, 0,
+                                   BEHIND_CAMERA]
 
     def test_unexpected_usc_error_propagates(self, monkeypatch):
         def behind_vehicle(p, g):
             raise BehindVehicle("stand-in")
 
-        monkeypatch.setattr(constraints, "well_formed_footprints",
-                            lambda fx, fz: np.zeros(len(fx), dtype=bool))
         monkeypatch.setattr(constraints, "usc_score", behind_vehicle)
-        with pytest.raises(BehindVehicle, match="^stand-in$"):
-            usc_batch([AHEAD], [AHEAD])
+        for p, g in ((HUGE, AHEAD), (AHEAD, OVERFLOW)):
+            with pytest.raises(BehindVehicle, match="^stand-in$"):
+                usc_batch([AHEAD, p], [AHEAD, g])
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
@@ -574,10 +615,6 @@ class TestUscBatch:
                  for key in sorted(matched) for m in matched[key]]
         assert len(pairs) > 2 * BATCH_CAP
         pairs.insert(BATCH_CAP + 1, (BEHIND, AHEAD))
-
-        def no_scalar_fallback(*args):
-            raise AssertionError("well-formed pairs must not reach usc_score")
-
         expected = [scalar_outcome(p, g) for p, g in pairs]
         monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
         usc, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])

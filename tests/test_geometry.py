@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (MonteCarloOracle, box_volume_reference,
                      intersection_volume_reference, iogt3d_reference,
-                     iou3d_reference, segments_intersect_oracle)
-from strategies import boxes, finite, overflow_boxes, overflow_pairs
+                     iou3d_reference, points_in_box, segments_intersect_oracle)
+from strategies import (boxes, finite, overflow_boxes, overflow_pairs,
+                        thin_pairs)
 from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  Rect2D, Segment2D, SyntheticSpec, box_corners, box_volume,
                  convex_intersection_area, corner_arrays, generate_synthetic,
@@ -373,9 +374,19 @@ class TestIogt3d:
         g = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         for p in (g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)):
             with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
-                               r"\(height 1\.5 at center_y 1e\+17\)$"):
+                               r"\(footprint area 4\.0, vertical extent 0\.0 "
+                               r"from height 1\.5 at center_y 1e\+17\)$"):
                 iogt3d(p, g)
         assert iogt3d(g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)) == 0.0
+
+    def test_zero_ground_truth_footprint_area_raises(self):
+        # 1 +- 5e-18 == 1.0, so all four vertices lie on x = 1 and the
+        # shoelace sum is exactly 0; the height is not what vanished
+        g = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
+        with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
+                           r"\(footprint area 0\.0, vertical extent 1\.5 "
+                           r"from height 1\.5 at center_y 0\.0\)$"):
+            iogt3d(Box3D(0, 0, 10, 2, 1.5, 2, 0.0), g)
 
     @given(boxes(), boxes())
     @settings(max_examples=300)
@@ -469,13 +480,32 @@ class TestOverlapAgainstReference:
         (("length", "width"), ("width",))])
     @pytest.mark.parametrize("center_y", [0.3, 5.0])
     def test_thin_boxes_raise_as_reference(self, p_sides, g_sides, center_y):
+        # A side at most EPS_GEOM raises nothing: the pair is scored as the
+        # reference scores it. A sliver's overlap is the share of its long
+        # side inside the other footprint; two slivers cross in no area.
         g = _thin(Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4), g_sides)
         p = _thin(Box3D(0.5, center_y, 9.3, 2.0, 1.6, 4.5, 0.5), p_sides)
         self.check(p, g)
-        expected = (0.0 if center_y == 5.0 and not g_sides
-                    else (ValueError, "repeated polygon vertices at index "
-                          f"{0 if g_sides == ('length',) else 1}"))
-        assert _outcome(iogt3d, p, g) == expected
+        vertical = max(0.0, min(center_y + 0.8, 0.75) - max(center_y - 0.8, -0.75))
+        if not p_sides and g_sides == ("length",):
+            expected = _sliver_share(g, p) * vertical / g.height
+        elif p_sides == ("width",) and not g_sides:
+            expected = (_sliver_share(p, g) * p.length * p.width * vertical
+                        / box_volume(g))
+        else:
+            expected = 0.0
+        assert iogt3d(p, g) == pytest.approx(expected, rel=1e-3, abs=0.0)
+
+
+def _sliver_share(sliver, box):
+    """The share of a sliver's long side that lies inside the footprint of
+    ``box``, from 10,001 points along it."""
+    a, b, _, d = project_bev(sliver).vertices
+    end = b if math.dist(a, b) > math.dist(a, d) else d
+    t = np.linspace(0.0, 1.0, 10_001)[:, None]
+    xz = np.array(a) + t * (np.array(end) - np.array(a))
+    points = np.stack([xz[:, 0], np.full(len(t), box.center_y), xz[:, 1]], axis=1)
+    return points_in_box(points, box).mean()
 
 
 def assert_batch_matches_iogt3d(pairs):
@@ -556,6 +586,24 @@ class TestIogt3dBatch:
         p = _thin(Box3D(0.5, center_y, 9.3, 2.0, 1.6, 4.5, 0.5), p_sides)
         assert_batch_matches_iogt3d([(p, g), (g, p), (g, g)])
 
+    @given(st.lists(thin_pairs(), min_size=1, max_size=30))
+    @settings(max_examples=150)
+    def test_thin_sides_down_to_1e_16(self, pairs):
+        assert_batch_matches_iogt3d(pairs)
+
+    @pytest.mark.parametrize("side", [1e-16, 1e-13, 1e-10, 1e-8])
+    def test_sliver_of_each_side(self, side):
+        # each side of either box at a sliver's width: a thin footprint is
+        # scored as iogt3d scores it, and a ground-truth height that rounds
+        # to nothing against center_y 0.3 raises as it does
+        g = Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4)
+        p = Box3D(0.5, 0.3, 9.3, 2.0, 1.6, 4.5, 0.5)
+        pairs = [(a._replace(**{name: side}), b)
+                 for name in ("length", "height", "width")
+                 for a, b in ((p, g), (g, p), (p, p))]
+        pairs += [(b, a) for a, b in pairs]
+        assert_batch_matches_iogt3d(pairs)
+
     def test_hand_cases(self):
         g = Box3D(0, 0, 10, 2, 1.5, 2, 0)
         cases = [
@@ -579,6 +627,17 @@ class TestIogt3dBatch:
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         ahead = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
         assert_batch_matches_iogt3d([(ahead, ahead), (ahead, flat), (flat, ahead)])
+
+    def test_footprint_not_finite(self):
+        # a corner past the float limit: iogt3d raises on the ground truth's
+        # footprint, and on the prediction's only when the heights overlap
+        overflow = Box3D(0.0, 0.0, 1.74e308, 1e307, 1.0, 1e307, 0.3)
+        ahead = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
+        above = ahead._replace(center_y=5.0)
+        pairs = [(ahead, ahead), (ahead, overflow), (overflow, ahead), (overflow, above)]
+        assert [type(_outcome(iogt3d, p, g)) for p, g in pairs] == [
+            float, tuple, tuple, float]
+        assert_batch_matches_iogt3d(pairs)
 
     @given(st.lists(overflow_pairs(), min_size=1, max_size=40))
     @settings(max_examples=100)
@@ -642,11 +701,16 @@ class TestIogt3dBatch:
             values = iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert values.tobytes() == np.array(expected).tobytes()
 
+        # a thin ground truth is scored; of two zero volumes, the first one's
+        # error is raised
         thin = _thin(pairs[0][1], ("length",))
+        sliver = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         pairs.insert(2 * BATCH_CAP + 3, (pairs[0][0], flat))
-        pairs.insert(BATCH_CAP + 1, (pairs[0][0], thin))
-        with pytest.raises(ValueError, match="^repeated polygon vertices"):
+        pairs.insert(BATCH_CAP + 1, (pairs[0][0], sliver))
+        pairs.insert(5, (pairs[0][0], thin))
+        with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
+                           r"\(footprint area 0\.0,"):
             iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_iogt3d(pairs)
 
@@ -740,22 +804,6 @@ class TestIogt3dBatch:
             got = np.stack([x[row], z[row]], axis=1)[:count[row]]
             assert got.tobytes() == np.array(vertices).reshape(-1, 2).tobytes()
 
-    @pytest.mark.parametrize("scale", [1.0, EPS_GEOM / 2, 1e308])
-    def test_well_formed_footprints_pass_bev_polygon(self, scale):
-        # arbitrary quadrilaterals: clockwise, reflex, repeated or collinear
-        # vertices, overflowing coordinates at the largest scale
-        rng = np.random.default_rng(11)
-        with np.errstate(all="ignore"):
-            quads = rng.integers(-2, 3, size=(3000, 2, 4)) * scale
-            quads[::7] = np.array([[1, -1, -1, 1], [1, 1, -1, -1]]) * scale
-            well_formed = geometry.well_formed_footprints(quads[:, 0], quads[:, 1])
-        assert 0 < well_formed.sum() < len(quads)
-        for quad, accepted in zip(quads, well_formed):
-            try:
-                BevPolygon(tuple(quad.T.tolist()))
-            except ValueError:
-                assert not accepted
-
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
             iogt3d_batch(BOX_LIST[:2], BOX_LIST[:1])
@@ -845,17 +893,14 @@ class TestMonteCarloAgreement:
 
 
 class TestPolygonValidation:
-    def test_rejects_nonconvex(self):
-        with pytest.raises(ValueError):
-            BevPolygon(((0, 0), (2, 0), (0.5, 0.5), (0, 2)))
-
-    def test_rejects_clockwise(self):
-        with pytest.raises(ValueError):
-            BevPolygon(((0, 0), (0, 1), (1, 1), (1, 0)))
-
-    def test_rejects_repeated_vertices(self):
-        with pytest.raises(ValueError):
-            BevPolygon(((0, 0), (1, 0), (1, 0), (0, 1)))
+    @pytest.mark.parametrize("vertices, area", [
+        (((0, 0), (2, 0), (0.5, 0.5), (0, 2)), 1.0),  # reflex
+        (((0, 0), (0, 1), (1, 1), (1, 0)), 1.0),  # clockwise
+        (((0, 0), (1, 0), (1, 0), (0, 1)), 0.5),  # repeated vertex
+        (((1, 9), (1, 9), (1, 11), (1, 11)), 0.0),  # a box side of 0 m
+    ], ids=["reflex", "clockwise", "repeated", "sliver"])
+    def test_accepts_any_finite_vertices(self, vertices, area):
+        assert BevPolygon(vertices).area == area
 
     def test_rejects_fewer_than_three_vertices(self):
         with pytest.raises(ValueError, match="^polygon needs at least 3 vertices$"):

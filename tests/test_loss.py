@@ -257,11 +257,16 @@ class TestSafetyLossBatch:
 
         pairs = [(box(), box()) for _ in range(2 * BATCH_CAP + 7)]
         assert_batch_matches_scalar(pairs)
+        # a thin ground truth is scored; of two zero volumes, the first one's
+        # error is raised
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
+        sliver = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
         thin = BASE._replace(length=1e-10)
         pairs.insert(2 * BATCH_CAP + 3, (BASE, flat))
-        pairs.insert(BATCH_CAP + 1, (BASE, thin))
-        with pytest.raises(ValueError, match="^repeated polygon vertices"):
+        pairs.insert(BATCH_CAP + 1, (BASE, sliver))
+        pairs.insert(5, (BASE, thin))
+        with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
+                           r"\(footprint area 0\.0,"):
             safety_loss_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_scalar(pairs)
 
