@@ -26,7 +26,10 @@ footprint vertices must lie more than EPS_GEOM ahead of the vehicle, and
 ties between candidate representative vertices break to the smallest
 (x, z). A footprint need not have distinct vertices: one with a side that
 rounds to nothing is scored by the same formulas, and a facing side no
-longer than EPS_GEOM is dropped.
+longer than EPS_GEOM is dropped. ``usc_batch`` scores pairs as
+``usc_score`` does, bit for bit, but ranks vertices by x / z (by ``atan2``
+only where two bearings are within rounding) and calls ``usc_score`` only
+for a projection that is not finite.
 """
 
 from __future__ import annotations
@@ -200,66 +203,61 @@ def usc_score(p: Box3D, g: Box3D) -> UscBreakdown:
 EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
 
 
-def _pv_bounds(x, y, z):
-    """Behind-camera mask and (min_u, min_v, max_u, max_v), as
-    ``project_pv_rect`` computes them."""
-    u = x / z
-    v = y / z
-    return ((z < EPS_DEPTH).any(axis=1),
-            (u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)))
-
-
-def _first_min(key, fx, fz) -> np.ndarray:
-    """Index of the first lexicographic minimum of (key, x, z) over the four
-    footprint vertices, as Python's ``min`` picks it (lexsort is stable)."""
-    return np.lexsort((fz, fx, key), axis=1)[:, 0]
-
-
-def _footprint_terms(x, z):
-    """Distances of the closest / rightmost / leftmost footprint vertices, as
-    ``representative_points`` picks them."""
-    fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
-    norm = map_math(math.hypot, fx, fz)
-    bearing = map_math(math.atan2, fx, fz)
-    picks = np.stack([_first_min(norm, fx, fz), _first_min(-bearing, fx, fz),
-                      _first_min(bearing, fx, fz)], axis=1)
-    return np.take_along_axis(norm, picks, axis=1)
-
-
 def _usc_chunk(pred_boxes, gt_boxes):
-    p_x, p_y, p_z = corner_arrays(pred_boxes)
-    g_x, g_y, g_z = corner_arrays(gt_boxes)
-    p_behind, p_rect = _pv_bounds(p_x, p_y, p_z)
-    g_behind, g_rect = _pv_bounds(g_x, g_y, g_z)
-    p_dist = _footprint_terms(p_x, p_z)
-    g_dist = _footprint_terms(g_x, g_z)
+    n = len(pred_boxes)
+    x, y, z = corner_arrays([*pred_boxes, *gt_boxes])
+    # one row per footprint vertex, one column per box, predictions first;
+    # the other four corners repeat their x and z
+    fx, fz = x.T[FOOTPRINT], z.T[FOOTPRINT]
+    u = fx / fz
+    # project_pv_rect; where every z is positive, a bottom corner's y / z
+    # is below that of the top corner above it
+    u_lo, u_lo2, u_hi2, u_hi = np.sort(u, axis=0)
+    v_lo, v_hi = (y[:, 0] / fz).min(axis=0), (y[:, 2] / fz).max(axis=0)
+    behind = fz.min(axis=0) < EPS_DEPTH
+    norm = map_math(math.hypot, fx, fz)
+
+    # representative_points. A scored box has every vertex at z >= EPS_DEPTH
+    # > 0, where atan2(x, z) = atan(u) rises with u. With U the box's largest
+    # |u|, exact u that differ by d differ in bearing by at least
+    # d / (1 + U*U); rounding moves u by at most 2**-53 * U <= 2**-54 *
+    # (1 + U*U), and math.atan2 is within an ulp (<= 2**-52) of the exact
+    # bearing. So a lone vertex at an extreme u more than the margin
+    # 2**-40 * (1 + U*U) past the runner-up has the extreme bearing, 2**10
+    # times over. Other boxes (a side on a ray) rank by atan2, then (x, z).
+    right, left = (np.stack([u == u_hi, u == u_lo]) * np.arange(4)[:, None]).sum(axis=1)
+    margin = 2.0 ** -40 * (1.0 + np.maximum(u_lo * u_lo, u_hi * u_hi))
+    slow = np.flatnonzero((u_hi - u_hi2 <= margin) | (u_lo2 - u_lo <= margin))
+    if len(slow):
+        sx, sz = fx[:, slow], fz[:, slow]
+        bearing = map_math(math.atan2, sx, sz)
+        right[slow] = np.lexsort((sz, sx, -bearing), axis=0)[0]
+        left[slow] = np.lexsort((sz, sx, bearing), axis=0)[0]
+    # only the closest vertex's distance is read, so a tie needs no pick
+    dist = np.vstack([norm.min(axis=0), norm[[right, left], np.arange(2 * n)]])
 
     # iogt_pv
-    p_min_u, p_min_v, p_max_u, p_max_v = p_rect
-    g_min_u, g_min_v, g_max_u, g_max_v = g_rect
-    g_area = (g_max_u - g_min_u) * (g_max_v - g_min_v)
-    du = np.minimum(p_max_u, g_max_u) - np.maximum(p_min_u, g_min_u)
-    dv = np.minimum(p_max_v, g_max_v) - np.maximum(p_min_v, g_min_v)
+    g_area = (u_hi[n:] - u_lo[n:]) * (v_hi[n:] - v_lo[n:])
+    du = np.minimum(u_hi[:n], u_hi[n:]) - np.maximum(u_lo[:n], u_lo[n:])
+    dv = np.minimum(v_hi[:n], v_hi[n:]) - np.maximum(v_lo[:n], v_lo[n:])
     iogt = np.where((du <= 0.0) | (dv <= 0.0), 0.0, (du * dv) / g_area)
 
     # distance_ratio_geomean over (closest, rightmost, leftmost)
-    ratio = g_dist / np.maximum(p_dist, g_dist)
-    product = ratio[:, 0] * ratio[:, 1] * ratio[:, 2]
+    ratio = dist[:, n:] / np.maximum(dist[:, :n], dist[:, n:])
+    product = ratio[0] * ratio[1] * ratio[2]
     adr_value = map_math(pow, product, np.full(len(product), 1.0 / 3))
 
     usc = iogt * adr_value
     reason = np.zeros(len(usc), dtype=np.int8)
     reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
         DegenerateGroundTruth)
-    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+    reason[behind[:n] | behind[n:]] = 1 + EXCLUSION_REASONS.index(BehindCamera)
 
     # A pair with a PV bound or a footprint coordinate that is not finite
-    # (each corner's x and z are a footprint vertex's) goes through
-    # usc_score, so that it decides the pair. It never scores one: it raises
-    # ValueError, or excludes the pair first when a box is behind the camera.
-    scalar = ~(np.isfinite(p_rect + g_rect).all(axis=0)
-               & np.isfinite(np.hstack([p_x, p_z, g_x, g_z])).all(axis=1))
-    for row in np.flatnonzero(scalar):
+    # goes through usc_score, which decides it: it raises ValueError, or
+    # excludes the pair first when a box is behind the camera.
+    finite = np.isfinite(np.vstack([u_lo, u_hi, v_lo, v_hi, fx, fz])).all(axis=0)
+    for row in np.flatnonzero(~(finite[:n] & finite[n:])):
         try:
             usc_score(pred_boxes[row], gt_boxes[row])
         except EXCLUSION_REASONS as exc:
@@ -279,10 +277,11 @@ def usc_batch(pred_boxes: Sequence[Box3D],
     ``usc_score`` raises it). Excluded pairs read NaN. Every value and
     reason equals, bit for bit, what ``usc_score`` gives for that pair: the
     kernel repeats its arithmetic in the same order, with ``math`` for the
-    transcendental functions. Only the pairs on which ``usc_score`` could
-    raise ValueError, those with a PV bound or footprint coordinate that is
-    not finite, are passed to it, so the first such pair raises the same
-    error here. Every other pair, a sliver's included, is decided in the
-    arrays.
+    transcendental functions, but ranks footprint vertices by x / z; only a
+    box with two extreme bearings within rounding ranks by ``atan2``. Only
+    the pairs on which ``usc_score`` could raise ValueError, those with a PV
+    bound or footprint coordinate that is not finite, are passed to it, so
+    the first such pair raises the same error here. Every other pair, a
+    sliver's included, is decided in the arrays.
     """
     return pair_batches(_usc_chunk, pred_boxes, gt_boxes)

@@ -459,17 +459,17 @@ def iogt3d(p: Box3D, g: Box3D) -> float:
     prediction is projected only when the vertical intervals overlap.
     A footprint with a side that rounds to nothing is clipped like any
     other, so a sliver prediction reads about 0. Raises ValueError when the
-    ground truth's volume is 0.0, and names both factors: a footprint area
-    that rounds to 0, or a vertical extent that does, as when the height
-    vanishes against a huge ``center_y``.
+    ground truth's volume is 0.0, naming its center and both factors: a
+    footprint area that rounds to 0, or a vertical extent that does, as when
+    the height vanishes against a huge ``center_y``.
     """
     fp_g = project_bev(g)
     volume = _volume(g, fp_g)
     if volume == 0.0:
         lo, hi = _vertical_interval(g)
-        raise ValueError(f"ground-truth volume is 0.0 (footprint area {fp_g.area!r}, "
-                         f"vertical extent {hi - lo!r} from height {g.height!r} "
-                         f"at center_y {g.center_y!r})")
+        raise ValueError(f"ground-truth volume is 0.0 at {g[:3]!r} (footprint area "
+                         f"{fp_g.area!r}, vertical extent {hi - lo!r} from height "
+                         f"{g.height!r})")
     vertical = _vertical_overlap(p, g)
     inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
     return min(1.0, inter / volume)

@@ -96,9 +96,9 @@ CATALOGUE = (
     Mutant("usc-exclusion-order-swapped", "constraints.py",
            """    reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
         DegenerateGroundTruth)
-    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+    reason[behind[:n] | behind[n:]] = 1 + EXCLUSION_REASONS.index(BehindCamera)
 """,
-           """    reason[p_behind | g_behind] = 1 + EXCLUSION_REASONS.index(BehindCamera)
+           """    reason[behind[:n] | behind[n:]] = 1 + EXCLUSION_REASONS.index(BehindCamera)
     reason[g_area <= EPS_GEOM * EPS_GEOM] = 1 + EXCLUSION_REASONS.index(
         DegenerateGroundTruth)
 """, USC_BATCH),
@@ -109,12 +109,23 @@ CATALOGUE = (
     # the USC kernel's routing: a PV bound or a footprint coordinate that is
     # not finite goes to usc_score, which raises on it
     Mutant("usc-routing-without-pv-bounds", "constraints.py",
-           """np.isfinite(p_rect + g_rect).all(axis=0)
-               & """, "", USC_BATCH),
+           "np.vstack([u_lo, u_hi, v_lo, v_hi, fx, fz])", "np.vstack([fx, fz])",
+           USC_BATCH),
     Mutant("usc-routing-without-footprints", "constraints.py",
-           """
-               & np.isfinite(np.hstack([p_x, p_z, g_x, g_z])).all(axis=1))""",
-           ")", USC_BATCH),
+           "np.vstack([u_lo, u_hi, v_lo, v_hi, fx, fz])",
+           "np.vstack([u_lo, u_hi, v_lo, v_hi])", USC_BATCH),
+    # the USC kernel's vertex picks: a box whose extreme x / z is within the
+    # margin of the runner-up, the margin included, ranks by atan2
+    Mutant("usc-margin-exclusive", "constraints.py",
+           "(u_hi - u_hi2 <= margin) | (u_lo2 - u_lo <= margin)",
+           "(u_hi - u_hi2 < margin) | (u_lo2 - u_lo < margin)", USC_BATCH),
+    Mutant("usc-margin-zero", "constraints.py",
+           "margin = 2.0 ** -40 *", "margin = 0.0 *", USC_BATCH),
+    Mutant("usc-picks-swapped", "constraints.py",
+           "np.stack([u == u_hi, u == u_lo])", "np.stack([u == u_lo, u == u_hi])",
+           USC_BATCH),
+    Mutant("usc-closest-first-vertex", "constraints.py",
+           "np.vstack([norm.min(axis=0), ", "np.vstack([norm[0], ", USC_BATCH),
     # the IoGT kernel's routing: a footprint that is not finite or a
     # ground-truth volume of 0.0 goes to iogt3d, which raises on it
     Mutant("iogt3d-routing-without-volume", "geometry.py",

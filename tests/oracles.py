@@ -185,9 +185,9 @@ def iogt3d_reference(p: Box3D, g: Box3D) -> float:
     volume = box_volume_reference(g)
     if volume == 0.0:
         lo, hi = _vertical_interval(g)
-        raise ValueError(f"ground-truth volume is 0.0 (footprint area "
-                         f"{project_bev(g).area!r}, vertical extent {hi - lo!r} "
-                         f"from height {g.height!r} at center_y {g.center_y!r})")
+        raise ValueError(f"ground-truth volume is 0.0 at {g[:3]!r} (footprint "
+                         f"area {project_bev(g).area!r}, vertical extent "
+                         f"{hi - lo!r} from height {g.height!r})")
     return min(1.0, _overlap_parts(p, g, subject_first=False) / volume)
 
 

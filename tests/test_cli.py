@@ -286,10 +286,13 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         line = captured.err.splitlines()[-1]
+        gt = frame["ground_truths"][-1]
+        x, _, z = map(float, gt["center"])
         assert line.startswith(
-            "error: class 'car': ground-truth volume is 0.0 (footprint area ")
-        assert ", vertical extent 0.0 from height " in line
-        assert line.endswith(" at center_y 1e+17)")
+            f"error: class 'car': ground-truth volume is 0.0 at ({x!r}, 1e+17, "
+            f"{z!r}) (footprint area ")
+        assert line.endswith(
+            f", vertical extent 0.0 from height {float(gt['size'][1])!r})")
 
     @staticmethod
     def assert_zero_volume_error(data, capsys, gt, detail):
@@ -306,22 +309,23 @@ class TestLoss:
         assert captured.out == ""
         assert captured.err.count("\n") == 2  # the config warning, then the error
         assert captured.err.splitlines()[-1] == (
-            f"error: class 'car': ground-truth volume is 0.0 ({detail})")
+            f"error: class 'car': ground-truth volume is 0.0 {detail}")
         assert main(["eval", "--data", str(data)]) == 0
 
     def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
         # the height vanishes against center_y: (1e17 + 0.75) - (1e17 - 0.75)
         self.assert_zero_volume_error(
             tmp_path / "d.jsonl", capsys, {"center": [0.0, 1e17, 10.0]},
-            "footprint area 7.200000000000003, vertical extent 0.0 from height "
-            "1.5 at center_y 1e+17")
+            "at (0.0, 1e+17, 10.0) (footprint area 7.200000000000003, vertical "
+            "extent 0.0 from height 1.5)")
 
     def test_zero_area_ground_truth_is_validation_error(self, tmp_path, capsys):
         # the footprint area rounds to 0, not the height: 5 +- 5e-18 == 5.0
         self.assert_zero_volume_error(
             tmp_path / "d.jsonl", capsys,
             {"center": [5.0, 0.0, 8.0], "size": [1e-17, 1.5, 1.8]},
-            "footprint area 0.0, vertical extent 1.5 from height 1.5 at center_y 0.0")
+            "at (5.0, 0.0, 8.0) (footprint area 0.0, vertical extent 1.5 from "
+            "height 1.5)")
 
     def test_first_failing_class_in_sorted_order_reports(self, tmp_path, capsys):
         # the truck frame comes first in the file, but classes are walked in
@@ -340,8 +344,8 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "error: class 'car': ground-truth volume is 0.0 (footprint area 0.0, "
-            "vertical extent 1.0 from height 1.0 at center_y 0.0)")
+            "error: class 'car': ground-truth volume is 0.0 at (2.0, 0.0, 12.0) "
+            "(footprint area 0.0, vertical extent 1.0 from height 1.0)")
 
     def test_loss_mean_beyond_float_range(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

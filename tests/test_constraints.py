@@ -13,7 +13,7 @@ from usc import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  iogt_pv, project_bev, project_pv_rect, pv_constraint,
                  representative_points, usc_score)
 from usc import constraints
-from usc.geometry import BATCH_CAP
+from usc.geometry import BATCH_CAP, map_math
 from usc.constraints import EXCLUSION_REASONS, usc_batch
 from usc.errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from usc.evaluation import matched_pairs
@@ -436,6 +436,25 @@ def no_scalar_fallback(*args):
     raise AssertionError("a pair with finite projections must not reach usc_score")
 
 
+def atan2_ranked(monkeypatch):
+    """A list that gets, for each call of ``usc_batch``'s chunk that ranks
+    footprint vertices by atan2, the number of boxes it ranks so."""
+    ranked = []
+
+    def recording(fn, *arrays):
+        if fn is math.atan2:
+            ranked.append(arrays[0].shape[1])
+        return map_math(fn, *arrays)
+
+    monkeypatch.setattr(constraints, "map_math", recording)
+    return ranked
+
+
+#: footprint vertices (+-2**-39, 1) and (+-2**-39, 2): the extreme x / z
+#: clear the runner-up by 2**-40, which is the margin itself, exactly
+AT_MARGIN = Box3D(0.0, 0.0, 1.5, 2.0 ** -38, 1.0, 1.0, 0.0)
+
+
 class TestUscScoreExclusions:
     @given(boxes(), boxes())
     @settings(max_examples=500)
@@ -547,6 +566,56 @@ class TestUscBatch:
                         g.height, g.width, g.yaw)
         assert_batch_matches_scalar([(g, nearer), (nearer, g), (g, farther),
                                      (farther, g), (g, g)])
+
+    @pytest.mark.parametrize("box, by_atan2", [
+        # the left side on x = 0: an exact bearing tie, broken by (x, z)
+        (Box3D(1.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0), True),
+        # a side on a ray at negative x, whose x / z differ by rounding only
+        (Box3D(-4.857748172469975, 0.0, 11.410966857241545, 4.0, 1.5, 2.0,
+               -1.892546881191539), True),
+        # 1.7e-15 m wide: two vertices whose x / z differ in the last bit
+        # share one atan2 bearing, so (x, z) decides
+        (Box3D(-0.020837542265228493, 0.8294598742721822, 2.5144808002705896,
+               3.5083325711704734, 4.055517014285078, 1.702691171839057e-15,
+               0.8074644763568419), True),
+        # symmetric about the z axis: the two near vertices tie in distance
+        (Box3D(0.0, 0.0, 10.0, 2.0, 1.5, 4.0, 0.0), False),
+        # straddling x = 0, turned
+        (Box3D(0.4, 0.0, 9.0, 3.0, 1.5, 1.8, 0.7), False),
+        # the bearing gap at the margin, one ulp inside it and one ulp outside
+        (AT_MARGIN, True),
+        (AT_MARGIN._replace(length=math.nextafter(AT_MARGIN.length, 0.0)), True),
+        (AT_MARGIN._replace(length=math.nextafter(AT_MARGIN.length, 1.0)), False),
+    ])
+    def test_rank_of_each_footprint(self, monkeypatch, box, by_atan2):
+        # a box whose extreme x / z is within the margin of the runner-up
+        # ranks its vertices by atan2, any other by x / z; both give
+        # usc_score's bits
+        ranked = atan2_ranked(monkeypatch)
+        assert_batch_matches_scalar([(box, AHEAD), (AHEAD, box), (box, box)])
+        assert ranked == ([4] if by_atan2 else [])
+
+    def test_margin_is_exact_at_its_edge(self):
+        # U*U vanishes against 1, so the margin is 2**-40, and so is each gap
+        fx = np.array([v.x for v in project_bev(AT_MARGIN).vertices])
+        fz = np.array([v.z for v in project_bev(AT_MARGIN).vertices])
+        u = np.sort(fx / fz)
+        assert u[3] - u[2] == u[1] - u[0] == 2.0 ** -40
+        assert 1.0 + u[3] * u[3] == 1.0
+
+    def test_synthetic_pairs_rank_by_x_over_z(self, monkeypatch):
+        # the fast rank is the one that runs on realistic data
+        frames = generate_synthetic(SyntheticSpec(
+            seed=1, frames=200, objects_min=2, objects_max=8, depth_bias=0.2,
+            lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05, miss_rate=0.1,
+            fp_rate=0.2))
+        matched, _, _ = matched_pairs(frames, ProtocolConfig())
+        pairs = [(m.detection.box, m.annotation.box)
+                 for key in sorted(matched) for m in matched[key]]
+        assert len(pairs) > 2 * BATCH_CAP
+        ranked = atan2_ranked(monkeypatch)
+        _, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])
+        assert ranked == [] and not reason.any()
 
     def test_value_error_parity(self):
         # the first of two pairs that raise gives the error

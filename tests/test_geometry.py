@@ -374,8 +374,8 @@ class TestIogt3d:
         g = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         for p in (g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)):
             with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
-                               r"\(footprint area 4\.0, vertical extent 0\.0 "
-                               r"from height 1\.5 at center_y 1e\+17\)$"):
+                               r"at \(0\.0, 1e\+17, 10\.0\) \(footprint area "
+                               r"4\.0, vertical extent 0\.0 from height 1\.5\)$"):
                 iogt3d(p, g)
         assert iogt3d(g, Box3D(0, 0, 10, 2, 1.5, 2, 0.0)) == 0.0
 
@@ -384,8 +384,8 @@ class TestIogt3d:
         # shoelace sum is exactly 0; the height is not what vanished
         g = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
-                           r"\(footprint area 0\.0, vertical extent 1\.5 "
-                           r"from height 1\.5 at center_y 0\.0\)$"):
+                           r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0, "
+                           r"vertical extent 1\.5 from height 1\.5\)$"):
             iogt3d(Box3D(0, 0, 10, 2, 1.5, 2, 0.0), g)
 
     @given(boxes(), boxes())
@@ -710,7 +710,7 @@ class TestIogt3dBatch:
         pairs.insert(BATCH_CAP + 1, (pairs[0][0], sliver))
         pairs.insert(5, (pairs[0][0], thin))
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
-                           r"\(footprint area 0\.0,"):
+                           r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_iogt3d(pairs)
 

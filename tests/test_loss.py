@@ -266,7 +266,7 @@ class TestSafetyLossBatch:
         pairs.insert(BATCH_CAP + 1, (BASE, sliver))
         pairs.insert(5, (BASE, thin))
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
-                           r"\(footprint area 0\.0,"):
+                           r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             safety_loss_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_scalar(pairs)
 
