@@ -205,17 +205,17 @@ EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
 
 def _usc_chunk(pred_boxes, gt_boxes):
     n = len(pred_boxes)
-    x, y, z = corner_arrays([*pred_boxes, *gt_boxes])
-    # one row per footprint vertex, one column per box, predictions first;
-    # the other four corners repeat their x and z
-    fx, fz = x.T[FOOTPRINT], z.T[FOOTPRINT]
+    fx, y, fz = corner_arrays([*pred_boxes, *gt_boxes])
+    # one row per footprint vertex (for y, a bottom and a top corner), one
+    # column per box, predictions first; the other corners repeat x and z
+    fx, y, fz = fx.T[FOOTPRINT], y.T[[0, 2]], fz.T[FOOTPRINT]
+    norm = map_math(math.hypot, fx, fz)
     u = fx / fz
     # project_pv_rect; where every z is positive, a bottom corner's y / z
     # is below that of the top corner above it
     u_lo, u_lo2, u_hi2, u_hi = np.sort(u, axis=0)
-    v_lo, v_hi = (y[:, 0] / fz).min(axis=0), (y[:, 2] / fz).max(axis=0)
+    v_lo, v_hi = (y[0] / fz).min(axis=0), (y[1] / fz).max(axis=0)
     behind = fz.min(axis=0) < EPS_DEPTH
-    norm = map_math(math.hypot, fx, fz)
 
     # representative_points. A scored box has every vertex at z >= EPS_DEPTH
     # > 0, where atan2(x, z) = atan(u) rises with u. With U the box's largest
@@ -224,10 +224,11 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # (1 + U*U), and math.atan2 is within an ulp (<= 2**-52) of the exact
     # bearing. So a lone vertex at an extreme u more than the margin
     # 2**-40 * (1 + U*U) past the runner-up has the extreme bearing, 2**10
-    # times over. Other boxes (a side on a ray) rank by atan2, then (x, z).
+    # times over. Other boxes (a side on a ray, or a u that is NaN) rank by
+    # atan2, then (x, z).
     right, left = (np.stack([u == u_hi, u == u_lo]) * np.arange(4)[:, None]).sum(axis=1)
     margin = 2.0 ** -40 * (1.0 + np.maximum(u_lo * u_lo, u_hi * u_hi))
-    slow = np.flatnonzero((u_hi - u_hi2 <= margin) | (u_lo2 - u_lo <= margin))
+    slow = np.flatnonzero(~((u_hi - u_hi2 > margin) & (u_lo2 - u_lo > margin)))
     if len(slow):
         sx, sz = fx[:, slow], fz[:, slow]
         bearing = map_math(math.atan2, sx, sz)

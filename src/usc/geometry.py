@@ -526,14 +526,14 @@ def corner_arrays(boxes: Sequence[Box3D]):
     """(n, 8) arrays of the x, y and z corner coordinates of each box: the
     array form of ``box_corners``, the same floats in the same order."""
     cx, cy, cz, length, height, width, yaw = box_rows(boxes)
-    c = map_math(math.cos, yaw)[:, None]
-    s = map_math(math.sin, yaw)[:, None]
-    dx = (length / 2.0)[:, None] * _SIDE_X
-    dy = (height / 2.0)[:, None] * _SIDE_Y
-    dz = (width / 2.0)[:, None] * _SIDE_Z
-    x = cx[:, None] + dx * c + dz * s
-    y = cy[:, None] + dy
-    z = cz[:, None] - dx * s + dz * c
+    c, s = map_math(math.cos, yaw), map_math(math.sin, yaw)
+    # (hx * c) * -1 is box_corners' -hx * c, as negation is exact; y comes
+    # last, so that no more than x, z and one product are held at once
+    x = cx[:, None] + (length / 2.0 * c)[:, None] * _SIDE_X
+    x += (width / 2.0 * s)[:, None] * _SIDE_Z
+    z = cz[:, None] - (length / 2.0 * s)[:, None] * _SIDE_X
+    z += (width / 2.0 * c)[:, None] * _SIDE_Z
+    y = cy[:, None] + (height / 2.0)[:, None] * _SIDE_Y
     return x, y, z
 
 

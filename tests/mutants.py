@@ -115,10 +115,14 @@ CATALOGUE = (
            "np.vstack([u_lo, u_hi, v_lo, v_hi, fx, fz])",
            "np.vstack([u_lo, u_hi, v_lo, v_hi])", USC_BATCH),
     # the USC kernel's vertex picks: a box whose extreme x / z is within the
-    # margin of the runner-up, the margin included, ranks by atan2
+    # margin of the runner-up, the margin included, or with a NaN x / z,
+    # ranks by atan2
     Mutant("usc-margin-exclusive", "constraints.py",
-           "(u_hi - u_hi2 <= margin) | (u_lo2 - u_lo <= margin)",
-           "(u_hi - u_hi2 < margin) | (u_lo2 - u_lo < margin)", USC_BATCH),
+           "(u_hi - u_hi2 > margin) & (u_lo2 - u_lo > margin)",
+           "(u_hi - u_hi2 >= margin) & (u_lo2 - u_lo >= margin)", USC_BATCH),
+    Mutant("usc-margin-nan-fast", "constraints.py",
+           "~((u_hi - u_hi2 > margin) & (u_lo2 - u_lo > margin))",
+           "(u_hi - u_hi2 <= margin) | (u_lo2 - u_lo <= margin)", USC_BATCH),
     Mutant("usc-margin-zero", "constraints.py",
            "margin = 2.0 ** -40 *", "margin = 0.0 *", USC_BATCH),
     Mutant("usc-picks-swapped", "constraints.py",

@@ -586,22 +586,22 @@ class TestUscBatch:
         (AT_MARGIN, True),
         (AT_MARGIN._replace(length=math.nextafter(AT_MARGIN.length, 0.0)), True),
         (AT_MARGIN._replace(length=math.nextafter(AT_MARGIN.length, 1.0)), False),
+        # behind the camera, with a length that halves to 0: two vertices at
+        # (0, 0), whose x / z is NaN
+        (Box3D(0.0, 0.0, -1.0, 5e-324, 1.0, 2.0, 0.0), True),
     ])
     def test_rank_of_each_footprint(self, monkeypatch, box, by_atan2):
         # a box whose extreme x / z is within the margin of the runner-up
         # ranks its vertices by atan2, any other by x / z; both give
         # usc_score's bits
+        if box is AT_MARGIN:
+            # U*U vanishes against 1, so the margin is 2**-40, as each gap is
+            u = sorted(v.x / v.z for v in project_bev(box).vertices)
+            assert u[3] - u[2] == u[1] - u[0] == 2.0 ** -40
+            assert 1.0 + u[3] * u[3] == 1.0
         ranked = atan2_ranked(monkeypatch)
         assert_batch_matches_scalar([(box, AHEAD), (AHEAD, box), (box, box)])
         assert ranked == ([4] if by_atan2 else [])
-
-    def test_margin_is_exact_at_its_edge(self):
-        # U*U vanishes against 1, so the margin is 2**-40, and so is each gap
-        fx = np.array([v.x for v in project_bev(AT_MARGIN).vertices])
-        fz = np.array([v.z for v in project_bev(AT_MARGIN).vertices])
-        u = np.sort(fx / fz)
-        assert u[3] - u[2] == u[1] - u[0] == 2.0 ** -40
-        assert 1.0 + u[3] * u[3] == 1.0
 
     def test_synthetic_pairs_rank_by_x_over_z(self, monkeypatch):
         # the fast rank is the one that runs on realistic data
