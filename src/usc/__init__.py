@@ -13,18 +13,21 @@ from .constraints import (RepresentativePoints, UscBreakdown, adr, azimuth,
                           bev_constraint, distance_ratio_geomean, iogt_pv,
                           pv_constraint, representative_points, usc_batch,
                           usc_score)
-from .evaluation import (Annotation, BucketSummary, ClassBucketMetrics,
-                         Detection, MatchedPair, MetricsReport,
+from .dataset import (Annotation, Dataset, Detection, FrameRecord, Objects,
+                      as_dataset)
+from .evaluation import (BucketSummary, ClassBucketMetrics, MatchedPair,
+                         MetricsReport, PairColumns, PairIndex,
                          ProtocolConfig, aggregate_usc, average_precision,
-                         bev_center_distance, evaluate, matched_pairs, nds,
-                         pearson, tp_error_means, usc_nds)
+                         bev_center_distance, evaluate, matched_indices,
+                         matched_pairs, nds, pair_columns, pearson,
+                         tp_error_means, usc_nds)
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
                        Point3, Rect2D, Segment2D, box_corners, box_volume,
                        convex_intersection_area, corner_arrays,
                        intersection_volume, iogt3d, iogt3d_batch, iou3d,
                        project_bev, project_pv_rect, segments_intersect,
                        shoelace_area, wrap_angle)
-from .io import (FrameRecord, SyntheticSpec, format_report_table,
+from .io import (SyntheticSpec, format_report_table,
                  generate_synthetic, load_config, load_dataset, load_report,
                  merge_datasets, report_from_dict, report_to_dict,
                  save_dataset, write_report)

@@ -16,9 +16,9 @@ the message are escaped, so the ``error:`` line is one line. Malformed flags
 are argparse's usage errors, which also exit 2.
 
 A command runs with the cyclic garbage collector paused. What it builds
-(frames, objects, pairs, the report) holds no reference cycles, so
+(the dataset's arrays, the report) holds no reference cycles, so
 reference counting frees it all; left running, the collector would walk every
-loaded object again and again and free nothing, at a cost that grows with the
+decoded object again and again and free nothing, at a cost that grows with the
 dataset. ``main`` restores the collector's previous state when the command
 returns or raises, so a caller that runs commands in its own process keeps
 the collector as it had it.
@@ -34,9 +34,13 @@ import sys
 from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import io as uio
+from .dataset import Dataset
 from .errors import UscError, ZeroVariance
-from .evaluation import ProtocolConfig, evaluate, matched_pairs, pearson
+from .evaluation import (ProtocolConfig, evaluate, matched_indices, pair_error,
+                         pearson)
 from .loss import LossConfig, safety_loss_batch
 
 EXIT_OK = 0
@@ -60,8 +64,8 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="protocol config (JSON)")
 
 
-def _inputs(args) -> Tuple[ProtocolConfig, LossConfig, List[uio.FrameRecord]]:
-    """The protocol config, loss config and frames that ``eval`` and
+def _inputs(args) -> Tuple[ProtocolConfig, LossConfig, Dataset]:
+    """The protocol config, loss config and dataset that ``eval`` and
     ``loss`` read from their data arguments."""
     if args.data and (args.gt or args.pred):
         raise UscError("--data excludes --gt/--pred")
@@ -96,26 +100,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    protocol, loss_config, frames = _inputs(args)
+    protocol, loss_config, data = _inputs(args)
     pairs_by_class: Dict[str, list] = {}
-    pairs, _, _ = matched_pairs(frames, protocol)
-    for (class_name, _bucket), class_pairs in pairs.items():
-        pairs_by_class.setdefault(class_name, []).extend(class_pairs)
+    pairs, _, _ = matched_indices(data, protocol)
+    for (class_name, _bucket), class_pairs in sorted(pairs.items()):
+        pairs_by_class.setdefault(class_name, []).append(class_pairs)
     if not pairs_by_class:
         raise UscError("no matched pairs")
     rows = []
     for class_name in sorted(pairs_by_class):
         class_pairs = pairs_by_class[class_name]
-        preds = [pair.detection.box for pair in class_pairs]
-        gts = [pair.annotation.box for pair in class_pairs]
+        dets = np.concatenate([p.detections for p in class_pairs])
+        anns = np.concatenate([p.annotations for p in class_pairs])
+        preds, gts = data.predictions.boxes[dets], data.ground_truths.boxes[anns]
         try:
             columns = safety_loss_batch(preds, gts, loss_config)
         except ValueError as exc:
-            raise ValueError(f"class {class_name!r}: {exc}") from exc
+            raise pair_error(exc, lambda p, g: safety_loss_batch(p, g, loss_config),
+                             data, dets, preds, gts, class_name) from exc
         try:
             # exact sums, so the means do not depend on the order of the frames
-            means = [math.fsum(column.tolist()) / len(class_pairs)
-                     for column in columns]
+            means = [math.fsum(column.tolist()) / len(dets) for column in columns]
         except OverflowError:
             means = [math.inf]
         if not all(map(math.isfinite, means)):

@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from .geometry import (EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon, Box3D,
-                       Point2, Rect2D, Segment2D, corner_arrays, map_math,
-                       pair_batches, project_bev, project_pv_rect,
+                       Point2, Rect2D, Segment2D, box_array, corner_arrays,
+                       map_math, pair_batches, project_bev, project_pv_rect,
                        segments_intersect)
 
 
@@ -205,7 +205,7 @@ EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
 
 def _usc_chunk(pred_boxes, gt_boxes):
     n = len(pred_boxes)
-    fx, y, fz = corner_arrays([*pred_boxes, *gt_boxes])
+    fx, y, fz = corner_arrays(np.concatenate([pred_boxes, gt_boxes]))
     # one row per footprint vertex (for y, a bottom and a top corner), one
     # column per box, predictions first; the other corners repeat x and z
     fx, y, fz = fx.T[FOOTPRINT], y.T[[0, 2]], fz.T[FOOTPRINT]
@@ -260,18 +260,17 @@ def _usc_chunk(pred_boxes, gt_boxes):
     finite = np.isfinite(np.vstack([u_lo, u_hi, v_lo, v_hi, fx, fz])).all(axis=0)
     for row in np.flatnonzero(~(finite[:n] & finite[n:])):
         try:
-            usc_score(pred_boxes[row], gt_boxes[row])
+            usc_score(Box3D(*pred_boxes[row].tolist()), Box3D(*gt_boxes[row].tolist()))
         except EXCLUSION_REASONS as exc:
             reason[row] = 1 + EXCLUSION_REASONS.index(type(exc))
     usc[reason != 0] = np.nan
     return usc, reason
 
 
-def usc_batch(pred_boxes: Sequence[Box3D],
-              gt_boxes: Sequence[Box3D]) -> Tuple[np.ndarray, np.ndarray]:
-    """USC of many prediction / ground-truth pairs at once, run by
-    ``pair_batches``, with the PV rectangles on the normalized image plane,
-    as ``usc_score`` takes them.
+def usc_batch(pred_boxes, gt_boxes) -> Tuple[np.ndarray, np.ndarray]:
+    """USC of many prediction / ground-truth pairs at once, given as
+    ``box_array`` takes them, run by ``pair_batches``, with the PV
+    rectangles on the normalized image plane, as ``usc_score`` takes them.
 
     Returns a float64 array of USC values and an int8 array of exclusion
     reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
@@ -285,4 +284,4 @@ def usc_batch(pred_boxes: Sequence[Box3D],
     the first such pair raises the same error here. Every other pair, a
     sliver's included, is decided in the arrays.
     """
-    return pair_batches(_usc_chunk, pred_boxes, gt_boxes)
+    return pair_batches(_usc_chunk, box_array(pred_boxes), box_array(gt_boxes))

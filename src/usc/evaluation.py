@@ -1,25 +1,29 @@
 """Dataset-level evaluation protocol.
 
-Pipeline: one walk, the one way into the matcher (``matched_pairs`` exposes
-it), over chunks of whole frames, each matched in array passes. A chunk's
-candidate table of BEV center distances, built at once for all its (frame,
-class) groups, serves the protocol match (each annotation limited by its
-bucket's threshold) and one match per AP distance threshold; distances are
-computed only inside an x/z window of the largest threshold around each
-detection. In each match, detections by descending score take the nearest
-untaken annotation within the limit. At AP threshold t only the groups with
-a candidate within t but not within its limit, or the reverse, are matched
-again; in every other group the protocol match is the AP match. The AP
-labels stay per-detection arrays until ``evaluate`` splits them by (class,
-bucket). Objects are grouped into range buckets by the ground-truth center
-distance; matched detections inherit their annotation's bucket, unmatched
-detections fall into the bucket of their own center distance. One class
-loop per bucket then gives each class with an in-range object, ground truth
-or prediction, its slice: AP per distance threshold, AUSC (the mean USC
-score) and then the mean true-positive errors of its pairs, and TP/FP/FN,
-TP + FN being its in-range ground truths; the first faulty slice in bucket,
-then class order names the error. The bucket's mAP, NDS, mAUSC, USC-NDS and
-counts come from its slices, the overall ones from the buckets'.
+Pipeline: one walk, the one way into the matcher (``matched_indices``
+exposes it), over the columns of a ``Dataset`` in chunks of whole frames,
+each matched in array passes. A chunk's candidate table of BEV center
+distances, built at once for all its (frame, class) groups from the x and z
+columns, serves the protocol match (each annotation limited by its bucket's
+threshold) and one match per AP distance threshold; distances are computed
+only inside an x/z window of the largest threshold around each detection.
+In each match, detections by descending score take the nearest untaken
+annotation within the limit. At AP threshold t only the groups with a
+candidate within t but not within its limit, or the reverse, are matched
+again; in every other group the protocol match is the AP match. Objects are
+grouped into range buckets by the ground-truth center distance; matched
+detections inherit their annotation's bucket, unmatched detections fall
+into the bucket of their own center distance. The walk's pairs, false
+positives and false negatives are row indices per (class, bucket), and its
+AP labels per-detection arrays. One class loop per bucket then gives each
+class with an in-range object, ground truth or prediction, its slice: AP
+per distance threshold, AUSC (the mean USC score) and then the mean
+true-positive errors of its pairs, both from the box arrays sliced by the
+pairs' rows (``PairColumns``), and TP/FP/FN, TP + FN being its in-range
+ground truths; the first faulty slice in bucket, then class order names the
+error. The bucket's mAP, NDS, mAUSC, USC-NDS and counts come from its
+slices, the overall ones from the buckets'. ``matched_pairs`` gives the
+walk's result as ``MatchedPair`` values of the given frames' objects.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -32,14 +36,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .constraints import usc_batch
+from .dataset import (Annotation, Dataset, Detection, FrameRecord, Objects,
+                      as_dataset)
 from .errors import MissingAnnotationField, ZeroVariance
-from .geometry import Box3D, box_rows, finite_floats, map_math, wrap_angle
+from .geometry import Box3D, first_failing_pair, map_math, wrap_angle
 
 #: Recognized true-positive error measures, in canonical report order.
 TP_MEASURES = ("ATE", "ASE", "AOE", "AVE", "AAE")
@@ -57,88 +63,58 @@ _RECALL_GRID = np.linspace(0.0, 1.0, _AP_GRID)
 _GRID_STEPS = np.arange(_AP_GRID)
 
 
-def _checked_velocity(class_name, velocity, attribute):
-    """The velocity of an ``Annotation`` or ``Detection`` as two floats, or
-    None; ValueError unless the class label is a non-empty string, the velocity
-    None or two finite real numbers, and the attribute None or a string."""
-    if not isinstance(class_name, str) or not class_name:
-        raise ValueError("class_name must be a non-empty string")
-    if velocity is not None:
-        values = finite_floats(velocity)
-        if values is None or len(values) != 2:
-            raise ValueError(f"velocity must be two finite numbers, got {velocity!r}")
-        velocity = values
-    if attribute is not None and not isinstance(attribute, str):
-        raise ValueError(f"attribute must be a string, got {attribute!r}")
-    return velocity
-
-
-class _AnnotationFields(NamedTuple):
-    class_name: str
-    box: Box3D
-    velocity: Optional[Tuple[float, float]] = None
-    attribute: Optional[str] = None
-
-
-class Annotation(_AnnotationFields):
-    """Ground-truth object: class label plus box, with optional velocity
-    (vx, vz in m/s) and attribute label.
-
-    A validated tuple, like ``Box3D``: a non-empty string class label, a
-    velocity of two finite real numbers stored as floats, a string attribute.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, class_name, box, velocity=None, attribute=None):
-        # a string label with neither velocity nor attribute passes the rule
-        if (velocity is None and attribute is None and type(class_name) is str
-                and class_name):
-            return tuple.__new__(cls, (class_name, box, None, None))
-        velocity = _checked_velocity(class_name, velocity, attribute)
-        return tuple.__new__(cls, (class_name, box, velocity, attribute))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-class _DetectionFields(NamedTuple):
-    class_name: str
-    box: Box3D
-    score: float
-    velocity: Optional[Tuple[float, float]] = None
-    attribute: Optional[str] = None
-
-
-class Detection(_DetectionFields):
-    """Predicted object with a confidence score in [0, 1].
-
-    A validated tuple, like ``Annotation``, whose score is stored as a float.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, class_name, box, score, velocity=None, attribute=None):
-        # and so, with a float score in [0, 1], does a detection
-        if (velocity is None and attribute is None and type(class_name) is str
-                and class_name and type(score) is float and 0.0 <= score <= 1.0):
-            return tuple.__new__(cls, (class_name, box, score, None, None))
-        velocity = _checked_velocity(class_name, velocity, attribute)
-        value = finite_floats((score,))
-        if value is None or not 0.0 <= value[0] <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        return tuple.__new__(cls, (class_name, box, value[0], velocity, attribute))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class MatchedPair(NamedTuple):
     detection: Detection
     annotation: Annotation
     center_distance: float
+
+
+class PairIndex(NamedTuple):
+    """Matched pairs as rows of a ``Dataset``: each pair's prediction row,
+    ground-truth row and BEV center distance."""
+
+    detections: np.ndarray
+    annotations: np.ndarray
+    distances: np.ndarray
+
+
+class PairColumns(NamedTuple):
+    """Matched pairs as columns, one row per pair: the two (n, 7) box
+    arrays, the center distances, and the velocities and attributes of each
+    side as ``Objects`` holds them (NaN or None for none, and None when no
+    object of the side has one)."""
+
+    pred_boxes: np.ndarray
+    gt_boxes: np.ndarray
+    distances: np.ndarray
+    pred_velocities: Optional[np.ndarray]
+    gt_velocities: Optional[np.ndarray]
+    pred_attributes: Optional[np.ndarray]
+    gt_attributes: Optional[np.ndarray]
+
+
+def pair_columns(pairs: Union[Sequence[MatchedPair], PairColumns]) -> PairColumns:
+    """Matched pairs as ``PairColumns``: those as they are, a sequence of
+    ``MatchedPair`` values by their values, as one frame of a ``Dataset``."""
+    if isinstance(pairs, PairColumns):
+        return pairs
+    data = as_dataset([FrameRecord("pairs", [pair.annotation for pair in pairs],
+                                   [pair.detection for pair in pairs])])
+    rows = np.arange(len(pairs))
+    return _pair_rows(data, PairIndex(rows, rows, np.array(
+        [pair.center_distance for pair in pairs], dtype=np.float64)))
+
+
+def _pair_rows(data: Dataset, pairs: PairIndex) -> PairColumns:
+    """The columns of the pairs at these rows of ``data``."""
+    def rows(column, index):
+        return None if column is None else column[index]
+
+    p, g = data.predictions, data.ground_truths
+    det, ann = pairs.detections, pairs.annotations
+    return PairColumns(p.boxes[det], g.boxes[ann], pairs.distances,
+                       rows(p.velocities, det), rows(g.velocities, ann),
+                       rows(p.attributes, det), rows(g.attributes, ann))
 
 
 @dataclass(frozen=True)
@@ -296,9 +272,10 @@ def average_precision(scored_matches: Union[Sequence[Tuple[float, bool]], np.nda
     return math.fsum(clipped) / len(clipped) / (1.0 - _AP_FLOOR)
 
 
-def tp_error_means(pairs: Sequence[MatchedPair],
+def tp_error_means(pairs: Union[Sequence[MatchedPair], PairColumns],
                    measures: Sequence[str] = ("ATE", "ASE", "AOE")) -> Dict[str, float]:
-    """Mean true-positive errors over matched pairs.
+    """Mean true-positive errors over matched pairs, given as ``MatchedPair``
+    values or as ``PairColumns``.
 
     ATE: mean BEV center distance. ASE: one minus the product of
     per-dimension min/max ratios. AOE: mean absolute yaw difference wrapped
@@ -306,47 +283,43 @@ def tp_error_means(pairs: Sequence[MatchedPair],
     rate; both require the optional fields on every pair. A mean that is not
     a finite number (or a sum that overflows) is a ValueError.
 
-    ASE and AOE come from the pairs' boxes as float64 arrays, built once per
-    call: the ratios multiply in length, height, width order, and only a yaw
-    difference outside (-pi, pi] goes through ``wrap_angle``.
+    The errors come from the pairs' float64 columns: the ratios multiply in
+    length, height, width order, only a yaw difference outside (-pi, pi]
+    goes through ``wrap_angle``, and a velocity error is ``math.hypot`` of
+    the differences.
     """
-    if not pairs:
+    pairs = pair_columns(pairs)
+    if not len(pairs.distances):
         raise ValueError("tp_error_means needs at least one matched pair")
     means: Dict[str, float] = {}
-    boxes = None
+    p, g = pairs.pred_boxes.T, pairs.gt_boxes.T
     for measure in measures:
         measure = measure.upper()
-        if measure == "ATE":
-            values = [pair.center_distance for pair in pairs]
-        elif measure in ("ASE", "AOE"):
-            if boxes is None:
-                boxes = (box_rows([pair.detection.box for pair in pairs]),
-                         box_rows([pair.annotation.box for pair in pairs]))
-            p, g = boxes
-            if measure == "ASE":
+        with np.errstate(all="ignore"):
+            if measure == "ATE":
+                values = pairs.distances.tolist()
+            elif measure == "ASE":
                 ratio = np.minimum(p[3:6], g[3:6]) / np.maximum(p[3:6], g[3:6])
                 values = (1.0 - ratio[0] * ratio[1] * ratio[2]).tolist()
-            else:
+            elif measure == "AOE":
                 diff = p[6] - g[6]
                 wrap = (diff <= -math.pi) | (diff > math.pi)
                 if wrap.any():
                     diff[wrap] = map_math(wrap_angle, diff[wrap])
                 values = np.abs(diff).tolist()
-        elif measure == "AVE":
-            if any(pair.detection.velocity is None or pair.annotation.velocity is None
-                   for pair in pairs):
-                raise MissingAnnotationField("AVE requested but velocity missing")
-            values = [math.hypot(pair.detection.velocity[0] - pair.annotation.velocity[0],
-                                 pair.detection.velocity[1] - pair.annotation.velocity[1])
-                      for pair in pairs]
-        elif measure == "AAE":
-            if any(pair.detection.attribute is None or pair.annotation.attribute is None
-                   for pair in pairs):
-                raise MissingAnnotationField("AAE requested but attribute missing")
-            values = [0.0 if pair.detection.attribute == pair.annotation.attribute else 1.0
-                      for pair in pairs]
-        else:
-            raise ValueError(f"unknown TP measure {measure!r}")
+            elif measure == "AVE":
+                pv, gv = pairs.pred_velocities, pairs.gt_velocities
+                if pv is None or gv is None or np.isnan(pv).any() or np.isnan(gv).any():
+                    raise MissingAnnotationField("AVE requested but velocity missing")
+                values = map_math(math.hypot, pv[:, 0] - gv[:, 0],
+                                  pv[:, 1] - gv[:, 1]).tolist()
+            elif measure == "AAE":
+                pa, ga = pairs.pred_attributes, pairs.gt_attributes
+                if pa is None or ga is None or None in pa.tolist() or None in ga.tolist():
+                    raise MissingAnnotationField("AAE requested but attribute missing")
+                values = [0.0 if a == b else 1.0 for a, b in zip(pa.tolist(), ga.tolist())]
+            else:
+                raise ValueError(f"unknown TP measure {measure!r}")
         try:
             means[measure] = math.fsum(values) / len(values)
         except OverflowError:
@@ -374,9 +347,11 @@ def usc_nds(nds_value: float, mausc: float) -> float:
     return (nds_value + mausc) / 2.0
 
 
-def aggregate_usc(pairs: Sequence[MatchedPair]) -> Tuple[Optional[float], int]:
+def aggregate_usc(pairs: Union[Sequence[MatchedPair], PairColumns]
+                  ) -> Tuple[Optional[float], int]:
     """The average USC score (``usc_batch``) of one (class, bucket) slice's
-    matched pairs, and how many pairs were excluded from it.
+    matched pairs, given as ``MatchedPair`` values or as ``PairColumns``,
+    and how many pairs were excluded from it.
 
     Pairs whose constraint evaluation is undefined (a box corner behind the
     camera plane, or a ground truth with no PV area) are excluded and
@@ -384,11 +359,11 @@ def aggregate_usc(pairs: Sequence[MatchedPair]) -> Tuple[Optional[float], int]:
     None AUSC. The report's mAUSC is built from these in ``_bucket_summary``.
     ``evaluate`` calls it per non-empty slice, just before ``tp_error_means``.
     """
-    usc, reason = usc_batch([pair.detection.box for pair in pairs],
-                            [pair.annotation.box for pair in pairs])
+    pairs = pair_columns(pairs)
+    usc, reason = usc_batch(pairs.pred_boxes, pairs.gt_boxes)
     scores = usc[reason == 0].tolist()
     return (math.fsum(scores) / len(scores) if scores else None,
-            len(pairs) - len(scores))
+            len(usc) - len(scores))
 
 
 def _deviations(values: Sequence[float]) -> List[float]:
@@ -435,32 +410,33 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 _CHUNK_CAP = 2048
 
 
-def _chunks(frames):
-    """The frames in runs of whole frames, in order, each run with at most
-    _CHUNK_CAP objects unless one frame alone has more."""
-    chunk, size = [], 0
-    for frame in frames:
-        count = len(frame.ground_truths) + len(frame.predictions)
-        if chunk and size + count > _CHUNK_CAP:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(frame)
+def _chunks(data: Dataset):
+    """The frames of ``data`` in runs of whole frames, in order, each run,
+    (first frame, end frame), with at most _CHUNK_CAP objects unless one
+    frame alone has more."""
+    counts = np.diff(data.ground_truths.offsets) + np.diff(data.predictions.offsets)
+    first, size = 0, 0
+    for frame, count in enumerate(counts.tolist()):
+        if frame > first and size + count > _CHUNK_CAP:
+            yield first, frame
+            first, size = frame, 0
         size += count
-    if chunk:
-        yield chunk
+    if len(counts) > first:
+        yield first, len(counts)
 
 
-def _flatten(objects, frame_counts, rank, edges):
-    """Per object of a chunk: the x and z of its box, its group (frame index
-    times the number of classes, plus the rank of its class) and its bucket
-    index, -1 outside every bucket. ``searchsorted`` over the edges ``near0,
-    far0, near1, ...`` is the bisection of ``ProtocolConfig.bucket_index``."""
-    rows = box_rows([o.box for o in objects])
-    x, z = rows[0], rows[2]
-    frame = np.repeat(np.arange(len(frame_counts)), frame_counts)
-    classes = np.fromiter([rank[o.class_name] for o in objects], np.int64, len(objects))
+def _flatten(objects: Objects, first: int, end: int, n_classes: int, edges):
+    """Per object of frames ``first`` to ``end``: the x and z of its box, its
+    group (frame index in the run times the number of classes, plus its
+    class code) and its bucket index, -1 outside every bucket.
+    ``searchsorted`` over the edges ``near0, far0, near1, ...`` is the
+    bisection of ``ProtocolConfig.bucket_index``."""
+    offsets = objects.offsets[first:end + 1]
+    rows = slice(offsets[0], offsets[-1])
+    x, z = objects.boxes[rows, 0], objects.boxes[rows, 2]
+    frame = np.repeat(np.arange(end - first), np.diff(offsets))
     i = np.searchsorted(edges, map_math(math.hypot, x, z), side="right")
-    return x, z, frame * len(rank) + classes, np.where(i & 1, i >> 1, -1)
+    return x, z, frame * n_classes + objects.classes[rows], np.where(i & 1, i >> 1, -1)
 
 
 def _candidate_table(px, pz, p_group, gx, gz, g_group, reach: float):
@@ -521,78 +497,73 @@ def _greedy(order, det, ann, eligible, n_dets: int) -> np.ndarray:
     return np.array(match, dtype=np.int64)
 
 
-def _collect(lists, keys, codes, objects):
-    """Append each object to the list of ``lists`` under ``keys[code]``."""
-    for code, obj in zip(codes.tolist(), objects):
-        lists.setdefault(keys[code], []).append(obj)
-
-
-def _match_chunk(chunk, config: ProtocolConfig, ap_thresholds, reach: float,
-                 out, codes):
-    """Match one chunk of whole frames (see ``_walk``). Appends its pairs,
-    false positives and false negatives to the dicts ``out`` and returns its
-    detections' AP labels; ``codes``, class name -> class code, gains the
-    chunk's new classes."""
-    pairs, fps, fns = out
-    anns = [a for frame in chunk for a in frame.ground_truths]
-    dets = [d for frame in chunk for d in frame.predictions]
-    names = sorted({o.class_name for o in chain(anns, dets)})
-    rank = dict(zip(names, range(len(names))))
+def _match_chunk(data: Dataset, first: int, end: int, config: ProtocolConfig,
+                 ap_thresholds, reach: float) -> tuple:
+    """Match frames ``first`` to ``end`` of ``data`` (see ``_walk``). Returns
+    its pairs as (key, prediction row, ground-truth row, distance) arrays, its
+    false positives as (key, prediction row), its false negatives as (key,
+    ground-truth row), and its detections' AP labels. A key is the class code
+    times the number of buckets plus the bucket."""
+    gts, preds = data.ground_truths, data.predictions
+    n_classes, n_buckets = len(data.class_names), len(config.range_buckets)
     edges = np.array(config._edges)
-    gx, gz, g_group, g_bucket = _flatten(
-        anns, [len(frame.ground_truths) for frame in chunk], rank, edges)
+    gx, gz, g_group, g_bucket = _flatten(gts, first, end, n_classes, edges)
     inside = g_bucket >= 0
-    anns = list(compress(anns, inside.tolist()))
+    g_row = gts.offsets[first] + np.flatnonzero(inside)
     gx, gz, g_group, g_bucket = gx[inside], gz[inside], g_group[inside], g_bucket[inside]
-    px, pz, p_group, p_bucket = _flatten(
-        dets, [len(frame.predictions) for frame in chunk], rank, edges)
-    score = np.array([d.score for d in dets], dtype=np.float64)
+    px, pz, p_group, p_bucket = _flatten(preds, first, end, n_classes, edges)
+    p_first, n_dets = preds.offsets[first], len(px)
+    score = preds.scores[p_first:p_first + n_dets]
 
     det, ann, dist = _candidate_table(px, pz, p_group, gx, gz, g_group, reach)
     order = np.lexsort((-score, p_group))
     eligible = dist <= np.array(config.match_thresholds)[g_bucket[ann]]
-    match = _greedy(order, det, ann, eligible, len(dets))
+    match = _greedy(order, det, ann, eligible, n_dets)
 
-    # a (class, bucket) key's code: class rank * number of buckets + bucket
-    n_buckets = len(config.range_buckets)
-    key_of = [(name, b) for name in names for b in range(n_buckets)]
-    p_key = p_group % len(names) * n_buckets
+    p_code = p_group % n_classes * n_buckets
     hit = match >= 0
     won = order[hit[order]]
     entry = match[won]
-    _collect(pairs, key_of, p_key[won] + g_bucket[ann[entry]],
-             map(MatchedPair, [dets[i] for i in won.tolist()],
-                 [anns[j] for j in ann[entry].tolist()], dist[entry].tolist()))
+    pairs = (p_code[won] + g_bucket[ann[entry]], p_first + won, g_row[ann[entry]],
+             dist[entry])
     by_group = np.argsort(p_group, kind="stable")
     fp = by_group[~hit[by_group] & (p_bucket[by_group] >= 0)]
-    _collect(fps, key_of, p_key[fp] + p_bucket[fp], [dets[i] for i in fp.tolist()])
-    missed = np.ones(len(anns), dtype=bool)
+    missed = np.ones(len(gx), dtype=bool)
     missed[ann[entry]] = False
     by_group = np.argsort(g_group, kind="stable")
     fn = by_group[missed[by_group]]
-    _collect(fns, key_of, g_group[fn] % len(names) * n_buckets + g_bucket[fn],
-             [anns[j] for j in fn.tolist()])
 
-    code = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
-    p_code = code[p_group % len(names)] * n_buckets
-    keys = np.empty((len(ap_thresholds), len(dets)), dtype=np.int64)
+    keys = np.empty((len(ap_thresholds), n_dets), dtype=np.int64)
     hits = np.empty(keys.shape, dtype=bool)
     for row, t in enumerate(ap_thresholds):
         at_t = dist <= t
         redo = np.isin(p_group, p_group[det[at_t != eligible]])
-        t_match = np.where(redo, _greedy(order, det, ann, at_t & redo[det], len(dets)), match)
+        t_match = np.where(redo, _greedy(order, det, ann, at_t & redo[det], n_dets), match)
         hits[row] = t_hit = t_match >= 0
         bucket = p_bucket.copy()
         bucket[t_hit] = g_bucket[ann[t_match[t_hit]]]
         keys[row] = np.where(bucket >= 0, p_code + bucket, -1)
-    return score, keys, hits
+    return (*pairs, p_code[fp] + p_bucket[fp], p_first + fp,
+            g_group[fn] % n_classes * n_buckets + g_bucket[fn], g_row[fn],
+            score, keys, hits)
 
 
-def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
-    """The match walk. Returns, per (class, bucket), the protocol pairs, false
-    positives and false negatives, each list in frame, then class, then
-    detection score or input order; and the AP labels: the class names by
-    code, each detection's score, and per AP threshold each detection's key
+def _by_key(keys, names, n_buckets: int, *arrays) -> dict:
+    """The entries with a key of at least 0, keyed by (class name, bucket),
+    each as the tuple of its parts of ``arrays`` in their order."""
+    keep = np.flatnonzero(keys >= 0)
+    order = keep[np.argsort(keys[keep], kind="stable")]
+    codes, starts = np.unique(keys[order], return_index=True)
+    parts = zip(*(np.split(array[order], starts[1:]) for array in arrays))
+    return {(names[code // n_buckets], code % n_buckets): part
+            for code, part in zip(codes.tolist(), parts)}
+
+
+def _walk(data: Dataset, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
+    """The match walk. Returns, per (class, bucket), the protocol pairs as a
+    ``PairIndex``, and the rows of the false positives and of the false
+    negatives, each in frame, then detection score or input order; and the AP
+    labels: each detection's score, and per AP threshold each detection's key
     (class code * number of buckets + bucket, -1 for no label) and whether it
     is a TP. Every in-range annotation ends up in a pair or as a false
     negative.
@@ -606,30 +577,54 @@ def _walk(frames, config: ProtocolConfig, ap_thresholds: Tuple[float, ...]):
     t only the groups with an entry whose ``d <= t`` and ``d <= limit``
     disagree are matched again, at t; in every other group each entry is
     eligible under both or neither, so the greedy match is the same."""
-    out = {}, {}, {}
-    codes: Dict[str, int] = {}
     reach = max(config.match_thresholds + ap_thresholds)
     rows = len(ap_thresholds)
-    labels = [(np.empty(0), np.empty((rows, 0), dtype=np.int64),
-               np.empty((rows, 0), dtype=bool))]
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.empty(0), empty, empty, empty, empty, np.empty(0),
+              np.empty((rows, 0), dtype=np.int64), np.empty((rows, 0), dtype=bool))]
     with np.errstate(all="ignore"):
-        for chunk in _chunks(frames):
-            labels.append(_match_chunk(chunk, config, ap_thresholds, reach, out, codes))
-    scores, keys, hits = (np.concatenate(parts, axis=-1) for parts in zip(*labels))
-    return (*out, (list(codes), scores, keys, hits))
+        for first, end in _chunks(data):
+            parts.append(_match_chunk(data, first, end, config, ap_thresholds, reach))
+    (pair_keys, det, ann, dist, fp_keys, fp, fn_keys, fn,
+     scores, keys, hits) = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    del parts
+    names, n_buckets = data.class_names, len(config.range_buckets)
+    pairs = {key: PairIndex(*part)
+             for key, part in _by_key(pair_keys, names, n_buckets, det, ann, dist).items()}
+    fps = {key: rows for key, (rows,) in _by_key(fp_keys, names, n_buckets, fp).items()}
+    fns = {key: rows for key, (rows,) in _by_key(fn_keys, names, n_buckets, fn).items()}
+    return pairs, fps, fns, (scores, keys, hits)
+
+
+def matched_indices(frames, config: ProtocolConfig):
+    """``matched_pairs`` as rows of ``as_dataset(frames)``: per (class,
+    bucket) the pairs as a ``PairIndex``, and the prediction rows of the false
+    positives and the ground-truth rows of the false negatives, as arrays."""
+    return _walk(as_dataset(frames), config, ())[:3]
 
 
 def matched_pairs(frames, config: ProtocolConfig):
     """Match every frame, each annotation at its own bucket's threshold;
     annotations outside all buckets are dropped. Returns per (class, bucket):
     matched pairs, false positives, false negatives, each list in frame order
-    and, within a frame, in descending score (pairs) or input order.
+    and, within a frame, in descending score (pairs) or input order. The
+    objects are those of ``frames``.
 
-    The one public entry point to the matcher, whose walk (``_walk``) takes
-    chunks of whole frames in array passes. To match at a single threshold,
-    give the config one bucket that covers every object and that
-    threshold."""
-    return _walk(frames, config, ())[:3]
+    Built on ``matched_indices``, the one public entry point to the
+    matcher, whose walk (``_walk``) takes chunks of whole frames in array
+    passes. To match at a single threshold, give the config one bucket that
+    covers every object and that threshold."""
+    if not isinstance(frames, Dataset):
+        frames = list(frames)
+    pairs, fps, fns = matched_indices(frames, config)
+    anns = [a for frame in frames for a in frame.ground_truths]
+    dets = [d for frame in frames for d in frame.predictions]
+    return ({key: list(map(MatchedPair, map(dets.__getitem__, p.detections.tolist()),
+                           map(anns.__getitem__, p.annotations.tolist()),
+                           p.distances.tolist()))
+             for key, p in pairs.items()},
+            {key: list(map(dets.__getitem__, rows.tolist())) for key, rows in fps.items()},
+            {key: list(map(anns.__getitem__, rows.tolist())) for key, rows in fns.items()})
 
 
 def _mean_or_none(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -670,25 +665,34 @@ def _bucket_summary(slices: Sequence[ClassBucketMetrics],
                          usc_nds=blended, tp_errors=errors, **_counts(slices))
 
 
+def pair_error(exc: ValueError, kernel, data: Dataset, detections: np.ndarray,
+               preds: np.ndarray, gts: np.ndarray, class_name: str) -> ValueError:
+    """The ValueError ``exc`` that a batch kernel raised on the box pairs
+    ``preds`` and ``gts`` of one class, whose predictions are the rows
+    ``detections`` of ``data``, as a ValueError that starts with the class
+    and the frame of the first pair on which the kernel raises."""
+    row = detections[first_failing_pair(kernel, preds, gts)]
+    frame_id = data.frame_ids[data.predictions.frame_of(row)]
+    return ValueError(f"class {class_name!r} in frame {frame_id!r}: {exc}")
+
+
 def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport:
     """Run the full range-bucketed protocol over a dataset.
 
-    ``frames`` is a sequence of FrameRecord values (see the io module).
-    The report lists every class with an in-range ground truth or
-    prediction, so a class seen only in predictions shows its false
-    positives. Undefined metrics stay None; they are never silently zeroed.
+    ``frames`` is a ``Dataset``; any other iterable of ``FrameRecord``
+    values is taken as its ``as_dataset``. The report lists every class with
+    an in-range ground truth or prediction, so a class seen only in
+    predictions shows its false positives. Undefined metrics stay None; they
+    are never silently zeroed. A pair on which the USC kernel raises
+    ValueError raises it again, naming the pair's frame and class.
     """
-    frames = list(frames)
-    pairs, fps, fns, (names, scores, keys, hits) = _walk(
-        frames, config, config.ap_distance_thresholds)
+    data = as_dataset(frames)
+    pairs, fps, fns, (scores, keys, hits) = _walk(
+        data, config, config.ap_distance_thresholds)
     n_buckets = len(config.range_buckets)
-    labeled = {}
-    for t, t_keys, t_hits in zip(config.ap_distance_thresholds, keys, hits):
-        order = np.argsort(t_keys, kind="stable")
-        codes, starts = np.unique(t_keys[order], return_index=True)
-        parts = np.split(np.column_stack((scores, t_hits))[order], starts[1:])
-        labeled[t] = {(names[code // n_buckets], code % n_buckets): part
-                      for code, part in zip(codes.tolist(), parts) if code >= 0}
+    labeled = {t: {key: part for key, (part,) in _by_key(
+        t_keys, data.class_names, n_buckets, np.column_stack((scores, t_hits))).items()}
+        for t, t_keys, t_hits in zip(config.ap_distance_thresholds, keys, hits)}
     classes = sorted({class_name for class_name, _ in [*pairs, *fps, *fns]})
     per_class = {class_name: {} for class_name in classes}
     per_bucket = {}
@@ -697,12 +701,18 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
         slices = []
         for class_name in classes:
             key = (class_name, b)
-            class_pairs = pairs.get(key, [])
-            n_fn = len(fns.get(key, []))
-            n_gt = len(class_pairs) + n_fn
-            if class_pairs:
-                ausc, excluded = aggregate_usc(class_pairs)
-                errors = tp_error_means(class_pairs, config.tp_measures)
+            n_tp = len(pairs[key].detections) if key in pairs else 0
+            n_fn = len(fns.get(key, ()))
+            n_gt = n_tp + n_fn
+            if n_tp:
+                columns = _pair_rows(data, pairs[key])
+                try:
+                    ausc, excluded = aggregate_usc(columns)
+                except ValueError as exc:
+                    raise pair_error(exc, usc_batch, data, pairs[key].detections,
+                                     columns.pred_boxes, columns.gt_boxes,
+                                     class_name) from exc
+                errors = tp_error_means(columns, config.tp_measures)
             else:
                 # worst case for a present class with nothing matched;
                 # undefined for a class absent from the bucket
@@ -711,8 +721,8 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
             metrics = ClassBucketMetrics(
                 ap={d: average_precision(labeled[d].get(key, ()), n_gt)
                     for d in config.ap_distance_thresholds},
-                tp_errors=errors, ausc=ausc, tp=len(class_pairs),
-                fp=len(fps.get(key, [])), fn=n_fn, usc_excluded=excluded)
+                tp_errors=errors, ausc=ausc, tp=n_tp,
+                fp=len(fps.get(key, ())), fn=n_fn, usc_excluded=excluded)
             per_class[class_name][label] = metrics
             slices.append(metrics)
         per_bucket[label] = _bucket_summary(slices, config)
@@ -729,5 +739,5 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
     return MetricsReport(
         range_buckets=list(config.range_buckets), classes=classes,
         ap_distance_thresholds=list(config.ap_distance_thresholds),
-        tp_measures=list(config.tp_measures), frames=len(frames),
+        tp_measures=list(config.tp_measures), frames=len(data),
         per_class=per_class, per_bucket=per_bucket, overall=overall)

@@ -8,7 +8,7 @@ The autonomous vehicle (AV) sits at the origin of a right-handed frame with
 length along ``x`` at zero yaw, height along ``y``, width along ``z``, and
 yaw as rotation about the ``y`` axis.
 
-A ``Box3D``, like the evaluation module's ``Annotation`` and ``Detection``,
+A ``Box3D``, like the dataset module's ``Annotation`` and ``Detection``,
 is a validated tuple: a subclass of a ``typing.NamedTuple`` whose
 ``__new__`` checks the values on every construction, whether by call,
 ``_make``, ``_replace``, ``copy`` or ``pickle``. It has no ``__dict__``, and
@@ -492,7 +492,7 @@ _SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
 _CLIP_SLOTS = 8
 
 
-def pair_batches(chunk, preds: Sequence[Box3D], gts: Sequence[Box3D]) -> tuple:
+def pair_batches(chunk, preds: Sequence, gts: Sequence) -> tuple:
     """Run a batch kernel's ``chunk`` on consecutive slices of at most
     BATCH_CAP prediction / ground-truth pairs, in pair order, with numpy's
     floating-point warnings off, and join each array it returns. With no
@@ -507,6 +507,23 @@ def pair_batches(chunk, preds: Sequence[Box3D], gts: Sequence[Box3D]) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def first_failing_pair(kernel, preds: np.ndarray, gts: np.ndarray) -> int:
+    """The index of the first pair on which a batch kernel raises
+    ValueError, given that it raises on ``preds`` and ``gts``. A kernel
+    decides its pairs in order and raises on the first that fails, so it
+    raises on a prefix of the pairs exactly when the prefix holds that pair:
+    a bisection over prefixes finds it."""
+    passes, raises = 0, len(preds)
+    while raises - passes > 1:
+        middle = (passes + raises) // 2
+        try:
+            kernel(preds[:middle], gts[:middle])
+            passes = middle
+        except ValueError:
+            raises = middle
+    return raises - 1
+
+
 def map_math(fn, *arrays) -> np.ndarray:
     """Apply a scalar ``math`` function elementwise. numpy's own hypot,
     arctan2 and power differ from ``math`` in the last bit on some inputs,
@@ -516,16 +533,20 @@ def map_math(fn, *arrays) -> np.ndarray:
     return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
 
 
-def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
-    """The (7, n) float64 array of n boxes' values, one row per field."""
+def box_array(boxes) -> np.ndarray:
+    """n boxes as an (n, 7) float64 array, one row of values per box: an
+    array as it is, any other sequence of 7-tuples (``Box3D``) by value."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
     return np.fromiter(chain.from_iterable(boxes), np.float64,
-                       7 * len(boxes)).reshape(-1, 7).T
+                       7 * len(boxes)).reshape(-1, 7)
 
 
-def corner_arrays(boxes: Sequence[Box3D]):
-    """(n, 8) arrays of the x, y and z corner coordinates of each box: the
-    array form of ``box_corners``, the same floats in the same order."""
-    cx, cy, cz, length, height, width, yaw = box_rows(boxes)
+def corner_arrays(boxes):
+    """(n, 8) arrays of the x, y and z corner coordinates of each box, given
+    as ``box_array`` takes them: the array form of ``box_corners``, the same
+    floats in the same order."""
+    cx, cy, cz, length, height, width, yaw = box_array(boxes).T
     c, s = map_math(math.cos, yaw), map_math(math.sin, yaw)
     # (hx * c) * -1 is box_corners' -hx * c, as negation is exact; y comes
     # last, so that no more than x, z and one product are held at once
@@ -630,13 +651,13 @@ def _iogt3d_chunk(preds, gts) -> tuple:
     finite = np.isfinite(np.hstack([px, pz, gx, gz])).all(axis=1)
     scalar = ~(finite & (volume != 0.0)) | overflow
     for row in np.flatnonzero(scalar):
-        value[row] = iogt3d(preds[row], gts[row])
+        value[row] = iogt3d(Box3D(*preds[row].tolist()), Box3D(*gts[row].tolist()))
     return (value,)
 
 
-def iogt3d_batch(preds: Sequence[Box3D], gts: Sequence[Box3D]) -> np.ndarray:
-    """``iogt3d`` of many prediction / ground-truth pairs at once, run by
-    ``pair_batches``.
+def iogt3d_batch(preds, gts) -> np.ndarray:
+    """``iogt3d`` of many prediction / ground-truth pairs at once, given as
+    ``box_array`` takes them, run by ``pair_batches``.
 
     Returns a float64 array whose every value equals, bit for bit, what
     ``iogt3d`` gives for that pair: the kernel repeats its arithmetic in the
@@ -646,4 +667,4 @@ def iogt3d_batch(preds: Sequence[Box3D], gts: Sequence[Box3D]) -> np.ndarray:
     first such pair raises the same error here; and a clip that ran out of
     slots. Every other pair, a sliver's included, is scored in the arrays.
     """
-    return pair_batches(_iogt3d_chunk, preds, gts)[0]
+    return pair_batches(_iogt3d_chunk, box_array(preds), box_array(gts))[0]

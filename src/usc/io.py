@@ -8,16 +8,20 @@ Dataset files are UTF-8 line-delimited JSON, one frame per line::
                         "velocity"?: [vx, vz], "attribute"?: str}, ...],
      "predictions":   [same fields plus "score": float]}
 
-One parser reads each line: the frame's own fields first, then its objects
-in order. Each object is checked whole at once and built in the same step,
-building no field path and no list of its numbers: its JSON shape here (list
-lengths, and no bool where a number goes), and its values by the
-constructors of ``Box3D``, ``Annotation`` and ``Detection``, which store
-values that are already floats as given and convert and check any other
-value by their one rule. An object that check does not vouch for
-is parsed field by field, which raises the error with its type, message,
-field path and line number. Bytes that are not UTF-8 are a ParseError at
-their line.
+``load_dataset`` reads them into a ``Dataset``: arrays of the boxes,
+class codes, scores, frame offsets, velocities and attributes, built line by
+line by a ``DatasetBuilder`` without building an object. A line's JSON shape
+is checked in Python as its values are appended (``add_plain_frame``):
+lists of the right length, a number that is not a bool where one goes, a
+non-empty class, a string attribute, a finite velocity. The value rules of
+``Box3D`` and ``Detection`` (finite numbers, positive sizes, a score in
+[0, 1], then ``wrap_angle`` on a yaw outside (-pi, pi]) run as one array
+check per block of lines. A line that fails either check is parsed again
+object by object (``_parse_frame``), which raises the error with its type,
+message, field path and line number. Before the loader raises at a line it
+checks the lines before it, so the first faulty line names the error. Bytes
+that are not UTF-8 are a ParseError at their line. ``merge_datasets`` joins
+two datasets by gathering their columns.
 
 Configs, synthetic specs and reports are single JSON documents, each checked
 against the type hints of its dataclasses (``ProtocolConfig`` with
@@ -55,21 +59,14 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
-from .errors import ParseError, SchemaError
-from .evaluation import (Annotation, Detection, MetricsReport, ProtocolConfig,
-                         ap_label, bucket_label)
+import numpy as np
+
+from .dataset import (Annotation, Dataset, DatasetBuilder, Detection,
+                      FrameRecord, as_dataset)
+from .errors import ParseError, SchemaError, UscError
+from .evaluation import MetricsReport, ProtocolConfig, ap_label, bucket_label
 from .geometry import Box3D
 from .loss import LossConfig
-
-
-@dataclass
-class FrameRecord:
-    """One frame's ground truths and predictions."""
-
-    frame_id: str
-    ground_truths: List[Annotation]
-    predictions: List[Detection]
-
 
 # --- dataset parsing ---------------------------------------------------------
 
@@ -159,36 +156,6 @@ def _parse_object(obj, path: str, with_score: bool):
     return Annotation(class_name, box, velocity, attribute)
 
 
-def _vouched(obj, with_score: bool):
-    """One dataset object as ``_parse_object`` builds it, or None exactly when
-    that raises, from a check that builds no field path. Only the JSON shape is
-    checked here (an object, list lengths, no bool where a number goes); the
-    constructors check the values, and reject every other non-number."""
-    if type(obj) is not dict:
-        return None
-    center, size, velocity = obj.get("center"), obj.get("size"), obj.get("velocity")
-    if (type(center) is not list or len(center) != 3
-            or type(size) is not list or len(size) != 3
-            or velocity is not None and (type(velocity) is not list
-                                         or len(velocity) != 2)):
-        return None
-    x, y, z = center
-    length, height, width = size
-    yaw, score = obj.get("yaw"), obj.get("score") if with_score else None
-    vx, vz = velocity or (None, None)
-    if bool in (type(x), type(y), type(z), type(length), type(height),
-                type(width), type(yaw), type(score), type(vx), type(vz)):
-        return None
-    class_name, attribute = obj.get("class"), obj.get("attribute")
-    try:
-        box = Box3D(x, y, z, length, height, width, yaw)
-        if with_score:
-            return Detection(class_name, box, score, velocity, attribute)
-        return Annotation(class_name, box, velocity, attribute)
-    except ValueError:
-        return None
-
-
 def _parse_frame(obj, path: str) -> FrameRecord:
     if not isinstance(obj, dict):
         raise SchemaError("expected a JSON object", path)
@@ -201,37 +168,69 @@ def _parse_frame(obj, path: str) -> FrameRecord:
         raise SchemaError("'ground_truths' must be a list", f"{path}.ground_truths")
     if not isinstance(preds_raw, list):
         raise SchemaError("'predictions' must be a list", f"{path}.predictions")
-    gts = [_vouched(g, False)
-           or _parse_object(g, f"{path}.ground_truths[{i}]", with_score=False)
+    gts = [_parse_object(g, f"{path}.ground_truths[{i}]", with_score=False)
            for i, g in enumerate(gts_raw)]
-    preds = [_vouched(p, True)
-             or _parse_object(p, f"{path}.predictions[{i}]", with_score=True)
+    preds = [_parse_object(p, f"{path}.predictions[{i}]", with_score=True)
              for i, p in enumerate(preds_raw)]
     return FrameRecord(frame_id, gts, preds)
 
 
-def load_dataset(path) -> List[FrameRecord]:
-    """Load a line-delimited dataset; blank lines are ignored.
+def _check_values(builder: DatasetBuilder, pending: List[Tuple[int, str]]) -> None:
+    """Check the values of the objects added to ``builder`` since the last
+    check (``DatasetBuilder.check``); ``pending`` holds the (line number,
+    text) of each frame added since then. The first line with an object that
+    breaks a rule is parsed again by ``_parse_frame``, which raises its first
+    error."""
+    frame = builder.check()
+    if frame is not None:
+        lineno, text = pending[frame - len(builder.frame_ids) + len(pending)]
+        _parse_frame(_decode(text, lineno), f"line {lineno}")
+
+
+#: Objects that ``load_dataset`` appends between two value checks: the
+#: pending frames' line texts are kept until their check.
+_CHECK_BLOCK = 2048
+
+
+def load_dataset(path) -> Dataset:
+    """Load a line-delimited dataset as a ``Dataset``; blank lines are
+    ignored.
 
     Raises ParseError (with the 1-based line number) on invalid UTF-8 and
     malformed JSON, and SchemaError (with the offending field path) on
-    structural problems.
+    structural problems: the errors, and their order, of loading each line
+    as ``FrameRecord`` values by ``_parse_frame``. The value checks of a
+    block of lines run at once (``_check_values``), and before an error of a
+    later line is raised, so the first faulty line names the error.
     """
-    frames: List[FrameRecord] = []
+    builder = DatasetBuilder()
     seen = set()
+    pending: List[Tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(line, lineno)
-            if not line.strip():
-                continue
-            frame = _parse_frame(_decode(line, lineno), f"line {lineno}")
-            if frame.frame_id in seen:
-                raise SchemaError(f"duplicate frame_id '{frame.frame_id}'",
-                                  f"line {lineno}.frame_id")
-            seen.add(frame.frame_id)
-            frames.append(frame)
-    return frames
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.isascii():
+                    _check_utf8(line, lineno)
+                if not line.strip():
+                    continue
+                obj = _decode(line, lineno)
+                if not builder.add_plain_frame(obj):
+                    builder.add_frame(_parse_frame(obj, f"line {lineno}"))
+                pending.append((lineno, line))
+                frame_id = builder.frame_ids[-1]
+                if frame_id in seen:
+                    raise SchemaError(f"duplicate frame_id '{frame_id}'",
+                                      f"line {lineno}.frame_id")
+                seen.add(frame_id)
+                if builder.unchecked >= _CHECK_BLOCK:
+                    _check_values(builder, pending)
+                    pending = []
+        except UscError:
+            # the lines before this one are checked first: their error comes first
+            _check_values(builder, pending)
+            raise
+    _check_values(builder, pending)
+    return builder.build()
 
 
 def _object_to_dict(obj) -> dict:
@@ -263,23 +262,25 @@ def save_dataset(frames: Sequence[FrameRecord], path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def merge_datasets(gt_frames: Sequence[FrameRecord],
-                   pred_frames: Sequence[FrameRecord]) -> List[FrameRecord]:
-    """Join ground-truth and prediction files on frame_id.
+def merge_datasets(gt_frames, pred_frames) -> Dataset:
+    """Join ground-truth and prediction datasets on frame_id: the ground
+    truths of the first and the predictions of the second, gathered as
+    columns (any other sequence of frames is taken as its ``as_dataset``).
 
     Frames present in only one input keep an empty other side; ordering
     follows the ground-truth file, with prediction-only frames appended.
     """
-    preds_by_id = {f.frame_id: f for f in pred_frames}
-    merged: List[FrameRecord] = []
-    for frame in gt_frames:
-        other = preds_by_id.pop(frame.frame_id, None)
-        merged.append(FrameRecord(frame.frame_id, list(frame.ground_truths),
-                                  list(other.predictions) if other else []))
-    for frame in pred_frames:
-        if frame.frame_id in preds_by_id:
-            merged.append(FrameRecord(frame.frame_id, [], list(frame.predictions)))
-    return merged
+    gts, preds = as_dataset(gt_frames), as_dataset(pred_frames)
+    pred_of = {frame_id: i for i, frame_id in enumerate(preds.frame_ids)}
+    joined = [pred_of.pop(frame_id, -1) for frame_id in gts.frame_ids]
+    only_preds = [i for i, frame_id in enumerate(preds.frame_ids) if frame_id in pred_of]
+    codes = {name: code for code, name in enumerate(gts.class_names)}
+    remap = np.array([codes.setdefault(name, len(codes)) for name in preds.class_names],
+                     dtype=np.int64)
+    return Dataset(gts.frame_ids + tuple(preds.frame_ids[i] for i in only_preds),
+                   tuple(codes),
+                   gts.ground_truths.take([*range(len(gts)), *[-1] * len(only_preds)]),
+                   preds.predictions.take(joined + only_preds, remap))
 
 
 # --- typed JSON codec --------------------------------------------------------

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .geometry import (Box3D, box_rows, iogt3d, iogt3d_batch, map_math,
+from .geometry import (Box3D, box_array, iogt3d, iogt3d_batch, map_math,
                        pair_batches, wrap_angle)
 
 #: Index of the yaw parameter inside the 7-tuple.
@@ -90,11 +90,11 @@ def safety_loss(p: Box3D, g: Box3D, config: LossConfig = LossConfig()) -> float:
     return config.blend(accuracy, iogt_loss(p, g))
 
 
-def safety_loss_batch(preds: Sequence[Box3D], gts: Sequence[Box3D],
-                      config: LossConfig = LossConfig()
+def safety_loss_batch(preds, gts, config: LossConfig = LossConfig()
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``smooth_l1``, ``iogt_loss`` and ``safety_loss`` of many prediction /
-    ground-truth pairs, as three float64 arrays, run by ``pair_batches``.
+    ground-truth pairs, given as ``box_array`` takes them, as three float64
+    arrays, run by ``pair_batches``.
 
     Every value equals, bit for bit, what the one-pair function gives for
     that pair: the arithmetic is theirs, in the same order, and only a yaw
@@ -102,7 +102,7 @@ def safety_loss_batch(preds: Sequence[Box3D], gts: Sequence[Box3D],
     on which ``iogt3d`` raises raises the same error here.
     """
     def chunk(p_boxes, g_boxes):
-        residual = box_rows(p_boxes) - box_rows(g_boxes)
+        residual = (p_boxes - g_boxes).T
         if config.yaw_wrapping:
             yaw = residual[_YAW_INDEX]
             wrap = (yaw <= -math.pi) | (yaw > math.pi)
@@ -117,4 +117,4 @@ def safety_loss_batch(preds: Sequence[Box3D], gts: Sequence[Box3D],
         enclosure = 1.0 - iogt3d_batch(p_boxes, g_boxes)
         return accuracy, enclosure, config.blend(accuracy, enclosure)
 
-    return pair_batches(chunk, preds, gts)
+    return pair_batches(chunk, box_array(preds), box_array(gts))

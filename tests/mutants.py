@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 EVALUATION = ("tests/test_evaluation.py",)
 USC_BATCH = ("tests/test_constraints.py::TestUscBatch",)
 IOGT3D_BATCH = ("tests/test_geometry.py::TestIogt3dBatch",)
+LOADER = ("tests/test_io.py",)
 LOSS_BATCH = ("tests/test_loss.py::TestSafetyLossBatch",)
 
 CATALOGUE = (
@@ -74,7 +75,7 @@ CATALOGUE = (
     # equal scores go in input order
     Mutant("score-ties-reversed", "evaluation.py",
            "order = np.lexsort((-score, p_group))",
-           "order = np.lexsort((-np.arange(len(dets)), -score, p_group))",
+           "order = np.lexsort((-np.arange(n_dets), -score, p_group))",
            EVALUATION),
     # a group is matched again at t when an entry's eligibility differs
     Mutant("rematch-only-new-entries", "evaluation.py",
@@ -142,6 +143,24 @@ CATALOGUE = (
     Mutant("iogt3d-clip-area-ungated", "geometry.py",
            "area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)",
            "area = _shoelace_rows(x, z, count)", IOGT3D_BATCH),
+    # the loader's value rules, checked at once: a size of 0 is rejected, a
+    # score of 0 or 1 accepted, and a yaw of exactly -pi stored as pi
+    Mutant("loader-size-nonnegative", "dataset.py",
+           "(boxes[:, 3:6] > 0.0)", "(boxes[:, 3:6] >= 0.0)", LOADER),
+    Mutant("loader-score-above-zero", "dataset.py",
+           "(scores >= 0.0)", "(scores > 0.0)", LOADER),
+    Mutant("loader-score-below-one", "dataset.py",
+           "(scores <= 1.0)", "(scores < 1.0)", LOADER),
+    Mutant("loader-yaw-wrap-below-minus-pi", "dataset.py",
+           "(yaw <= -math.pi)", "(yaw < -math.pi)", LOADER),
+    # a velocity is checked in the loader's shape pass, each component finite
+    Mutant("loader-velocity-finite-vx-only", "dataset.py",
+           "math.isfinite(vx) and math.isfinite(vz)", "math.isfinite(vx)", LOADER),
+    # before the loader raises at a line, it checks the values of the lines
+    # before it, so that the first faulty line names the error
+    Mutant("loader-raises-before-checking-earlier-lines", "io.py",
+           """            _check_values(builder, pending)
+            raise""", """            raise""", LOADER),
     # the loss pass's yaw wrap and sum
     Mutant("loss-wrap-below-minus-pi", "loss.py",
            "(yaw <= -math.pi)", "(yaw < -math.pi)", LOSS_BATCH,

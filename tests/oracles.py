@@ -11,7 +11,9 @@ table in its all-pairs form, as the reference for the library's windowed
 one; the overlap measures in their original form, which project a box
 afresh for every factor, as the reference for the library's one projection
 per box; the dataset loader in its field-by-field form, as the
-reference for the library's whole-object check; the value types' rule for
+reference for the library's shape check and columnar loader; the
+join of two datasets on frame_id in its list form, as the reference for the
+library's gather of columns; the value types' rule for
 their numbers written as plain checks, as the reference for their
 constructors' shortcut for values that are already floats; and the bucket
 lookup,
@@ -872,7 +874,7 @@ def _ref_frame(obj, path):
 def reference_load_dataset(path):
     """The dataset loader in its original form, which checks every number
     field by field, building its field path as it goes: the reference for
-    the library's one whole-object check per box. Reads strict UTF-8."""
+    the library's shape check and array value check. Reads strict UTF-8."""
     frames = []
     seen = set()
     with open(path, "r", encoding="utf-8") as handle:
@@ -892,3 +894,20 @@ def reference_load_dataset(path):
             seen.add(frame.frame_id)
             frames.append(frame)
     return frames
+
+
+def reference_merge_datasets(gt_frames, pred_frames):
+    """The join of ground-truth and prediction frames on frame_id in its
+    original list form, the reference for ``merge_datasets``' gather of
+    columns: the ground-truth file's order, each frame with the predictions
+    of its namesake, then the prediction-only frames in their order."""
+    preds_by_id = {f.frame_id: f for f in pred_frames}
+    merged = []
+    for frame in gt_frames:
+        other = preds_by_id.pop(frame.frame_id, None)
+        merged.append(FrameRecord(frame.frame_id, list(frame.ground_truths),
+                                  list(other.predictions) if other else []))
+    for frame in pred_frames:
+        if frame.frame_id in preds_by_id:
+            merged.append(FrameRecord(frame.frame_id, [], list(frame.predictions)))
+    return merged

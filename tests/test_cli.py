@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, LossConfig,
-                 ProtocolConfig, SyntheticSpec, evaluate, generate_synthetic,
+                 MatchedPair, ProtocolConfig, SyntheticSpec, evaluate,
+                 generate_synthetic,
                  iogt_loss, load_config, load_dataset, load_report,
                  matched_pairs, safety_loss, save_dataset, smooth_l1,
                  write_report)
@@ -240,6 +241,21 @@ class TestEval:
         assert code == 1
         assert "line 4" in capsys.readouterr().err
 
+    def test_pair_whose_projection_is_not_finite_names_its_frame(self, tmp_path,
+                                                                 capsys):
+        # every corner is finite, but u = x / z overflows at z = 0.005; a
+        # valid pair of the same class and bucket comes first in the slice
+        huge = {"center": [0.0, 0.0, 1.0], "size": [1.7e308, 1.5, 1.99]}
+        data = tmp_path / "d.jsonl"
+        write_frames(data, [({"center": [0.0, 0.0, 5.0]}, {"center": [0.1, 0.0, 5.0]}),
+                            (huge, huge)])
+        assert main(["eval", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1].startswith(
+            "error: class 'car' in frame 'f1': rectangle bounds must be finite, got ")
+        assert main(["loss", "--data", str(data)]) == 0
+
 
 class TestLoss:
     def test_perfect_dataset_zero_means(self, tmp_path, capsys):
@@ -289,8 +305,8 @@ class TestLoss:
         gt = frame["ground_truths"][-1]
         x, _, z = map(float, gt["center"])
         assert line.startswith(
-            f"error: class 'car': ground-truth volume is 0.0 at ({x!r}, 1e+17, "
-            f"{z!r}) (footprint area ")
+            f"error: class 'car' in frame {frame['frame_id']!r}: ground-truth "
+            f"volume is 0.0 at ({x!r}, 1e+17, {z!r}) (footprint area ")
         assert line.endswith(
             f", vertical extent 0.0 from height {float(gt['size'][1])!r})")
 
@@ -309,7 +325,7 @@ class TestLoss:
         assert captured.out == ""
         assert captured.err.count("\n") == 2  # the config warning, then the error
         assert captured.err.splitlines()[-1] == (
-            f"error: class 'car': ground-truth volume is 0.0 {detail}")
+            f"error: class 'car' in frame 'f0': ground-truth volume is 0.0 {detail}")
         assert main(["eval", "--data", str(data)]) == 0
 
     def test_zero_volume_ground_truth_is_validation_error(self, tmp_path, capsys):
@@ -344,7 +360,8 @@ class TestLoss:
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "error: class 'car': ground-truth volume is 0.0 at (2.0, 0.0, 12.0) "
+            "error: class 'car' in frame 'f1': ground-truth volume is 0.0 at "
+            "(2.0, 0.0, 12.0) "
             "(footprint area 0.0, vertical extent 1.0 from height 1.0)")
 
     def test_loss_mean_beyond_float_range(self, tmp_path, capsys):
@@ -443,6 +460,43 @@ class TestLoss:
         assert lines[0] == (f"lambda={loss_config.blend_lambda:g} "
                             f"beta={loss_config.smooth_l1_beta:g}")
         assert lines[2:] == rows
+
+
+class TestNoObjectsOnTheCommandPath:
+    """``usc eval`` and ``usc loss`` read a dataset into columns and score
+    them as arrays: they never build a FrameRecord, an Annotation, a
+    Detection or a MatchedPair."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--data", "{data}", "--out", "{out}"],
+        ["eval", "--format", "table", "--data", "{data}", "--out", "{out}"],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "--out", "{out}"],
+        ["loss", "--data", "{data}", "--config", "{config}"],
+        ["loss", "--gt", "{gt}", "--pred", "{pred}"],
+    ], ids=["eval", "eval-table", "eval-gt-pred", "loss", "loss-gt-pred"])
+    def test_no_record_is_built(self, tmp_path, capsys, monkeypatch, argv):
+        paths = {name: tmp_path / name for name in ("data", "out", "gt", "pred", "config")}
+        frames = make_dataset(paths["data"], seed=3, frames=60, lateral_noise=0.3,
+                              miss_rate=0.1, fp_rate=0.3, classes=("car", "truck", "bus"))
+        save_dataset([FrameRecord(f.frame_id, f.ground_truths, []) for f in frames[5:]],
+                     paths["gt"])
+        save_dataset([FrameRecord(f.frame_id, [], f.predictions) for f in frames],
+                     paths["pred"])
+        paths["config"].write_text('{"lambda": 0.6}')
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        for value_type in (Annotation, Detection, MatchedPair):
+            monkeypatch.setattr(value_type, "__new__", refuse)
+        monkeypatch.setattr(FrameRecord, "__init__", refuse)
+        with pytest.raises(AssertionError, match="^a record was built$"):
+            Annotation("car", Box3D(0, 0, 9, 1, 1, 1, 0))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestThinBoxes:

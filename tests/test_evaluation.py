@@ -17,7 +17,7 @@ from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
                  evaluate, generate_synthetic, matched_pairs,
                  nds, pearson, tp_error_means, usc_nds, usc_score,
-                 SyntheticSpec, FrameRecord)
+                 SyntheticSpec, FrameRecord, as_dataset)
 from usc import evaluation
 from usc.errors import MissingAnnotationField, UscError, ZeroVariance
 from usc.evaluation import ap_label, bucket_label
@@ -299,14 +299,14 @@ def test_walk_working_memory_is_bounded():
     # the walk's transient allocations, the peak above what it still holds
     # on return, stay under 1 MiB on 2,000 frames (about 21,000 objects):
     # each chunk's arrays are freed before the next is built
-    frames = generate_synthetic(SyntheticSpec(
+    data = as_dataset(generate_synthetic(SyntheticSpec(
         seed=1, frames=2000, objects_min=2, objects_max=8, depth_bias=0.2,
         lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05, miss_rate=0.1,
-        fp_rate=0.2))
+        fp_rate=0.2)))
     config = ProtocolConfig()
     tracemalloc.start()
     try:
-        result = evaluation._walk(frames, config, config.ap_distance_thresholds)
+        result = evaluation._walk(data, config, config.ap_distance_thresholds)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,21 +1,24 @@
 import json
 import math
 import os
+import random
 import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
-                 SyntheticSpec, evaluate, generate_synthetic, load_config,
+from usc import (Annotation, Box3D, Dataset, Detection, FrameRecord,
+                 ProtocolConfig, SyntheticSpec, as_dataset, evaluate,
+                 generate_synthetic, load_config,
                  load_dataset, load_report, merge_datasets, report_from_dict,
                  report_to_dict, save_dataset, write_report,
                  format_report_table)
 from usc import io
 from usc.errors import ParseError, SchemaError, UscError
+from usc.dataset import DatasetBuilder
 from usc.io import MAX_PERTURBATION, config_from_dict, spec_kwargs_from_dict
 
-from oracles import reference_load_dataset
+from oracles import reference_load_dataset, reference_merge_datasets
 from strategies import (CONFIG_KEYS, FRAME, REPORT, SPEC_KEYS, boxes, finite,
                         json_values, node_paths, reals, replaced)
 
@@ -213,7 +216,7 @@ def _leaf(document, path):
 NUMBER_PATHS = [path for path in node_paths(FRAME)
                 if type(_leaf(FRAME, path)) in (int, float)]
 #: a valid line with two objects per side, so that a node replaced in the
-#: second object follows one the whole-object check accepted
+#: second object follows one the shape check accepted
 TWO_OBJECT_FRAME = dict(
     FRAME,
     ground_truths=FRAME["ground_truths"] + [
@@ -250,8 +253,7 @@ class TestLoaderAgainstReference:
     """load_dataset gives the same records, or the same error with the same
     text, as the field-by-field reference loader in tests/oracles.py. Each
     file has a valid first line, so line numbers and duplicate frame ids
-    are compared too. The whole-object check vouches for exactly the
-    objects the field-by-field parser builds."""
+    are compared too."""
 
     def check(self, tmp_path, document):
         data = tmp_path / "d.jsonl"
@@ -279,7 +281,7 @@ class TestLoaderAgainstReference:
         self.check(tmp_path, replaced(TWO_OBJECT_FRAME, path, value))
 
     @pytest.mark.parametrize("side", ["ground_truths", "predictions"])
-    def test_only_the_middle_object_is_parsed_field_by_field(
+    def test_only_the_faulty_line_is_parsed_field_by_field(
             self, tmp_path, monkeypatch, side):
         first, second = TWO_OBJECT_FRAME[side]
         middle = dict(first, size=[4.2, 1.6, 0])
@@ -294,32 +296,14 @@ class TestLoaderAgainstReference:
         monkeypatch.setattr(io, "_parse_object", counted)
         with pytest.raises(SchemaError, match="box dimensions must be positive"):
             load_dataset(tmp_path / "d.jsonl")
-        assert paths == [f"line 3.{side}[1]"]
-
-    @settings(max_examples=300, deadline=None)
-    @given(node=st.sampled_from(OBJECT_NODES), value=json_values() | NUMBER_EDGES)
-    @example(node=(FRAME["ground_truths"][0], False, ("center",)),
-             value=[1e308, 1e308, 0])
-    @example(node=(FRAME["predictions"][0], True, ("size",)),
-             value=[1e308, 1e308, 1])
-    @example(node=(FRAME["ground_truths"][0], False, ("velocity",)),
-             value=[1e308, 1e308])
-    def test_whole_object_check_accepts_what_the_parser_accepts(self, node, value):
-        original, with_score, path = node
-        obj = replaced(original, path, value)
-        vouched = io._vouched(obj, with_score)
-        try:
-            parsed = io._parse_object(obj, "line 1", with_score)
-        except SchemaError:
-            assert vouched is None
-        else:
-            assert repr(vouched) == repr(parsed)
+        # the valid first line is never parsed; line 3 is, up to its fault
+        assert paths[-1] == f"line 3.{side}[1]"
+        assert all(path.startswith("line 3.") for path in paths)
 
 
 class TestValidDataTakesTheFastPath:
-    """Valid objects never reach the field-by-field parser; a whole-object
-    check that stopped vouching for them would still load them, only
-    slower."""
+    """Valid objects never reach the field-by-field parser; a shape check
+    that stopped taking them would still load them, only slower."""
 
     def refuse_slow_path(self, monkeypatch):
         def refuse(obj, path, with_score):
@@ -367,6 +351,213 @@ class TestValidDataTakesTheFastPath:
         assert getattr(loaded[0], side)[0].box[:3] == (1e308, 1e308, 0.0)
 
 
+#: FRAME without the optional fields of its ground truth, so that the loader
+#: takes it into its columns without the object-by-object parser
+PLAIN_FRAME = dict(FRAME, ground_truths=[
+    {key: value for key, value in FRAME["ground_truths"][0].items()
+     if key not in ("velocity", "attribute")}])
+#: one value of a line that only the value check rejects, as (path, value)
+VALUE_FAULTS = [
+    (("ground_truths", 0, "size", 1), 0.0),
+    (("ground_truths", 0, "size", 2), -1.5),
+    (("predictions", 0, "size", 0), -float("inf")),
+    (("predictions", 0, "score"), 1.5),
+    (("predictions", 0, "score"), -1e-300),
+    (("predictions", 0, "center", 0), float("nan")),
+    (("ground_truths", 0, "yaw"), float("inf")),
+]
+#: a line with a fault that the loader finds before any value check
+LINE_FAULTS = {
+    "decode": "{not json",
+    "duplicate-frame-id": json.dumps(dict(PLAIN_FRAME, frame_id="f-0")),
+    "predictions-not-a-list": json.dumps(dict(PLAIN_FRAME, frame_id="f-8",
+                                              predictions={})),
+    "bool-for-a-number": json.dumps(replaced(
+        dict(PLAIN_FRAME, frame_id="f-8"), ("ground_truths", 0, "center", 1), True)),
+    "int-beyond-float-range": json.dumps(replaced(
+        dict(PLAIN_FRAME, frame_id="f-8"), ("predictions", 0, "yaw"), 10 ** 400)),
+    "object-with-a-velocity": json.dumps(replaced(
+        dict(FRAME, frame_id="f-8"), ("ground_truths", 0, "size", 0), 0)),
+}
+
+
+def assert_same_columns(data, other):
+    """Two Datasets hold the same frame ids, class names and columns, bit for
+    bit."""
+    assert (data.frame_ids, data.class_names) == (other.frame_ids, other.class_names)
+    for side in ("ground_truths", "predictions"):
+        for mine, theirs in zip(getattr(data, side), getattr(other, side)):
+            if mine is None or theirs is None:
+                assert mine is theirs is None
+            else:
+                assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+                assert (mine.tolist() == theirs.tolist() if mine.dtype == object
+                        else mine.tobytes() == theirs.tobytes())
+
+
+def assert_columns_hold_the_records(data):
+    """The arrays of a loaded Dataset hold, bit for bit, the values of the
+    records it gives, which the value types' constructors check again."""
+    assert_same_columns(data, as_dataset(list(data)))
+
+
+def fault_id(fault):
+    """A (path, value) fault's dotted path and value, for a test id."""
+    path, value = fault
+    return ".".join(map(str, path)) + f"={value!r:.8}"
+
+
+def plain_line(index, fault=None):
+    """PLAIN_FRAME as line text, with frame id ``f-<index>`` and the fault
+    (path, value), if given, in it."""
+    frame = dict(PLAIN_FRAME, frame_id=f"f-{index}")
+    return json.dumps(replaced(frame, *fault) if fault else frame)
+
+
+class TestErrorOrder:
+    """The loader checks the values of many lines at once, and before it
+    raises at a line it checks the lines before it: every error, its text,
+    path and line, is the reference loader's, which reads line by line."""
+
+    @staticmethod
+    def assert_as_reference(path, lines, line=None):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcome = _outcome(load_dataset, path)
+        assert outcome == _outcome(reference_load_dataset, path)
+        if line is not None:
+            assert outcome[1].startswith(f"line {line}")
+        else:
+            assert_columns_hold_the_records(load_dataset(path))
+
+    @pytest.mark.parametrize("fault", VALUE_FAULTS, ids=fault_id)
+    @pytest.mark.parametrize("later", LINE_FAULTS)
+    def test_value_fault_comes_before_a_later_line_fault(self, tmp_path, fault, later):
+        lines = [plain_line(0), plain_line(1), plain_line(2, fault), plain_line(3),
+                 LINE_FAULTS[later]]
+        self.assert_as_reference(tmp_path / "d.jsonl", lines, 3)
+
+    @pytest.mark.parametrize("later", LINE_FAULTS)
+    def test_line_fault_after_valid_lines(self, tmp_path, later):
+        lines = [plain_line(0), plain_line(1), LINE_FAULTS[later], plain_line(3)]
+        self.assert_as_reference(tmp_path / "d.jsonl", lines, 3)
+
+    @pytest.mark.parametrize("first, second", [
+        # each pair in the order the reference meets them
+        ((("ground_truths", 0, "size", 1), 0.0), (("predictions", 0, "score"), 2.0)),
+        ((("predictions", 0, "size", 1), 0.0), (("predictions", 0, "score"), 2.0)),
+        ((("predictions", 0, "center", 2), float("inf")),
+         (("predictions", 0, "center", 0), True)),
+        ((("ground_truths", 0, "yaw"), float("nan")), (("predictions", 0, "class"), "")),
+        ((("ground_truths", 0, "center", 1), True), (("predictions", 0, "score"), 2.0)),
+    ])
+    def test_two_faults_on_one_line(self, tmp_path, first, second):
+        for faults in ((first, second), (second, first)):
+            frame = dict(PLAIN_FRAME, frame_id="f-1")
+            for fault in faults:
+                frame = replaced(frame, *fault)
+            self.assert_as_reference(tmp_path / "d.jsonl",
+                                     [plain_line(0), json.dumps(frame)], 2)
+
+    @pytest.mark.parametrize("fault", [
+        (("ground_truths", 0, "center", 0), 10 ** 400),
+        (("predictions", 0, "size", 2), -10 ** 400),
+        (("predictions", 0, "score"), 10 ** 400),
+        (("ground_truths", 0, "center", 2), True),
+        (("predictions", 0, "yaw"), False),
+        (("predictions", 0, "score"), True),
+        (("ground_truths", 0, "velocity"), [10 ** 400, 0]),
+        (("predictions", 0, "velocity"), [float("nan"), 0.0]),
+        (("predictions", 0, "velocity"), [0.5, float("inf")]),
+        (("ground_truths", 0, "velocity"), [True, 0.0]),
+        (("ground_truths", 0, "velocity"), [1.0]),
+        (("predictions", 0, "attribute"), 3),
+    ], ids=fault_id)
+    def test_number_fault_inside_a_valid_file(self, tmp_path, fault):
+        lines = [plain_line(i, fault if i == 2 else None) for i in range(5)]
+        self.assert_as_reference(tmp_path / "d.jsonl", lines, 3)
+
+    @pytest.mark.parametrize("yaw", [-math.pi, math.pi, math.nextafter(math.pi, 4),
+                                     3.5, -7.0, 1e300, 7])
+    def test_yaw_outside_its_range_is_wrapped(self, tmp_path, yaw):
+        lines = [plain_line(i, ((side, 0, "yaw"), yaw))
+                 for i, side in enumerate(("ground_truths", "predictions"))]
+        self.assert_as_reference(tmp_path / "d.jsonl", lines)
+        box = load_dataset(tmp_path / "d.jsonl")[0].ground_truths[0].box
+        assert box == Box3D(0.5, 0.0, 9.0, 4.2, 1.6, 1.9, yaw)
+
+    @pytest.mark.parametrize("score", [0, -0.0, 0.0, 1, 1.0, 5e-324])
+    def test_score_at_its_bounds_loads(self, tmp_path, score):
+        lines = [plain_line(0, (("predictions", 0, "score"), score))]
+        self.assert_as_reference(tmp_path / "d.jsonl", lines)
+
+    @pytest.mark.parametrize("at", [10, 700, 1399])
+    def test_faults_in_a_later_block(self, tmp_path, at):
+        # 1,400 lines of three objects: the values of every 2,048 objects
+        # are checked at once, so lines 683 and 1,366 start new blocks
+        lines = [plain_line(i) for i in range(1400)]
+        lines[at] = plain_line(at, (("predictions", 0, "score"), 7.0))
+        path = tmp_path / "d.jsonl"
+        self.assert_as_reference(path, lines, at + 1)
+        self.assert_as_reference(path, lines + ["{not json"], at + 1)
+        lines[at] = plain_line(at)
+        self.assert_as_reference(path, lines + ["{not json"], 1401)
+        self.assert_as_reference(path, lines)
+
+
+class TestPlainLinesTakeTheColumns:
+    """A valid line is loaded into the columns without the object-by-object
+    parser, its values at the edge of every rule included: a check that
+    rejected a valid value would still load it, only slower."""
+
+    @pytest.mark.parametrize("edge", [
+        (("predictions", 0, "score"), 0), (("predictions", 0, "score"), -0.0),
+        (("predictions", 0, "score"), 1), (("predictions", 0, "score"), 1.0),
+        (("predictions", 0, "score"), 5e-324),
+        (("ground_truths", 0, "size", 0), 5e-324), (("predictions", 0, "size"), [1, 2, 3]),
+        (("ground_truths", 0, "yaw"), -math.pi), (("predictions", 0, "yaw"), math.pi),
+        (("ground_truths", 0, "yaw"), 7), (("predictions", 0, "yaw"), -1e300),
+        (("ground_truths", 0, "center"), [2 ** 70, -(2 ** 70), 1e308]),
+        (("ground_truths", 0, "velocity"), [1, -1e308]),
+        (("predictions", 0, "velocity"), [0.0, 2 ** 70]),
+        (("predictions", 0, "attribute"), ""), (("ground_truths", 0, "attribute"), "x"),
+        (("predictions", 0, "velocity"), None), (("ground_truths", 0, "attribute"), None),
+    ], ids=fault_id)
+    def test_edge_values_do_not_reach_the_parser(self, tmp_path, monkeypatch, edge):
+        path = tmp_path / "d.jsonl"
+        path.write_text(plain_line(0) + "\n" + plain_line(1, edge) + "\n")
+        expected = reference_load_dataset(path)
+
+        def refuse(obj, path):
+            raise AssertionError(f"{path} took the object-by-object parser")
+
+        monkeypatch.setattr(io, "_parse_frame", refuse)
+        loaded = load_dataset(path)
+        assert repr(loaded) == repr(expected)
+        assert_columns_hold_the_records(loaded)
+
+
+@pytest.mark.parametrize("document", [FRAME, TWO_OBJECT_FRAME, PLAIN_FRAME],
+                         ids=["frame", "two-objects", "plain"])
+def test_parsed_records_give_the_loaded_columns(tmp_path, document):
+    # a valid line that the shape check refused would be built by the
+    # object-by-object parser and appended as records: the same columns
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(document) + "\n")
+    builder = DatasetBuilder()
+    builder.add_frame(io._parse_frame(document, "line 1"))
+    parsed, loaded = builder.build(), load_dataset(path)
+    assert parsed == loaded == reference_load_dataset(path)
+    assert_same_columns(parsed, loaded)
+
+
+def test_builder_refuses_to_build_values_that_break_a_rule():
+    # a JSON line's shape is checked as it is added, its values only later
+    builder = DatasetBuilder()
+    assert builder.add_plain_frame(replaced(PLAIN_FRAME, ("predictions", 0, "score"), 2.0))
+    with pytest.raises(ValueError, match="breaks the value rules"):
+        builder.build()
+
+
 class TestMergeDatasets:
     def test_joins_on_frame_id(self):
         gt_frames = [FrameRecord("a", [Annotation("car", Box3D(0, 0, 9, 1, 1, 1, 0))], []),
@@ -378,6 +569,113 @@ class TestMergeDatasets:
         assert len(merged[0].ground_truths) == 1 and merged[0].predictions == []
         assert len(merged[1].predictions) == 1
         assert merged[2].ground_truths == []
+
+    def test_gathered_columns_equal_the_list_merge(self, tmp_path):
+        # each file holds both sides, and its other side is dropped; half the
+        # predictions' frames are missing from the ground-truth file, which
+        # holds frames of its own, and the classes differ between the files
+        def frames(seed, classes):
+            return generate_synthetic(SyntheticSpec(
+                seed=seed, frames=30, classes=classes, lateral_noise=0.2,
+                miss_rate=0.2, fp_rate=0.3))
+
+        gt_frames = frames(1, ("car", "truck"))[::2]
+        pred_frames = frames(2, ("bicycle", "car"))
+        for index, frame in enumerate(pred_frames):
+            if index % 3 == 0 and frame.predictions:
+                frame.predictions[0] = frame.predictions[0]._replace(
+                    velocity=(0.5, index), attribute="moving")
+        gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        save_dataset(gt_frames, gt_path)
+        save_dataset(pred_frames, pred_path)
+        expected = reference_merge_datasets(gt_frames, pred_frames)
+        assert any(not f.ground_truths and f.predictions for f in expected)
+        merged = merge_datasets(load_dataset(gt_path), load_dataset(pred_path))
+        assert isinstance(merged, Dataset)
+        assert merged == expected and repr(merged) == repr(expected)
+        assert merge_datasets(gt_frames, pred_frames) == expected
+        assert merge_datasets([], pred_frames) == reference_merge_datasets([], pred_frames)
+        assert merge_datasets(gt_frames, []) == reference_merge_datasets(gt_frames, [])
+
+
+def synthetic_dataset():
+    """A saved and loaded synthetic dataset with velocities and attributes on
+    some objects, and the frames it was saved from."""
+    frames = generate_synthetic(SyntheticSpec(seed=6, frames=40, lateral_noise=0.2,
+                                              miss_rate=0.1, fp_rate=0.3))
+    for index, frame in enumerate(frames[::3]):
+        frame.ground_truths[0] = frame.ground_truths[0]._replace(
+            velocity=(index, -0.5), attribute="parked")
+    return frames
+
+
+class TestDatasetContract:
+    """A Dataset is an immutable sequence of FrameRecord values that equals
+    the list of them and evaluates as that list does."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        frames = synthetic_dataset()
+        save_dataset(frames, tmp_path / "d.jsonl")
+        return load_dataset(tmp_path / "d.jsonl"), frames
+
+    def test_equality_and_repr_are_the_lists(self, loaded):
+        data, frames = loaded
+        assert isinstance(data, Dataset)
+        assert data == frames and frames == data and data == data
+        assert repr(data) == repr(frames)
+        assert data != frames[:-1] and data != frames[::-1]
+        assert data != tuple(frames) and data != "frames"
+
+    def test_length_negative_index_and_slice(self, loaded):
+        data, frames = loaded
+        assert len(data) == len(frames) == 40
+        assert data[-1] == frames[-1] and data[-40] == frames[0]
+        assert data[5:9] == frames[5:9] and data[::-7] == frames[::-7]
+        assert data[40:] == []
+        for index in (40, -41):
+            with pytest.raises(IndexError):
+                data[index]
+        assert list(data) == frames and data.index(frames[3]) == 3
+
+    def test_no_append_and_no_item_assignment(self, loaded):
+        data, frames = loaded
+        assert not hasattr(data, "append") and not hasattr(data, "__setitem__")
+        with pytest.raises(TypeError):
+            data[0] = frames[0]
+        with pytest.raises(TypeError):
+            del data[0]
+        with pytest.raises(ValueError, match="read-only"):
+            data.predictions.boxes[0, 0] = 1.0
+        # a record is built anew at each index, so changing it changes nothing
+        data[0].ground_truths.clear()
+        assert data == frames
+
+    def test_evaluate_gives_the_bytes_of_the_list(self, loaded, tmp_path):
+        data, frames = loaded
+        config = ProtocolConfig(tp_measures=("ATE", "ASE", "AOE", "AVE", "AAE"))
+        for frames_, name in ((frames[::3], "subset"), (frames, "all")):
+            texts = []
+            for value in (as_dataset(frames_), list(frames_)):
+                try:
+                    report = evaluate(value, config)
+                except UscError as exc:
+                    texts.append(repr(exc))
+                else:
+                    texts.append(write_report(report, tmp_path / f"{name}.json"))
+            assert texts[0] == texts[1]
+        assert write_report(evaluate(data), tmp_path / "a.json") == \
+            write_report(evaluate(list(data)), tmp_path / "b.json")
+
+    def test_frame_order_does_not_matter(self, loaded):
+        # criterion 10 on the columns: the frames permuted by gathering rows
+        data, _ = loaded
+        order = list(range(len(data)))
+        random.Random(7).shuffle(order)
+        shuffled = Dataset(tuple(data.frame_ids[i] for i in order), data.class_names,
+                           data.ground_truths.take(order), data.predictions.take(order))
+        assert shuffled == [data[i] for i in order]
+        assert evaluate(shuffled) == evaluate(data)
 
 
 class TestConfig:
