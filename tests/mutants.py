@@ -161,6 +161,29 @@ CATALOGUE = (
     Mutant("loader-raises-before-checking-earlier-lines", "io.py",
            """            _check_values(builder, pending)
             raise""", """            raise""", LOADER),
+    # a dataset line that orjson refuses is decoded by json, which takes NaN
+    # and infinity, before any error is raised
+    Mutant("loader-orjson-fallback-dropped", "io.py",
+           """        except orjson.JSONDecodeError:
+            pass
+""", """        except orjson.JSONDecodeError as exc:
+            raise ParseError(str(exc), lineno) from exc
+""", LOADER),
+    # a line that fails the shape check is parsed from json's values: orjson
+    # decodes nesting that json refuses
+    Mutant("loader-slow-path-reuses-orjson-value", "io.py",
+           "_parse_frame(_decode(line, lineno),", "_parse_frame(obj,", LOADER),
+    # orjson is never given a line that could nest deep enough to overflow
+    # the C stack
+    Mutant("loader-orjson-depth-unguarded", "io.py",
+           'if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:',
+           "if True:", LOADER),
+    # lines end at LF alone, and only JSON whitespace makes a line blank
+    Mutant("loader-universal-newlines", "io.py",
+           'errors="surrogateescape",\n              newline="\\n")',
+           'errors="surrogateescape")', LOADER),
+    Mutant("loader-blank-line-any-whitespace", "io.py",
+           'if not line.strip(" \\t\\r\\n"):', "if not line.strip():", LOADER),
     # the loss pass's yaw wrap and sum
     Mutant("loss-wrap-below-minus-pi", "loss.py",
            "(yaw <= -math.pi)", "(yaw < -math.pi)", LOSS_BATCH,

@@ -874,12 +874,13 @@ def _ref_frame(obj, path):
 def reference_load_dataset(path):
     """The dataset loader in its original form, which checks every number
     field by field, building its field path as it goes: the reference for
-    the library's shape check and array value check. Reads strict UTF-8."""
+    the library's shape check and array value check. Reads strict UTF-8,
+    splits lines at LF alone and skips a line of JSON whitespace alone."""
     frames = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if not line.strip(" \t\r\n"):
                 continue
             try:
                 obj = json.loads(line)

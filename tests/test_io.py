@@ -2,8 +2,10 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -131,6 +133,32 @@ class TestDatasetValidation:
             ensure_ascii=False).encode("utf-8") + b"\r\n\r\n")
         assert load_dataset(path) == frames
 
+    def test_bare_cr_between_tokens_loads(self, tmp_path):
+        # JSON takes a CR as whitespace, so it does not end a line
+        plain, path = tmp_path / "plain.jsonl", tmp_path / "d.jsonl"
+        plain.write_text(json.dumps(FRAME) + "\n")
+        path.write_bytes(plain.read_bytes().replace(b', "predictions"',
+                                                    b',\r"predictions"'))
+        assert b"\r" in path.read_bytes()
+        assert load_dataset(path) == reference_load_dataset(path) == load_dataset(plain)
+
+    def test_cr_line_endings_are_one_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        line = json.dumps(FRAME)
+        path.write_text(line + "\r" + line.replace("f-1", "f-2") + "\r", newline="")
+        for load in (load_dataset, reference_load_dataset):
+            with pytest.raises(ParseError, match="^line 1: Extra data"):
+                load(path)
+
+    @pytest.mark.parametrize("blank", ["\x0c", "\x1e", "\xa0", "\x0b"])
+    def test_line_of_other_whitespace_is_not_blank(self, tmp_path, blank):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(FRAME) + "\n \t\r\n" + blank + "\n", encoding="utf-8")
+        for load in (load_dataset, reference_load_dataset):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == 3
+
     def test_missing_yaw_names_the_field(self, tmp_path):
         record = {"frame_id": "f0", "ground_truths": [
             {"class": "car", "center": [0, 0, 9], "size": [1, 1, 1]}],
@@ -234,10 +262,24 @@ SECOND_OBJECT_PATHS = [path for path in node_paths(TWO_OBJECT_FRAME)
 OBJECT_NODES = [(obj, side == "predictions", path)
                 for side in ("ground_truths", "predictions")
                 for obj in TWO_OBJECT_FRAME[side] for path in node_paths(obj)]
-#: replacements for one number leaf that a loader must treat exactly
+#: replacements for one number leaf that a loader must treat exactly: among
+#: them every kind of value that orjson converts (an integer beyond 64 bits)
+#: or refuses (NaN, infinity, a number beyond the float range, a lone
+#: surrogate), so that the decoder's fallback to json is compared too
 NUMBER_EDGES = (st.integers() | st.sampled_from(
     [True, False, -0.0, 0, float("nan"), float("inf"), -float("inf"),
-     10 ** 400, -10 ** 400, 1e308, -1e308]))
+     10 ** 400, -10 ** 400, 1e308, -1e308, 2 ** 64, -(2 ** 63) - 1,
+     10 ** 308, "\ud800"]))
+#: JSON texts at the edges of what orjson decodes as json does
+DECODER_EDGE_TEXTS = (
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0",
+    '"\\ud800"', '"\\udc00\\ud800"', '"\\ud83d\\ude97"', str(2 ** 63 - 1),
+    str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(-(2 ** 63)),
+    str(-(2 ** 63) - 1), str(2 ** 53 + 1), str(10 ** 308), str(-10 ** 308),
+    "1" * 309, str(2 ** 1023 + 2 ** 970), str(2 ** 1024 - 2 ** 970 - 1),
+    str(2 ** 1024 - 2 ** 970),
+    "1.7976931348623157e308", "1.7976931348623159e308", "5e-324", "2.4e-324",
+    '{"a": 1, "a": 2}', "\ufeff{}", "[1,]", "[1] \x0c", " [1]\r\n", '"\x01"')
 
 
 def _outcome(load, path):
@@ -299,6 +341,67 @@ class TestLoaderAgainstReference:
         # the valid first line is never parsed; line 3 is, up to its fault
         assert paths[-1] == f"line 3.{side}[1]"
         assert all(path.startswith("line 3.") for path in paths)
+
+
+def _deep_line(depth: int, **changes) -> str:
+    """FRAME as one line whose key "extra", which the loader does not read,
+    holds a list nested ``depth`` levels deep. json.dumps would recurse, so
+    the list is written by hand."""
+    line = json.dumps(dict(FRAME, extra=None, **changes))
+    return line.replace('"extra": null', '"extra": ' + "[" * depth + "]" * depth)
+
+
+class TestDecoderSplit:
+    """Dataset lines are decoded by orjson, and by json for what orjson
+    refuses or could not nest safely; the object-by-object parser always
+    reads json's values."""
+
+    @pytest.mark.parametrize("text", DECODER_EDGE_TEXTS)
+    def test_orjson_refuses_or_agrees_with_json(self, text):
+        try:
+            value = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            return
+        expected = json.loads(text)
+        if type(expected) is int and not -2 ** 63 <= expected < 2 ** 64:
+            expected = float(expected)
+        assert repr(value) == repr(expected)
+
+    def test_nesting_json_refuses_loads_where_the_loader_does_not_read(self, tmp_path):
+        plain, path = tmp_path / "plain.jsonl", tmp_path / "d.jsonl"
+        plain.write_text(json.dumps(FRAME) + "\n")
+        path.write_text(_deep_line(3000) + "\n")
+        with pytest.raises(RecursionError):
+            json.loads(path.read_text())
+        assert load_dataset(path) == load_dataset(plain)
+
+    def test_faulty_line_is_parsed_from_json_values(self, tmp_path):
+        # the shape check refuses the frame id, and json cannot decode the line
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(FRAME) + "\n" + _deep_line(3000, frame_id=7) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == "line 2: JSON nested too deeply to decode"
+
+    def test_line_too_deep_for_orjson_goes_to_json(self, tmp_path):
+        # orjson would overflow the C stack on it, so this runs in a child
+        # process: a crash fails the test rather than the run
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(FRAME) + "\n" + "[{\"a\":" * 100_000 + "1"
+                        + "}]" * 100_000 + "\n")
+        script = """
+import sys, usc
+try:
+    usc.load_dataset(sys.argv[1])
+except usc.errors.ParseError as exc:
+    print(exc)
+"""
+        src = os.path.dirname(os.path.dirname(io.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (result.returncode, result.stdout) == (
+            0, "line 2: JSON nested too deeply to decode\n")
 
 
 class TestValidDataTakesTheFastPath:

@@ -1,14 +1,19 @@
 """No module of the ``usc`` package uses another module's private names:
 neither ``from .x import _name`` nor ``x._name`` on a package module ``x``.
 Only ``cli.main`` prints an ``error:`` line: every other failure raises.
-And every exception class of ``usc.errors`` is raised somewhere."""
+Every exception class of ``usc.errors`` is raised somewhere. And the
+package's ``pyproject.toml`` dependencies are exactly the modules outside
+the standard library that it imports."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "usc"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "usc"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -164,3 +169,43 @@ def test_every_error_class_is_raised():
 ])
 def test_raised_name_is_found(source, named):
     assert raised_names(source) == named
+
+
+def third_party_imports(source: str):
+    """Top-level names of the modules that ``source`` imports from outside
+    the standard library and the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"usc"}
+
+
+def _normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def test_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        requirements = tomllib.load(handle)["project"]["dependencies"]
+    declared = {_normalized(re.match(r"[A-Za-z0-9._-]+", requirement).group())
+                for requirement in requirements}
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
+                             for path in PACKAGE.glob("*.py")))
+    assert {_normalized(name) for name in imported} == declared
+
+
+@pytest.mark.parametrize("source, named", [
+    ("import numpy as np", {"numpy"}),
+    ("from orjson import loads", {"orjson"}),
+    ("import numpy.linalg, json", {"numpy"}),
+    ("def f():\n    import scipy", {"scipy"}),
+    ("import os.path\nfrom __future__ import annotations", set()),
+    ("from .io import load_dataset\nfrom . import io", set()),
+    ("from usc.io import load_dataset\nimport usc", set()),
+])
+def test_third_party_import_is_found(source, named):
+    assert third_party_imports(source) == named
