@@ -26,6 +26,12 @@ Two projections are used throughout:
 * BEV (bird's-eye view): orthographic drop of ``y`` onto the ``(x, z)``
   ground plane; boxes become counter-clockwise rectangles.
 
+The overlap measures, 3D IoGT and IoU, have one implementation: the array
+kernel ``iogt3d_batch`` clips footprints with the Sutherland-Hodgman rule in
+arrays, a batch of pairs at a time. ``iogt3d`` is its one-pair call, and
+``iou3d`` is built from its helpers. The scalar clip they repeat bit for bit
+is kept with the tests, as their reference.
+
 All functions are pure; values are immutable and safe to share across
 threads.
 """
@@ -114,17 +120,6 @@ class Box3D(_Box3DFields):
     __slots__ = ()
 
     def __new__(cls, center_x, center_y, center_z, length, height, width, yaw):
-        # Seven exact floats with a finite sum, positive dimensions and a yaw
-        # in range pass the rule below unchanged, so they are stored as given
-        # without building its tuples; any other input takes the rule.
-        if (float is type(center_x) is type(center_y) is type(center_z)
-                is type(length) is type(height) is type(width) is type(yaw)
-                and math.isfinite(center_x + center_y + center_z + length
-                                  + height + width + yaw)
-                and length > 0.0 and height > 0.0 and width > 0.0
-                and -math.pi < yaw <= math.pi):
-            return tuple.__new__(cls, (center_x, center_y, center_z, length,
-                                       height, width, yaw))
         values = (center_x, center_y, center_z, length, height, width, yaw)
         floats = finite_floats(values)
         if floats is None:
@@ -170,9 +165,11 @@ class BevPolygon:
 
     ``project_bev`` gives four, counter-clockwise; a box side that rounds to
     nothing gives coincident ones. Nothing that reads a footprint needs
-    distinct vertices or a winding: the representative points and ADR pick
-    vertices by distance and bearing, the facing sides drop any side no
-    longer than EPS_GEOM, and ``area`` is unsigned.
+    distinct vertices: the representative points and ADR pick vertices by
+    distance and bearing, the facing sides drop any side no longer than
+    EPS_GEOM, and the overlap measures take their unsigned shoelace area.
+    The overlap measures clip footprints in arrays, and build a polygon only
+    to raise its error on a vertex that is not finite.
     """
 
     vertices: tuple
@@ -185,10 +182,6 @@ class BevPolygon:
             if point is None:
                 raise ValueError(f"polygon vertex not finite: {p}")
         object.__setattr__(self, "vertices", tuple(Point2(*point) for point in points))
-
-    @property
-    def area(self) -> float:
-        return shoelace_area(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -262,66 +255,6 @@ def project_bev(box: Box3D) -> BevPolygon:
     return BevPolygon(tuple(Point2(corners[i].x, corners[i].z) for i in FOOTPRINT))
 
 
-def shoelace_area(vertices: Sequence) -> float:
-    """Unsigned polygon area by the shoelace formula."""
-    n = len(vertices)
-    acc = 0.0
-    for i in range(n):
-        ax, az = vertices[i][0], vertices[i][1]
-        bx, bz = vertices[(i + 1) % n][0], vertices[(i + 1) % n][1]
-        acc += ax * bz - bx * az
-    return abs(acc) / 2.0
-
-
-def _clip_convex(subject: Sequence, clip: Sequence) -> list:
-    """Sutherland-Hodgman clip of a convex subject by a convex CCW clip polygon."""
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        ax, az = clip[i][0], clip[i][1]
-        bx, bz = clip[(i + 1) % n][0], clip[(i + 1) % n][1]
-        ex, ez = bx - ax, bz - az
-        slack = -EPS_GEOM * max(abs(ex), abs(ez))
-
-        def inside(p):
-            # non-strict half-plane test; a slack of EPS_GEOM / sqrt(2) to
-            # EPS_GEOM metres keeps shared boundaries in
-            return ex * (p[1] - az) - ez * (p[0] - ax) >= slack
-
-        def cross_point(p, q):
-            den = ex * (q[1] - p[1]) - ez * (q[0] - p[0])
-            num = ez * (p[0] - ax) - ex * (p[1] - az)
-            t = num / den if den != 0.0 else 0.5
-            t = min(1.0, max(0.0, t))
-            return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-        current = output
-        output = []
-        prev = current[-1]
-        prev_in = inside(prev)
-        for point in current:
-            point_in = inside(point)
-            if point_in:
-                if not prev_in:
-                    output.append(cross_point(prev, point))
-                output.append(point)
-            elif prev_in:
-                output.append(cross_point(prev, point))
-            prev, prev_in = point, point_in
-    return output
-
-
-def convex_intersection_area(p: Sequence, q: Sequence) -> float:
-    """Area of the intersection of two convex polygons, given as sequences
-    of (x, z) vertices, q counter-clockwise; 0 if disjoint."""
-    clipped = _clip_convex(p, q)
-    if len(clipped) < 3:
-        return 0.0
-    return shoelace_area(clipped)
-
-
 def _pair_intersects(s: Segment2D, t: Segment2D) -> bool:
     """Intersection predicate for one segment pair.
 
@@ -379,102 +312,6 @@ def segments_intersect(segments: Iterable[Segment2D]) -> bool:
     return False
 
 
-def _vertical_interval(box: Box3D) -> tuple:
-    half = box.height / 2.0
-    return box.center_y - half, box.center_y + half
-
-
-def _vertical_overlap(p: Box3D, g: Box3D) -> float:
-    p_lo, p_hi = _vertical_interval(p)
-    g_lo, g_hi = _vertical_interval(g)
-    return min(p_hi, g_hi) - max(p_lo, g_lo)
-
-
-def _volume(box: Box3D, footprint: BevPolygon) -> float:
-    lo, hi = _vertical_interval(box)
-    return footprint.area * (hi - lo)
-
-
-def _overlap_volume(subject: BevPolygon, clip: BevPolygon, vertical: float) -> float:
-    """Overlap volume of two boxes from their BEV footprints and the overlap
-    of their vertical intervals; ``subject`` is clipped by ``clip``."""
-    if vertical <= 0.0:
-        return 0.0
-    return convex_intersection_area(subject.vertices, clip.vertices) * vertical
-
-
-def box_volume(box: Box3D) -> float:
-    """Box volume as BEV footprint area times vertical extent.
-
-    Both factors are computed through the same code paths as the
-    intersection volume so that containment yields exact volume ratios.
-    """
-    return _volume(box, project_bev(box))
-
-
-def _canonical_overlap(p: Box3D, g: Box3D, fp_p: BevPolygon, fp_g: BevPolygon) -> float:
-    # the footprint with the smaller vertex tuple is the clipping subject, so
-    # the result does not depend on the argument order
-    vertical = _vertical_overlap(p, g)
-    if fp_p.vertices <= fp_g.vertices:
-        return _overlap_volume(fp_p, fp_g, vertical)
-    return _overlap_volume(fp_g, fp_p, vertical)
-
-
-def intersection_volume(p: Box3D, g: Box3D) -> float:
-    """Overlap volume: BEV footprint intersection area times vertical overlap.
-
-    The clipping order is fixed canonically so the result is bit-identical
-    under argument swap.
-    """
-    return _canonical_overlap(p, g, project_bev(p), project_bev(g))
-
-
-def iou3d(p: Box3D, g: Box3D) -> float:
-    """Intersection-over-union of overlap volume against the union volume.
-
-    Raises ValueError when the union volume is 0.0, which needs both
-    volumes to be 0.0.
-    """
-    fp_p, fp_g = project_bev(p), project_bev(g)
-    inter = _canonical_overlap(p, g, fp_p, fp_g)
-    union = _volume(p, fp_p) + _volume(g, fp_g) - inter
-    if union == 0.0:
-        raise ValueError("union volume of the two boxes is 0.0")
-    return min(1.0, inter / union)
-
-
-def iogt3d(p: Box3D, g: Box3D) -> float:
-    """Intersection-over-ground-truth: overlap volume against Vol(g) alone.
-
-    Unlike IoU it measures enclosure, not alignment. The ground-truth
-    footprint is used as the clipping subject so full containment gives a
-    ratio of exactly 1. The converse holds only up to the clip's half-plane
-    slack: a ground-truth footprint sticking out past a prediction side by
-    less than EPS_GEOM / sqrt(2) metres still counts as covered, by more
-    than EPS_GEOM metres never (between the two it depends on the side's
-    bearing), while the vertical intervals are compared exactly. So
-    ``iogt3d(Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0), Box3D(0, 0, 10, 2, 1.5, 2, 0))``
-    is 1.0, and the same 4e-10 short in height gives 0.99999999973. The
-    prediction is projected only when the vertical intervals overlap.
-    A footprint with a side that rounds to nothing is clipped like any
-    other, so a sliver prediction reads about 0. Raises ValueError when the
-    ground truth's volume is 0.0, naming its center and both factors: a
-    footprint area that rounds to 0, or a vertical extent that does, as when
-    the height vanishes against a huge ``center_y``.
-    """
-    fp_g = project_bev(g)
-    volume = _volume(g, fp_g)
-    if volume == 0.0:
-        lo, hi = _vertical_interval(g)
-        raise ValueError(f"ground-truth volume is 0.0 at {g[:3]!r} (footprint area "
-                         f"{fp_g.area!r}, vertical extent {hi - lo!r} from height "
-                         f"{g.height!r})")
-    vertical = _vertical_overlap(p, g)
-    inter = _overlap_volume(fp_g, project_bev(p), vertical) if vertical > 0.0 else 0.0
-    return min(1.0, inter / volume)
-
-
 # --- batch kernels -----------------------------------------------------------
 
 #: Most pairs a batch kernel (``iogt3d_batch``, ``constraints.usc_batch``,
@@ -487,8 +324,8 @@ _SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 _SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
 
-#: Most vertices a clipped footprint holds in ``_clip_rows``: each of the
-#: four clipping edges adds at most one in exact arithmetic.
+#: Vertices the arrays of ``_clip_rows`` hold at first: each of the four
+#: clipping edges adds at most one in exact arithmetic.
 _CLIP_SLOTS = 8
 
 
@@ -559,8 +396,8 @@ def corner_arrays(boxes):
 
 
 def _shoelace_rows(x, z, count) -> np.ndarray:
-    """``shoelace_area`` of the first ``count`` vertices of each row, summed
-    in the same order."""
+    """The unsigned shoelace area of the first ``count`` vertices of each
+    row, summed from the first vertex on."""
     width = x.shape[1]
     acc = np.zeros(len(x))
     for i in range(width):
@@ -572,34 +409,34 @@ def _shoelace_rows(x, z, count) -> np.ndarray:
 
 
 def _clip_rows(sx, sz, cx, cz):
-    """``_clip_convex`` of each row's subject footprint by its clip
-    footprint, both (n, 4) arrays, with the same arithmetic in the same
-    order.
+    """Sutherland-Hodgman clip of each row's subject footprint by its clip
+    footprint, both (n, 4) arrays whose clip rows are counter-clockwise.
 
-    Returns the clipped vertices in (n, 8) arrays, their counts, and a mask
-    of the rows whose clip emitted more than 8 vertices at some edge, which
-    rounding can cause; their vertices are cut short.
+    Returns the clipped vertices in (n, w) arrays and their counts. The
+    arrays hold ``_CLIP_SLOTS`` vertices; where rounding makes an edge emit
+    more, they widen to hold them all. An edge at most doubles a count, so
+    no clip holds more than 64.
 
     At each edge every live slot may emit its crossing point, then its
     vertex. An emitted value goes to the slot numbered by how many values its
-    row emitted before it at that edge (a running sum, no sort), and values
-    from the ninth on are dropped. Slots at or past a row's count keep
-    whatever they held before: nothing reads them, since the live-slot mask
-    here, ``_shoelace_rows`` and the ``count >= 3`` gate of ``_iogt3d_chunk``
-    all stop at the count.
+    row emitted before it at that edge (a running sum, no sort). Slots at or
+    past a row's count hold stale values: nothing reads them, since the
+    live-slot mask here, ``_shoelace_rows`` and the ``count >= 3`` gate of
+    the area all stop at the count.
     """
     n = len(sx)
     rows = np.arange(n)
-    slots = np.arange(_CLIP_SLOTS)
     x = np.zeros((n, _CLIP_SLOTS))
     z = np.zeros((n, _CLIP_SLOTS))
     x[:, :4], z[:, :4] = sx, sz
     count = np.full(n, 4)
-    overflow = np.zeros(n, dtype=bool)
     for i in range(4):
+        width = x.shape[1]
         ax, az = cx[:, i, None], cz[:, i, None]
         ex = cx[:, (i + 1) % 4, None] - ax
         ez = cz[:, (i + 1) % 4, None] - az
+        # non-strict half-plane test; a slack of EPS_GEOM / sqrt(2) to
+        # EPS_GEOM metres keeps shared boundaries in
         inside = (ex * (z - az) - ez * (x - ax)
                   >= -EPS_GEOM * np.maximum(abs(ex), abs(ez)))
         # each slot's previous vertex: the slot before it, and for slot 0 the
@@ -608,26 +445,35 @@ def _clip_rows(sx, sz, cx, cz):
         px = np.concatenate([x[rows, last, None], x[:, :-1]], axis=1)
         pz = np.concatenate([z[rows, last, None], z[:, :-1]], axis=1)
         prev_in = np.concatenate([inside[rows, last, None], inside[:, :-1]], axis=1)
-        # cross_point(prev, point); np.minimum and np.maximum would keep a
-        # NaN that Python's min and max drop
+        # the crossing point of the edge's line with the segment from the
+        # previous vertex, its parameter clamped to [0, 1] and 0.5 on a
+        # parallel segment; a NaN parameter reads 0.0
         den = ex * (z - pz) - ez * (x - px)
         num = ez * (px - ax) - ex * (pz - az)
         t = np.where(den != 0.0, num / den, 0.5)
         t = np.where(t > 0.0, t, 0.0)
         t = np.where(t < 1.0, t, 1.0)
         # each vertex emits its crossing point, then itself, into two slots
-        live = slots < count[:, None]
+        live = np.arange(width) < count[:, None]
         emit = np.stack([live & (inside != prev_in), live & inside],
-                        axis=2).reshape(n, 2 * _CLIP_SLOTS)
+                        axis=2).reshape(n, 2 * width)
         pos = np.cumsum(emit, axis=1) - 1
         count = pos[:, -1] + 1
-        overflow |= count > _CLIP_SLOTS
-        r, c = np.nonzero(emit & (pos < _CLIP_SLOTS))
+        r, c = np.nonzero(emit)
         slot, vertex, kind = pos[r, c], c // 2, c % 2
-        x[r, slot] = np.stack([px + t * (x - px), x], axis=2)[r, vertex, kind]
-        z[r, slot] = np.stack([pz + t * (z - pz), z], axis=2)[r, vertex, kind]
-        count = np.minimum(count, _CLIP_SLOTS)
-    return x, z, count, overflow
+        out_x, out_z = x, z
+        if count.max(initial=0) > width:
+            out_x, out_z = np.zeros((2, n, count.max()))
+        out_x[r, slot] = np.stack([px + t * (x - px), x], axis=2)[r, vertex, kind]
+        out_z[r, slot] = np.stack([pz + t * (z - pz), z], axis=2)[r, vertex, kind]
+        x, z = out_x, out_z
+    return x, z, count
+
+
+def _footprint(x, z) -> BevPolygon:
+    """The BEV polygon of one footprint row of vertex coordinates:
+    ``BevPolygon`` raises its error on a vertex that is not finite."""
+    return BevPolygon(tuple(map(Point2, x.tolist(), z.tolist())))
 
 
 def _iogt3d_chunk(preds, gts) -> tuple:
@@ -638,33 +484,97 @@ def _iogt3d_chunk(preds, gts) -> tuple:
     # corners 0 and 2 sit at the bottom and top of the vertical interval;
     # no bound is NaN, so np.minimum and np.maximum pick as min and max do
     p_lo, p_hi, g_lo, g_hi = p_y[:, 0], p_y[:, 2], g_y[:, 0], g_y[:, 2]
-    volume = _shoelace_rows(gx, gz, 4) * (g_hi - g_lo)
+    g_area = _shoelace_rows(gx, gz, 4)
+    volume = g_area * (g_hi - g_lo)
     vertical = np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo)
-    x, z, count, overflow = _clip_rows(gx, gz, px, pz)
+
+    # The first pair that fails raises its first error, in this order: a
+    # ground-truth footprint that is not finite, a ground-truth volume of
+    # 0.0, and a prediction footprint that is not finite where the vertical
+    # intervals overlap (elsewhere the prediction is not read).
+    g_finite = np.isfinite(gx).all(axis=1) & np.isfinite(gz).all(axis=1)
+    p_finite = np.isfinite(px).all(axis=1) & np.isfinite(pz).all(axis=1)
+    failing = ~g_finite | (volume == 0.0) | ((vertical > 0.0) & ~p_finite)
+    if failing.any():
+        row = failing.argmax()
+        _footprint(gx[row], gz[row])  # raises if a vertex is not finite
+        if volume[row] == 0.0:
+            raise ValueError(
+                f"ground-truth volume is 0.0 at {tuple(gts[row, :3].tolist())!r} "
+                f"(footprint area {g_area[row].item()!r}, vertical extent "
+                f"{(g_hi[row] - g_lo[row]).item()!r} from height "
+                f"{gts[row, 4].item()!r})")
+        _footprint(px[row], pz[row])  # raises: only this error is left
+
+    x, z, count = _clip_rows(gx, gz, px, pz)
     area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)
     ratio = np.where(vertical > 0.0, area * vertical, 0.0) / volume
     value = np.where(ratio < 1.0, ratio, 1.0)  # as min(1.0, ratio): NaN reads 1.0
-
-    # Pairs on which iogt3d may raise (a footprint that is not finite, or a
-    # ground-truth volume of 0.0), or whose clip ran out of slots, go through
-    # it, so that it decides them.
-    finite = np.isfinite(np.hstack([px, pz, gx, gz])).all(axis=1)
-    scalar = ~(finite & (volume != 0.0)) | overflow
-    for row in np.flatnonzero(scalar):
-        value[row] = iogt3d(Box3D(*preds[row].tolist()), Box3D(*gts[row].tolist()))
     return (value,)
 
 
 def iogt3d_batch(preds, gts) -> np.ndarray:
     """``iogt3d`` of many prediction / ground-truth pairs at once, given as
-    ``box_array`` takes them, run by ``pair_batches``.
+    ``box_array`` takes them, run by ``pair_batches``: a float64 array.
 
-    Returns a float64 array whose every value equals, bit for bit, what
-    ``iogt3d`` gives for that pair: the kernel repeats its arithmetic in the
-    same order, with ``math`` for the cosine and sine. Three kinds of pair
-    are passed to ``iogt3d``, which decides them: a footprint that is not
-    finite and a ground-truth volume of 0.0, on which it may raise, so the
-    first such pair raises the same error here; and a clip that ran out of
-    slots. Every other pair, a sliver's included, is scored in the arrays.
+    The intersection volume is the ground-truth footprint clipped by the
+    prediction's, times the overlap of the vertical intervals. The first
+    pair in order on which ``iogt3d`` is undefined raises its ValueError:
+    a footprint vertex that is not finite (the ground truth's, or the
+    prediction's where the vertical intervals overlap), or a ground-truth
+    volume of 0.0. Every other pair, a sliver's included, is scored.
     """
     return pair_batches(_iogt3d_chunk, box_array(preds), box_array(gts))[0]
+
+
+def iogt3d(p: Box3D, g: Box3D) -> float:
+    """Intersection-over-ground-truth: overlap volume against Vol(g) alone,
+    as a one-pair call of ``iogt3d_batch``.
+
+    Unlike IoU it measures enclosure, not alignment. The ground-truth
+    footprint is used as the clipping subject so full containment gives a
+    ratio of exactly 1. The converse holds only up to the clip's half-plane
+    slack: a ground-truth footprint sticking out past a prediction side by
+    less than EPS_GEOM / sqrt(2) metres still counts as covered, by more
+    than EPS_GEOM metres never (between the two it depends on the side's
+    bearing), while the vertical intervals are compared exactly. So
+    ``iogt3d(Box3D(0, 0, 10, 2 - 4e-10, 1.5, 2, 0), Box3D(0, 0, 10, 2, 1.5, 2, 0))``
+    is 1.0, and the same 4e-10 short in height gives 0.99999999973. A
+    footprint with a side that rounds to nothing is clipped like any other,
+    so a sliver prediction reads about 0. Raises ValueError when the ground
+    truth's volume is 0.0, naming its center and both factors: a footprint
+    area that rounds to 0, or a vertical extent that does, as when the
+    height vanishes against a huge ``center_y``; and, as ``iogt3d_batch``
+    says, on a footprint vertex that is not finite.
+    """
+    return iogt3d_batch([p], [g]).item()
+
+
+def iou3d(p: Box3D, g: Box3D) -> float:
+    """Intersection-over-union of overlap volume against the union volume,
+    from the helpers of ``iogt3d_batch``.
+
+    The footprint with the smaller vertex tuple is the clipping subject, so
+    the value does not depend on the argument order. Raises ValueError on a
+    footprint vertex that is not finite, the prediction's first, and when
+    the union volume is 0.0, which needs both volumes to be 0.0.
+    """
+    with np.errstate(all="ignore"):
+        x, y, z = corner_arrays([p, g])
+        fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
+        footprints = [_footprint(fx[row], fz[row]).vertices for row in (0, 1)]
+        p_area, g_area = _shoelace_rows(fx, fz, 4).tolist()
+        (p_lo, g_lo), (p_hi, g_hi) = y[:, 0].tolist(), y[:, 2].tolist()
+        vertical = min(p_hi, g_hi) - max(p_lo, g_lo)
+        inter = 0.0
+        if vertical > 0.0:
+            subject = 0 if footprints[0] <= footprints[1] else 1
+            clip = 1 - subject
+            cx, cz, count = _clip_rows(fx[[subject]], fz[[subject]],
+                                       fx[[clip]], fz[[clip]])
+            area = _shoelace_rows(cx, cz, count).item() if count[0] >= 3 else 0.0
+            inter = area * vertical
+    union = p_area * (p_hi - p_lo) + g_area * (g_hi - g_lo) - inter
+    if union == 0.0:
+        raise ValueError("union volume of the two boxes is 0.0")
+    return min(1.0, inter / union)

@@ -6,8 +6,11 @@ IoGT (``iogt_loss``), and their convex blend (``safety_loss``). No gradients
 are provided.
 
 ``safety_loss_batch`` computes all three for many pairs in float64 arrays,
-a bounded chunk at a time; ``usc loss`` runs it once per class. The one-pair
-functions are its reference: each batch value equals theirs bit for bit.
+a bounded chunk at a time; ``usc loss`` runs it once per class. Each batch
+value equals, bit for bit, what the one-pair function gives. Of those, only
+``smooth_l1`` is an independent scalar: ``iogt_loss`` and ``safety_loss``
+read IoGT from ``iogt3d``, the one-pair call of the kernel that the batch
+runs, ``iogt3d_batch``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def safety_loss_batch(preds, gts, config: LossConfig = LossConfig()
     Every value equals, bit for bit, what the one-pair function gives for
     that pair: the arithmetic is theirs, in the same order, and only a yaw
     residual outside (-pi, pi] goes through ``wrap_angle``. The first pair
-    on which ``iogt3d`` raises raises the same error here.
+    on which ``iogt3d_batch`` raises raises the same error here.
     """
     def chunk(p_boxes, g_boxes):
         residual = (p_boxes - g_boxes).T

@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 EVALUATION = ("tests/test_evaluation.py",)
 USC_BATCH = ("tests/test_constraints.py::TestUscBatch",)
 IOGT3D_BATCH = ("tests/test_geometry.py::TestIogt3dBatch",)
+OVERLAP = ("tests/test_geometry.py::TestOverlapAgainstReference",
+           "tests/test_geometry.py::TestIou3d")
 LOADER = ("tests/test_io.py",)
 LOSS_BATCH = ("tests/test_loss.py::TestSafetyLossBatch",)
 
@@ -131,14 +133,25 @@ CATALOGUE = (
            USC_BATCH),
     Mutant("usc-closest-first-vertex", "constraints.py",
            "np.vstack([norm.min(axis=0), ", "np.vstack([norm[0], ", USC_BATCH),
-    # the IoGT kernel's routing: a footprint that is not finite or a
-    # ground-truth volume of 0.0 goes to iogt3d, which raises on it
+    # the IoGT kernel's errors: a ground-truth footprint that is not finite,
+    # a ground-truth volume of 0.0, and a prediction footprint that is not
+    # finite, the last only where the vertical intervals overlap
     Mutant("iogt3d-routing-without-volume", "geometry.py",
-           "scalar = ~(finite & (volume != 0.0)) | overflow",
-           "scalar = ~finite | overflow", IOGT3D_BATCH),
+           "failing = ~g_finite | (volume == 0.0) | ",
+           "failing = ~g_finite | ", IOGT3D_BATCH),
     Mutant("iogt3d-routing-without-finite", "geometry.py",
-           "scalar = ~(finite & (volume != 0.0)) | overflow",
-           "scalar = ~(volume != 0.0) | overflow", IOGT3D_BATCH),
+           "failing = ~g_finite | (volume == 0.0) | ",
+           "failing = (volume == 0.0) | ", IOGT3D_BATCH),
+    Mutant("iogt3d-pred-footprint-checked-without-overlap", "geometry.py",
+           "((vertical > 0.0) & ~p_finite)", "~p_finite", IOGT3D_BATCH),
+    # a clip that rounding makes emit more than 8 vertices keeps them all
+    Mutant("clip-rows-never-widens", "geometry.py",
+           "if count.max(initial=0) > width:", "if False:", IOGT3D_BATCH),
+    # IoU clips the footprint with the smaller vertex tuple, so that it does
+    # not depend on the argument order
+    Mutant("iou3d-subject-by-argument-order", "geometry.py",
+           "subject = 0 if footprints[0] <= footprints[1] else 1",
+           "subject = 0", OVERLAP),
     # a clip of fewer than 3 vertices has no area, whatever its shoelace sum
     Mutant("iogt3d-clip-area-ungated", "geometry.py",
            "area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)",

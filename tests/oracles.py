@@ -8,19 +8,18 @@ coverage by ray casting. The greedy matcher is also kept here in its
 original per-pair form, as the reference for ``matched_pairs``, the
 library's one matcher entry point, and its shared candidate table; that
 table in its all-pairs form, as the reference for the library's windowed
-one; the overlap measures in their original form, which project a box
-afresh for every factor, as the reference for the library's one projection
-per box; the dataset loader in its field-by-field form, as the
-reference for the library's shape check and columnar loader; the
+one; the overlap measures in their original scalar form, a
+Sutherland-Hodgman clip of polygon vertex lists that projects a box afresh
+for every factor, as the reference, bit for bit and error for error, for
+the library's array kernel; the dataset loader in its field-by-field form,
+as the reference for the library's shape check and columnar loader; the
 join of two datasets on frame_id in its list form, as the reference for the
-library's gather of columns; the value types' rule for
-their numbers written as plain checks, as the reference for their
-constructors' shortcut for values that are already floats; and the bucket
-lookup,
-average precision and true-positive error means in their original
-per-bucket, per-label and per-pair loops, as the references, bit for bit,
-for the library's bisected edges and arrays. The whole report is rebuilt
-from the documented definitions by ``reference_evaluate``.
+library's gather of columns; the value types' rule for their numbers
+written as plain checks, as the reference for their constructors; and the
+bucket lookup, average precision and true-positive error means in their
+original per-bucket, per-label and per-pair loops, as the references, bit
+for bit, for the library's bisected edges and arrays. The whole report is
+rebuilt from the documented definitions by ``reference_evaluate``.
 """
 
 import itertools
@@ -31,10 +30,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from usc import (Annotation, Box3D, BucketSummary, ClassBucketMetrics,
-                 Detection, FrameRecord, MatchedPair, MetricsReport,
-                 bev_center_distance, box_corners, convex_intersection_area,
-                 project_bev, shoelace_area, usc_score)
+from usc import (EPS_GEOM, Annotation, Box3D, BucketSummary,
+                 ClassBucketMetrics, Detection, FrameRecord, MatchedPair,
+                 MetricsReport, bev_center_distance, box_corners,
+                 project_bev, usc_score)
 from usc.errors import (BehindCamera, DegenerateGroundTruth,
                         MissingAnnotationField, ParseError, SchemaError)
 from usc.geometry import wrap_angle
@@ -140,6 +139,66 @@ def mc_overlap(p: Box3D, g: Box3D, base_samples: np.ndarray):
 # --- multi-projection overlap reference ---------------------------------------
 
 
+def shoelace_area(vertices: Sequence) -> float:
+    """Unsigned polygon area by the shoelace formula."""
+    n = len(vertices)
+    acc = 0.0
+    for i in range(n):
+        ax, az = vertices[i][0], vertices[i][1]
+        bx, bz = vertices[(i + 1) % n][0], vertices[(i + 1) % n][1]
+        acc += ax * bz - bx * az
+    return abs(acc) / 2.0
+
+
+def _clip_convex(subject: Sequence, clip: Sequence) -> list:
+    """Sutherland-Hodgman clip of a convex subject by a convex CCW clip polygon."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        ax, az = clip[i][0], clip[i][1]
+        bx, bz = clip[(i + 1) % n][0], clip[(i + 1) % n][1]
+        ex, ez = bx - ax, bz - az
+        slack = -EPS_GEOM * max(abs(ex), abs(ez))
+
+        def inside(p):
+            # non-strict half-plane test; a slack of EPS_GEOM / sqrt(2) to
+            # EPS_GEOM metres keeps shared boundaries in
+            return ex * (p[1] - az) - ez * (p[0] - ax) >= slack
+
+        def cross_point(p, q):
+            den = ex * (q[1] - p[1]) - ez * (q[0] - p[0])
+            num = ez * (p[0] - ax) - ex * (p[1] - az)
+            t = num / den if den != 0.0 else 0.5
+            t = min(1.0, max(0.0, t))
+            return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+        current = output
+        output = []
+        prev = current[-1]
+        prev_in = inside(prev)
+        for point in current:
+            point_in = inside(point)
+            if point_in:
+                if not prev_in:
+                    output.append(cross_point(prev, point))
+                output.append(point)
+            elif prev_in:
+                output.append(cross_point(prev, point))
+            prev, prev_in = point, point_in
+    return output
+
+
+def convex_intersection_area(p: Sequence, q: Sequence) -> float:
+    """Area of the intersection of two convex polygons, given as sequences
+    of (x, z) vertices, q counter-clockwise; 0 if disjoint."""
+    clipped = _clip_convex(p, q)
+    if len(clipped) < 3:
+        return 0.0
+    return shoelace_area(clipped)
+
+
 def _vertical_interval(box: Box3D) -> tuple:
     half = box.height / 2.0
     return box.center_y - half, box.center_y + half
@@ -148,7 +207,7 @@ def _vertical_interval(box: Box3D) -> tuple:
 def box_volume_reference(box: Box3D) -> float:
     """Footprint area times vertical extent."""
     lo, hi = _vertical_interval(box)
-    return project_bev(box).area * (hi - lo)
+    return shoelace_area(project_bev(box).vertices) * (hi - lo)
 
 
 def _overlap_parts(p: Box3D, g: Box3D, subject_first: bool) -> float:
@@ -187,9 +246,10 @@ def iogt3d_reference(p: Box3D, g: Box3D) -> float:
     volume = box_volume_reference(g)
     if volume == 0.0:
         lo, hi = _vertical_interval(g)
+        area = shoelace_area(project_bev(g).vertices)
         raise ValueError(f"ground-truth volume is 0.0 at {g[:3]!r} (footprint "
-                         f"area {project_bev(g).area!r}, vertical extent "
-                         f"{hi - lo!r} from height {g.height!r})")
+                         f"area {area!r}, vertical extent {hi - lo!r} from "
+                         f"height {g.height!r})")
     return min(1.0, _overlap_parts(p, g, subject_first=False) / volume)
 
 

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (MonteCarloOracle, box_volume_reference,
-                     intersection_volume_reference, iogt3d_reference,
-                     iou3d_reference, points_in_box, segments_intersect_oracle)
+from oracles import (MonteCarloOracle, _clip_convex, box_volume_reference,
+                     convex_intersection_area, intersection_volume_reference,
+                     iogt3d_reference, iou3d_reference, points_in_box,
+                     segments_intersect_oracle, shoelace_area)
 from strategies import (boxes, finite, overflow_boxes, overflow_pairs,
                         thin_pairs)
 from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
-                 Rect2D, Segment2D, SyntheticSpec, box_corners, box_volume,
-                 convex_intersection_area, corner_arrays, generate_synthetic,
-                 intersection_volume, iogt3d, iogt3d_batch, iogt_loss, iou3d,
+                 Rect2D, Segment2D, SyntheticSpec, box_corners, corner_arrays,
+                 generate_synthetic, iogt3d, iogt3d_batch, iogt_loss, iou3d,
                  matched_pairs, project_bev, project_pv_rect,
-                 segments_intersect, shoelace_area, wrap_angle)
+                 segments_intersect, wrap_angle)
 from usc import geometry
 from usc.errors import BehindCamera
 from usc.geometry import BATCH_CAP
@@ -189,7 +189,8 @@ class TestProjectBev:
     def test_counter_clockwise_and_area(self, box):
         poly = project_bev(box)
         assert len(poly.vertices) == 4
-        assert poly.area == pytest.approx(box.length * box.width, rel=1e-9)
+        assert shoelace_area(poly.vertices) == pytest.approx(box.length * box.width,
+                                                             rel=1e-9)
         # signed area positive = counter-clockwise
         acc = 0.0
         for i in range(4):
@@ -238,8 +239,9 @@ class TestConvexIntersectionArea:
     def test_bounded_by_inputs_and_vertices_on_both(self, b1, b2):
         p, q = project_bev(b1), project_bev(b2)
         area = convex_intersection_area(p.vertices, q.vertices)
-        assert area <= min(p.area, q.area) * (1 + 1e-9) + 1e-12
-        for vertex in geometry._clip_convex(p.vertices, q.vertices):
+        smaller = min(shoelace_area(p.vertices), shoelace_area(q.vertices))
+        assert area <= smaller * (1 + 1e-9) + 1e-12
+        for vertex in _clip_convex(p.vertices, q.vertices):
             assert _violation(vertex, p) <= 1e-8
             assert _violation(vertex, q) <= 1e-8
 
@@ -305,22 +307,27 @@ class TestSegmentsIntersect:
 
 
 class TestVolumes:
+    """The reference's volumes, which the overlap measures are checked
+    against, on hand cases."""
+
     def test_identical_unit_cubes(self):
         cube = Box3D(0, 0, 10, 1, 1, 1, 0.0)
-        assert intersection_volume(cube, cube) == pytest.approx(1.0, abs=1e-12)
+        assert intersection_volume_reference(cube, cube) == pytest.approx(1.0,
+                                                                        abs=1e-12)
 
     def test_offset_along_z(self):
         p = Box3D(0, 0, 10, 1, 1, 1, 0.0)
         g = Box3D(0, 0, 10.5, 1, 1, 1, 0.0)
-        assert intersection_volume(p, g) == pytest.approx(0.5, abs=1e-12)
+        assert intersection_volume_reference(p, g) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_vertical_overlap(self):
         p = Box3D(0, 0.0, 10, 1, 1, 1, 0.0)
         g = Box3D(0, 2.0, 10, 1, 1, 1, 0.0)
-        assert intersection_volume(p, g) == 0.0
+        assert intersection_volume_reference(p, g) == 0.0
 
     def test_box_volume(self):
-        assert box_volume(Box3D(1, 2, 3, 2, 3, 4, 0.7)) == pytest.approx(24.0, rel=1e-12)
+        box = Box3D(1, 2, 3, 2, 3, 4, 0.7)
+        assert box_volume_reference(box) == pytest.approx(24.0, rel=1e-12)
 
 
 class TestIou3d:
@@ -345,7 +352,7 @@ class TestIou3d:
 
     def test_zero_union_volume_raises(self):
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
-        assert box_volume(flat) == 0.0
+        assert box_volume_reference(flat) == 0.0
         with pytest.raises(ValueError, match="^union volume of the two boxes is 0.0$"):
             iou3d(flat, flat)
         assert iou3d(Box3D(0, 0, 10, 2, 1.5, 2, 0.0), flat) == 0.0
@@ -409,7 +416,8 @@ class TestIogt3d:
     @settings(max_examples=150)
     def test_containment_iff_full_ratio(self, p, g):
         value = iogt3d(p, g)
-        contained = abs(intersection_volume(p, g) - box_volume(g)) <= 1e-9 * box_volume(g)
+        volume = box_volume_reference(g)
+        contained = abs(intersection_volume_reference(p, g) - volume) <= 1e-9 * volume
         assert (abs(value - 1.0) <= 1e-9) == contained
 
 
@@ -419,6 +427,12 @@ def _outcome(measure, *boxes_):
         return measure(*boxes_)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def _exact(outcome):
+    """An outcome that equals another only when their types agree and a
+    float has the same bits."""
+    return type(outcome), outcome.hex() if isinstance(outcome, float) else outcome
 
 
 def _thin(box, sides):
@@ -452,23 +466,20 @@ def overlap_pairs(draw):
 
 
 class TestOverlapAgainstReference:
-    """Each measure projects a box once; the reference projects it for every
-    factor. Values are bit-identical, and the same ValueError is raised in
-    the same order, including when the prediction is never projected."""
+    """Each measure clips footprints in arrays; the reference clips vertex
+    lists and projects a box afresh for every factor. Values are Python
+    floats with the same bits, and the same ValueError is raised in the same
+    order, including when the prediction is never projected."""
 
-    MEASURES = ((iogt3d, iogt3d_reference), (iou3d, iou3d_reference),
-                (intersection_volume, intersection_volume_reference))
+    MEASURES = ((iogt3d, iogt3d_reference), (iou3d, iou3d_reference))
 
     def check(self, p, g):
         for measure, reference in self.MEASURES:
-            assert _outcome(measure, p, g) == _outcome(reference, p, g)
-            assert _outcome(measure, g, p) == _outcome(reference, g, p)
-        for box in (p, g):
-            assert _outcome(box_volume, box) == _outcome(box_volume_reference, box)
-        for measure in (iou3d, intersection_volume):
-            forward, backward = _outcome(measure, p, g), _outcome(measure, g, p)
-            if isinstance(forward, float) and isinstance(backward, float):
-                assert forward == backward
+            assert _exact(_outcome(measure, p, g)) == _exact(_outcome(reference, p, g))
+            assert _exact(_outcome(measure, g, p)) == _exact(_outcome(reference, g, p))
+        forward, backward = _outcome(iou3d, p, g), _outcome(iou3d, g, p)
+        if isinstance(forward, float) and isinstance(backward, float):
+            assert _exact(forward) == _exact(backward)
 
     @given(overlap_pairs())
     @settings(max_examples=400)
@@ -491,7 +502,7 @@ class TestOverlapAgainstReference:
             expected = _sliver_share(g, p) * vertical / g.height
         elif p_sides == ("width",) and not g_sides:
             expected = (_sliver_share(p, g) * p.length * p.width * vertical
-                        / box_volume(g))
+                        / box_volume_reference(g))
         else:
             expected = 0.0
         assert iogt3d(p, g) == pytest.approx(expected, rel=1e-3, abs=0.0)
@@ -508,11 +519,12 @@ def _sliver_share(sliver, box):
     return points_in_box(points, box).mean()
 
 
-def assert_batch_matches_iogt3d(pairs):
-    """``iogt3d_batch`` against ``iogt3d`` pair by pair: the same float64
-    bits for every pair that does not raise, the same error for every pair
-    that does, and for the whole batch the error of its first such pair."""
-    expected = [_outcome(iogt3d, p, g) for p, g in pairs]
+def assert_batch_matches_reference(pairs):
+    """``iogt3d_batch`` against ``iogt3d_reference`` pair by pair: the same
+    float64 bits for every pair that does not raise, the same error for
+    every pair that does, from the batch and from ``iogt3d``, and for the
+    whole batch the error of its first such pair."""
+    expected = [_outcome(iogt3d_reference, p, g) for p, g in pairs]
     scored = [i for i, value in enumerate(expected) if isinstance(value, float)]
     values = iogt3d_batch([pairs[i][0] for i in scored],
                           [pairs[i][1] for i in scored])
@@ -526,11 +538,12 @@ def assert_batch_matches_iogt3d(pairs):
     for (p, g), value in zip(pairs, expected):
         if not isinstance(value, float):
             assert _outcome(iogt3d_batch, [p], [g]) == value
+            assert _outcome(iogt3d, p, g) == value
 
 
 # At overflow scale: clamping the crossing parameter with np.minimum and
 # np.maximum keeps a NaN that Python's min and max drop, and reads 0.0 on
-# this pair where iogt3d reads 1.0.
+# this pair where the reference reads 1.0.
 OVERFLOW_PAIR = (
     Box3D(3.708513582821271e+156, 0.0, -1.0235567660606691e+156,
           4.02046377966548e+156, 1.0, 3.1240723233058217e+156, -2.6493865948092647),
@@ -541,12 +554,10 @@ BOX_LIST = [Box3D(0.3 * i, 0.1 * i, 10 + 0.2 * i, 2 + 0.1 * i, 1.5, 2, 0.2 * i)
             for i in range(14)]
 
 
-def clip_emission_order(subject, clip, slots=8):
+def clip_emission_order(subject, clip):
     """``_clip_convex``'s emission order written out for one subject and one
-    clip polygon, keeping at each edge only the first ``slots`` vertices it
-    emits, as ``_clip_rows`` does: the vertices kept, and whether some edge
-    emitted more."""
-    output, spilled = list(subject), False
+    clip polygon: the vertices of the clip."""
+    output = list(subject)
     for i in range(len(clip)):
         (ax, az), (bx, bz) = clip[i], clip[(i + 1) % len(clip)]
         ex, ez = bx - ax, bz - az
@@ -563,19 +574,18 @@ def clip_emission_order(subject, clip, slots=8):
                 emitted.append((px + t * (qx - px), pz + t * (qz - pz)))
             if point_in:
                 emitted.append((qx, qz))
-        spilled |= len(emitted) > slots
-        output = emitted[:slots]
-    return output, spilled
+        output = emitted
+    return output
 
 
 class TestIogt3dBatch:
-    """The kernel against the scalar ``iogt3d``, bit for bit and error for
-    error."""
+    """The kernel against the scalar ``iogt3d_reference``, bit for bit and
+    error for error."""
 
     @given(st.lists(overlap_pairs(), max_size=30))
     @settings(max_examples=150)
     def test_overlap_pairs(self, pairs):
-        assert_batch_matches_iogt3d(pairs)
+        assert_batch_matches_reference(pairs)
 
     @pytest.mark.parametrize("p_sides, g_sides", [
         ((), ("length",)), (("width",), ()), (("width",), ("length",)),
@@ -584,12 +594,12 @@ class TestIogt3dBatch:
     def test_thin_boxes(self, p_sides, g_sides, center_y):
         g = _thin(Box3D(0.2, 0.0, 9.0, 1.8, 1.5, 4.2, 0.4), g_sides)
         p = _thin(Box3D(0.5, center_y, 9.3, 2.0, 1.6, 4.5, 0.5), p_sides)
-        assert_batch_matches_iogt3d([(p, g), (g, p), (g, g)])
+        assert_batch_matches_reference([(p, g), (g, p), (g, g)])
 
     @given(st.lists(thin_pairs(), min_size=1, max_size=30))
     @settings(max_examples=150)
     def test_thin_sides_down_to_1e_16(self, pairs):
-        assert_batch_matches_iogt3d(pairs)
+        assert_batch_matches_reference(pairs)
 
     @pytest.mark.parametrize("side", [1e-16, 1e-13, 1e-10, 1e-8])
     def test_sliver_of_each_side(self, side):
@@ -602,7 +612,7 @@ class TestIogt3dBatch:
                  for name in ("length", "height", "width")
                  for a, b in ((p, g), (g, p), (p, p))]
         pairs += [(b, a) for a, b in pairs]
-        assert_batch_matches_iogt3d(pairs)
+        assert_batch_matches_reference(pairs)
 
     def test_hand_cases(self):
         g = Box3D(0, 0, 10, 2, 1.5, 2, 0)
@@ -618,7 +628,7 @@ class TestIogt3dBatch:
             (Box3D(0, 0.75, 10.5, 2, 1.5, 2, 0.3), g),
             (Box3D(4, 0, 10, 1, 1, 1, 0), g),  # disjoint
         ]
-        assert_batch_matches_iogt3d(cases)
+        assert_batch_matches_reference(cases)
         values = iogt3d_batch([p for p, _ in cases], [g for _, g in cases])
         assert values[:3].tolist() == [1.0, 1 / 3, 1.0]
         assert values[[3, 4, 6, 7, 9]].tolist() == [0.0] * 5
@@ -626,7 +636,7 @@ class TestIogt3dBatch:
     def test_zero_volume_ground_truth(self):
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         ahead = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
-        assert_batch_matches_iogt3d([(ahead, ahead), (ahead, flat), (flat, ahead)])
+        assert_batch_matches_reference([(ahead, ahead), (ahead, flat), (flat, ahead)])
 
     def test_footprint_not_finite(self):
         # a corner past the float limit: iogt3d raises on the ground truth's
@@ -635,18 +645,18 @@ class TestIogt3dBatch:
         ahead = Box3D(0, 0, 10, 2, 1.5, 2, 0.0)
         above = ahead._replace(center_y=5.0)
         pairs = [(ahead, ahead), (ahead, overflow), (overflow, ahead), (overflow, above)]
-        assert [type(_outcome(iogt3d, p, g)) for p, g in pairs] == [
+        assert [type(_outcome(iogt3d_reference, p, g)) for p, g in pairs] == [
             float, tuple, tuple, float]
-        assert_batch_matches_iogt3d(pairs)
+        assert_batch_matches_reference(pairs)
 
     @given(st.lists(overflow_pairs(), min_size=1, max_size=40))
     @settings(max_examples=100)
     def test_overflow_scale(self, pairs):
-        assert_batch_matches_iogt3d(pairs)
+        assert_batch_matches_reference(pairs)
 
     def test_overflow_scale_nan_crossing(self):
-        assert iogt3d(*OVERFLOW_PAIR) == 1.0
-        assert_batch_matches_iogt3d([OVERFLOW_PAIR])
+        assert iogt3d(*OVERFLOW_PAIR) == iogt3d_reference(*OVERFLOW_PAIR) == 1.0
+        assert_batch_matches_reference([OVERFLOW_PAIR])
 
     @pytest.mark.parametrize("p, g", [
         (Box3D(3.2499999985857864, 0, 0.2500000014142135, 0.5, 1, 1.0, 2.356194490192345),
@@ -658,7 +668,7 @@ class TestIogt3dBatch:
         # a side of g parallel to one of p's, about EPS_GEOM outside it: the
         # clip takes a crossing point on a segment parallel to the edge
         assert iogt3d(p, g) < 1.0
-        assert_batch_matches_iogt3d([(p, g)])
+        assert_batch_matches_reference([(p, g)])
 
     def test_vertex_exactly_at_the_slack(self):
         # p's 1 m near edge lies on z = 0, so its slack is EPS_GEOM metres:
@@ -671,17 +681,17 @@ class TestIogt3dBatch:
         assert project_bev(past).vertices[2].z == math.nextafter(-EPS_GEOM, -1.0)
         assert iogt3d(p, at) == 1.0
         assert iogt3d(p, past) < 0.5
-        assert_batch_matches_iogt3d([(p, at), (p, past)])
+        assert_batch_matches_reference([(p, at), (p, past)])
 
     def test_slack_past_a_short_side_is_in_metres(self):
         # p, 1.9e-9 m wide, lies inside g; its short sides admit no more
         # than EPS_GEOM metres of g past them, so the overlap is Vol(p)
         p = Box3D(0.0, 0.0, 8e-9 + 2.0 ** -30, 0.125, 1.0, 2.0 ** -29, 0.0)
         g = Box3D(0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
-        expected = box_volume(p) / box_volume(g)
+        expected = box_volume_reference(p) / box_volume_reference(g)
         assert iogt3d(p, g) == pytest.approx(expected, rel=1e-8)
         assert iogt3d_batch([p], [g])[0] == iogt3d(p, g)
-        assert intersection_volume(p, g) == pytest.approx(box_volume(p), rel=1e-8)
+        assert iou3d(p, g) == pytest.approx(expected, rel=1e-8)
 
     def test_batch_longer_than_two_chunks(self, monkeypatch):
         frames = generate_synthetic(SyntheticSpec(
@@ -691,7 +701,7 @@ class TestIogt3dBatch:
         pairs = [(m.detection.box, m.annotation.box)
                  for key in sorted(matched) for m in matched[key]]
         assert len(pairs) > 2 * BATCH_CAP
-        expected = [iogt3d(p, g) for p, g in pairs]
+        expected = [iogt3d_reference(p, g) for p, g in pairs]
 
         def no_scalar_fallback(*args):
             raise AssertionError("well-formed pairs must not reach iogt3d")
@@ -712,45 +722,22 @@ class TestIogt3dBatch:
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
                            r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
-        assert_batch_matches_iogt3d(pairs)
-
-    def test_clip_out_of_slots_goes_to_iogt3d(self, monkeypatch):
-        # no box pair is known to run the clip out of its 8 slots, so a
-        # stand-in reports every other row out of slots, with no vertices
-        pairs = list(zip(BOX_LIST[1:], BOX_LIST))
-        expected = [iogt3d(p, g) for p, g in pairs]
-        clip_rows, calls = geometry._clip_rows, []
-
-        def out_of_slots(*args):
-            x, z, count, overflow = clip_rows(*args)
-            overflow[::2] = True
-            count[::2] = 0
-            return x, z, count, overflow
-
-        def counted(p, g):
-            calls.append((p, g))
-            return iogt3d(p, g)
-
-        monkeypatch.setattr(geometry, "_clip_rows", out_of_slots)
-        monkeypatch.setattr(geometry, "iogt3d", counted)
-        values = iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
-        assert values.tolist() == expected
-        assert calls == pairs[::2]
+        assert_batch_matches_reference(pairs)
 
     def test_clip_of_two_vertices_has_no_area(self, monkeypatch):
         # a stand-in clips every other row to 2 vertices, one of them at an
         # infinite x: its shoelace sum is inf - inf, and the pair would read
-        # 1.0 were the area not gated on 3 vertices, as in
+        # 1.0 were the area not gated on 3 vertices, as in the reference's
         # convex_intersection_area
         pairs = list(zip(BOX_LIST[1:], BOX_LIST))
-        expected = [iogt3d(p, g) for p, g in pairs]
+        expected = [iogt3d_reference(p, g) for p, g in pairs]
         clip_rows = geometry._clip_rows
 
         def two_vertices(*args):
-            x, z, count, overflow = clip_rows(*args)
+            x, z, count = clip_rows(*args)
             x[::2, :2], z[::2, :2] = (math.inf, 0.0), (0.0, 1.0)
             count[::2] = 2
-            return x, z, count, overflow
+            return x, z, count
 
         assert math.isnan(shoelace_area([(math.inf, 0.0), (0.0, 1.0)]))
         monkeypatch.setattr(geometry, "_clip_rows", two_vertices)
@@ -760,25 +747,25 @@ class TestIogt3dBatch:
 
     def test_clip_rows_against_clip_convex(self):
         # arbitrary quadrilaterals, non-convex ones included, clipped by a
-        # rotated rectangle; a few run out of slots
+        # rotated rectangle; a few keep more than 8 vertices
         rng = np.random.default_rng(5)
         subject = rng.integers(-3, 4, size=(2000, 2, 4)).astype(float)
         clip = np.array(project_bev(Box3D(0.5, 0, 0.25, 2.5, 1, 2, 0.3)).vertices).T
         with np.errstate(all="ignore"):
-            x, z, count, overflow = geometry._clip_rows(
+            x, z, count = geometry._clip_rows(
                 subject[:, 0], subject[:, 1], np.tile(clip[0], (2000, 1)),
                 np.tile(clip[1], (2000, 1)))
-        assert 0 < overflow.sum() < 100
-        for row in np.flatnonzero(~overflow):
-            expected = geometry._clip_convex(subject[row].T.tolist(), clip.T.tolist())
+        assert 0 < (count > 8).sum() < 100
+        for row in range(len(subject)):
+            expected = _clip_convex(subject[row].T.tolist(), clip.T.tolist())
             got = np.stack([x[row], z[row]], axis=1)[:count[row]]
             assert got.tolist() == [list(v) for v in expected]
 
     def test_clip_rows_compaction_against_emission_order(self):
-        # random subjects and clips, some rows out of slots, then three
-        # hand-made rows: a disjoint pair, a square clipped by a diamond to an
-        # octagon, and a crossed subject that emits more than 8 vertices at
-        # some edge
+        # random subjects and clips, some rows with more than 8 vertices,
+        # then three hand-made rows: a disjoint pair, a square clipped by a
+        # diamond to an octagon, and a crossed subject that emits more than 8
+        # vertices at some edge and keeps them all
         rng = np.random.default_rng(21)
 
         def quads(*hand):
@@ -792,17 +779,36 @@ class TestIogt3dBatch:
         subject = quads(disjoint, square, crossed)
         clip = quads(square, diamond, square)
         with np.errstate(all="ignore"):
-            x, z, count, overflow = geometry._clip_rows(
+            x, z, count = geometry._clip_rows(
                 subject[:, 0], subject[:, 1], clip[:, 0], clip[:, 1])
-        assert count[-3:].tolist() == [0, 8, 8]
-        assert overflow[-3:].tolist() == [False, False, True]
-        assert 0 < overflow.sum() < 100
+        assert count[-3:].tolist() == [0, 8, 9]
+        assert 0 < (count > 8).sum() < 100
         for row in range(len(subject)):
-            vertices, spilled = clip_emission_order(subject[row].T.tolist(),
-                                                    clip[row].T.tolist())
-            assert (count[row], overflow[row]) == (len(vertices), spilled)
+            vertices = clip_emission_order(subject[row].T.tolist(),
+                                           clip[row].T.tolist())
+            assert count[row] == len(vertices)
             got = np.stack([x[row], z[row]], axis=1)[:count[row]]
             assert got.tobytes() == np.array(vertices).reshape(-1, 2).tobytes()
+
+    def test_clip_rows_widen_only_for_a_clip_of_more_than_8_vertices(self):
+        # the crossed subject emits 9 vertices at the square's last edge: the
+        # arrays widen to hold them all, and stay 8 wide without it
+        square = [[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]]
+        crossed = [[-3.0, 3.0, -2.0, 2.0], [3.0, 0.0, 0.0, -3.0]]
+        diamond = [[1.25, 0.0, -1.25, 0.0], [0.0, 1.25, 0.0, -1.25]]
+        for subjects, counts in (([diamond, crossed], [8, 9]),
+                                 ([diamond, diamond], [8, 8])):
+            subject, clip = np.array(subjects), np.array([square, square])
+            with np.errstate(all="ignore"):
+                x, z, count = geometry._clip_rows(
+                    subject[:, 0], subject[:, 1], clip[:, 0], clip[:, 1])
+            assert count.tolist() == counts
+            assert x.shape == z.shape == (2, max(counts))
+            for row in range(2):
+                vertices = clip_emission_order(subject[row].T.tolist(),
+                                               clip[row].T.tolist())
+                got = np.stack([x[row], z[row]], axis=1)[:count[row]]
+                assert got.tobytes() == np.array(vertices).tobytes()
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
@@ -900,7 +906,7 @@ class TestPolygonValidation:
         (((1, 9), (1, 9), (1, 11), (1, 11)), 0.0),  # a box side of 0 m
     ], ids=["reflex", "clockwise", "repeated", "sliver"])
     def test_accepts_any_finite_vertices(self, vertices, area):
-        assert BevPolygon(vertices).area == area
+        assert shoelace_area(BevPolygon(vertices).vertices) == area
 
     def test_rejects_fewer_than_three_vertices(self):
         with pytest.raises(ValueError, match="^polygon needs at least 3 vertices$"):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import iogt3d_reference
 from strategies import boxes, finite, frontal_pairs, overflow_pairs
-from usc import (Box3D, LossConfig, iogt_loss, safety_loss, safety_loss_batch,
-                 smooth_l1)
+from usc import (Box3D, LossConfig, iogt3d, iogt_loss, iou3d, safety_loss,
+                 safety_loss_batch, smooth_l1)
 from usc.geometry import BATCH_CAP
 
 
@@ -146,6 +147,20 @@ class TestSafetyLoss:
             assert abs(shifted - base) <= 100 * eps
 
 
+@pytest.mark.parametrize("measure", [iogt3d, iou3d, iogt_loss, safety_loss,
+                                     smooth_l1])
+def test_one_pair_values_are_python_floats(measure):
+    # a numpy float would show as np.float64(...) in an error's !r
+    p = Box3D(0.3, 0, 10, 1.2, 1.1, 1.4, 0.2)
+    g = Box3D(0.0, 0, 10.3, 1.0, 1.0, 1.2, 0.0)
+    for pair in ((p, g), (g, g), (Box3D(5, 0, 10, 1, 1, 1, 0), g)):
+        assert type(measure(*pair)) is float
+
+
+def _iogt_loss_reference(p, g):
+    return 1.0 - iogt3d_reference(p, g)
+
+
 def _outcome(measure, *args):
     """The measure's value, or the type and text of its ValueError."""
     try:
@@ -155,10 +170,11 @@ def _outcome(measure, *args):
 
 
 def assert_batch_matches_scalar(pairs, config=LossConfig()):
-    """``safety_loss_batch`` against the one-pair functions: the same float64
-    bits in each of its arrays for every pair on which ``iogt_loss`` does not
-    raise, and for the whole batch the error of its first pair that does."""
-    enclosure = [_outcome(iogt_loss, p, g) for p, g in pairs]
+    """``safety_loss_batch`` against the one-pair functions, with the IoGT
+    loss from ``iogt3d_reference``: the same float64 bits in each of its
+    arrays for every pair on which the reference does not raise, and for the
+    whole batch the error of its first pair that does."""
+    enclosure = [_outcome(_iogt_loss_reference, p, g) for p, g in pairs]
     scored = [pair for pair, value in zip(pairs, enclosure)
               if isinstance(value, float)]
     beta, wrap = config.smooth_l1_beta, config.yaw_wrapping
@@ -208,7 +224,7 @@ BASE = Box3D(0.5, 0.0, 10.0, 2.0, 1.5, 1.8, 0.25)
 
 
 class TestSafetyLossBatch:
-    """The array pass against ``smooth_l1``, ``iogt_loss`` and
+    """The array pass against ``smooth_l1``, ``1 - iogt3d_reference`` and
     ``safety_loss``, bit for bit and error for error."""
 
     @given(st.lists(st.tuples(boxes(), boxes()) | overflow_pairs()
