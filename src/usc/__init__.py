@@ -22,7 +22,7 @@ from .evaluation import (BucketSummary, ClassBucketMetrics, MatchedPair,
                          matched_pairs, nds, pair_columns, pearson,
                          tp_error_means, usc_nds)
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
-                       Point3, Rect2D, Segment2D, box_corners, corner_arrays,
+                       Point3, Rect2D, Segment2D, box_corners, footprint_arrays,
                        iogt3d, iogt3d_batch, iou3d, project_bev,
                        project_pv_rect, segments_intersect, wrap_angle)
 from .io import (SyntheticSpec, format_report_table,

@@ -41,8 +41,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
-from .geometry import (EPS_DEPTH, EPS_GEOM, FOOTPRINT, BevPolygon, Box3D,
-                       Point2, Rect2D, Segment2D, box_array, corner_arrays,
+from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
+                       Rect2D, Segment2D, box_array, footprint_arrays,
                        map_math, pair_batches, project_bev, project_pv_rect,
                        segments_intersect)
 
@@ -205,10 +205,9 @@ EXCLUSION_REASONS = (BehindCamera, DegenerateGroundTruth)
 
 def _usc_chunk(pred_boxes, gt_boxes):
     n = len(pred_boxes)
-    fx, y, fz = corner_arrays(np.concatenate([pred_boxes, gt_boxes]))
     # one row per footprint vertex (for y, a bottom and a top corner), one
-    # column per box, predictions first; the other corners repeat x and z
-    fx, y, fz = fx.T[FOOTPRINT], y.T[[0, 2]], fz.T[FOOTPRINT]
+    # column per box, predictions first
+    fx, y, fz = footprint_arrays(np.concatenate([pred_boxes, gt_boxes]))
     norm = map_math(math.hypot, fx, fz)
     u = fx / fz
     # project_pv_rect; where every z is positive, a bottom corner's y / z

@@ -316,17 +316,21 @@ def segments_intersect(segments: Iterable[Segment2D]) -> bool:
 
 #: Most pairs a batch kernel (``iogt3d_batch``, ``constraints.usc_batch``,
 #: ``loss.safety_loss_batch``) holds in its working arrays at once, which
-#: bounds its memory whatever the batch length.
+#: bounds its memory whatever the batch length. Its geometry arrays are
+#: slot-major: one column per pair or box, and one row per footprint vertex
+#: or clip slot; slots at or past a pair's vertex count are never read.
 BATCH_CAP = 256
 
-# Local corner sides in ``box_corners`` order (bit 0: x, bit 1: y, bit 2: z).
-_SIDE_X = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-_SIDE_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_SIDE_Z = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-
-#: Vertices the arrays of ``_clip_rows`` hold at first: each of the four
-#: clipping edges adds at most one in exact arithmetic.
+#: Vertex slots the slot-major arrays of ``_clip_rows`` hold at first: each
+#: of the four clipping edges adds at most one vertex in exact arithmetic.
+#: Slots at or past a pair's vertex count are never read.
 _CLIP_SLOTS = 8
+
+# Local x and z sides of the FOOTPRINT corners and y sides of a bottom and a
+# top corner, one row each (``box_corners`` bits 0, 2 and 1)
+_SIDE_X, _SIDE_Z = (np.array([[1.0 if i & bit else -1.0] for i in FOOTPRINT])
+                    for bit in (1, 4))
+_SIDE_Y = np.array([[-1.0], [1.0]])
 
 
 def pair_batches(chunk, preds: Sequence, gts: Sequence) -> tuple:
@@ -379,111 +383,109 @@ def box_array(boxes) -> np.ndarray:
                        7 * len(boxes)).reshape(-1, 7)
 
 
-def corner_arrays(boxes):
-    """(n, 8) arrays of the x, y and z corner coordinates of each box, given
-    as ``box_array`` takes them: the array form of ``box_corners``, the same
-    floats in the same order."""
+def footprint_arrays(boxes):
+    """(4, n) arrays of the x and z of the ``FOOTPRINT`` corners of n boxes,
+    given as ``box_array`` takes them, one row per corner in that order, and
+    a (2, n) array of the y of a bottom and a top corner: the same floats as
+    ``box_corners`` gives for those corners."""
     cx, cy, cz, length, height, width, yaw = box_array(boxes).T
     c, s = map_math(math.cos, yaw), map_math(math.sin, yaw)
-    # (hx * c) * -1 is box_corners' -hx * c, as negation is exact; y comes
-    # last, so that no more than x, z and one product are held at once
-    x = cx[:, None] + (length / 2.0 * c)[:, None] * _SIDE_X
-    x += (width / 2.0 * s)[:, None] * _SIDE_Z
-    z = cz[:, None] - (length / 2.0 * s)[:, None] * _SIDE_X
-    z += (width / 2.0 * c)[:, None] * _SIDE_Z
-    y = cy[:, None] + (height / 2.0)[:, None] * _SIDE_Y
+    # (hx * c) * -1 is box_corners' -hx * c, as negation is exact
+    x = cx + (length / 2.0 * c) * _SIDE_X
+    x += (width / 2.0 * s) * _SIDE_Z
+    z = cz - (length / 2.0 * s) * _SIDE_X
+    z += (width / 2.0 * c) * _SIDE_Z
+    y = cy + (height / 2.0) * _SIDE_Y
     return x, y, z
 
 
 def _shoelace_rows(x, z, count) -> np.ndarray:
     """The unsigned shoelace area of the first ``count`` vertices of each
-    row, summed from the first vertex on."""
-    width = x.shape[1]
-    acc = np.zeros(len(x))
+    column of the slot-major arrays ``x`` and ``z``, summed one slot at a
+    time from the first vertex on."""
+    width = len(x)
+    acc = np.zeros(x.shape[1])
     for i in range(width):
         has_next = i + 1 < count
-        bx = np.where(has_next, x[:, (i + 1) % width], x[:, 0])
-        bz = np.where(has_next, z[:, (i + 1) % width], z[:, 0])
-        acc += np.where(i < count, x[:, i] * bz - bx * z[:, i], 0.0)
+        bx = np.where(has_next, x[(i + 1) % width], x[0])
+        bz = np.where(has_next, z[(i + 1) % width], z[0])
+        acc += np.where(i < count, x[i] * bz - bx * z[i], 0.0)
     return abs(acc) / 2.0
 
 
-def _clip_rows(sx, sz, cx, cz):
-    """Sutherland-Hodgman clip of each row's subject footprint by its clip
-    footprint, both (n, 4) arrays whose clip rows are counter-clockwise.
+def _clip_rows(x, z, cx, cz):
+    """Sutherland-Hodgman clip of each pair's subject footprint by its clip
+    footprint. All four arrays are slot-major (4, n): one row per vertex
+    slot and one column per pair. The clip footprints are counter-clockwise.
 
-    Returns the clipped vertices in (n, w) arrays and their counts. The
-    arrays hold ``_CLIP_SLOTS`` vertices; where rounding makes an edge emit
-    more, they widen to hold them all. An edge at most doubles a count, so
-    no clip holds more than 64.
+    Returns the clipped vertices in slot-major (w, n) arrays and their
+    counts. The arrays hold ``_CLIP_SLOTS`` slots; where rounding makes an
+    edge emit more vertices, they widen to hold them all. An edge at most
+    doubles a count, so no clip holds more than 64.
 
     At each edge every live slot may emit its crossing point, then its
-    vertex. An emitted value goes to the slot numbered by how many values its
-    row emitted before it at that edge (a running sum, no sort). Slots at or
-    past a row's count hold stale values: nothing reads them, since the
-    live-slot mask here, ``_shoelace_rows`` and the ``count >= 3`` gate of
-    the area all stop at the count.
+    vertex. A slot's previous vertex is the slot above it, and for slot 0
+    its pair's last live slot. Crossing points are computed only where a
+    slot emits one. An emitted value goes to the slot numbered by how many
+    values its pair emitted before it at that edge (a running sum, no sort).
+    Slots at or past a pair's count hold stale values and are never read:
+    the live-slot mask here, ``_shoelace_rows`` and the ``count >= 3`` gate
+    of the area all stop at the count. A count is 0 or at least 3: the
+    inside test changes an even number of times around a polygon, and each
+    change emits a crossing point.
     """
-    n = len(sx)
-    rows = np.arange(n)
-    x = np.zeros((n, _CLIP_SLOTS))
-    z = np.zeros((n, _CLIP_SLOTS))
-    x[:, :4], z[:, :4] = sx, sz
+    n = x.shape[1]
+    x, z = (np.concatenate([v, np.zeros((_CLIP_SLOTS - 4, n))]) for v in (x, z))
     count = np.full(n, 4)
     for i in range(4):
-        width = x.shape[1]
-        ax, az = cx[:, i, None], cz[:, i, None]
-        ex = cx[:, (i + 1) % 4, None] - ax
-        ez = cz[:, (i + 1) % 4, None] - az
+        ax, az = cx[i], cz[i]
+        ex, ez = cx[(i + 1) % 4] - ax, cz[(i + 1) % 4] - az
         # non-strict half-plane test; a slack of EPS_GEOM / sqrt(2) to
         # EPS_GEOM metres keeps shared boundaries in
         inside = (ex * (z - az) - ez * (x - ax)
                   >= -EPS_GEOM * np.maximum(abs(ex), abs(ez)))
-        # each slot's previous vertex: the slot before it, and for slot 0 the
-        # last live slot
+        live = np.arange(len(x))[:, None] < count
         last = count - 1
-        px = np.concatenate([x[rows, last, None], x[:, :-1]], axis=1)
-        pz = np.concatenate([z[rows, last, None], z[:, :-1]], axis=1)
-        prev_in = np.concatenate([inside[rows, last, None], inside[:, :-1]], axis=1)
+        prev_in = np.concatenate([np.take_along_axis(inside, last[None], 0), inside[:-1]])
+        cross, keep = live & (inside != prev_in), live & inside
+        # one past the slot of each slot's last emitted value
+        end = np.add(cross, keep, dtype=np.intp).cumsum(axis=0)
+        count = end[-1]
         # the crossing point of the edge's line with the segment from the
         # previous vertex, its parameter clamped to [0, 1] and 0.5 on a
         # parallel segment; a NaN parameter reads 0.0
-        den = ex * (z - pz) - ez * (x - px)
-        num = ez * (px - ax) - ex * (pz - az)
+        k, j = np.nonzero(cross)
+        prev = np.where(k > 0, k - 1, last[j])
+        qx, qz, px, pz = x[k, j], z[k, j], x[prev, j], z[prev, j]
+        den = ex[j] * (qz - pz) - ez[j] * (qx - px)
+        num = ez[j] * (px - ax[j]) - ex[j] * (pz - az[j])
         t = np.where(den != 0.0, num / den, 0.5)
         t = np.where(t > 0.0, t, 0.0)
         t = np.where(t < 1.0, t, 1.0)
-        # each vertex emits its crossing point, then itself, into two slots
-        live = np.arange(width) < count[:, None]
-        emit = np.stack([live & (inside != prev_in), live & inside],
-                        axis=2).reshape(n, 2 * width)
-        pos = np.cumsum(emit, axis=1) - 1
-        count = pos[:, -1] + 1
-        r, c = np.nonzero(emit)
-        slot, vertex, kind = pos[r, c], c // 2, c % 2
-        out_x, out_z = x, z
-        if count.max(initial=0) > width:
-            out_x, out_z = np.zeros((2, n, count.max()))
-        out_x[r, slot] = np.stack([px + t * (x - px), x], axis=2)[r, vertex, kind]
-        out_z[r, slot] = np.stack([pz + t * (z - pz), z], axis=2)[r, vertex, kind]
-        x, z = out_x, out_z
+        kept_k, kept_j = np.nonzero(keep)
+        kept_x, kept_z = x[kept_k, kept_j], z[kept_k, kept_j]
+        if count.max(initial=0) > len(x):
+            x, z = np.zeros((2, count.max(), n))
+        # each slot emits its crossing point, then its vertex
+        slot = end[k, j] - 1 - keep[k, j]
+        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = end[kept_k, kept_j] - 1
+        x[slot, kept_j], z[slot, kept_j] = kept_x, kept_z
     return x, z, count
 
 
 def _footprint(x, z) -> BevPolygon:
-    """The BEV polygon of one footprint row of vertex coordinates:
+    """The BEV polygon of one footprint's vertex coordinates:
     ``BevPolygon`` raises its error on a vertex that is not finite."""
     return BevPolygon(tuple(map(Point2, x.tolist(), z.tolist())))
 
 
 def _iogt3d_chunk(preds, gts) -> tuple:
-    p_x, p_y, p_z = corner_arrays(preds)
-    g_x, g_y, g_z = corner_arrays(gts)
-    px, pz = p_x[:, FOOTPRINT], p_z[:, FOOTPRINT]
-    gx, gz = g_x[:, FOOTPRINT], g_z[:, FOOTPRINT]
-    # corners 0 and 2 sit at the bottom and top of the vertical interval;
+    n = len(preds)
+    x, y, z = footprint_arrays(np.concatenate([preds, gts]))
+    px, pz, gx, gz = x[:, :n], z[:, :n], x[:, n:], z[:, n:]
     # no bound is NaN, so np.minimum and np.maximum pick as min and max do
-    p_lo, p_hi, g_lo, g_hi = p_y[:, 0], p_y[:, 2], g_y[:, 0], g_y[:, 2]
+    p_lo, p_hi, g_lo, g_hi = y[0, :n], y[1, :n], y[0, n:], y[1, n:]
     g_area = _shoelace_rows(gx, gz, 4)
     volume = g_area * (g_hi - g_lo)
     vertical = np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo)
@@ -492,19 +494,19 @@ def _iogt3d_chunk(preds, gts) -> tuple:
     # ground-truth footprint that is not finite, a ground-truth volume of
     # 0.0, and a prediction footprint that is not finite where the vertical
     # intervals overlap (elsewhere the prediction is not read).
-    g_finite = np.isfinite(gx).all(axis=1) & np.isfinite(gz).all(axis=1)
-    p_finite = np.isfinite(px).all(axis=1) & np.isfinite(pz).all(axis=1)
+    finite = (np.isfinite(x) & np.isfinite(z)).all(axis=0)
+    p_finite, g_finite = finite[:n], finite[n:]
     failing = ~g_finite | (volume == 0.0) | ((vertical > 0.0) & ~p_finite)
     if failing.any():
         row = failing.argmax()
-        _footprint(gx[row], gz[row])  # raises if a vertex is not finite
+        _footprint(gx[:, row], gz[:, row])  # raises if a vertex is not finite
         if volume[row] == 0.0:
             raise ValueError(
                 f"ground-truth volume is 0.0 at {tuple(gts[row, :3].tolist())!r} "
                 f"(footprint area {g_area[row].item()!r}, vertical extent "
                 f"{(g_hi[row] - g_lo[row]).item()!r} from height "
                 f"{gts[row, 4].item()!r})")
-        _footprint(px[row], pz[row])  # raises: only this error is left
+        _footprint(px[:, row], pz[:, row])  # raises: only this error is left
 
     x, z, count = _clip_rows(gx, gz, px, pz)
     area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)
@@ -560,18 +562,17 @@ def iou3d(p: Box3D, g: Box3D) -> float:
     the union volume is 0.0, which needs both volumes to be 0.0.
     """
     with np.errstate(all="ignore"):
-        x, y, z = corner_arrays([p, g])
-        fx, fz = x[:, FOOTPRINT], z[:, FOOTPRINT]
-        footprints = [_footprint(fx[row], fz[row]).vertices for row in (0, 1)]
+        fx, y, fz = footprint_arrays([p, g])
+        footprints = [_footprint(fx[:, col], fz[:, col]).vertices for col in (0, 1)]
         p_area, g_area = _shoelace_rows(fx, fz, 4).tolist()
-        (p_lo, g_lo), (p_hi, g_hi) = y[:, 0].tolist(), y[:, 2].tolist()
+        (p_lo, g_lo), (p_hi, g_hi) = y.tolist()
         vertical = min(p_hi, g_hi) - max(p_lo, g_lo)
         inter = 0.0
         if vertical > 0.0:
             subject = 0 if footprints[0] <= footprints[1] else 1
             clip = 1 - subject
-            cx, cz, count = _clip_rows(fx[[subject]], fz[[subject]],
-                                       fx[[clip]], fz[[clip]])
+            cx, cz, count = _clip_rows(fx[:, [subject]], fz[:, [subject]],
+                                       fx[:, [clip]], fz[:, [clip]])
             area = _shoelace_rows(cx, cz, count).item() if count[0] >= 3 else 0.0
             inter = area * vertical
     union = p_area * (p_hi - p_lo) + g_area * (g_hi - g_lo) - inter

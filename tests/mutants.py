@@ -146,13 +146,33 @@ CATALOGUE = (
            "((vertical > 0.0) & ~p_finite)", "~p_finite", IOGT3D_BATCH),
     # a clip that rounding makes emit more than 8 vertices keeps them all
     Mutant("clip-rows-never-widens", "geometry.py",
-           "if count.max(initial=0) > width:", "if False:", IOGT3D_BATCH),
+           "if count.max(initial=0) > len(x):", "if False:", IOGT3D_BATCH),
+    # slot 0's previous vertex is its pair's last live slot, not the last slot
+    Mutant("clip-prev-vertex-of-slot-0-from-last-slot", "geometry.py",
+           "prev = np.where(k > 0, k - 1, last[j])",
+           "prev = np.where(k > 0, k - 1, len(x) - 1)", IOGT3D_BATCH),
+    # a slot emits its crossing point before its vertex
+    Mutant("clip-crossing-after-vertex", "geometry.py",
+           """        slot = end[k, j] - 1 - keep[k, j]
+        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = end[kept_k, kept_j] - 1
+""", """        slot = end[k, j] - 1
+        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = end[kept_k, kept_j] - 1 - cross[kept_k, kept_j]
+""", IOGT3D_BATCH),
+    # the footprint helper's first y row is the bottom, its second the top
+    Mutant("footprint-bottom-top-swapped", "geometry.py",
+           "_SIDE_Y = np.array([[-1.0], [1.0]])",
+           "_SIDE_Y = np.array([[1.0], [-1.0]])",
+           ("tests/test_geometry.py::TestBoxCorners",) + IOGT3D_BATCH),
     # IoU clips the footprint with the smaller vertex tuple, so that it does
     # not depend on the argument order
     Mutant("iou3d-subject-by-argument-order", "geometry.py",
            "subject = 0 if footprints[0] <= footprints[1] else 1",
            "subject = 0", OVERLAP),
-    # a clip of fewer than 3 vertices has no area, whatever its shoelace sum
+    # a clip of fewer than 3 vertices has no area, whatever its shoelace sum;
+    # only a stand-in clip is killed by it, as no real one keeps 1 or 2
+    # vertices (see _clip_rows)
     Mutant("iogt3d-clip-area-ungated", "geometry.py",
            "area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)",
            "area = _shoelace_rows(x, z, count)", IOGT3D_BATCH),

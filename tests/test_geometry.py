@@ -12,13 +12,13 @@ from oracles import (MonteCarloOracle, _clip_convex, box_volume_reference,
 from strategies import (boxes, finite, overflow_boxes, overflow_pairs,
                         thin_pairs)
 from usc import (EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
-                 Rect2D, Segment2D, SyntheticSpec, box_corners, corner_arrays,
-                 generate_synthetic, iogt3d, iogt3d_batch, iogt_loss, iou3d,
-                 matched_pairs, project_bev, project_pv_rect,
-                 segments_intersect, wrap_angle)
+                 Rect2D, Segment2D, SyntheticSpec, box_corners,
+                 footprint_arrays, generate_synthetic, iogt3d, iogt3d_batch,
+                 iogt_loss, iou3d, matched_pairs, project_bev,
+                 project_pv_rect, segments_intersect, wrap_angle)
 from usc import geometry
 from usc.errors import BehindCamera
-from usc.geometry import BATCH_CAP
+from usc.geometry import BATCH_CAP, FOOTPRINT
 
 SMALL_MC = MonteCarloOracle(samples=200_000, seed=99)
 
@@ -67,23 +67,29 @@ class TestBoxCorners:
                           round(box.center_z - s * dx + c * dz, 9)))
         assert corner_set(box_corners(box)) == expected
 
+    @staticmethod
+    def assert_footprint_arrays_are_box_corners(box_list):
+        # the footprint corners' x and z, and the y of corners 0 (bottom) and
+        # 2 (top), one column per box
+        x, y, z = footprint_arrays(box_list)
+        assert x.shape == z.shape == (4, len(box_list))
+        assert y.shape == (2, len(box_list))
+        corners = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
+        assert x.tobytes() == corners[:, FOOTPRINT, 0].T.tobytes()
+        assert z.tobytes() == corners[:, FOOTPRINT, 2].T.tobytes()
+        assert y.tobytes() == corners[:, [0, 2], 1].T.tobytes()
+
     @given(st.lists(boxes() | overflow_boxes(), max_size=12))
     @settings(max_examples=100)
-    def test_corner_arrays_are_box_corners(self, box_list):
-        x, y, z = corner_arrays(box_list)
-        assert x.shape == y.shape == z.shape == (len(box_list), 8)
-        expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
-        assert np.stack([x, y, z], axis=2).tobytes() == expected.tobytes()
+    def test_footprint_arrays_are_box_corners(self, box_list):
+        self.assert_footprint_arrays_are_box_corners(box_list)
 
     @pytest.mark.parametrize("box_list", [
         [], [Box3D(1, 0, 10, 2, 1, 3, 0), Box3D(-4, 2, 7, 1, 2, 1, 4)]],
         ids=["empty", "ints"])
-    def test_corner_arrays_of_no_boxes_and_of_int_boxes(self, box_list):
+    def test_footprint_arrays_of_no_boxes_and_of_int_boxes(self, box_list):
         assert all(type(v) is float for b in box_list for v in b)
-        x, y, z = corner_arrays(box_list)
-        assert x.shape == y.shape == z.shape == (len(box_list), 8)
-        expected = np.array([box_corners(b) for b in box_list]).reshape(-1, 8, 3)
-        assert np.stack([x, y, z], axis=2).tobytes() == expected.tobytes()
+        self.assert_footprint_arrays_are_box_corners(box_list)
 
 
 class TestBox3DValidation:
@@ -735,7 +741,7 @@ class TestIogt3dBatch:
 
         def two_vertices(*args):
             x, z, count = clip_rows(*args)
-            x[::2, :2], z[::2, :2] = (math.inf, 0.0), (0.0, 1.0)
+            x[:2, ::2], z[:2, ::2] = [[math.inf], [0.0]], [[0.0], [1.0]]
             count[::2] = 2
             return x, z, count
 
@@ -753,19 +759,43 @@ class TestIogt3dBatch:
         clip = np.array(project_bev(Box3D(0.5, 0, 0.25, 2.5, 1, 2, 0.3)).vertices).T
         with np.errstate(all="ignore"):
             x, z, count = geometry._clip_rows(
-                subject[:, 0], subject[:, 1], np.tile(clip[0], (2000, 1)),
-                np.tile(clip[1], (2000, 1)))
+                subject[:, 0].T, subject[:, 1].T, np.tile(clip[0], (2000, 1)).T,
+                np.tile(clip[1], (2000, 1)).T)
         assert 0 < (count > 8).sum() < 100
         for row in range(len(subject)):
             expected = _clip_convex(subject[row].T.tolist(), clip.T.tolist())
-            got = np.stack([x[row], z[row]], axis=1)[:count[row]]
+            got = np.stack([x[:, row], z[:, row]], axis=1)[:count[row]]
             assert got.tolist() == [list(v) for v in expected]
 
+    @staticmethod
+    def assert_clip_rows_in_emission_order(subject, clip):
+        """``_clip_rows`` of (n, 2, 4) subjects and clips: each pair's
+        vertices are those ``clip_emission_order`` emits, never 1 or 2 of
+        them, and its ``_shoelace_rows`` area is their ``shoelace_area``, bit
+        for bit. Returns the slot-major arrays and the counts."""
+        with np.errstate(all="ignore"):
+            x, z, count = geometry._clip_rows(
+                subject[:, 0].T, subject[:, 1].T, clip[:, 0].T, clip[:, 1].T)
+            area = geometry._shoelace_rows(x, z, count)
+        expected = []
+        for col in range(len(subject)):
+            vertices = clip_emission_order(subject[col].T.tolist(),
+                                           clip[col].T.tolist())
+            assert count[col] == len(vertices)
+            got = np.stack([x[:, col], z[:, col]], axis=1)[:count[col]]
+            assert got.tobytes() == np.array(vertices).reshape(-1, 2).tobytes()
+            expected.append(shoelace_area(vertices))
+        assert area.tobytes() == np.array(expected).tobytes()
+        assert not np.isin(count, (1, 2)).any()
+        return x, z, count
+
     def test_clip_rows_compaction_against_emission_order(self):
-        # random subjects and clips, some rows with more than 8 vertices,
-        # then three hand-made rows: a disjoint pair, a square clipped by a
-        # diamond to an octagon, and a crossed subject that emits more than 8
-        # vertices at some edge and keeps them all
+        # random subjects and clips, some with more than 8 vertices, then
+        # four hand-made pairs: a disjoint pair, a square clipped by a
+        # diamond to an octagon, a crossed subject that emits more than 8
+        # vertices at some edge and keeps them all, and a subject side
+        # parallel to the clip's first edge that rounding puts across it:
+        # its crossing has den == 0.0, and so the parameter 0.5
         rng = np.random.default_rng(21)
 
         def quads(*hand):
@@ -776,19 +806,16 @@ class TestIogt3dBatch:
         diamond = [[1.25, 0.0, -1.25, 0.0], [0.0, 1.25, 0.0, -1.25]]
         disjoint = [[10.0, 11.0, 11.0, 10.0], [10.0, 10.0, 11.0, 11.0]]
         crossed = [[-3.0, 3.0, -2.0, 2.0], [3.0, 0.0, 0.0, -3.0]]
-        subject = quads(disjoint, square, crossed)
-        clip = quads(square, diamond, square)
-        with np.errstate(all="ignore"):
-            x, z, count = geometry._clip_rows(
-                subject[:, 0], subject[:, 1], clip[:, 0], clip[:, 1])
-        assert count[-3:].tolist() == [0, 8, 9]
+        # (1 - az) - 1 rounds to above -EPS_GEOM, -az is below it
+        az = EPS_GEOM * (1 + 2.0 ** -40)
+        parallel = [[0.0, 1.0, 0.0, -0.5], [0.0, 1.0, 2.0, 1.0]]
+        tilted = [[0.0, 4.0, 0.0, -4.0], [az, 4 + az, 8 + az, 4 + az]]
+        x, z, count = self.assert_clip_rows_in_emission_order(
+            quads(disjoint, square, crossed, parallel),
+            quads(square, diamond, square, tilted))
+        assert count[-4:].tolist() == [0, 8, 9, 5]
+        assert (x[1, -1], z[1, -1]) == (0.5, 0.5)
         assert 0 < (count > 8).sum() < 100
-        for row in range(len(subject)):
-            vertices = clip_emission_order(subject[row].T.tolist(),
-                                           clip[row].T.tolist())
-            assert count[row] == len(vertices)
-            got = np.stack([x[row], z[row]], axis=1)[:count[row]]
-            assert got.tobytes() == np.array(vertices).reshape(-1, 2).tobytes()
 
     def test_clip_rows_widen_only_for_a_clip_of_more_than_8_vertices(self):
         # the crossed subject emits 9 vertices at the square's last edge: the
@@ -798,17 +825,10 @@ class TestIogt3dBatch:
         diamond = [[1.25, 0.0, -1.25, 0.0], [0.0, 1.25, 0.0, -1.25]]
         for subjects, counts in (([diamond, crossed], [8, 9]),
                                  ([diamond, diamond], [8, 8])):
-            subject, clip = np.array(subjects), np.array([square, square])
-            with np.errstate(all="ignore"):
-                x, z, count = geometry._clip_rows(
-                    subject[:, 0], subject[:, 1], clip[:, 0], clip[:, 1])
+            x, z, count = self.assert_clip_rows_in_emission_order(
+                np.array(subjects), np.array([square, square]))
             assert count.tolist() == counts
-            assert x.shape == z.shape == (2, max(counts))
-            for row in range(2):
-                vertices = clip_emission_order(subject[row].T.tolist(),
-                                               clip[row].T.tolist())
-                got = np.stack([x[row], z[row]], axis=1)[:count[row]]
-                assert got.tobytes() == np.array(vertices).tobytes()
+            assert x.shape == z.shape == (max(counts), 2)
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
