@@ -318,7 +318,7 @@ class _ObjectLists:
         """Move the unchecked objects into a new block, checked as
         ``DatasetBuilder.check`` says; the frame of the first that breaks a
         rule, or None."""
-        boxes = np.array(self.values, dtype=np.float64).reshape(-1, 7)
+        boxes = np.fromiter(self.values, np.float64, len(self.values)).reshape(-1, 7)
         scores = np.array(self.scores or (), dtype=np.float64)
         bad = ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 3:6] > 0.0).all(axis=1))
         if self.scores is not None:

@@ -319,7 +319,13 @@ def segments_intersect(segments: Iterable[Segment2D]) -> bool:
 #: bounds its memory whatever the batch length. Its geometry arrays are
 #: slot-major: one column per pair or box, and one row per footprint vertex
 #: or clip slot; slots at or past a pair's vertex count are never read.
-BATCH_CAP = 256
+#: Each chunk costs a fixed run of numpy calls that takes as long as some
+#: 200 pairs, so fewer, larger chunks are faster. At this cap the load,
+#: not the kernels, sets the peak memory: a fresh ``usc loss`` on the
+#: loss_near data reads about 0.2 MB more RSS than at 256. At 2,048 it read
+#: about 1.5 MB more, near 4% of loss_near's 39.5 MB and past the
+#: benchmark's 3% bound.
+BATCH_CAP = 1024
 
 #: Vertex slots the slot-major arrays of ``_clip_rows`` hold at first: each
 #: of the four clipping edges adds at most one vertex in exact arithmetic.
@@ -429,10 +435,11 @@ def _clip_rows(x, z, cx, cz):
     slot emits one. An emitted value goes to the slot numbered by how many
     values its pair emitted before it at that edge (a running sum, no sort).
     Slots at or past a pair's count hold stale values and are never read:
-    the live-slot mask here, ``_shoelace_rows`` and the ``count >= 3`` gate
-    of the area all stop at the count. A count is 0 or at least 3: the
-    inside test changes an even number of times around a polygon, and each
-    change emits a crossing point.
+    the live-slot mask here and ``_shoelace_rows`` stop at the count. A
+    count is 0 or at least 3: the inside test changes an even number of
+    times around a polygon, each change emits a crossing point, and a change
+    needs an inside vertex, which is kept. So the area needs no gate on 3
+    vertices: ``_shoelace_rows`` of a count of 0 is 0.0.
     """
     n = x.shape[1]
     x, z = (np.concatenate([v, np.zeros((_CLIP_SLOTS - 4, n))]) for v in (x, z))
@@ -509,7 +516,7 @@ def _iogt3d_chunk(preds, gts) -> tuple:
         _footprint(px[:, row], pz[:, row])  # raises: only this error is left
 
     x, z, count = _clip_rows(gx, gz, px, pz)
-    area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)
+    area = _shoelace_rows(x, z, count)
     ratio = np.where(vertical > 0.0, area * vertical, 0.0) / volume
     value = np.where(ratio < 1.0, ratio, 1.0)  # as min(1.0, ratio): NaN reads 1.0
     return (value,)
@@ -573,8 +580,7 @@ def iou3d(p: Box3D, g: Box3D) -> float:
             clip = 1 - subject
             cx, cz, count = _clip_rows(fx[:, [subject]], fz[:, [subject]],
                                        fx[:, [clip]], fz[:, [clip]])
-            area = _shoelace_rows(cx, cz, count).item() if count[0] >= 3 else 0.0
-            inter = area * vertical
+            inter = _shoelace_rows(cx, cz, count).item() * vertical
     union = p_area * (p_hi - p_lo) + g_area * (g_hi - g_lo) - inter
     if union == 0.0:
         raise ValueError("union volume of the two boxes is 0.0")

@@ -109,6 +109,8 @@ def _decode(text: str, line: Optional[int] = None):
 #: it, and so the deepest it can nest there. orjson 3.8 has no depth limit:
 #: it decodes by recursing on the C stack, which some 4,096 levels of objects
 #: fill in a thread with a 512 KiB stack. A line with more goes to ``json``.
+#: A line of at most this many characters cannot hold more, so only a longer
+#: line is scanned for them.
 _ORJSON_MAX_BRACKETS = 4096
 
 
@@ -116,7 +118,8 @@ def _decode_line(line: str, lineno: int):
     """Decode one dataset line: by ``orjson`` if it holds at most
     ``_ORJSON_MAX_BRACKETS`` of ``[`` and ``{``, and by ``_decode`` if it
     holds more or if orjson refuses it."""
-    if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:
+    if (len(line) <= _ORJSON_MAX_BRACKETS
+            or line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS):
         try:
             return orjson.loads(line)
         except orjson.JSONDecodeError:

@@ -90,6 +90,10 @@ CATALOGUE = (
     Mutant("chunk-cap-above-any-dataset", "evaluation.py",
            "_CHUNK_CAP = 2048", "_CHUNK_CAP = 10**9",
            ("tests/test_evaluation.py::test_walk_working_memory_is_bounded",)),
+    # an object whose np.hypot distance lies near a bucket edge is bucketed
+    # by math.hypot, which bucket_index is given
+    Mutant("bucket-near-edge-unchecked", "evaluation.py",
+           "    if near.any():\n", "    if False:\n", EVALUATION),
     # a yaw residual of exactly -pi wraps to pi, whose absolute value is the same
     Mutant("aoe-wrap-below-minus-pi", "evaluation.py",
            "(diff <= -math.pi)", "(diff < -math.pi)", EVALUATION,
@@ -170,12 +174,6 @@ CATALOGUE = (
     Mutant("iou3d-subject-by-argument-order", "geometry.py",
            "subject = 0 if footprints[0] <= footprints[1] else 1",
            "subject = 0", OVERLAP),
-    # a clip of fewer than 3 vertices has no area, whatever its shoelace sum;
-    # only a stand-in clip is killed by it, as no real one keeps 1 or 2
-    # vertices (see _clip_rows)
-    Mutant("iogt3d-clip-area-ungated", "geometry.py",
-           "area = np.where(count >= 3, _shoelace_rows(x, z, count), 0.0)",
-           "area = _shoelace_rows(x, z, count)", IOGT3D_BATCH),
     # the loader's value rules, checked at once: a size of 0 is rejected, a
     # score of 0 or 1 accepted, and a yaw of exactly -pi stored as pi
     Mutant("loader-size-nonnegative", "dataset.py",
@@ -209,8 +207,13 @@ CATALOGUE = (
     # orjson is never given a line that could nest deep enough to overflow
     # the C stack
     Mutant("loader-orjson-depth-unguarded", "io.py",
-           'if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:',
+           """if (len(line) <= _ORJSON_MAX_BRACKETS
+            or line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS):""",
            "if True:", LOADER),
+    # only a line longer than the bound can hold more brackets than it
+    Mutant("loader-orjson-length-bound-off-by-one", "io.py",
+           "len(line) <= _ORJSON_MAX_BRACKETS",
+           "len(line) <= _ORJSON_MAX_BRACKETS + 1", LOADER),
     # lines end at LF alone, and only JSON whitespace makes a line blank
     Mutant("loader-universal-newlines", "io.py",
            'errors="surrogateescape",\n              newline="\\n")',

@@ -606,7 +606,7 @@ class TestUscBatch:
     def test_synthetic_pairs_rank_by_x_over_z(self, monkeypatch):
         # the fast rank is the one that runs on realistic data
         frames = generate_synthetic(SyntheticSpec(
-            seed=1, frames=200, objects_min=2, objects_max=8, depth_bias=0.2,
+            seed=1, frames=500, objects_min=2, objects_max=8, depth_bias=0.2,
             lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05, miss_rate=0.1,
             fp_rate=0.2))
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
@@ -677,7 +677,7 @@ class TestUscBatch:
 
     def test_batch_longer_than_cap(self, monkeypatch):
         frames = generate_synthetic(SyntheticSpec(
-            seed=7, frames=120, objects_min=2, objects_max=8, depth_bias=0.2,
+            seed=7, frames=500, objects_min=2, objects_max=8, depth_bias=0.2,
             lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
         pairs = [(m.detection.box, m.annotation.box)

@@ -314,6 +314,55 @@ def test_walk_working_memory_is_bounded():
     assert peak - held < 2**20
 
 
+class TestWalkBuckets:
+    """The walk buckets each object as ``ProtocolConfig.bucket_index``
+    buckets ``math.hypot`` of its center, also where ``np.hypot`` of it
+    lands on the other side of an edge."""
+
+    @staticmethod
+    def walk_buckets(centers, config):
+        """The bucket the walk gives a ground truth at each (x, z) of
+        ``centers``, None outside every bucket: with no prediction, each is a
+        false negative of its bucket."""
+        anns = [ann(x, z) for x, z in centers]
+        _, _, fns = matched_pairs([FrameRecord("f", anns, [])], config)
+        bucket = {id(a): b for (_, b), objs in fns.items() for a in objs}
+        return [bucket.get(id(a)) for a in anns]
+
+    def test_np_hypot_rounds_onto_an_edge(self):
+        x, z = -2.3850369953719723, 9.711415887022191
+        assert np.hypot(x, z) == 10.0 and math.hypot(x, z) == 9.999999999999998
+        assert self.walk_buckets([(x, z)], ProtocolConfig()) == [0]
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS[:2])
+    def test_centers_near_edges_equal_bucket_index(self, config):
+        # centers within 2 ulps of an edge, a few of which np.hypot puts in
+        # another bucket than math.hypot
+        rng = random.Random(29)
+        centers = [(0.0, 0.0)]
+        for edge in {e for bucket in config.range_buckets for e in bucket}:
+            for _ in range(2000):
+                angle = rng.uniform(-math.pi, math.pi)
+                scale = edge * (1 + rng.randint(-2, 2) * 2.0 ** -52)
+                centers.append((scale * math.sin(angle), scale * math.cos(angle)))
+        expected = [config.bucket_index(math.hypot(x, z)) for x, z in centers]
+        by_np = [config.bucket_index(np.hypot(x, z).item()) for x, z in centers]
+        assert by_np != expected
+        assert self.walk_buckets(centers, config) == expected
+
+    def test_subnormal_edges_and_overflowing_distances(self):
+        # subnormal edges and distances, where the margin is that of the
+        # least normal float, and distances that overflow to infinity
+        tiny = 5e-324
+        config = ProtocolConfig(range_buckets=((0.0, 5 * tiny), (5 * tiny, 2.0 ** -1060)),
+                                match_thresholds=(1.0, 1.0))
+        centers = [(a * tiny, b * tiny) for a in range(-8, 9) for b in range(9)]
+        centers += [(2.0 ** -1060, 0.0), (1e308, 1e308), (-1e308, 1e308)]
+        expected = [config.bucket_index(math.hypot(x, z)) for x, z in centers]
+        assert {0, 1, None} <= set(expected)
+        assert self.walk_buckets(centers, config) == expected
+
+
 def edge_coordinate(c, reach, factor, sign, ulps):
     """c moved by sign * reach * factor, then ulps steps of nextafter."""
     moved = c + sign * reach * factor

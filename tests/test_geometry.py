@@ -701,7 +701,7 @@ class TestIogt3dBatch:
 
     def test_batch_longer_than_two_chunks(self, monkeypatch):
         frames = generate_synthetic(SyntheticSpec(
-            seed=7, frames=120, objects_min=2, objects_max=8, depth_bias=0.2,
+            seed=7, frames=500, objects_min=2, objects_max=8, depth_bias=0.2,
             lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
         pairs = [(m.detection.box, m.annotation.box)
@@ -729,27 +729,6 @@ class TestIogt3dBatch:
                            r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_reference(pairs)
-
-    def test_clip_of_two_vertices_has_no_area(self, monkeypatch):
-        # a stand-in clips every other row to 2 vertices, one of them at an
-        # infinite x: its shoelace sum is inf - inf, and the pair would read
-        # 1.0 were the area not gated on 3 vertices, as in the reference's
-        # convex_intersection_area
-        pairs = list(zip(BOX_LIST[1:], BOX_LIST))
-        expected = [iogt3d_reference(p, g) for p, g in pairs]
-        clip_rows = geometry._clip_rows
-
-        def two_vertices(*args):
-            x, z, count = clip_rows(*args)
-            x[:2, ::2], z[:2, ::2] = [[math.inf], [0.0]], [[0.0], [1.0]]
-            count[::2] = 2
-            return x, z, count
-
-        assert math.isnan(shoelace_area([(math.inf, 0.0), (0.0, 1.0)]))
-        monkeypatch.setattr(geometry, "_clip_rows", two_vertices)
-        values = iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
-        assert values[::2].tolist() == [0.0] * len(pairs[::2])
-        assert values[1::2].tolist() == expected[1::2]
 
     def test_clip_rows_against_clip_convex(self):
         # arbitrary quadrilaterals, non-convex ones included, clipped by a

@@ -383,6 +383,26 @@ class TestDecoderSplit:
             load_dataset(path)
         assert str(err.value) == "line 2: JSON nested too deeply to decode"
 
+    @pytest.mark.parametrize("length, to_orjson", [
+        (io._ORJSON_MAX_BRACKETS, True), (io._ORJSON_MAX_BRACKETS + 1, False)])
+    def test_brackets_counted_only_past_the_bound_in_length(
+            self, tmp_path, monkeypatch, length, to_orjson):
+        # a last line of brackets alone, with no LF: at the bound in length,
+        # orjson is given it unscanned; one bracket longer, the scan sends it
+        # to json
+        calls = []
+
+        def refuse(line):
+            calls.append(len(line))
+            raise orjson.JSONDecodeError("refused", line, 0)
+
+        path = tmp_path / "d.jsonl"
+        path.write_text("[" * length)
+        monkeypatch.setattr(orjson, "loads", refuse)
+        with pytest.raises(ParseError, match="^line 1: "):
+            load_dataset(path)
+        assert calls == ([length] if to_orjson else [])
+
     def test_line_too_deep_for_orjson_goes_to_json(self, tmp_path):
         # orjson would overflow the C stack on it, so this runs in a child
         # process: a crash fails the test rather than the run
