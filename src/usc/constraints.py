@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Tuple
 
 import numpy as np
 
 from .errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
 from .geometry import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2,
-                       Rect2D, Segment2D, box_array, footprint_arrays,
+                       Rect2D, Segment2D, box_array, footprint_arrays, hypot,
                        map_math, pair_batches, project_bev, project_pv_rect,
                        segments_intersect)
 
@@ -208,11 +209,20 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # one row per footprint vertex (for y, a bottom and a top corner), one
     # column per box, predictions first
     fx, y, fz = footprint_arrays(np.concatenate([pred_boxes, gt_boxes]))
-    norm = map_math(math.hypot, fx, fz)
+    # one row at a time, which holds hypot's temporaries to one row
+    norm = np.empty_like(fx)
+    for row in range(len(fx)):
+        norm[row] = hypot(fx[row], fz[row])
     u = fx / fz
     # project_pv_rect; where every z is positive, a bottom corner's y / z
-    # is below that of the top corner above it
-    u_lo, u_lo2, u_hi2, u_hi = np.sort(u, axis=0)
+    # is below that of the top corner above it. The four u of each box in
+    # order, by a sorting network of five comparators: the same floats as
+    # np.sort but for a NaN, which the finite mask below sends to usc_score
+    lo_a, hi_a = np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
+    lo_b, hi_b = np.minimum(u[2], u[3]), np.maximum(u[2], u[3])
+    u_lo, mid_lo = np.minimum(lo_a, lo_b), np.maximum(lo_a, lo_b)
+    mid_hi, u_hi = np.minimum(hi_a, hi_b), np.maximum(hi_a, hi_b)
+    u_lo2, u_hi2 = np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi)
     v_lo, v_hi = (y[0] / fz).min(axis=0), (y[1] / fz).max(axis=0)
     behind = fz.min(axis=0) < EPS_DEPTH
 
@@ -245,7 +255,8 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # distance_ratio_geomean over (closest, rightmost, leftmost)
     ratio = dist[:, n:] / np.maximum(dist[:, :n], dist[:, n:])
     product = ratio[0] * ratio[1] * ratio[2]
-    adr_value = map_math(pow, product, np.full(len(product), 1.0 / 3))
+    adr_value = np.fromiter(map(pow, product.tolist(), repeat(1.0 / 3)), np.float64,
+                            len(product))
 
     usc = iogt * adr_value
     reason = np.zeros(len(usc), dtype=np.int8)
@@ -275,9 +286,10 @@ def usc_batch(pred_boxes, gt_boxes) -> Tuple[np.ndarray, np.ndarray]:
     reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
     ``usc_score`` raises it). Excluded pairs read NaN. Every value and
     reason equals, bit for bit, what ``usc_score`` gives for that pair: the
-    kernel repeats its arithmetic in the same order, with ``math`` for the
-    transcendental functions, but ranks footprint vertices by x / z; only a
-    box with two extreme bearings within rounding ranks by ``atan2``. Only
+    kernel repeats its arithmetic in the same order, with ``math`` for cos,
+    sin, atan2 and pow and ``geometry.hypot`` (``math.hypot`` in arrays) for
+    the vertex norms, but ranks footprint vertices by x / z; only a box with
+    two extreme bearings within rounding ranks by ``atan2``. Only
     the pairs on which ``usc_score`` could raise ValueError, those with a PV
     bound or footprint coordinate that is not finite, are passed to it, so
     the first such pair raises the same error here. Every other pair, a

@@ -45,7 +45,7 @@ from .constraints import usc_batch
 from .dataset import (Annotation, Dataset, Detection, FrameRecord, Objects,
                       as_dataset)
 from .errors import MissingAnnotationField, ZeroVariance
-from .geometry import Box3D, first_failing_pair, map_math, wrap_angle
+from .geometry import Box3D, first_failing_pair, hypot, map_math, wrap_angle
 
 #: Recognized true-positive error measures, in canonical report order.
 TP_MEASURES = ("ATE", "ASE", "AOE", "AVE", "AAE")
@@ -311,8 +311,7 @@ def tp_error_means(pairs: Union[Sequence[MatchedPair], PairColumns],
                 pv, gv = pairs.pred_velocities, pairs.gt_velocities
                 if pv is None or gv is None or np.isnan(pv).any() or np.isnan(gv).any():
                     raise MissingAnnotationField("AVE requested but velocity missing")
-                values = map_math(math.hypot, pv[:, 0] - gv[:, 0],
-                                  pv[:, 1] - gv[:, 1]).tolist()
+                values = hypot(pv[:, 0] - gv[:, 0], pv[:, 1] - gv[:, 1]).tolist()
             elif measure == "AAE":
                 pa, ga = pairs.pred_attributes, pairs.gt_attributes
                 if pa is None or ga is None or None in pa.tolist() or None in ga.tolist():
@@ -452,8 +451,7 @@ def _flatten(objects: Objects, first: int, end: int, n_classes: int, edges):
     near = ((np.searchsorted(edges, dist - margin, side="right")
              != np.searchsorted(edges, dist + margin, side="right")) | ~np.isfinite(dist))
     if near.any():
-        i[near] = np.searchsorted(edges, map_math(math.hypot, x[near], z[near]),
-                                  side="right")
+        i[near] = np.searchsorted(edges, hypot(x[near], z[near]), side="right")
     return x, z, frame * n_classes + objects.classes[rows], np.where(i & 1, i >> 1, -1)
 
 
@@ -462,7 +460,8 @@ def _candidate_table(px, pz, p_group, gx, gz, g_group, reach: float):
     gz): an entry (detection, annotation, distance) for each pair in one group
     whose BEV center distance is within reach, as three arrays sorted by
     detection, then distance, then annotation index. A distance is the float
-    ``bev_center_distance`` gives: the same differences and ``math.hypot``.
+    ``bev_center_distance`` gives: the same differences and ``math.hypot``,
+    here in arrays (``hypot``).
 
     Distances are computed only inside a window, ``slack = reach * (1 +
     1e-9)``: the annotations of the detection's group with ``px - slack <= x
@@ -489,7 +488,7 @@ def _candidate_table(px, pz, p_group, gx, gz, g_group, reach: float):
                  + np.arange(len(det))]
     near = np.abs(pz[det] - gz[ann]) <= slack
     det, ann = det[near], ann[near]
-    dist = map_math(math.hypot, px[det] - gx[ann], pz[det] - gz[ann])
+    dist = hypot(px[det] - gx[ann], pz[det] - gz[ann])
     within = dist <= reach
     det, ann, dist = det[within], ann[within], dist[within]
     order = np.lexsort((ann, dist, det))

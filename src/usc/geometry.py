@@ -39,6 +39,7 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -372,12 +373,125 @@ def first_failing_pair(kernel, preds: np.ndarray, gts: np.ndarray) -> int:
 
 
 def map_math(fn, *arrays) -> np.ndarray:
-    """Apply a scalar ``math`` function elementwise. numpy's own hypot,
-    arctan2 and power differ from ``math`` in the last bit on some inputs,
-    and the batch kernels must match the scalar path bit for bit."""
+    """Apply a scalar ``math`` function elementwise. numpy's own arctan2 and
+    power differ from ``math`` in the last bit on some inputs, and nothing
+    ties its cos and sin to ``math``'s, while the batch kernels must match
+    the scalar path bit for bit. They take ``math.cos``, ``math.sin``,
+    ``math.atan2``, ``pow`` and ``wrap_angle`` this way (``footprint_arrays``
+    and ADR map over lists of their own, so as to share or repeat one);
+    ``math.hypot`` has an array form, ``hypot``."""
     shape = arrays[0].shape
     flat = [a.ravel().tolist() for a in arrays]
     return np.fromiter(map(fn, *flat), np.float64, arrays[0].size).reshape(shape)
+
+
+#: Whether ``hypot`` computes in arrays: only on the interpreter versions
+#: whose ``math.hypot`` it has been checked against bit for bit
+#: (``tests/test_geometry.py::TestHypot``). On any other it maps
+#: ``math.hypot``.
+_HYPOT_IN_ARRAYS = sys.version_info[:2] == (3, 11)
+
+#: Veltkamp's splitting constant for float64, 2**27 + 1.
+_VELTKAMP = 134217729.0
+
+#: The exponent bits of a float64, and the bits of 2.0 ** 1022: for a
+#: normal float f in [2**(e-1), 2**e), with e <= 1022, the bits of 2.0 **
+#: 1022 minus the exponent bits of f are the bits of 2.0 ** -e.
+_EXPONENT_BITS = np.int64(0x7FF0000000000000)
+_SCALE_BITS = np.int64((1022 + 1023) << 52)
+
+#: The larger magnitudes ``hypot`` handles in arrays: normal floats below
+#: 2.0 ** 1021, where its scale 2.0 ** -e is a normal float and no step
+#: overflows.
+_HYPOT_MIN, _HYPOT_MAX = 2.0 ** -1022, 2.0 ** 1021
+
+
+def _square(x):
+    """The exact square of each of ``x`` as a pair (hi, lo) with hi + lo =
+    x * x: Veltkamp's split of x into halves of 26 bits, whose products
+    are exact, and Dekker's product of x by itself, CPython's ``dl_mul``.
+    Overwrites nothing it is given."""
+    t = x * _VELTKAMP
+    hi = t - x
+    np.subtract(t, hi, out=hi)  # hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = np.multiply(hi, lo, out=hi)
+    q += q  # hi * lo + lo * hi
+    z = p + q
+    np.subtract(p, z, out=p)
+    p += q
+    np.multiply(lo, lo, out=lo)
+    p += lo  # p - z + q + lo * lo
+    return z, p
+
+
+def hypot(x, z) -> np.ndarray:
+    """``math.hypot`` of each pair of the float64 arrays ``x`` and ``z``, of
+    one shape, bit for bit: the kernels' distances and norms.
+
+    The array form repeats the steps of CPython 3.11's ``vector_norm`` for
+    two values, in the same order, so each pair rounds as ``math.hypot``
+    rounds it. With m the larger magnitude, in [2**(e-1), 2**e):
+
+    - both magnitudes are scaled by 2.0 ** -e, which is exact and brings m
+      into [0.5, 1);
+    - each scaled value is squared exactly into (hi, lo) (``_square``);
+    - the hi parts are added to ``csum = 1.0`` by fast two-sum, which is
+      exact (csum >= |hi|), keeping its rounding error in ``frac2``, while
+      the lo parts go to ``frac1``;
+    - h = sqrt(csum - 1.0 + (frac1 + frac2)), whose exact square is then
+      taken off the sums the same way, and the residual x corrects h once,
+      h + x / (2h), before h is unscaled by 2.0 ** e.
+
+    A pair whose larger magnitude is 0, subnormal, at least 2**1021 or not
+    finite is taken by ``math.hypot`` itself. Raises no floating-point
+    warning. On an interpreter the array form has not been checked
+    against (``_HYPOT_IN_ARRAYS``) every pair is taken by ``math.hypot``.
+    """
+    if not _HYPOT_IN_ARRAYS:
+        return map_math(math.hypot, x, z)
+    x, z = abs(x), abs(z)
+    big = np.maximum(x, z)
+    scalar = np.flatnonzero(~((big >= _HYPOT_MIN) & (big < _HYPOT_MAX)))
+    if len(scalar):
+        exact = list(map(math.hypot, x.take(scalar).tolist(), z.take(scalar).tolist()))
+    with np.errstate(all="ignore"):
+        scale = (_SCALE_BITS - (big.view(np.int64) & _EXPONENT_BITS)).view(np.float64)
+        x *= scale
+        z *= scale
+        # each fraction sum starts as its first term rather than 0.0 plus
+        # it, which differs only in the sign of a zero that no later sum
+        # shows: csum - 1.0 is at least 0.25 where it is added
+        hi, frac1 = _square(x)
+        csum = hi + 1.0
+        frac2 = 1.0 - csum
+        frac2 += hi
+        hi, lo = _square(z)
+        frac1 += lo
+        total = csum + hi
+        np.subtract(csum, total, out=csum)
+        csum += hi
+        frac2 += csum
+        csum = total
+        h = csum - 1.0
+        h += frac1 + frac2
+        np.sqrt(h, out=h)
+        hi, lo = _square(h)  # (-h) * h is (-hi, -lo), as rounding is symmetric
+        total = csum - hi
+        np.subtract(csum, total, out=csum)
+        csum -= hi
+        frac2 += csum
+        frac1 -= lo
+        total -= 1.0
+        frac1 += frac2
+        total += frac1
+        total /= 2.0 * h
+        h += total  # the differential correction
+        h /= scale
+    if len(scalar):
+        h.put(scalar, exact)
+    return h
 
 
 def box_array(boxes) -> np.ndarray:
@@ -395,7 +509,8 @@ def footprint_arrays(boxes):
     a (2, n) array of the y of a bottom and a top corner: the same floats as
     ``box_corners`` gives for those corners."""
     cx, cy, cz, length, height, width, yaw = box_array(boxes).T
-    c, s = map_math(math.cos, yaw), map_math(math.sin, yaw)
+    yaws = yaw.tolist()
+    c, s = (np.fromiter(map(fn, yaws), np.float64, len(yaws)) for fn in (math.cos, math.sin))
     # (hx * c) * -1 is box_corners' -hx * c, as negation is exact
     x = cx + (length / 2.0 * c) * _SIDE_X
     x += (width / 2.0 * s) * _SIDE_Z
@@ -433,15 +548,20 @@ def _clip_rows(x, z, cx, cz):
     vertex. A slot's previous vertex is the slot above it, and for slot 0
     its pair's last live slot. Crossing points are computed only where a
     slot emits one. An emitted value goes to the slot numbered by how many
-    values its pair emitted before it at that edge (a running sum, no sort).
-    Slots at or past a pair's count hold stale values and are never read:
-    the live-slot mask here and ``_shoelace_rows`` stop at the count. A
+    values its pair emitted before it at that edge: a running sum, added up
+    one row at a time, with no sort. The emitting slots are found, read and
+    written by flat index, slot * n + pair, into the C-contiguous arrays:
+    numpy's nonzero, cumsum and two-array indexing along the short slot
+    axis cost several times as much. Slots at or past a pair's count hold
+    stale values and are never read: the live-slot mask here and
+    ``_shoelace_rows`` stop at the count. A
     count is 0 or at least 3: the inside test changes an even number of
     times around a polygon, each change emits a crossing point, and a change
     needs an inside vertex, which is kept. So the area needs no gate on 3
     vertices: ``_shoelace_rows`` of a count of 0 is 0.0.
     """
     n = x.shape[1]
+    pair = np.arange(n)
     x, z = (np.concatenate([v, np.zeros((_CLIP_SLOTS - 4, n))]) for v in (x, z))
     count = np.full(n, 4)
     for i in range(4):
@@ -452,32 +572,43 @@ def _clip_rows(x, z, cx, cz):
         inside = (ex * (z - az) - ez * (x - ax)
                   >= -EPS_GEOM * np.maximum(abs(ex), abs(ez)))
         live = np.arange(len(x))[:, None] < count
-        last = count - 1
-        prev_in = np.concatenate([np.take_along_axis(inside, last[None], 0), inside[:-1]])
+        # the flat index of each pair's last live slot (of slot -1, which
+        # take wraps to the last row, for a count of 0)
+        last = (count - 1) * n + pair
+        prev_in = np.empty_like(inside)
+        prev_in[0], prev_in[1:] = inside.take(last), inside[:-1]
         cross, keep = live & (inside != prev_in), live & inside
         # one past the slot of each slot's last emitted value
-        end = np.add(cross, keep, dtype=np.intp).cumsum(axis=0)
+        end = np.add(cross, keep, dtype=np.intp)
+        for row in range(1, len(end)):
+            end[row] += end[row - 1]
         count = end[-1]
         # the crossing point of the edge's line with the segment from the
         # previous vertex, its parameter clamped to [0, 1] and 0.5 on a
         # parallel segment; a NaN parameter reads 0.0
-        k, j = np.nonzero(cross)
-        prev = np.where(k > 0, k - 1, last[j])
-        qx, qz, px, pz = x[k, j], z[k, j], x[prev, j], z[prev, j]
-        den = ex[j] * (qz - pz) - ez[j] * (qx - px)
-        num = ez[j] * (px - ax[j]) - ex[j] * (pz - az[j])
+        at = np.flatnonzero(cross)
+        k, j = np.divmod(at, n)
+        prev = np.where(k > 0, at - n, last.take(j))
+        qx, qz, px, pz = x.take(at), z.take(at), x.take(prev), z.take(prev)
+        ex_j, ez_j = ex.take(j), ez.take(j)
+        den = ex_j * (qz - pz) - ez_j * (qx - px)
+        num = ez_j * (px - ax.take(j)) - ex_j * (pz - az.take(j))
         t = np.where(den != 0.0, num / den, 0.5)
         t = np.where(t > 0.0, t, 0.0)
         t = np.where(t < 1.0, t, 1.0)
-        kept_k, kept_j = np.nonzero(keep)
-        kept_x, kept_z = x[kept_k, kept_j], z[kept_k, kept_j]
+        kept = np.flatnonzero(keep)
+        kept_x, kept_z = x.take(kept), z.take(kept)
         if count.max(initial=0) > len(x):
             x, z = np.zeros((2, count.max(), n))
-        # each slot emits its crossing point, then its vertex
-        slot = end[k, j] - 1 - keep[k, j]
-        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
-        slot = end[kept_k, kept_j] - 1
-        x[slot, kept_j], z[slot, kept_j] = kept_x, kept_z
+        # each slot emits its crossing point, then its vertex, to its
+        # pair's slot end - 1, at flat index (end - 1) * n + pair: written
+        # through flat views, which ravel gives of C-contiguous arrays
+        assert x.flags.c_contiguous and z.flags.c_contiguous
+        flat_x, flat_z = x.ravel(), z.ravel()
+        slot = (end.take(at) - 1 - keep.take(at)) * n + j
+        flat_x[slot], flat_z[slot] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = (end.take(kept) - 1) * n + kept % n
+        flat_x[slot], flat_z[slot] = kept_x, kept_z
     return x, z, count
 
 

@@ -50,6 +50,7 @@ OVERLAP = ("tests/test_geometry.py::TestOverlapAgainstReference",
            "tests/test_geometry.py::TestIou3d")
 LOADER = ("tests/test_io.py",)
 LOSS_BATCH = ("tests/test_loss.py::TestSafetyLossBatch",)
+HYPOT = ("tests/test_geometry.py::TestHypot",)
 
 CATALOGUE = (
     # the candidate table's x window: each bound keeps an x equal to it
@@ -135,6 +136,11 @@ CATALOGUE = (
     Mutant("usc-picks-swapped", "constraints.py",
            "np.stack([u == u_hi, u == u_lo])", "np.stack([u == u_lo, u == u_hi])",
            USC_BATCH),
+    # the sorting network gives the four x / z of a box in order
+    Mutant("usc-sort-network-comparator-swapped", "constraints.py",
+           "u_lo2, u_hi2 = np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi)",
+           "u_hi2, u_lo2 = np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi)",
+           USC_BATCH),
     Mutant("usc-closest-first-vertex", "constraints.py",
            "np.vstack([norm.min(axis=0), ", "np.vstack([norm[0], ", USC_BATCH),
     # the IoGT kernel's errors: a ground-truth footprint that is not finite,
@@ -153,17 +159,26 @@ CATALOGUE = (
            "if count.max(initial=0) > len(x):", "if False:", IOGT3D_BATCH),
     # slot 0's previous vertex is its pair's last live slot, not the last slot
     Mutant("clip-prev-vertex-of-slot-0-from-last-slot", "geometry.py",
-           "prev = np.where(k > 0, k - 1, last[j])",
-           "prev = np.where(k > 0, k - 1, len(x) - 1)", IOGT3D_BATCH),
+           "prev = np.where(k > 0, at - n, last.take(j))",
+           "prev = np.where(k > 0, at - n, (len(x) - 1) * n + j)", IOGT3D_BATCH),
     # a slot emits its crossing point before its vertex
     Mutant("clip-crossing-after-vertex", "geometry.py",
-           """        slot = end[k, j] - 1 - keep[k, j]
-        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
-        slot = end[kept_k, kept_j] - 1
-""", """        slot = end[k, j] - 1
-        x[slot, j], z[slot, j] = px + t * (qx - px), pz + t * (qz - pz)
-        slot = end[kept_k, kept_j] - 1 - cross[kept_k, kept_j]
+           """        slot = (end.take(at) - 1 - keep.take(at)) * n + j
+        flat_x[slot], flat_z[slot] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = (end.take(kept) - 1) * n + kept % n
+""", """        slot = (end.take(at) - 1) * n + j
+        flat_x[slot], flat_z[slot] = px + t * (qx - px), pz + t * (qz - pz)
+        slot = (end.take(kept) - 1 - cross.take(kept)) * n + kept % n
 """, IOGT3D_BATCH),
+    # the running count of emitted values starts at the first slot
+    Mutant("clip-running-count-off-by-one-row", "geometry.py",
+           "for row in range(1, len(end)):", "for row in range(2, len(end)):",
+           IOGT3D_BATCH),
+    # hypot repeats math.hypot's steps: the correction and both fraction sums
+    Mutant("hypot-correction-dropped", "geometry.py",
+           "        h += total  # the differential correction\n", "", HYPOT),
+    Mutant("hypot-fraction-sum-dropped", "geometry.py",
+           "        frac1 += lo\n", "", HYPOT),
     # the footprint helper's first y row is the bottom, its second the top
     Mutant("footprint-bottom-top-swapped", "geometry.py",
            "_SIDE_Y = np.array([[-1.0], [1.0]])",

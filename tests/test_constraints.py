@@ -12,7 +12,7 @@ from usc import (EPS_DEPTH, EPS_GEOM, BevPolygon, Box3D, Point2, ProtocolConfig,
                  box_corners, distance_ratio_geomean, generate_synthetic,
                  iogt_pv, project_bev, project_pv_rect, pv_constraint,
                  representative_points, usc_score)
-from usc import constraints
+from usc import constraints, geometry
 from usc.geometry import BATCH_CAP, map_math
 from usc.constraints import EXCLUSION_REASONS, usc_batch
 from usc.errors import BehindCamera, BehindVehicle, DegenerateGroundTruth
@@ -676,14 +676,17 @@ class TestUscBatch:
         assert usc.dtype == np.float64 and reason.dtype == np.int8
 
     def test_batch_longer_than_cap(self, monkeypatch):
+        # chunks of 7 pairs, so that a few frames span more than two
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        cap = geometry.BATCH_CAP
         frames = generate_synthetic(SyntheticSpec(
-            seed=7, frames=500, objects_min=2, objects_max=8, depth_bias=0.2,
+            seed=7, frames=8, objects_min=2, objects_max=8, depth_bias=0.2,
             lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
         pairs = [(m.detection.box, m.annotation.box)
                  for key in sorted(matched) for m in matched[key]]
-        assert len(pairs) > 2 * BATCH_CAP
-        pairs.insert(BATCH_CAP + 1, (BEHIND, AHEAD))
+        assert len(pairs) > 2 * cap
+        pairs.insert(cap + 1, (BEHIND, AHEAD))
         expected = [scalar_outcome(p, g) for p, g in pairs]
         monkeypatch.setattr(constraints, "usc_score", no_scalar_fallback)
         usc, reason = usc_batch([p for p, _ in pairs], [g for _, g in pairs])

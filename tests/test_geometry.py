@@ -700,13 +700,16 @@ class TestIogt3dBatch:
         assert iou3d(p, g) == pytest.approx(expected, rel=1e-8)
 
     def test_batch_longer_than_two_chunks(self, monkeypatch):
+        # chunks of 7 pairs, so that a few frames span more than two
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        cap = geometry.BATCH_CAP
         frames = generate_synthetic(SyntheticSpec(
-            seed=7, frames=500, objects_min=2, objects_max=8, depth_bias=0.2,
+            seed=7, frames=8, objects_min=2, objects_max=8, depth_bias=0.2,
             lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05))
         matched, _, _ = matched_pairs(frames, ProtocolConfig())
         pairs = [(m.detection.box, m.annotation.box)
                  for key in sorted(matched) for m in matched[key]]
-        assert len(pairs) > 2 * BATCH_CAP
+        assert len(pairs) > 2 * cap
         expected = [iogt3d_reference(p, g) for p, g in pairs]
 
         def no_scalar_fallback(*args):
@@ -722,13 +725,28 @@ class TestIogt3dBatch:
         thin = _thin(pairs[0][1], ("length",))
         sliver = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
-        pairs.insert(2 * BATCH_CAP + 3, (pairs[0][0], flat))
-        pairs.insert(BATCH_CAP + 1, (pairs[0][0], sliver))
+        pairs.insert(2 * cap + 3, (pairs[0][0], flat))
+        pairs.insert(cap + 1, (pairs[0][0], sliver))
         pairs.insert(5, (pairs[0][0], thin))
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
                            r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             iogt3d_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_reference(pairs)
+
+    def test_production_cap_matches_chunks_of_7(self, monkeypatch):
+        # more than two chunks at the production cap give the bits of
+        # chunks of 7 pairs, which the test above checks against the
+        # reference
+        rng = np.random.default_rng(31)
+        n = 2 * BATCH_CAP + 5
+        gts = np.column_stack([rng.uniform(-8, 8, n), rng.uniform(-1, 1, n),
+                               rng.uniform(4, 20, n), rng.uniform(0.5, 5, (n, 3)),
+                               rng.uniform(-math.pi, math.pi, n)])
+        preds = gts + rng.normal(0.0, [0.3, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1], (n, 7))
+        values = iogt3d_batch(preds, gts)
+        assert 0.0 < values.mean() < 1.0
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        assert values.tobytes() == iogt3d_batch(preds, gts).tobytes()
 
     def test_clip_rows_against_clip_convex(self):
         # arbitrary quadrilaterals, non-convex ones included, clipped by a
@@ -816,6 +834,89 @@ class TestIogt3dBatch:
     def test_empty_batch(self):
         values = iogt3d_batch([], [])
         assert values.shape == (0,) and values.dtype == np.float64
+
+
+def hypot_bits(x, z):
+    """The bits of ``geometry.hypot`` of ``x`` and ``z`` and of
+    ``math.hypot`` of each pair, checking that the inputs are not changed."""
+    before = x.tobytes(), z.tobytes()
+    got = geometry.hypot(x, z)
+    assert (x.tobytes(), z.tobytes()) == before
+    expected = np.array(list(map(math.hypot, x.ravel().tolist(), z.ravel().tolist())))
+    return got.view(np.int64), expected.reshape(x.shape).view(np.int64)
+
+
+class TestHypot:
+    """``geometry.hypot`` against ``math.hypot``, bit for bit: on this
+    interpreter in arrays where ``_HYPOT_IN_ARRAYS`` says so (CPython 3.11),
+    and by ``map_math`` elsewhere."""
+
+    @staticmethod
+    def sample(rng, size):
+        """Pairs over the exponent range: uniform, log-normal, raw bit
+        patterns (NaN, infinities and subnormals among them), exponents
+        drawn from the whole range with the smaller operand up to 2**-60 of
+        the larger, and near-ties around (3, 4), whose exact hypot is 5."""
+        sign = rng.choice([-1.0, 1.0], size=(2, size))
+        bits = rng.integers(-2 ** 63, 2 ** 63, size=(2, size), dtype=np.int64)
+        scale = rng.integers(-1074, 1024, size=size)
+        ties = rng.integers(-64, 65, size=(2, size)) * 2.0 ** -50
+        families = [
+            rng.uniform(-100.0, 100.0, size=(2, size)),
+            sign * rng.lognormal(0.0, 20.0, size=(2, size)),
+            bits.view(np.float64),
+            sign * np.ldexp(rng.uniform(0.5, 1.0, size=(2, size)),
+                            [scale, scale - rng.integers(0, 61, size=size)]),
+            [3.0 + ties[0], 4.0 + ties[1]],
+        ]
+        x, z = np.concatenate(families, axis=1)
+        return x, z
+
+    def test_seeded_sample_bit_for_bit(self):
+        x, z = self.sample(np.random.default_rng(2024), 64_000)
+        assert len(x) == 320_000
+        got, expected = hypot_bits(x, z)
+        assert (got == expected).all()
+        # the sample reaches both paths: most pairs in arrays, some by math
+        normal = (np.maximum(abs(x), abs(z)) >= 2.0 ** -1022) & (
+            np.maximum(abs(x), abs(z)) < 2.0 ** 1021)
+        assert 0.9 < normal.mean() < 1.0
+
+    def test_edge_grid_bit_for_bit(self):
+        tiny = 2.0 ** -1022
+        huge = 2.0 ** 1021
+        big = 1.7976931348623157e308
+        values = [0.0, 5e-324, 2.5e-320, math.nextafter(tiny, 0.0), tiny,
+                  math.nextafter(tiny, 1.0), 1e-300, 0.5, 1.0, 3.0, 4.0, 5.0,
+                  math.nextafter(huge, 0.0), huge, 2.0 ** 1022, big / 2,
+                  math.nextafter(big, 0.0), big, math.inf, math.nan]
+        values += [-v for v in values]
+        x, z = np.array(list(itertools.product(values, repeat=2))).T
+        got, expected = hypot_bits(x, z)
+        assert (got == expected).all()
+        # two dimensions, with pairs of both paths
+        got, expected = hypot_bits(x.reshape(40, -1), z.reshape(40, -1))
+        assert got.shape == (40, 40) and (got == expected).all()
+
+    @pytest.mark.parametrize("x, z", [([0.0], [0.0]), ([-0.0, 0.0], [0.0, -0.0]),
+                                      ([], []), ([1e308, math.nan], [1e308, math.inf])])
+    def test_no_floating_point_warning(self, x, z):
+        with np.errstate(all="raise"):
+            got, expected = hypot_bits(np.array(x), np.array(z))
+        assert (got == expected).all()
+
+    def test_map_math_where_arrays_are_not_checked(self, monkeypatch):
+        # on an interpreter whose math.hypot the array form has not been
+        # checked against, every pair goes to math.hypot
+        calls = []
+        map_math = geometry.map_math
+        monkeypatch.setattr(geometry, "_HYPOT_IN_ARRAYS", False)
+        monkeypatch.setattr(geometry, "map_math",
+                            lambda fn, *arrays: calls.append(fn) or map_math(fn, *arrays))
+        x, z = self.sample(np.random.default_rng(7), 100)
+        got, expected = hypot_bits(x, z)
+        assert (got == expected).all()
+        assert calls == [math.hypot]
 
 
 class TestPairBatches:

@@ -15,13 +15,17 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import random
 
 import pytest
 
 from usc import (Annotation, Box3D, Detection, FrameRecord, ProtocolConfig,
                  SyntheticSpec, evaluate, format_report_table,
                  generate_synthetic, save_dataset, usc_batch, write_report)
+from usc import evaluation, geometry
+from usc import io as usc_io
 from usc.cli import main
 from usc.constraints import EXCLUSION_REASONS
 from usc.errors import BehindCamera, DegenerateGroundTruth
@@ -176,6 +180,71 @@ def test_excluded_case_excludes_a_pair_in_every_bucket():
     report = evaluate(*CASES["excluded"])
     for bucket in report.per_bucket:
         assert report.per_class["car"][bucket].usc_excluded == 1
+
+
+def moving_frames():
+    """A near-field synthetic scene whose every object has a velocity and
+    an attribute, so that its report has all five TP measures."""
+    rng = random.Random(17)
+
+    def moving(obj):
+        return obj._replace(velocity=(rng.uniform(-6, 6), rng.uniform(-6, 6)),
+                            attribute=rng.choice(("moving", "parked", "stopped")))
+
+    frames = generate_synthetic(SyntheticSpec(
+        seed=17, frames=30, objects_min=2, objects_max=8, depth_bias=0.2,
+        lateral_noise=0.1, size_noise=0.05, yaw_noise=0.05, miss_rate=0.1,
+        fp_rate=0.2))
+    return [FrameRecord(f.frame_id, list(map(moving, f.ground_truths)),
+                        list(map(moving, f.predictions))) for f in frames]
+
+
+#: Every combination of the tuning constants' test values: the kernels'
+#: BATCH_CAP, the walk's _CHUNK_CAP and the loader's _CHECK_BLOCK, each at
+#: 1, at its default and, for BATCH_CAP, at 7.
+TUNINGS = list(itertools.product((1, 7, geometry.BATCH_CAP),
+                                 (1, evaluation._CHUNK_CAP),
+                                 (1, usc_io._CHECK_BLOCK)))
+
+
+def command_outputs(argv_tail, tmp_dir):
+    """The written report and the exit status, standard output and
+    standard error of ``usc eval``, and those of ``usc loss``, with
+    ``argv_tail`` for the data and config arguments."""
+    report = tmp_dir / "report.json"
+    outputs = []
+    for argv in (["eval", *argv_tail, "--out", str(report)], ["loss", *argv_tail]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            outputs.append((main(argv), out.getvalue(), err.getvalue()))
+    return report.read_bytes(), outputs
+
+
+@pytest.mark.parametrize("case", ["moving", "excluded"])
+def test_tuning_constants_change_no_byte(case, tmp_path, monkeypatch):
+    # chunks of 1 and 7 pairs cut every kernel's slices, and the walk's
+    # chunks of one frame each split the candidate tables and the hypot
+    # calls; the outputs are those of the defaults, byte for byte
+    data = tmp_path / "data.jsonl"
+    argv_tail = ["--data", str(data)]
+    if case == "moving":
+        save_dataset(moving_frames(), data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tp_measures": list(evaluation.TP_MEASURES)}))
+        argv_tail += ["--config", str(config)]
+    else:
+        save_dataset(EXCLUDED_FRAMES, data)
+    expected = command_outputs(argv_tail, tmp_path)
+    assert [status for status, _, _ in expected[1]] == [0, 0]
+    if case == "moving":
+        assert b'"AVE": ' in expected[0] and b'"AAE": ' in expected[0]
+    for batch_cap, chunk_cap, check_block in TUNINGS:
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "BATCH_CAP", batch_cap)
+            patch.setattr(evaluation, "_CHUNK_CAP", chunk_cap)
+            patch.setattr(usc_io, "_CHECK_BLOCK", check_block)
+            assert command_outputs(argv_tail, tmp_path) == expected, (
+                batch_cap, chunk_cap, check_block)
 
 
 def test_absent_class_case_scores_a_slice_without_ground_truth():

@@ -9,6 +9,7 @@ from oracles import iogt3d_reference
 from strategies import boxes, finite, frontal_pairs, overflow_pairs
 from usc import (Box3D, LossConfig, iogt3d, iogt_loss, iou3d, safety_loss,
                  safety_loss_batch, smooth_l1)
+from usc import geometry
 from usc.geometry import BATCH_CAP
 
 
@@ -263,28 +264,50 @@ class TestSafetyLossBatch:
         assert_batch_matches_scalar(pairs, LossConfig(smooth_l1_beta=beta,
                                                       yaw_wrapping=False))
 
-    def test_batch_longer_than_two_chunks(self):
-        rng = random.Random(2209)
+    @staticmethod
+    def random_pairs(seed, n):
+        rng = random.Random(seed)
 
         def box():
             return Box3D(rng.uniform(-5, 5), rng.uniform(-1, 1), rng.uniform(5, 15),
                          rng.uniform(0.4, 3), rng.uniform(0.5, 2), rng.uniform(0.4, 3),
                          rng.uniform(-math.pi, math.pi))
 
-        pairs = [(box(), box()) for _ in range(2 * BATCH_CAP + 7)]
+        return [(box(), box()) for _ in range(n)]
+
+    def test_batch_longer_than_two_chunks(self, monkeypatch):
+        # chunks of 7 pairs
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        cap = geometry.BATCH_CAP
+        pairs = self.random_pairs(2209, 2 * cap + 7)
         assert_batch_matches_scalar(pairs)
         # a thin ground truth is scored; of two zero volumes, the first one's
         # error is raised
         flat = Box3D(0, 1e17, 10, 2, 1.5, 2, 0.0)
         sliver = Box3D(1.0, 0, 10, 1e-17, 1.5, 2, 0.0)
         thin = BASE._replace(length=1e-10)
-        pairs.insert(2 * BATCH_CAP + 3, (BASE, flat))
-        pairs.insert(BATCH_CAP + 1, (BASE, sliver))
+        pairs.insert(2 * cap + 3, (BASE, flat))
+        pairs.insert(cap + 1, (BASE, sliver))
         pairs.insert(5, (BASE, thin))
         with pytest.raises(ValueError, match=r"^ground-truth volume is 0\.0 "
                            r"at \(1\.0, 0\.0, 10\.0\) \(footprint area 0\.0,"):
             safety_loss_batch([p for p, _ in pairs], [g for _, g in pairs])
         assert_batch_matches_scalar(pairs)
+
+    def test_production_cap_matches_chunks_of_7(self, monkeypatch):
+        # more than two chunks at the production cap give the bits of
+        # chunks of 7 pairs, which the test above checks against the
+        # scalar functions
+        pairs = self.random_pairs(2210, 2 * BATCH_CAP + 7)
+        # half the ground truths are their predictions moved a little
+        pairs[::2] = [(p, p._replace(center_x=p.center_x + 0.3, yaw=p.yaw / 2))
+                      for p, _ in pairs[::2]]
+        preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
+        columns = safety_loss_batch(preds, gts)
+        assert 0.0 < columns[1].mean() < 1.0
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        assert [c.tobytes() for c in columns] == [
+            c.tobytes() for c in safety_loss_batch(preds, gts)]
 
     def test_no_pairs(self):
         arrays = safety_loss_batch([], [])
