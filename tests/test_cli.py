@@ -256,6 +256,48 @@ class TestEval:
             "error: class 'car' in frame 'f1': rectangle bounds must be finite, got ")
         assert main(["loss", "--data", str(data)]) == 0
 
+    #: A box whose corners are finite but whose u = x / z overflows: its
+    #: nearest face is 0.005 m ahead, with its center 15 m ahead.
+    FAR_HUGE = {"center": [0.0, 0.0, 15.0], "size": [1.7e308, 1.5, 29.99]}
+
+    def test_error_of_an_earlier_slice_precedes_a_later_usc_error(self, tmp_path,
+                                                                   capsys):
+        # the USC failure sits in [10,20), and the slice (car, [0,10)) before
+        # it fails its TP errors: AVE is asked for, and no object has a
+        # velocity. Slices are decided in bucket, then class order, so the
+        # [0,10) error is the one printed
+        data = tmp_path / "d.jsonl"
+        config = tmp_path / "c.json"
+        write_frames(data, [(self.FAR_HUGE, self.FAR_HUGE),
+                            ({"center": [0.0, 0.0, 5.0]}, {"center": [0.1, 0.0, 5.0]})])
+        config.write_text(json.dumps({"tp_measures": ["ATE", "AVE"]}))
+        assert main(["eval", "--data", str(data), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1] == (
+            "error: AVE requested but velocity missing")
+
+    def test_first_usc_error_in_bucket_then_class_order(self, tmp_path, capsys):
+        # two pairs whose projections are not finite: a car in [10,20),
+        # first in the file and first by class, and a truck in [0,10). The
+        # truck's slice comes first in bucket order, so its error is printed
+        near_huge = {"class": "truck", "center": [0.0, 0.0, 1.0],
+                     "size": [1.7e308, 1.5, 1.99]}
+        data = tmp_path / "d.jsonl"
+        write_frames(data, [(self.FAR_HUGE, self.FAR_HUGE),
+                            ({"center": [0.0, 0.0, 5.0]}, {"center": [0.1, 0.0, 5.0]}),
+                            (near_huge, near_huge)])
+        assert main(["eval", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.splitlines()[-1].startswith(
+            "error: class 'truck' in frame 'f2': rectangle bounds must be finite, got ")
+        # with the truck gone, the car's error is the one printed
+        write_frames(data, [(self.FAR_HUGE, self.FAR_HUGE)])
+        assert main(["eval", "--data", str(data)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: class 'car' in frame 'f0': rectangle bounds must be finite, got ")
+
 
 class TestLoss:
     def test_perfect_dataset_zero_means(self, tmp_path, capsys):
