@@ -210,7 +210,7 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # column per box, predictions first
     fx, y, fz = footprint_arrays(np.concatenate([pred_boxes, gt_boxes]))
     # one row at a time, which holds hypot's temporaries to one row
-    norm = np.empty_like(fx)
+    norm = np.empty(fx.shape)
     for row in range(len(fx)):
         norm[row] = hypot(fx[row], fz[row])
     u = fx / fz
@@ -234,8 +234,9 @@ def _usc_chunk(pred_boxes, gt_boxes):
     # bearing. So a lone vertex at an extreme u more than the margin
     # 2**-40 * (1 + U*U) past the runner-up has the extreme bearing, 2**10
     # times over. Other boxes (a side on a ray, or a u that is NaN) rank by
-    # atan2, then (x, z).
-    right, left = (np.stack([u == u_hi, u == u_lo]) * np.arange(4)[:, None]).sum(axis=1)
+    # atan2, then (x, z). A fast box has one vertex at each extreme u.
+    right, left = (np.where(u[0] == e, 0, np.where(u[1] == e, 1, np.where(u[2] == e, 2, 3)))
+                   for e in (u_hi, u_lo))
     margin = 2.0 ** -40 * (1.0 + np.maximum(u_lo * u_lo, u_hi * u_hi))
     slow = np.flatnonzero(~((u_hi - u_hi2 > margin) & (u_lo2 - u_lo > margin)))
     if len(slow):
@@ -243,8 +244,11 @@ def _usc_chunk(pred_boxes, gt_boxes):
         bearing = map_math(math.atan2, sx, sz)
         right[slow] = np.lexsort((sz, sx, -bearing), axis=0)[0]
         left[slow] = np.lexsort((sz, sx, bearing), axis=0)[0]
-    # only the closest vertex's distance is read, so a tie needs no pick
-    dist = np.vstack([norm.min(axis=0), norm[[right, left], np.arange(2 * n)]])
+    # only the closest vertex's distance is read, so a tie needs no pick;
+    # the others by flat index into the C-ordered norms
+    column = np.arange(2 * n)
+    dist = np.vstack([norm.min(axis=0), norm.take(right * (2 * n) + column),
+                      norm.take(left * (2 * n) + column)])
 
     # iogt_pv
     g_area = (u_hi[n:] - u_lo[n:]) * (v_hi[n:] - v_lo[n:])
@@ -277,10 +281,12 @@ def _usc_chunk(pred_boxes, gt_boxes):
     return usc, reason
 
 
-def usc_batch(pred_boxes, gt_boxes) -> Tuple[np.ndarray, np.ndarray]:
+def usc_batch(pred_boxes, gt_boxes, rows=None) -> Tuple[np.ndarray, np.ndarray]:
     """USC of many prediction / ground-truth pairs at once, given as
     ``box_array`` takes them, run by ``pair_batches``, with the PV
     rectangles on the normalized image plane, as ``usc_score`` takes them.
+    With ``rows`` (prediction rows, ground-truth rows), the pairs are those
+    rows of the two box arrays, gathered one chunk at a time.
 
     Returns a float64 array of USC values and an int8 array of exclusion
     reason codes (0: scored; ``i + 1``: ``EXCLUSION_REASONS[i]``, where
@@ -295,4 +301,4 @@ def usc_batch(pred_boxes, gt_boxes) -> Tuple[np.ndarray, np.ndarray]:
     the first such pair raises the same error here. Every other pair, a
     sliver's included, is decided in the arrays.
     """
-    return pair_batches(_usc_chunk, box_array(pred_boxes), box_array(gt_boxes))
+    return pair_batches(_usc_chunk, box_array(pred_boxes), box_array(gt_boxes), rows)

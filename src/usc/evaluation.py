@@ -8,22 +8,26 @@ columns, serves the protocol match (each annotation limited by its bucket's
 threshold) and one match per AP distance threshold; distances are computed
 only inside an x/z window of the largest threshold around each detection.
 In each match, detections by descending score take the nearest untaken
-annotation within the limit. At AP threshold t only the groups with a
-candidate within t but not within its limit, or the reverse, are matched
-again; in every other group the protocol match is the AP match. Objects are
-grouped into range buckets by the ground-truth center distance; matched
-detections inherit their annotation's bucket, unmatched detections fall
-into the bucket of their own center distance. The walk's pairs, false
-positives and false negatives are row indices per (class, bucket), and its
-AP labels per-detection arrays. One class loop per bucket then gives each
-class with an in-range object, ground truth or prediction, its slice: AP
-per distance threshold, AUSC (the mean USC score) and then the mean
-true-positive errors of its pairs, both from the box arrays sliced by the
-pairs' rows (``PairColumns``), and TP/FP/FN, TP + FN being its in-range
-ground truths; the first faulty slice in bucket, then class order names the
-error. The bucket's mAP, NDS, mAUSC, USC-NDS and counts come from its
-slices, the overall ones from the buckets'. ``matched_pairs`` gives the
-walk's result as ``MatchedPair`` values of the given frames' objects.
+annotation within the limit, decided in array rounds (``_greedy``). At AP
+threshold t only the groups with a candidate within t but not within its
+limit, or the reverse, are matched again; in every other group the protocol
+match is the AP match. Objects are grouped into range buckets by the
+ground-truth center distance; matched detections inherit their annotation's
+bucket, unmatched detections fall into the bucket of their own center
+distance. The walk's pairs, false positives and false negatives are row
+indices per (class, bucket), and its AP labels per-detection arrays. One
+USC kernel pass then scores every pair of the report, slice after slice in
+bucket, then class order (``_usc_slices``). One class loop per bucket gives
+each class with an in-range object, ground truth or prediction, its slice:
+AP per distance threshold, AUSC (the mean USC score of its run of that
+pass), the mean true-positive errors of its pairs from the box arrays
+sliced by the pairs' rows (``PairColumns``), and TP/FP/FN, TP + FN being
+its in-range ground truths. The first faulty slice in bucket, then class
+order names the error: when the USC pass raises, the loop scores each
+slice's USC by itself (``aggregate_usc``) just before its TP errors. The
+bucket's mAP, NDS, mAUSC, USC-NDS and counts come from its slices, the
+overall ones from the buckets'. ``matched_pairs`` gives the walk's result
+as ``MatchedPair`` values of the given frames' objects.
 
 Protocol defaults follow a near-field safety focus: objects within 20 m
 split into [0, 10) and [10, 20) buckets, with the matching threshold
@@ -356,13 +360,39 @@ def aggregate_usc(pairs: Union[Sequence[MatchedPair], PairColumns]
     camera plane, or a ground truth with no PV area) are excluded and
     counted rather than scored zero; a slice with no scoreable pair gets a
     None AUSC. The report's mAUSC is built from these in ``_bucket_summary``.
-    ``evaluate`` calls it per non-empty slice, just before ``tp_error_means``.
+    ``evaluate`` takes the same figures for every slice from one kernel pass
+    (``_usc_slices``); it calls this per non-empty slice, just before
+    ``tp_error_means``, only when that pass raises.
     """
     pairs = pair_columns(pairs)
-    usc, reason = usc_batch(pairs.pred_boxes, pairs.gt_boxes)
+    return _mean_usc(*usc_batch(pairs.pred_boxes, pairs.gt_boxes))
+
+
+def _mean_usc(usc: np.ndarray, reason: np.ndarray) -> Tuple[Optional[float], int]:
+    """The mean of the scored USC values (``math.fsum`` over their count),
+    None when none is scored, and the count of the excluded ones."""
     scores = usc[reason == 0].tolist()
     return (math.fsum(scores) / len(scores) if scores else None,
             len(usc) - len(scores))
+
+
+def _usc_slices(data: Dataset, slices: Sequence[PairIndex]) -> list:
+    """``aggregate_usc`` of each of these slices of pairs, in order, from one
+    ``usc_batch`` pass over all their rows of ``data``; an empty list when
+    that pass raises ValueError, so that the caller can find the first
+    faulty slice by itself."""
+    if not slices:
+        return []
+    ends = np.cumsum([len(pairs.detections) for pairs in slices]).tolist()
+    try:
+        usc, reason = usc_batch(
+            data.predictions.boxes, data.ground_truths.boxes,
+            (np.concatenate([pairs.detections for pairs in slices]),
+             np.concatenate([pairs.annotations for pairs in slices])))
+    except ValueError:
+        return []
+    return [_mean_usc(usc[start:end], reason[start:end])
+            for start, end in zip([0, *ends], ends)]
 
 
 def _deviations(values: Sequence[float]) -> List[float]:
@@ -498,20 +528,71 @@ def _candidate_table(px, pz, p_group, gx, gz, g_group, reach: float):
 def _greedy(order, det, ann, eligible, n_dets: int) -> np.ndarray:
     """Each detection in ``order`` takes its first eligible entry of the
     candidate table (``det``, ``ann``) whose annotation is untaken. Returns
-    per detection the index of its entry, or -1."""
+    per detection the index of its entry, or -1.
+
+    The match runs in array rounds over the live entries: the eligible
+    entries of the detections still pending whose annotation is untaken,
+    listed by the detection's rank in ``order``, then in table order. In a
+    round, a detection's first live entry is its match when no detection
+    ahead of it has a live entry for that annotation. Each detection ahead
+    then takes another annotation or none, so at its turn the detection
+    finds that annotation free and every earlier entry of its own taken,
+    just as the one-at-a-time loop does. The first pending detection always
+    wins. Then every entry that names a taken annotation or a matched
+    detection drops out, and with its last entry a detection stops pending,
+    unmatched. When a round matches fewer than half of the pending
+    detections, as when many detections want the same annotations,
+    ``_greedy_loop`` finishes the rest one at a time."""
     kept = np.flatnonzero(eligible)
-    bounds = np.searchsorted(det[kept], np.arange(n_dets + 1))
-    order = order[bounds[order] < bounds[order + 1]].tolist()
-    bounds, anns, kept = bounds.tolist(), ann[kept].tolist(), kept.tolist()
-    taken = set()
-    match = [-1] * n_dets
-    for i in order:
-        for k in range(bounds[i], bounds[i + 1]):
-            if anns[k] not in taken:
-                taken.add(anns[k])
-                match[i] = kept[k]
-                break
-    return np.array(match, dtype=np.int64)
+    match = np.full(n_dets, -1, dtype=np.int64)
+    if not len(kept):
+        return match
+    rank = np.empty(n_dets, dtype=np.int64)
+    rank[order] = np.arange(n_dets)
+    ranks = rank[det[kept]]
+    by_rank = np.argsort(ranks, kind="stable")
+    ranks, anns, kept = ranks[by_rank], ann[kept[by_rank]], kept[by_rank]
+    least = np.empty(anns.max() + 1, dtype=np.int64)
+    while len(ranks):
+        first = np.empty(len(ranks), dtype=bool)
+        first[0] = True
+        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+        # the least rank with a live entry for each annotation
+        least.fill(n_dets)
+        np.minimum.at(least, anns, ranks)
+        won = np.flatnonzero(first & (least[anns] == ranks))
+        match[order[ranks[won]]] = kept[won]
+        pending = np.count_nonzero(first)
+        if len(won) == pending:
+            break
+        taken = np.zeros(len(least), dtype=bool)
+        taken[anns[won]] = True
+        done = np.zeros(n_dets, dtype=bool)
+        done[ranks[won]] = True
+        live = ~(taken[anns] | done[ranks])
+        ranks, anns, kept = ranks[live], anns[live], kept[live]
+        if 2 * len(won) < pending:
+            won_ranks, won_entries = _greedy_loop(ranks, anns, kept)
+            match[order[won_ranks]] = won_entries
+            break
+    return match
+
+
+def _greedy_loop(ranks, anns, entries):
+    """The greedy match one detection at a time over live entries, given
+    as ``_greedy`` holds them: the detection's rank in its order, the
+    annotation and the entry's index in the candidate table, by rank and
+    then table order. Each detection takes its first entry whose annotation
+    is free. Returns the ranks and entries of the matches, as lists."""
+    taken, won_ranks, won_entries = set(), [], []
+    done = -1
+    for rank, a, entry in zip(ranks.tolist(), anns.tolist(), entries.tolist()):
+        if rank != done and a not in taken:
+            taken.add(a)
+            won_ranks.append(rank)
+            won_entries.append(entry)
+            done = rank
+    return np.array(won_ranks, dtype=np.int64), np.array(won_entries, dtype=np.int64)
 
 
 def _match_chunk(data: Dataset, first: int, end: int, config: ProtocolConfig,
@@ -588,12 +669,13 @@ def _walk(data: Dataset, config: ProtocolConfig, ap_thresholds: Tuple[float, ...
     A group, the objects of one class in one frame, never spans frames, so the
     walk takes whole frames in chunks (``_chunks``) and matches each chunk in
     array passes (``_match_chunk``): one candidate table
-    (``_candidate_table``), then one greedy loop (``_greedy``) over the
-    detections with a candidate, by group, then descending score, then input
-    order, each annotation limited by its bucket's threshold. At AP threshold
-    t only the groups with an entry whose ``d <= t`` and ``d <= limit``
-    disagree are matched again, at t; in every other group each entry is
-    eligible under both or neither, so the greedy match is the same."""
+    (``_candidate_table``), then one greedy match (``_greedy``, in array
+    rounds) of the detections with a candidate, by group, then descending
+    score, then input order, each annotation limited by its bucket's
+    threshold. At AP threshold t only the groups with an entry whose ``d <=
+    t`` and ``d <= limit`` disagree are matched again, at t; in every other
+    group each entry is eligible under both or neither, so the greedy match
+    is the same."""
     reach = max(config.match_thresholds + ap_thresholds)
     rows = len(ap_thresholds)
     empty = np.empty(0, dtype=np.int64)
@@ -711,6 +793,9 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
         t_keys, data.class_names, n_buckets, np.column_stack((scores, t_hits))).items()}
         for t, t_keys, t_hits in zip(config.ap_distance_thresholds, keys, hits)}
     classes = sorted({class_name for class_name, _ in [*pairs, *fps, *fns]})
+    scored = [(class_name, b) for b in range(n_buckets) for class_name in classes
+              if (class_name, b) in pairs]
+    usc_of = dict(zip(scored, _usc_slices(data, [pairs[key] for key in scored])))
     per_class = {class_name: {} for class_name in classes}
     per_bucket = {}
     for b, (near, far) in enumerate(config.range_buckets):
@@ -723,12 +808,15 @@ def evaluate(frames, config: ProtocolConfig = ProtocolConfig()) -> MetricsReport
             n_gt = n_tp + n_fn
             if n_tp:
                 columns = _pair_rows(data, pairs[key])
-                try:
-                    ausc, excluded = aggregate_usc(columns)
-                except ValueError as exc:
-                    raise pair_error(exc, usc_batch, data, pairs[key].detections,
-                                     columns.pred_boxes, columns.gt_boxes,
-                                     class_name) from exc
+                if key in usc_of:
+                    ausc, excluded = usc_of[key]
+                else:
+                    try:
+                        ausc, excluded = aggregate_usc(columns)
+                    except ValueError as exc:
+                        raise pair_error(exc, usc_batch, data, pairs[key].detections,
+                                         columns.pred_boxes, columns.gt_boxes,
+                                         class_name) from exc
                 errors = tp_error_means(columns, config.tp_measures)
             else:
                 # worst case for a present class with nothing matched;

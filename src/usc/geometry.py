@@ -340,18 +340,29 @@ _SIDE_X, _SIDE_Z = (np.array([[1.0 if i & bit else -1.0] for i in FOOTPRINT])
 _SIDE_Y = np.array([[-1.0], [1.0]])
 
 
-def pair_batches(chunk, preds: Sequence, gts: Sequence) -> tuple:
+def pair_batches(chunk, preds: Sequence, gts: Sequence, rows=None) -> tuple:
     """Run a batch kernel's ``chunk`` on consecutive slices of at most
     BATCH_CAP prediction / ground-truth pairs, in pair order, with numpy's
     floating-point warnings off, and join each array it returns. With no
     pairs it calls ``chunk`` once on the empty slices, so the arrays keep
     their dtypes. Raises ValueError unless the lengths agree.
+
+    With ``rows``, a pair of index arrays (prediction rows, ground-truth
+    rows), the pairs are ``preds[rows[0]]`` and ``gts[rows[1]]``, and each
+    slice of them is gathered only for its own chunk call.
     """
-    if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} predictions but {len(gts)} ground truths")
+    n_preds, n_gts = map(len, (preds, gts) if rows is None else rows)
+    if n_preds != n_gts:
+        raise ValueError(f"{n_preds} predictions but {n_gts} ground truths")
+
+    def pairs(cut: slice) -> tuple:
+        if rows is None:
+            return preds[cut], gts[cut]
+        return preds[rows[0][cut]], gts[rows[1][cut]]
+
     with np.errstate(all="ignore"):
-        parts = [chunk(preds[start:start + BATCH_CAP], gts[start:start + BATCH_CAP])
-                 for start in range(0, max(len(preds), 1), BATCH_CAP)]
+        parts = [chunk(*pairs(slice(start, start + BATCH_CAP)))
+                 for start in range(0, max(n_preds, 1), BATCH_CAP)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

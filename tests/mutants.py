@@ -95,6 +95,25 @@ CATALOGUE = (
     # by math.hypot, which bucket_index is given
     Mutant("bucket-near-edge-unchecked", "evaluation.py",
            "    if near.any():\n", "    if False:\n", EVALUATION),
+    # the greedy rounds: a detection's first live entry is its match when no
+    # detection ahead of it has a live entry for that annotation, and the
+    # loop finishes the rest once a round matches fewer than half
+    Mutant("greedy-accept-by-rank-at-most", "evaluation.py",
+           "first & (least[anns] == ranks)", "first & (least[anns] <= ranks)",
+           EVALUATION),
+    Mutant("greedy-first-live-entry-untested", "evaluation.py",
+           "first & (least[anns] == ranks)", "(least[anns] == ranks)", EVALUATION),
+    Mutant("greedy-loop-tail-skipped", "evaluation.py",
+           """            won_ranks, won_entries = _greedy_loop(ranks, anns, kept)
+            match[order[won_ranks]] = won_entries
+""", "", EVALUATION),
+    Mutant("greedy-switch-rule-inverted", "evaluation.py",
+           "if 2 * len(won) < pending:", "if 2 * len(won) >= pending:", EVALUATION),
+    # each slice's AUSC takes its own run of the one USC pass
+    Mutant("usc-pass-slice-bounds-shifted", "evaluation.py",
+           "_mean_usc(usc[start:end], reason[start:end])",
+           "_mean_usc(usc[start + 1:end + 1], reason[start + 1:end + 1])",
+           EVALUATION),
     # a yaw residual of exactly -pi wraps to pi, whose absolute value is the same
     Mutant("aoe-wrap-below-minus-pi", "evaluation.py",
            "(diff <= -math.pi)", "(diff < -math.pi)", EVALUATION,
@@ -134,8 +153,7 @@ CATALOGUE = (
     Mutant("usc-margin-zero", "constraints.py",
            "margin = 2.0 ** -40 *", "margin = 0.0 *", USC_BATCH),
     Mutant("usc-picks-swapped", "constraints.py",
-           "np.stack([u == u_hi, u == u_lo])", "np.stack([u == u_lo, u == u_hi])",
-           USC_BATCH),
+           "for e in (u_hi, u_lo))", "for e in (u_lo, u_hi))", USC_BATCH),
     # the sorting network gives the four x / z of a box in order
     Mutant("usc-sort-network-comparator-swapped", "constraints.py",
            "u_lo2, u_hi2 = np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi)",

@@ -8,7 +8,8 @@ coverage by ray casting. The greedy matcher is also kept here in its
 original per-pair form, as the reference for ``matched_pairs``, the
 library's one matcher entry point, and its shared candidate table; that
 table in its all-pairs form, as the reference for the library's windowed
-one; the overlap measures in their original scalar form, a
+one; the greedy match over that table in its one-detection-at-a-time loop,
+as the reference for the library's array rounds; the overlap measures in their original scalar form, a
 Sutherland-Hodgman clip of polygon vertex lists that projects a box afresh
 for every factor, as the reference, bit for bit and error for error, for
 the library's array kernel; the dataset loader in its field-by-field form,
@@ -394,6 +395,26 @@ def reference_candidates(dets, anns, reach):
     return [sorted([(d, j) for j, box in enumerate(boxes)
                     if (d := bev_center_distance(det.box, box)) <= reach])
             for det in dets]
+
+
+def reference_greedy(order, det, ann, eligible, n_dets: int) -> np.ndarray:
+    """Each detection in ``order`` takes its first eligible entry of the
+    candidate table (``det``, ``ann``, sorted by detection) whose annotation
+    is untaken; per detection the index of its entry, or -1. The library's
+    loop of the walk's first array form, one detection at a time."""
+    kept = np.flatnonzero(eligible)
+    bounds = np.searchsorted(det[kept], np.arange(n_dets + 1))
+    order = order[bounds[order] < bounds[order + 1]].tolist()
+    bounds, anns, kept = bounds.tolist(), ann[kept].tolist(), kept.tolist()
+    taken = set()
+    match = [-1] * n_dets
+    for i in order:
+        for k in range(bounds[i], bounds[i + 1]):
+            if anns[k] not in taken:
+                taken.add(anns[k])
+                match[i] = kept[k]
+                break
+    return np.array(match, dtype=np.int64)
 
 
 def reference_bucket_index(config, distance: float) -> Optional[int]:

@@ -670,6 +670,22 @@ class TestUscBatch:
         with pytest.raises(ValueError, match="^2 predictions but 1 ground truths$"):
             usc_batch([AHEAD, AHEAD], [AHEAD])
 
+    def test_rows_score_the_pairs_of_those_rows(self, monkeypatch):
+        # chunks of 7, rows that repeat and skip boxes, and a pair behind
+        # the camera: the bits of the gathered pairs
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        boxes = np.array([AHEAD, BEHIND, *(Box3D(0.3 * i - 2.0, 0.0, 6.0 + 0.7 * i,
+                                                 1.0 + 0.1 * i, 1.5, 2.0, 0.2 * i)
+                                           for i in range(10))])
+        rng = np.random.default_rng(9)
+        det, ann = rng.integers(0, 12, 30), rng.integers(2, 12, 30)
+        usc, reason = usc_batch(boxes, boxes, (det, ann))
+        assert reason.tolist() == usc_batch(boxes[det], boxes[ann])[1].tolist()
+        assert usc.tobytes() == assert_batch_matches_scalar(
+            list(zip(map(Box3D._make, boxes[det].tolist()),
+                     map(Box3D._make, boxes[ann].tolist()))))[0].tobytes()
+        assert (reason == BEHIND_CAMERA).any() and (reason == 0).any()
+
     def test_empty_batch(self):
         usc, reason = usc_batch([], [])
         assert usc.shape == reason.shape == (0,)

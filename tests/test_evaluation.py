@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (ap_oracle, optimal_assignment, reference_average_precision,
                      reference_bucket_index, reference_candidates,
-                     reference_evaluate, reference_tp_error_means,
-                     reference_walk)
+                     reference_evaluate, reference_greedy,
+                     reference_tp_error_means, reference_walk)
 from strategies import finite
 from usc import (Annotation, Box3D, Detection, MatchedPair, ProtocolConfig,
                  aggregate_usc, average_precision, bev_center_distance,
@@ -467,6 +467,96 @@ class TestCandidateTable:
         assert sizes == [window] and window == 100
         assert sum(map(len, table)) == 50
         assert table == reference_candidates(dets, anns, 1.0)
+
+
+@st.composite
+def greedy_tables(draw):
+    """``evaluation._greedy``'s arguments: a candidate table over a few
+    groups with up to 24 detections and 10 annotations, each pair in a group
+    a candidate 3 times in 4 at one of four distances (so nearest entries
+    tie often), one entry in 5 not eligible, and an order that is any
+    permutation of the detections."""
+    n_groups = draw(st.integers(1, 3))
+    det_groups = draw(st.lists(st.integers(0, n_groups - 1), max_size=24))
+    ann_groups = draw(st.lists(st.integers(0, n_groups - 1), max_size=10))
+    entries = sorted(
+        (i, draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))), j, draw(st.integers(0, 4)) > 0)
+        for i, gi in enumerate(det_groups) for j, gj in enumerate(ann_groups)
+        if gi == gj and draw(st.integers(0, 3)))
+    order = draw(st.permutations(range(len(det_groups))))
+    return greedy_table([(i, j, ok) for i, _, j, ok in entries], order)
+
+
+def greedy_table(entries, order):
+    """``_greedy``'s arguments from (detection, annotation, eligible)
+    entries in table order and the detections' order."""
+    det, ann, eligible = (np.array(column, dtype=dtype) for column, dtype in zip(
+        zip(*entries) if entries else ((), (), ()), (np.int64, np.int64, bool)))
+    return np.array(order, dtype=np.int64), det, ann, eligible, len(order)
+
+
+def spy_loop(monkeypatch):
+    """The ranks ``_greedy_loop`` is given, one set per call."""
+    calls = []
+    loop = evaluation._greedy_loop
+
+    def spy(ranks, anns, entries):
+        calls.append(set(ranks.tolist()))
+        return loop(ranks, anns, entries)
+
+    monkeypatch.setattr(evaluation, "_greedy_loop", spy)
+    return calls
+
+
+class TestGreedyRounds:
+    """``_greedy``'s array rounds against the one-detection-at-a-time loop
+    (``oracles.reference_greedy``)."""
+
+    @given(greedy_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_loop(self, table):
+        assert evaluation._greedy(*table).tolist() == reference_greedy(*table).tolist()
+
+    def test_chain_settled_in_three_rounds(self, monkeypatch):
+        # by rank: 0 wants [a0]; 1 wants [a0, a1]; 2 wants [a1, a2]; 3, 4 and
+        # 5 want a3, a4 and a5. Round 1 matches 0, 3, 4 and 5 (4 of 6); then
+        # 1's first live entry is a1 (1 of 2), and only then is 2's a2
+        calls = spy_loop(monkeypatch)
+        entries = [(0, 1, True), (0, 2, True), (1, 3, True), (2, 4, True),
+                   (3, 5, True), (4, 0, True), (5, 0, True), (5, 1, True)]
+        table = greedy_table(entries, [4, 5, 0, 1, 2, 3])
+        match = evaluation._greedy(*table)
+        assert match.tolist() == reference_greedy(*table).tolist()
+        assert table[2][match].tolist() == [2, 3, 4, 5, 0, 1]
+        assert calls == []
+
+    def test_one_shared_preference_reaches_the_loop(self, monkeypatch):
+        # 300 detections that rank the same 300 annotations alike: a round
+        # matches only the first, so the loop finishes the other 299, and
+        # the detection of rank r takes annotation r
+        calls = spy_loop(monkeypatch)
+        order = np.random.default_rng(5).permutation(300).tolist()
+        table = greedy_table([(i, j, True) for i in range(300) for j in range(300)],
+                             order)
+        match = evaluation._greedy(*table)
+        assert match.tolist() == reference_greedy(*table).tolist()
+        assert [table[2][match[i]] for i in order] == list(range(300))
+        assert calls == [set(range(1, 300))]
+
+    def test_detections_without_an_eligible_entry(self):
+        # detection 1 has no entry, 2 only ineligible ones, and 3 loses its
+        # one annotation to 0, ahead of it
+        entries = [(0, 0, True), (0, 1, True), (2, 1, False), (2, 2, False),
+                   (3, 0, True), (4, 2, True), (4, 1, True)]
+        table = greedy_table(entries, [0, 1, 2, 3, 4])
+        match = evaluation._greedy(*table)
+        assert match.tolist() == reference_greedy(*table).tolist() == [
+            0, -1, -1, -1, 5]
+
+    @pytest.mark.parametrize("n_dets", [0, 4])
+    def test_empty_table(self, n_dets):
+        table = greedy_table([], list(range(n_dets)))
+        assert evaluation._greedy(*table).tolist() == [-1] * n_dets
 
 
 #: (score, is TP) labels whose scores often come from four values, so runs

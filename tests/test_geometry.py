@@ -950,6 +950,25 @@ class TestPairBatches:
         assert values.tolist() == preds and codes.tolist() == gts
         assert values.dtype == np.float64 and codes.dtype == np.int8
 
+    def test_rows_are_gathered_one_slice_at_a_time(self, monkeypatch):
+        # the pairs (preds[i], gts[j]) for the rows (i, j), in row order
+        monkeypatch.setattr(geometry, "BATCH_CAP", 7)
+        calls = []
+        preds, gts = np.arange(100, 140), np.arange(200, 230)
+        det = np.random.default_rng(3).integers(0, 40, 23)
+        ann = np.random.default_rng(4).integers(0, 30, 23)
+        values, codes = geometry.pair_batches(
+            self.recording_chunk(calls), preds, gts, (det, ann))
+        assert [len(p) for p, _ in calls] == [7, 7, 7, 2]
+        assert [i for p, _ in calls for i in p] == preds[det].tolist()
+        assert [j for _, g in calls for j in g] == gts[ann].tolist()
+        with pytest.raises(ValueError, match="^23 predictions but 22 ground truths$"):
+            geometry.pair_batches(self.recording_chunk(calls), preds, gts,
+                                  (det, ann[:-1]))
+        values, codes = geometry.pair_batches(
+            self.recording_chunk(calls), preds, gts, (det[:0], ann[:0]))
+        assert calls[-1] == ([], []) and values.shape == codes.shape == (0,)
+
     def test_no_pairs_calls_the_chunk_once(self):
         calls = []
         values, codes = geometry.pair_batches(self.recording_chunk(calls), [], [])
